@@ -26,8 +26,8 @@ from .core_model import (CONSTANTS, DmaDesign, PhysicalConstants,
                          ResonantConfig, beamformer_weight, polarizability,
                          psi_angle, resonant_from_shifted, shift_origin,
                          unshift_origin, weight_from_shifted)
-from .errors import (CoverageInfeasibleError, DmaError, DomainError,
-                     EnumerationLimitError, InfeasibleElementError,
+from .errors import (CoverageInfeasibleError, CutoffError, DmaError,
+                     DomainError, EnumerationLimitError, InfeasibleElementError,
                      InvalidEstimateError, NoCrossoverError, ScenarioError,
                      SingularityError)
 from .frequency_planner import (CoverageAngle, OperatingPoint, SectorDesign,
@@ -43,8 +43,8 @@ from .link_rate import (LinkBudget, RateComparison, RateReport,
                         average_rates, bandwidth_sweep, compare_rates,
                         rate_ttd, received_psd, subcarrier_grid,
                         tuning_range_sweep)
-from .oracle import (dense_p_scan, enumerate_binary, grid_max_gain,
-                     resonance_grid)
+from .oracle import (binary_mask_gain, dense_p_scan, enumerate_binary,
+                     grid_max_gain, resonance_grid)
 from .scenario import (Scenario, fingerprint, load_scenario, parse_scenario,
                        scenario_to_text)
 

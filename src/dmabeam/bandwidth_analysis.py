@@ -17,7 +17,7 @@ from scipy.optimize import brentq
 
 from .channel import dirichlet_kernel
 from .core_model import CONSTANTS, DmaDesign
-from .errors import DomainError
+from .errors import CutoffError, DomainError
 
 ARRAY_CUTOFF_TOL = 1e3   # Hz, bisection tolerance for full-array cutoffs
 
@@ -65,7 +65,8 @@ def cutoff_frequencies(design: DmaDesign, f_t_star: float, nu: float) -> CutoffR
 
     The first-order width Gamma / (2 pi sqrt(rho)) is reported alongside;
     for this response shape it coincides with f_upper - f_lower because
-    f_upper * f_lower = f*^2 holds identically.
+    f_upper * f_lower = f*^2 holds identically.  Raises CutoffError when
+    the closed form misses the threshold (floating-point breakdown).
     """
     if not 0.0 < nu < 1.0:
         raise DomainError("nu must lie strictly between 0 and 1")
@@ -78,7 +79,9 @@ def cutoff_frequencies(design: DmaDesign, f_t_star: float, nu: float) -> CutoffR
     f_upper = np.sqrt(f_t_star**2 + (gam**2 + root) / (8.0 * np.pi**2 * rho))
     for f_edge in (f_lower, f_upper):
         if abs(element_gain(design, f_t_star, f_edge) - nu) > 1e-8:
-            raise RuntimeError("cutoff closed form failed its own threshold check")
+            raise CutoffError(
+                f"cutoff closed form failed its own threshold check at "
+                f"f_t_star = {f_t_star:.6g} Hz, nu = {nu:g}")
     return CutoffReport(
         f_lower=float(f_lower),
         f_upper=float(f_upper),
@@ -94,7 +97,8 @@ def array_cutoff_frequencies(design: DmaDesign, phi: float, f_t_star: float,
 
     The array factor only narrows the response around the configured peak,
     so the element-only cutoffs bracket the search on each side.  Solved
-    by root bisection to ARRAY_CUTOFF_TOL.
+    by root bisection to ARRAY_CUTOFF_TOL; raises CutoffError when a
+    bracket holds no crossing.
     """
     if not 0.0 < nu < 1.0:
         raise DomainError("nu must lie strictly between 0 and 1")
@@ -114,6 +118,11 @@ def array_cutoff_frequencies(design: DmaDesign, phi: float, f_t_star: float,
     hi_bracket = elem.f_upper
     while excess(hi_bracket) > 0 and hi_bracket < 2.0 * elem.f_upper:
         hi_bracket *= 1.01
-    f_lower = brentq(excess, lo_bracket, f_t_star, xtol=ARRAY_CUTOFF_TOL)
-    f_upper = brentq(excess, f_t_star, hi_bracket, xtol=ARRAY_CUTOFF_TOL)
+    try:
+        f_lower = brentq(excess, lo_bracket, f_t_star, xtol=ARRAY_CUTOFF_TOL)
+        f_upper = brentq(excess, f_t_star, hi_bracket, xtol=ARRAY_CUTOFF_TOL)
+    except ValueError as err:
+        raise CutoffError(
+            f"no array cutoff inside the search bracket at "
+            f"f_t_star = {f_t_star:.6g} Hz, nu = {nu:g}: {err}") from err
     return float(f_lower), float(f_upper)

@@ -33,6 +33,11 @@ class NoCrossoverError(DmaError, ValueError):
     requested fixed frequency."""
 
 
+class CutoffError(DmaError, ArithmeticError):
+    """The cutoff frequencies of a gain response could not be resolved
+    numerically for the requested operating frequency and threshold."""
+
+
 class EnumerationLimitError(DmaError, ValueError):
     """Exhaustive enumeration was requested for an array too large to search."""
 

@@ -114,16 +114,23 @@ def _band_gains(layout: ArrayLayout, per_dma_configs, phi: float,
     """Array gain at each frequency for one fixed configuration.
 
     Same quantity as array_gain_dma, evaluated for the whole band in one
-    broadcast pass.
+    broadcast pass over (subcarrier, element).  When every waveguide
+    carries the same resonances the array sum is N_z times the
+    single-waveguide sum, so one waveguide is evaluated and the gain
+    scaled by N_z^2; otherwise the full (subcarrier, waveguide, element)
+    sum is taken.
     """
     design = layout.per_dma
     if len(per_dma_configs) != layout.n_dmas:
         raise DomainError(
             f"need {layout.n_dmas} configs, got {len(per_dma_configs)}")
     res = np.stack([cfg.f_r for cfg in per_dma_configs])
-    weights = beamformer_weight(design, res[None, :, :],
-                                freqs[:, None, None])
-    h = np.exp(1j * np.stack([combined_phases(design, phi, f) for f in freqs]))
+    h = np.exp(1j * combined_phases(design, phi, freqs[:, None]))
+    if np.all(res == res[0]):
+        weights = beamformer_weight(design, res[0], freqs[:, None])
+        single = np.einsum("kn,kn->k", weights, h)
+        return layout.n_dmas ** 2 * np.abs(single) ** 2
+    weights = beamformer_weight(design, res[None, :, :], freqs[:, None, None])
     return np.abs(np.einsum("kmn,kn->k", weights, h)) ** 2
 
 
@@ -157,6 +164,41 @@ def _replicated(layout: ArrayLayout, config) -> List:
     return [config] * layout.n_dmas
 
 
+def _angle_tunings(layout: ArrayLayout, codebook: Codebook, phi: float):
+    """Band center and resonances of each DMA strategy at one angle.
+
+    Returns (center, ResonantConfig) pairs for the perfect, trained and
+    fixed strategies.  None of them depends on the link budget, so a
+    sweep over budgets computes them once per angle.
+    """
+    design = layout.per_dma
+    f_star = optimal_operating_freq(design, phi).f_t_star
+    perfect = (f_star, solve_p1a(design, phi, f_star).resonant)
+
+    result = probe(layout, codebook, phi, np.sort(codebook.sector_freqs))
+    trained = (result.f_k_star,
+               solve_p1a(design, result.phi_hat, result.f_k_star).resonant)
+
+    f_c = 0.5 * (design.f_min + design.f_max)
+    fixed = (f_c, solve_p1a(design, phi, f_c).resonant)
+    return perfect, trained, fixed
+
+
+def _rates_at(layout: ArrayLayout, phi: float, tunings,
+              budget: LinkBudget) -> RateComparison:
+    """Strategy rates at one angle for precomputed _angle_tunings."""
+
+    def rate(tuning):
+        center, cfg = tuning
+        return achievable_rate(replace(budget, center=center), layout,
+                               _replicated(layout, cfg), phi).rate
+
+    perfect, trained, fixed = tunings
+    return RateComparison(
+        fixed=rate(fixed), trained=rate(trained), perfect=rate(perfect),
+        ttd=rate_ttd(replace(budget, center=perfect[0]), layout, phi).rate)
+
+
 def compare_rates(layout: ArrayLayout, codebook: Codebook, phi: float,
                   budget: LinkBudget) -> RateComparison:
     """Evaluate all four strategies at one angle.
@@ -165,25 +207,16 @@ def compare_rates(layout: ArrayLayout, codebook: Codebook, phi: float,
     the TTD benchmark uses the same band placement as the perfect-AoD
     strategy.
     """
-    design = layout.per_dma
-    f_star = optimal_operating_freq(design, phi).f_t_star
-    b_star = replace(budget, center=f_star)
-    cfg = solve_p1a(design, phi, f_star).resonant
-    r_perfect = achievable_rate(b_star, layout, _replicated(layout, cfg), phi).rate
-    r_ttd = rate_ttd(b_star, layout, phi).rate
+    return _rates_at(layout, phi, _angle_tunings(layout, codebook, phi), budget)
 
-    result = probe(layout, codebook, phi, np.sort(codebook.sector_freqs))
-    b_tr = replace(budget, center=result.f_k_star)
-    cfg = solve_p1a(design, result.phi_hat, result.f_k_star).resonant
-    r_trained = achievable_rate(b_tr, layout, _replicated(layout, cfg), phi).rate
 
-    f_c = 0.5 * (design.f_min + design.f_max)
-    b_fix = replace(budget, center=f_c)
-    cfg = solve_p1a(design, phi, f_c).resonant
-    r_fixed = achievable_rate(b_fix, layout, _replicated(layout, cfg), phi).rate
-
-    return RateComparison(fixed=r_fixed, trained=r_trained,
-                          perfect=r_perfect, ttd=r_ttd)
+def _mean(comparisons: Sequence[RateComparison]) -> RateComparison:
+    acc = np.zeros(4)
+    for r in comparisons:
+        acc += (r.fixed, r.trained, r.perfect, r.ttd)
+    acc /= len(comparisons)
+    return RateComparison(fixed=acc[0], trained=acc[1],
+                          perfect=acc[2], ttd=acc[3])
 
 
 def angle_grid(phi_lower: float, phi_upper: float,
@@ -198,26 +231,27 @@ def average_rates(layout: ArrayLayout, codebook: Codebook, budget: LinkBudget,
                   phi_lower: float, phi_upper: float,
                   n_samples: int = DEFAULT_ANGLE_SAMPLES) -> RateComparison:
     """Strategy rates averaged over a deterministic uniform angle grid."""
-    acc = np.zeros(4)
-    grid = angle_grid(phi_lower, phi_upper, n_samples)
-    for phi in grid:
-        r = compare_rates(layout, codebook, phi, budget)
-        acc += (r.fixed, r.trained, r.perfect, r.ttd)
-    acc /= grid.size
-    return RateComparison(fixed=acc[0], trained=acc[1],
-                          perfect=acc[2], ttd=acc[3])
+    return _mean([compare_rates(layout, codebook, phi, budget)
+                  for phi in angle_grid(phi_lower, phi_upper, n_samples)])
 
 
 def bandwidth_sweep(layout: ArrayLayout, codebook: Codebook,
                     budget: LinkBudget, bandwidths: Sequence[float],
                     phi_lower: float, phi_upper: float,
                     n_samples: int = DEFAULT_ANGLE_SAMPLES) -> List[RateComparison]:
-    """Angle-averaged strategy rates for each bandwidth."""
-    return [
-        average_rates(layout, codebook, replace(budget, bandwidth=b),
-                      phi_lower, phi_upper, n_samples)
-        for b in bandwidths
-    ]
+    """Angle-averaged strategy rates for each bandwidth.
+
+    Row i equals average_rates with the budget's bandwidth set to
+    bandwidths[i]; the per-angle tunings are computed once for all rows.
+    """
+    grid = angle_grid(phi_lower, phi_upper, n_samples)
+    tunings = [_angle_tunings(layout, codebook, phi) for phi in grid]
+    rows = []
+    for b in bandwidths:
+        b_budget = replace(budget, bandwidth=b)
+        rows.append(_mean([_rates_at(layout, phi, t, b_budget)
+                           for phi, t in zip(grid, tunings)]))
+    return rows
 
 
 def tuning_range_sweep(template: DmaDesign, n_dmas: int, n_g_max: float,

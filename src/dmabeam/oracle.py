@@ -163,3 +163,12 @@ def enumerate_binary(design: DmaDesign, phi: float, f_c: float) -> BinarySolutio
     bits = np.array([(best_mask >> (n - 1 - e)) & 1 for e in range(n)],
                     dtype=np.int8)
     return BinarySolution(mask=bits, gain=float(best_gain))
+
+
+def binary_mask_gain(design: DmaDesign, phi: float, f_c: float, mask) -> float:
+    """Gain |mask . h|^2 of one on/off pattern, from the raw channel."""
+    mask = np.asarray(mask)
+    if mask.shape != (design.n_elements,):
+        raise DomainError(
+            f"mask needs {design.n_elements} entries, got shape {mask.shape}")
+    return float(abs(np.dot(mask, _raw_channel(design, phi, f_c))) ** 2)

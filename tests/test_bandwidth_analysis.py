@@ -30,6 +30,25 @@ def test_exact_cutoffs_satisfy_geometric_identity(design):
         assert rep.f_lower * rep.f_upper == pytest.approx(F_STAR ** 2, rel=1e-12)
 
 
+def test_cutoff_threshold_failure_raises_cutoff_error(design, monkeypatch):
+    import dmabeam.bandwidth_analysis as ba
+
+    monkeypatch.setattr(ba, "element_gain", lambda *args: 1.0)
+    with pytest.raises(db.CutoffError, match="f_t_star.*nu"):
+        ba.cutoff_frequencies(design, F_STAR, 0.5)
+
+
+def test_array_cutoff_without_crossing_raises_cutoff_error(design, monkeypatch):
+    """An array factor that never lets the response drop below nu leaves
+    the bisection bracket without a sign change."""
+    import dmabeam.bandwidth_analysis as ba
+
+    monkeypatch.setattr(ba, "array_gain",
+                        lambda d, phi, f: 1.0 if f == F_STAR else 1e6)
+    with pytest.raises(db.CutoffError, match="f_t_star.*nu"):
+        ba.array_cutoff_frequencies(design, np.radians(-18.0), F_STAR, 0.5)
+
+
 def test_gain_at_cutoffs_is_the_requested_fraction(design):
     rep = db.cutoff_frequencies(design, F_STAR, 0.5)
     peak = db.element_gain(design, F_STAR, F_STAR)

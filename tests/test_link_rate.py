@@ -71,6 +71,34 @@ def test_achievable_rate_matches_hand_computation(layout):
     assert rep.per_subcarrier_snr.shape == (2,)
 
 
+@pytest.mark.parametrize("grouped", [False, True])
+def test_achievable_rate_matches_per_subcarrier_array_gain(layout, grouped):
+    """The broadcast band gain equals array_gain_dma on every subcarrier.
+
+    Replicated configurations take the single-waveguide N_z^2 shortcut;
+    the training configuration (one resonance per group) takes the full
+    per-waveguide sum.
+    """
+    budget = make_budget(center=14.4e9)
+    phi = np.radians(-12.0)
+    if grouped:
+        cb = db.build_codebook(layout, np.radians(30.0), 0.5)
+        lay = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
+        configs = db.training_config(lay, cb)
+        assert len({cfg.f_r[0] for cfg in configs}) > 1
+    else:
+        lay = layout
+        configs = [db.solve_p1a(layout.per_dma, phi, 14.4e9).resonant] * 4
+    rep = db.achievable_rate(budget, lay, configs, phi)
+    total = 0.0
+    for f in db.subcarrier_grid(budget):
+        g = db.array_gain_dma(lay, configs, phi, float(f))
+        snr = db.received_psd(budget, g, float(f)) / (K_B * 290.0)
+        total += budget.bandwidth / 64 * np.log2(1 + snr)
+    assert rep.per_subcarrier_snr.shape == (64,)
+    assert rep.rate == pytest.approx(total, rel=1e-12)
+
+
 def test_ttd_rate_is_frequency_flat(layout):
     budget = make_budget()
     rep = db.rate_ttd(budget, layout, np.radians(-20.0))
@@ -127,6 +155,22 @@ def test_bandwidth_sweep_shapes_and_ttd_growth(layout):
     assert len(rows) == 3
     ttd = [r.ttd for r in rows]
     assert ttd[0] < ttd[1] < ttd[2]  # wider band, more capacity
+
+
+def test_bandwidth_sweep_rows_equal_average_rates(layout):
+    cb = db.build_codebook(layout, np.radians(30.0), 0.5)
+    grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
+    budget = make_budget(n_subcarriers=16)
+    bandwidths = [0.1e9, 0.5e9]
+    rows = db.bandwidth_sweep(grouped, cb, budget, bandwidths,
+                              -0.3, 0.3, n_samples=4)
+    for b, row in zip(bandwidths, rows):
+        ref = db.average_rates(grouped, cb,
+                               dataclasses.replace(budget, bandwidth=b),
+                               -0.3, 0.3, n_samples=4)
+        for name in ("fixed", "trained", "perfect", "ttd"):
+            assert getattr(row, name) == pytest.approx(getattr(ref, name),
+                                                       rel=1e-12)
 
 
 def test_angle_grid_endpoints():

@@ -104,6 +104,15 @@ def test_enumerate_binary_tiny_case_by_hand():
     assert sol.gain == pytest.approx(1.0, rel=1e-12)
 
 
+def test_binary_mask_gain_reproduces_the_enumerated_optimum(design):
+    sol = db.enumerate_binary(design, 0.2, 15e9)
+    assert db.binary_mask_gain(design, 0.2, 15e9, sol.mask) \
+        == pytest.approx(sol.gain, rel=1e-12)
+    assert db.binary_mask_gain(design, 0.2, 15e9, np.zeros(8)) == 0.0
+    with pytest.raises(db.DomainError):
+        db.binary_mask_gain(design, 0.2, 15e9, [1, 0])
+
+
 def test_enumerate_binary_cap():
     with pytest.raises(db.EnumerationLimitError):
         db.enumerate_binary(small_design(21), 0.0, 15e9)

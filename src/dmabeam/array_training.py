@@ -17,13 +17,13 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .channel import dirichlet_of_p, effective_channel
-from .core_model import CONSTANTS, DmaDesign, ResonantConfig, beamformer_weight
+from .channel import dirichlet_of_p
+from .core_model import CONSTANTS, DmaDesign, ResonantConfig
 from .errors import (CoverageInfeasibleError, DomainError,
                      InvalidEstimateError)
 from .frequency_planner import optimal_operating_freq
+from .gain_optimizer import configured_gain
 
 DEFAULT_PILOT_COUNT = 256
 WIDTH_RESOLUTION = 1e-3    # quantization of the mainlobe half-width
@@ -90,16 +90,16 @@ class TrainingResult:
 
 
 def array_gain_dma(layout: ArrayLayout, per_dma_configs: Sequence[ResonantConfig],
-                   phi: float, f: float, with_attenuation: bool = False) -> float:
-    """Array gain |sum_m f_dma,m(f)^T h(phi, f)|^2 over all waveguides."""
+                   phi: float, f, with_attenuation: bool = False):
+    """Array gain |sum_m f_dma,m(f)^T h(phi, f)|^2 over all waveguides.
+
+    A scalar ``f`` gives a float, a 1-d ``f`` one gain per frequency.
+    """
     if len(per_dma_configs) != layout.n_dmas:
         raise DomainError(
             f"need {layout.n_dmas} configs, got {len(per_dma_configs)}")
-    design = layout.per_dma
     res = np.stack([cfg.f_r for cfg in per_dma_configs])
-    weights = beamformer_weight(design, res, f)
-    h = effective_channel(design, phi, f, with_attenuation).entries
-    return float(np.abs((weights @ h).sum()) ** 2)
+    return configured_gain(layout.per_dma, res, phi, f, with_attenuation)
 
 
 def training_config(layout: ArrayLayout, codebook: Codebook) -> List[ResonantConfig]:
@@ -142,7 +142,7 @@ def probe(layout: ArrayLayout, codebook: Codebook, phi_true: float,
         raise DomainError("pilot grid is empty")
     design = layout.per_dma
     configs = training_config(layout, codebook)
-    gains = np.array([array_gain_dma(layout, configs, phi_true, f) for f in pilot])
+    gains = array_gain_dma(layout, configs, phi_true, pilot)
     k_star = int(np.argmax(gains))
     f_k = float(pilot[k_star])
     arg = CONSTANTS.c / (design.spacing * f_k) - design.refractive_index
@@ -180,6 +180,9 @@ def psi_delta(n_y: int, delta: float) -> float:
         raise DomainError("delta must lie strictly between 0 and 1")
     if n_y < 2:
         raise DomainError("need at least 2 elements for a mainlobe width")
+
+    # Imported here: scipy.optimize dominates the package import time.
+    from scipy.optimize import brentq
 
     def excess(x):
         return dirichlet_of_p(x, n_y) ** 2 - delta * n_y ** 2

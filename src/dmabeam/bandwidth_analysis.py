@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .channel import dirichlet_kernel
 from .core_model import CONSTANTS, DmaDesign
@@ -100,6 +99,9 @@ def array_cutoff_frequencies(design: DmaDesign, phi: float, f_t_star: float,
     by root bisection to ARRAY_CUTOFF_TOL; raises CutoffError when a
     bracket holds no crossing.
     """
+    # Imported here: scipy.optimize dominates the package import time.
+    from scipy.optimize import brentq
+
     if not 0.0 < nu < 1.0:
         raise DomainError("nu must lie strictly between 0 and 1")
     peak = element_gain(design, f_t_star, f_t_star) \

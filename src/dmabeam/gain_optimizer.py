@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import dirichlet_kernel, effective_channel, normalized_product
+from .channel import (attenuation_vector, combined_phases, dirichlet_kernel,
+                      normalized_product)
 from .core_model import (CONSTANTS, DmaDesign, ResonantConfig,
                          beamformer_weight, resonant_from_shifted)
 from .errors import (DmaError, DomainError, InfeasibleElementError,
@@ -44,15 +45,40 @@ class TtdSolution:
     delays: np.ndarray
 
 
-def gain_dma(design: DmaDesign, config: ResonantConfig, phi: float, f: float,
-             with_attenuation: bool = False) -> float:
-    """Beamforming gain |f_dma(f)^T h(phi, f)|^2 of an arbitrary configuration."""
+def configured_gain(design: DmaDesign, resonances, phi: float, f,
+                    with_attenuation: bool = False):
+    """Gain |sum_m w_m(f)^T h(phi, f)|^2 of waveguides with set resonances.
+
+    ``resonances`` holds one waveguide's (N,) resonant frequencies or an
+    (M, N) stack, one row per waveguide.  A scalar ``f`` gives a float, a
+    1-d ``f`` one gain per frequency.  When every row is equal the array
+    sum is M times one waveguide's sum, so one row is evaluated and the
+    gain scaled by M^2.
+    """
+    res = np.atleast_2d(np.asarray(resonances, dtype=float))
+    copies = 1
+    if len(res) > 1 and np.all(res == res[0]):
+        copies, res = len(res), res[:1]
+    freqs = np.asarray(f, dtype=float)
+    col = freqs.reshape(-1, 1)
+    h = np.exp(1j * combined_phases(design, phi, col))
+    if with_attenuation:
+        h = h * attenuation_vector(design)
+    weights = beamformer_weight(design, res, col[:, :, None])
+    out = copies ** 2 * np.abs(np.einsum("kmn,kn->k", weights, h)) ** 2
+    return float(out[0]) if freqs.ndim == 0 else out
+
+
+def gain_dma(design: DmaDesign, config: ResonantConfig, phi: float, f,
+             with_attenuation: bool = False):
+    """Beamforming gain |f_dma(f)^T h(phi, f)|^2 of an arbitrary configuration.
+
+    A scalar ``f`` gives a float, a 1-d ``f`` one gain per frequency.
+    """
     if len(config) != design.n_elements:
         raise DomainError(
             f"config has {len(config)} resonances for {design.n_elements} elements")
-    w = beamformer_weight(design, config.f_r, f)
-    h = effective_channel(design, phi, f, with_attenuation).entries
-    return float(np.abs(np.dot(w, h)) ** 2)
+    return configured_gain(design, config.f_r, phi, f, with_attenuation)
 
 
 def wrap_shifted(psi_tilde):

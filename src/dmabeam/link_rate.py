@@ -23,10 +23,12 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .array_training import ArrayLayout, Codebook, build_codebook, probe
-from .channel import combined_phases
-from .core_model import CONSTANTS, DmaDesign, beamformer_weight
-from .errors import DomainError
+from .array_training import (ArrayLayout, Codebook, array_gain_dma,
+                             build_codebook, probe)
+# Kept as a module binding: the benchmark's tracer tests use it as a fixture.
+from .channel import combined_phases  # noqa: F401
+from .core_model import CONSTANTS, DmaDesign
+from .errors import CoverageInfeasibleError, DomainError
 from .frequency_planner import (design_sector, max_coverage_angle,
                                 optimal_operating_freq)
 from .gain_optimizer import solve_p1a
@@ -109,31 +111,6 @@ def _report(budget: LinkBudget, snr: np.ndarray) -> RateReport:
     return RateReport(rate=float(rate), per_subcarrier_snr=snr)
 
 
-def _band_gains(layout: ArrayLayout, per_dma_configs, phi: float,
-                freqs: np.ndarray) -> np.ndarray:
-    """Array gain at each frequency for one fixed configuration.
-
-    Same quantity as array_gain_dma, evaluated for the whole band in one
-    broadcast pass over (subcarrier, element).  When every waveguide
-    carries the same resonances the array sum is N_z times the
-    single-waveguide sum, so one waveguide is evaluated and the gain
-    scaled by N_z^2; otherwise the full (subcarrier, waveguide, element)
-    sum is taken.
-    """
-    design = layout.per_dma
-    if len(per_dma_configs) != layout.n_dmas:
-        raise DomainError(
-            f"need {layout.n_dmas} configs, got {len(per_dma_configs)}")
-    res = np.stack([cfg.f_r for cfg in per_dma_configs])
-    h = np.exp(1j * combined_phases(design, phi, freqs[:, None]))
-    if np.all(res == res[0]):
-        weights = beamformer_weight(design, res[0], freqs[:, None])
-        single = np.einsum("kn,kn->k", weights, h)
-        return layout.n_dmas ** 2 * np.abs(single) ** 2
-    weights = beamformer_weight(design, res[None, :, :], freqs[:, None, None])
-    return np.abs(np.einsum("kmn,kn->k", weights, h)) ** 2
-
-
 def achievable_rate(budget: LinkBudget, layout: ArrayLayout,
                     per_dma_configs, phi: float) -> RateReport:
     """Sum rate (B/K_d) sum_k log2(1 + SNR_k) for a fixed DMA configuration.
@@ -142,7 +119,7 @@ def achievable_rate(budget: LinkBudget, layout: ArrayLayout,
     rolls off away from the frequency it was tuned for.
     """
     grid = subcarrier_grid(budget)
-    gains = _band_gains(layout, per_dma_configs, phi, grid)
+    gains = array_gain_dma(layout, per_dma_configs, phi, grid)
     snr = received_psd(budget, gains, grid) / (CONSTANTS.k_B * budget.noise_temp)
     return _report(budget, snr)
 
@@ -263,13 +240,20 @@ def tuning_range_sweep(template: DmaDesign, n_dmas: int, n_g_max: float,
     For each T_r the band is centered where the template's band is, the
     coverage sector is the widest the refractive-index budget allows, the
     spacing comes from the sector design rule, and the codebook is rebuilt.
-    Averaging spans the redesigned sector itself.
+    Averaging spans the redesigned sector itself.  Raises
+    CoverageInfeasibleError when a tuning range saturates the coverage at
+    90 deg, which no codebook can cover.
     """
     f_c = 0.5 * (template.f_min + template.f_max)
     points = []
     for t_r in tuning_ranges:
         f_min, f_max = f_c - t_r / 2.0, f_c + t_r / 2.0
         phi_max = max_coverage_angle(n_g_max, t_r, f_c).angle
+        if phi_max >= np.pi / 2.0:   # saturated, or exactly on the boundary
+            raise CoverageInfeasibleError(
+                f"tuning range {t_r / 1e9:g} GHz with n_g_max = {n_g_max:g}: "
+                f"coverage saturates at 90 deg, and no codebook covers "
+                f"±90 deg")
         sector = design_sector(-phi_max, phi_max, f_min, f_max)
         design = replace(template, spacing=sector.d_y_star,
                          refractive_index=sector.n_g_star,

@@ -10,7 +10,6 @@ the closed forms; the library itself never calls them in a hot path.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
 
 from .binary_tuning import BinarySolution
 from .core_model import CONSTANTS, DmaDesign
@@ -70,6 +69,9 @@ def _hull_prune(sums: np.ndarray) -> np.ndarray:
     """
     if sums.size <= 512:
         return sums
+    # Imported here: scipy.spatial is slow to import; big clouds only.
+    from scipy.spatial import ConvexHull, QhullError
+
     pts = np.column_stack([sums.real, sums.imag])
     try:
         keep = ConvexHull(pts).vertices

@@ -168,6 +168,51 @@ def test_array_gain_with_attenuation_is_lower(layout):
     assert damped < plain
 
 
+@pytest.mark.parametrize("with_attenuation", [False, True])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_gain_over_a_frequency_array_matches_the_reference(
+        layout, reference_gain, stacked, with_attenuation):
+    """gain_dma / array_gain_dma over an f array equal the scalar reference."""
+    dma = dataclasses.replace(layout.per_dma, attenuation=6.0)
+    phi = np.radians(-12.0)
+    freqs = np.linspace(dma.f_min, dma.f_max, 37)
+    cfg = db.solve_p1a(dma, phi, 14.4e9).resonant
+    if stacked:
+        other = db.solve_p1a(dma, phi, 16.0e9).resonant
+        configs = [cfg, cfg, other, other]
+        lay = db.ArrayLayout(n_dmas=4, per_dma=dma, groups=1)
+        got = db.array_gain_dma(lay, configs, phi, freqs, with_attenuation)
+        one = db.array_gain_dma(lay, configs, phi, float(freqs[5]),
+                                with_attenuation)
+    else:
+        configs = [cfg]
+        got = db.gain_dma(dma, cfg, phi, freqs, with_attenuation)
+        one = db.gain_dma(dma, cfg, phi, float(freqs[5]), with_attenuation)
+    expect = reference_gain(dma, configs, phi, freqs, with_attenuation)
+    assert got.shape == freqs.shape
+    np.testing.assert_allclose(got, expect, rtol=1e-12)
+    assert isinstance(one, float)
+    assert one == pytest.approx(expect[5], rel=1e-12)
+
+
+@pytest.mark.parametrize("phi_deg", [-30.0, -17.3, -4.0, 0.0, 9.5, 21.0, 30.0])
+def test_probe_argmax_matches_the_reference(layout, reference_gain, phi_deg):
+    """The probe's k_star is the reference argmax, lowest index on ties.
+
+    Each pilot appears twice, so every maximum is an exact tie between
+    neighbours and the lower (even) index must win.
+    """
+    cb = db.build_codebook(layout, PHI_MAX, 0.5)
+    grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
+    configs = db.training_config(grouped, cb)
+    pilots = db.pilot_grid(layout.per_dma, 256, include=cb.sector_freqs)
+    phi = float(np.radians(phi_deg))
+    expect = int(np.argmax(reference_gain(layout.per_dma, configs, phi, pilots)))
+    assert db.probe(grouped, cb, phi, pilots).k_star == expect
+    doubled = np.repeat(pilots, 2)
+    assert db.probe(grouped, cb, phi, doubled).k_star == 2 * expect
+
+
 def test_second_reference_codebook():
     """Shorter waveguides with a milder fraction give the other known set."""
     dma = db.DmaDesign(n_elements=4, spacing=1.0 / 120.0, refractive_index=2.5,

@@ -99,10 +99,9 @@ def test_json_format_mirrors_csv(scn, tmp_path):
 
 def test_runs_are_byte_identical(scn, tmp_path):
     outs = [str(tmp_path / f"run{i}") for i in (1, 2)]
-    for out, threads in zip(outs, ("1", "4")):
+    for out in outs:
         for cmd in ("design", "gain-sweep", "train"):
-            assert run_cli(cmd, "--scenario", scn, "--out", out,
-                           "--threads", threads) == 0
+            assert run_cli(cmd, "--scenario", scn, "--out", out) == 0
     names = sorted(os.listdir(outs[0]))
     assert names == sorted(os.listdir(outs[1]))
     for name in names:
@@ -171,17 +170,16 @@ def test_exit_code_for_floor_violation(scn, tmp_path, monkeypatch):
                    "--out", str(tmp_path / "x")) == 4
 
 
-def test_rate_is_byte_identical_across_thread_counts(tmp_path):
-    """--threads is accepted but changes nothing in the rate outputs."""
+def test_rate_runs_are_byte_identical(tmp_path):
+    """Two rate runs on one scenario write identical files."""
     path = tmp_path / "rate.scn"
     path.write_text(TINY.replace("sweep.angle_samples = 3",
                                  "sweep.angle_samples = 5")
                     .replace("sweep.tuning_ranges = 2.0, 3.0",
                              "sweep.tuning_ranges = 3.0"))
-    outs = [str(tmp_path / f"run{t}") for t in (1, 4)]
-    for out, threads in zip(outs, ("1", "4")):
-        assert run_cli("rate", "--scenario", str(path), "--out", out,
-                       "--threads", threads) == 0
+    outs = [str(tmp_path / f"run{i}") for i in (1, 2)]
+    for out in outs:
+        assert run_cli("rate", "--scenario", str(path), "--out", out) == 0
     names = sorted(os.listdir(outs[0]))
     assert names == ["rate_bandwidth.csv", "rate_tuning.csv", "summary.json"]
     assert names == sorted(os.listdir(outs[1]))
@@ -200,6 +198,36 @@ def test_verify_passes_when_binary_masks_tie(tmp_path, capsys):
     assert run_cli("verify", "--scenario", str(wide),
                    "--out", str(tmp_path / "run")) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+def test_verify_passes_on_a_flat_planner_objective(tmp_path, capsys):
+    """With one element per waveguide every p ties; only values count."""
+    single = tmp_path / "single.scn"
+    single.write_text("design.n_y = 1\n")
+    assert run_cli("verify", "--scenario", str(single),
+                   "--out", str(tmp_path / "run")) == 0
+    text = capsys.readouterr().out
+    assert text.count("PASS") == 3
+    assert "FAIL" not in text
+
+
+@pytest.mark.parametrize("extra, t_r", [
+    ("sector.phi_lower = -80\nsector.phi_upper = 80\n"
+     "design.n_g_max = 50\nsweep.tuning_ranges = 2.0\n", "2"),
+    # n_g_max T_r / (2 f_c) = 1 exactly: reaches 90 deg unsaturated
+    ("design.n_g_max = 10\nsweep.tuning_ranges = 3.0\n", "3"),
+])
+def test_rate_reports_saturated_coverage_by_its_cause(tmp_path, capsys,
+                                                      extra, t_r):
+    """A tuning range whose coverage reaches 90 deg is infeasible, exit 3."""
+    wide = tmp_path / "wide.scn"
+    wide.write_text(TINY.replace("sweep.tuning_ranges = 2.0, 3.0\n", "")
+                    + extra)
+    assert run_cli("rate", "--scenario", str(wide),
+                   "--out", str(tmp_path / "run")) == 3
+    err = capsys.readouterr().err
+    assert f"tuning range {t_r} GHz" in err
+    assert "coverage saturates at 90 deg" in err
 
 
 def test_verify_reports_pass_lines(scn, tmp_path, capsys):
@@ -222,6 +250,20 @@ def test_console_entry_point(scn, tmp_path):
     assert "design.n_g" in proc.stdout
 
 
-def test_threads_must_be_positive(scn, tmp_path):
-    assert run_cli("design", "--scenario", scn,
-                   "--out", str(tmp_path / "x"), "--threads", "0") == 2
+def test_cli_import_leaves_scipy_solvers_unloaded():
+    """scipy.optimize and scipy.spatial load only when first needed."""
+    code = ("import dmabeam.cli, sys; "
+            "print([m for m in ('scipy.optimize', 'scipy.spatial') "
+            "if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_threads_flag_is_rejected(scn, tmp_path):
+    """--threads is gone; argparse rejects it like any unknown flag."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("design", "--scenario", scn,
+                "--out", str(tmp_path / "x"), "--threads", "1")
+    assert exc.value.code == 2

@@ -56,7 +56,7 @@ def test_received_psd_broadcasts():
             db.received_psd(budget, gains[i], freqs[i]), rel=1e-12)
 
 
-def test_achievable_rate_matches_hand_computation(layout):
+def test_achievable_rate_matches_hand_computation(layout, reference_gain):
     """Two-subcarrier case recomputed from first principles."""
     budget = make_budget(n_subcarriers=2, center=14.4e9)
     cfg = db.solve_p1a(layout.per_dma, 0.0, 14.4e9).resonant
@@ -64,7 +64,7 @@ def test_achievable_rate_matches_hand_computation(layout):
     rep = db.achievable_rate(budget, layout, configs, 0.0)
     total = 0.0
     for f in db.subcarrier_grid(budget):
-        g = db.array_gain_dma(layout, configs, 0.0, float(f))
+        g = reference_gain(layout.per_dma, configs, 0.0, f)[0]
         snr = db.received_psd(budget, g, float(f)) / (K_B * 290.0)
         total += budget.bandwidth / 2 * np.log2(1 + snr)
     assert rep.rate == pytest.approx(total, rel=1e-9)
@@ -72,12 +72,14 @@ def test_achievable_rate_matches_hand_computation(layout):
 
 
 @pytest.mark.parametrize("grouped", [False, True])
-def test_achievable_rate_matches_per_subcarrier_array_gain(layout, grouped):
-    """The broadcast band gain equals array_gain_dma on every subcarrier.
+def test_achievable_rate_matches_per_subcarrier_array_gain(layout, grouped,
+                                                           reference_gain):
+    """The broadcast band gain equals the per-subcarrier array gain.
 
     Replicated configurations take the single-waveguide N_z^2 shortcut;
     the training configuration (one resonance per group) takes the full
-    per-waveguide sum.
+    per-waveguide sum.  The reference sums waveguide by waveguide, one
+    subcarrier at a time.
     """
     budget = make_budget(center=14.4e9)
     phi = np.radians(-12.0)
@@ -92,7 +94,7 @@ def test_achievable_rate_matches_per_subcarrier_array_gain(layout, grouped):
     rep = db.achievable_rate(budget, lay, configs, phi)
     total = 0.0
     for f in db.subcarrier_grid(budget):
-        g = db.array_gain_dma(lay, configs, phi, float(f))
+        g = reference_gain(lay.per_dma, configs, phi, f)[0]
         snr = db.received_psd(budget, g, float(f)) / (K_B * 290.0)
         total += budget.bandwidth / 64 * np.log2(1 + snr)
     assert rep.per_subcarrier_snr.shape == (64,)

@@ -1,10 +1,10 @@
-"""Exhaustive gain maximization over binary on/off element weights.
+"""Exact gain maximization over binary on/off element weights.
 
 The benchmark constrains each element weight to {0, 1}: an element is
 either transparent (weight 1, no Lorentzian phase shaping) or switched
-off.  The best mask is found by full enumeration, which is exact and
-deterministic: among equal-gain masks the lexicographically smallest
-wins.
+off.  The best mask is found by an exact half-plane search over at most
+2N candidates, with no cap on N, and is deterministic: among equal-gain
+masks the lexicographically smallest wins.
 """
 
 from __future__ import annotations
@@ -15,10 +15,6 @@ import numpy as np
 
 from .channel import effective_channel
 from .core_model import DmaDesign
-from .errors import EnumerationLimitError
-
-MAX_ELEMENTS = 24          # 2^N enumeration guard
-_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -31,28 +27,23 @@ class BinarySolution:
 
 def solve_p4(design: DmaDesign, phi: float, f_c: float,
              with_attenuation: bool = False) -> BinarySolution:
-    """Globally optimal binary weights by exhaustive enumeration.
+    """Globally optimal binary weights by an exact half-plane search.
 
-    Masks are scanned in lexicographic order (element 1 most significant),
-    so the first occurrence of the maximum gain is the lexicographically
-    smallest optimal mask.
+    Among masks with the maximal gain the lexicographically smallest
+    (element 1 most significant) wins.
     """
-    n = design.n_elements
-    if n > MAX_ELEMENTS:
-        raise EnumerationLimitError(
-            f"{n} elements need 2^{n} masks; limit is {MAX_ELEMENTS}")
     h = effective_channel(design, phi, f_c, with_attenuation).entries
-    shifts = n - 1 - np.arange(n)
-    best_gain = -1.0
-    best_index = 0
-    total = 1 << n
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        bits = (idx[:, None] >> shifts) & 1
-        gains = np.abs(bits @ h) ** 2
-        k = int(np.argmax(gains))
-        if gains[k] > best_gain:
-            best_gain = float(gains[k])
-            best_index = int(idx[k])
-    mask = (best_index >> shifts) & 1
-    return BinarySolution(mask=mask.astype(np.int8), gain=best_gain)
+    # At an optimal sum s, dropping a member or adding a non-member cannot
+    # raise |s|^2, so |Re(h_n conj(s))| >= |h_n|^2 / 2 for every n.  The
+    # optimum is thus the half-plane mask Re(h e^{-j theta}) > 0 at
+    # theta = arg(s), and arg(s) lies strictly inside an arc between the
+    # boundary angles arg(h_n) +- pi/2, at least about min|h| / (2 sum|h|)
+    # rad from either end: one midpoint per arc finds it despite rounding.
+    edges = np.sort(np.mod(np.angle(h)[:, None] + [np.pi / 2, -np.pi / 2],
+                           2.0 * np.pi).ravel())
+    mids = 0.5 * (edges + np.append(edges[1:], edges[0] + 2.0 * np.pi))
+    masks = (np.real(h * np.exp(-1j * mids[:, None])) > 0).astype(np.int64)
+    gains = np.abs(masks @ h) ** 2
+    best = gains.max()
+    mask = min(masks[gains == best].tolist())
+    return BinarySolution(mask=np.array(mask, dtype=np.int8), gain=float(best))

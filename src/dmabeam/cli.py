@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, oracle
 from .array_training import ArrayLayout, build_codebook, pilot_grid, probe
 from .bandwidth_analysis import (array_cutoff_frequencies, array_gain,
                                  cutoff_frequencies, element_gain)
@@ -98,6 +98,10 @@ def _resolve(scenario: Scenario):
     if s.d_y == AUTO or s.n_g == AUTO:
         sector = design_sector(s.phi_lower_rad, s.phi_upper_rad,
                                s.f_min_hz, s.f_max_hz)
+        if s.n_g == AUTO and sector.n_g_star < 1.0:
+            raise CoverageInfeasibleError(
+                f"sector is too narrow for the band: the design rule gives "
+                f"n_g = {sector.n_g_star:.4g}, below 1")
         if sector.n_g_star > s.n_g_max * (1.0 + 1e-12):
             raise CoverageInfeasibleError(
                 f"sector needs n_g = {sector.n_g_star:.4g}, "
@@ -361,11 +365,17 @@ def cmd_train(scenario: Scenario, args) -> int:
 def cmd_rate(scenario: Scenario, args) -> int:
     design, resolved = _resolve(scenario)
     fp = fingerprint(resolved)
-    layout, codebook = _layout_and_codebook(resolved, design)
     budget = _budget(resolved)
     columns = ["rate_fixed(bit/s)", "rate_trained(bit/s)",
                "rate_perfect(bit/s)", "rate_ttd(bit/s)"]
 
+    # The tuning sweep runs first: it rejects a saturated range before
+    # any codebook or sweep is computed and before any file is written.
+    points = tuning_range_sweep(design, resolved.n_z, resolved.n_g_max,
+                                resolved.delta, budget,
+                                resolved.tuning_ranges_hz,
+                                resolved.angle_samples)
+    layout, codebook = _layout_and_codebook(resolved, design)
     rates = bandwidth_sweep(layout, codebook, budget, resolved.bandwidths_hz,
                             resolved.phi_lower_rad, resolved.phi_upper_rad,
                             resolved.angle_samples)
@@ -374,10 +384,6 @@ def cmd_rate(scenario: Scenario, args) -> int:
     _write_table(os.path.join(args.out, f"rate_bandwidth.{args.format}"),
                  fp, ["bandwidth(GHz)"] + columns, b_rows, args.format)
 
-    points = tuning_range_sweep(design, resolved.n_z, resolved.n_g_max,
-                                resolved.delta, budget,
-                                resolved.tuning_ranges_hz,
-                                resolved.angle_samples)
     t_rows = [[p.tuning_range / 1e9, np.degrees(p.phi_max), p.n_sectors,
                p.rates.fixed, p.rates.trained, p.rates.perfect, p.rates.ttd]
               for p in points]
@@ -437,15 +443,23 @@ def cmd_verify(scenario: Scenario, args) -> int:
                    "; ".join(scan_detail)))
 
     f_c = resolved.f_center_hz
+    bin_design = design
+    if design.n_elements > oracle.BINARY_MAX_ELEMENTS:
+        sys.stdout.write(
+            f"note: binary oracle capped at {oracle.BINARY_MAX_ELEMENTS} "
+            f"elements; configured N_y = {design.n_elements} checked via a "
+            f"reduced array\n")
+        bin_design = dataclasses.replace(
+            design, n_elements=oracle.BINARY_MAX_ELEMENTS)
     bin_ok = True
-    angles = [crossover_angle(design, f_c)] + \
+    angles = [crossover_angle(bin_design, f_c)] + \
         list(rng.uniform(-np.pi / 3, np.pi / 3, 3))
     # Masks that tie to within rounding are all optimal, so the check is
     # on gains: the reported one and the fast mask's own, recomputed.
     for phi in angles:
-        fast = solve_p4(design, float(phi), f_c)
-        slow = enumerate_binary(design, float(phi), f_c)
-        own = binary_mask_gain(design, float(phi), f_c, fast.mask)
+        fast = solve_p4(bin_design, float(phi), f_c)
+        slow = enumerate_binary(bin_design, float(phi), f_c)
+        own = binary_mask_gain(bin_design, float(phi), f_c, fast.mask)
         bin_ok &= math.isclose(fast.gain, slow.gain, rel_tol=1e-9)
         bin_ok &= math.isclose(own, slow.gain, rel_tol=1e-9)
     checks.append(("binary solver vs plain enumeration", bool(bin_ok),

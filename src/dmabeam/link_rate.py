@@ -242,18 +242,20 @@ def tuning_range_sweep(template: DmaDesign, n_dmas: int, n_g_max: float,
     spacing comes from the sector design rule, and the codebook is rebuilt.
     Averaging spans the redesigned sector itself.  Raises
     CoverageInfeasibleError when a tuning range saturates the coverage at
-    90 deg, which no codebook can cover.
+    90 deg, which no codebook can cover, before any range is computed.
     """
     f_c = 0.5 * (template.f_min + template.f_max)
-    points = []
-    for t_r in tuning_ranges:
-        f_min, f_max = f_c - t_r / 2.0, f_c + t_r / 2.0
-        phi_max = max_coverage_angle(n_g_max, t_r, f_c).angle
+    reach = [max_coverage_angle(n_g_max, t_r, f_c).angle
+             for t_r in tuning_ranges]
+    for t_r, phi_max in zip(tuning_ranges, reach):
         if phi_max >= np.pi / 2.0:   # saturated, or exactly on the boundary
             raise CoverageInfeasibleError(
                 f"tuning range {t_r / 1e9:g} GHz with n_g_max = {n_g_max:g}: "
                 f"coverage saturates at 90 deg, and no codebook covers "
                 f"±90 deg")
+    points = []
+    for t_r, phi_max in zip(tuning_ranges, reach):
+        f_min, f_max = f_c - t_r / 2.0, f_c + t_r / 2.0
         sector = design_sector(-phi_max, phi_max, f_min, f_max)
         design = replace(template, spacing=sector.d_y_star,
                          refractive_index=sector.n_g_star,

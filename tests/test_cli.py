@@ -223,11 +223,47 @@ def test_rate_reports_saturated_coverage_by_its_cause(tmp_path, capsys,
     wide = tmp_path / "wide.scn"
     wide.write_text(TINY.replace("sweep.tuning_ranges = 2.0, 3.0\n", "")
                     + extra)
-    assert run_cli("rate", "--scenario", str(wide),
-                   "--out", str(tmp_path / "run")) == 3
+    out = str(tmp_path / "run")
+    assert run_cli("rate", "--scenario", str(wide), "--out", out) == 3
     err = capsys.readouterr().err
     assert f"tuning range {t_r} GHz" in err
     assert "coverage saturates at 90 deg" in err
+    # rejected before the bandwidth sweep has run or written anything
+    assert not os.path.exists(os.path.join(out, "rate_bandwidth.csv"))
+
+
+def test_too_narrow_sector_is_infeasible_not_invalid(tmp_path, capsys):
+    """A +-5 deg sector asks the design rule for n_g < 1: exit 3, by name."""
+    narrow = tmp_path / "narrow.scn"
+    narrow.write_text("sector.phi_lower = -5\nsector.phi_upper = 5\n")
+    assert run_cli("design", "--scenario", str(narrow),
+                   "--out", str(tmp_path / "x")) == 3
+    assert "sector is too narrow for the band" in capsys.readouterr().err
+
+
+def test_verify_passes_where_the_scan_nears_integer_p(tmp_path, capsys):
+    """N_y = 9 puts the dense scan next to p = 1, where rounding in
+    sin(pi N p) / sin(pi p) once overshot N and failed the check."""
+    nine = tmp_path / "nine.scn"
+    nine.write_text("design.n_y = 9\n")
+    assert run_cli("verify", "--scenario", str(nine),
+                   "--out", str(tmp_path / "run")) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_verify_reduces_the_binary_check_above_the_oracle_cap(
+        scn, tmp_path, capsys, monkeypatch):
+    """N_y above the enumeration oracle's cap is checked on a reduced
+    array, as the grid check is, instead of failing as a config error."""
+    import dmabeam.oracle as oracle
+
+    monkeypatch.setattr(oracle, "BINARY_MAX_ELEMENTS", 6)
+    assert run_cli("verify", "--scenario", scn,
+                   "--out", str(tmp_path / "run")) == 0
+    text = capsys.readouterr().out
+    assert "binary oracle capped at 6 elements" in text
+    assert "PASS  binary solver vs plain enumeration" in text
+    assert "FAIL" not in text
 
 
 def test_verify_reports_pass_lines(scn, tmp_path, capsys):

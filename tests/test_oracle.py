@@ -91,6 +91,16 @@ def test_dense_scan_agrees_with_planner_off_peak(design):
         == pytest.approx(objective, abs=1e-6)
 
 
+@pytest.mark.parametrize("n", [3, 9, 12, 19])
+def test_dense_scan_never_exceeds_n_near_integer_p(n):
+    """The scan reaches p = 1 at these angles; rounding must not push
+    |sin(pi N p) / sin(pi p)| above its supremum N there."""
+    for phi_deg in (-5.0, 10.0):
+        _, objective = db.dense_p_scan(small_design(n), np.radians(phi_deg),
+                                       10 ** 6)
+        assert objective <= n * (1 + 1e-12)
+
+
 def test_dense_scan_resolution_floor(design):
     with pytest.raises(db.DomainError):
         db.dense_p_scan(design, 0.0, 10_000)

@@ -241,11 +241,11 @@ def build_codebook(layout: ArrayLayout, phi_max: float, delta: float,
     if n_sectors is not None and len(angles) != n_sectors:
         raise CoverageInfeasibleError(
             f"construction needs {len(angles)} sectors, caller pinned {n_sectors}")
-    freqs = [optimal_operating_freq(design, a).f_t_star for a in angles]
+    sector_angles = np.array(angles)
     effective = dirichlet_of_p(width, design.n_elements) ** 2 / design.n_elements ** 2
     return Codebook(
-        sector_angles=np.array(angles),
-        sector_freqs=np.array(freqs),
+        sector_angles=sector_angles,
+        sector_freqs=optimal_operating_freq(design, sector_angles).f_t_star,
         delta=float(effective),
         psi_delta=float(width),
     )

@@ -77,6 +77,13 @@ def _write_table(path: str, fp: str, columns, rows, fmt: str) -> None:
 
 
 def _update_summary(outdir: str, fp: str, section: str, payload: dict) -> None:
+    """Set one section of summary.json, replacing the file in one step.
+
+    A reader never sees a half-written file: the new text goes to a
+    temporary file in the same directory, which then replaces the old
+    one.  An existing file that is not a JSON object is replaced, with a
+    warning naming it.
+    """
     path = os.path.join(outdir, "summary.json")
     summary = {}
     if os.path.exists(path):
@@ -84,12 +91,21 @@ def _update_summary(outdir: str, fp: str, section: str, payload: dict) -> None:
             with open(path, "r", encoding="utf-8") as fh:
                 summary = json.load(fh)
         except (OSError, ValueError):
+            summary = None
+        if not isinstance(summary, dict):
+            sys.stderr.write(f"warning: replacing unreadable {path}\n")
             summary = {}
     summary["scenario"] = fp
     summary[section] = payload
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def _resolve(scenario: Scenario):
@@ -265,15 +281,13 @@ def cmd_gain_sweep(scenario: Scenario, args) -> int:
         except _INFEASIBLE:
             return None
 
-    def row(phi_deg):
-        phi = float(np.radians(phi_deg))
-        op = optimal_operating_freq(design, phi)
-        opt = one_gain(op.f_t_star, phi)
+    def row(phi_deg, phi, f_star):
+        opt = one_gain(f_star, phi)
         fix = one_gain(f_c, phi)
         g_opt = opt.gain if opt else float("nan")
         g_fix = fix.gain if fix else float("nan")
         binary = solve_p4(design, phi, f_c)
-        out = [phi_deg, op.f_t_star / 1e9,
+        out = [phi_deg, f_star / 1e9,
                g_opt, _db(g_opt), g_fix, _db(g_fix),
                binary.gain, _db(binary.gain)]
         if resolved.attenuation:
@@ -284,7 +298,10 @@ def cmd_gain_sweep(scenario: Scenario, args) -> int:
             out.append(solve_p4(design, phi, f_c, with_attenuation=True).gain)
         return out
 
-    rows = [row(phi_deg) for phi_deg in angles]
+    phis = np.radians(angles)
+    f_stars = optimal_operating_freq(design, phis).f_t_star
+    rows = [row(phi_deg, phi, f_star) for phi_deg, phi, f_star
+            in zip(angles.tolist(), phis.tolist(), f_stars.tolist())]
     _write_table(os.path.join(args.out, f"gain_sweep.{args.format}"),
                  fp, columns, rows, args.format)
     try:

@@ -32,12 +32,16 @@ class CoverageAngle(NamedTuple):
 
 @dataclass(frozen=True)
 class OperatingPoint:
-    """Optimal operating frequency for one angle of departure."""
+    """Optimal operating frequency for one angle of departure.
 
-    f_t_star: float
-    p_star: float
-    gain: float
-    integer_case: bool
+    For an array of angles each field is an array with one entry per
+    angle.
+    """
+
+    f_t_star: float | np.ndarray
+    p_star: float | np.ndarray
+    gain: float | np.ndarray
+    integer_case: bool | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -51,70 +55,110 @@ class SectorDesign:
     p_star_choice: int
 
 
-def golden_section_max(f, a: float, b: float, tol: float = GOLDEN_TOL) -> float:
-    """Argmax of a unimodal f on [a, b] by golden-section search."""
+def golden_section_max(f, a, b, tol: float = GOLDEN_TOL):
+    """Argmax of a unimodal f on [a, b] by golden-section search.
+
+    ``a`` and ``b`` may be 1-d arrays of interval ends, searched together:
+    ``f`` maps an array of points to their values, and each step calls it
+    once for the intervals still wider than ``tol``.  Every interval makes
+    the comparisons and updates of its own scalar search, so its result
+    does not depend on the others.  Scalar ends give a float.
+    """
+    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
+    a, b = (np.array(x, dtype=float, ndmin=1) for x in np.broadcast_arrays(a, b))
     c = b - INV_PHI * (b - a)
     d = a + INV_PHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc < fd:
-            a, c, fc = c, d, fd
-            d = a + INV_PHI * (b - a)
-            fd = f(d)
-        else:
-            b, d, fd = d, c, fc
-            c = b - INV_PHI * (b - a)
-            fc = f(c)
-    return 0.5 * (a + b)
+    # Copies: f may return its argument, and c, d are updated in place.
+    fc, fd = np.array(f(c), dtype=float), np.array(f(d), dtype=float)
+    live = np.flatnonzero(b - a > tol)
+    while live.size:
+        up = fc[live] < fd[live]
+        rise, fall = live[up], live[~up]
+        a[rise], c[rise], fc[rise] = c[rise], d[rise], fd[rise]
+        d[rise] = a[rise] + INV_PHI * (b[rise] - a[rise])
+        b[fall], d[fall], fd[fall] = d[fall], c[fall], fc[fall]
+        c[fall] = b[fall] - INV_PHI * (b[fall] - a[fall])
+        values = f(np.where(up, d[live], c[live]))
+        fd[rise], fc[fall] = values[up], values[~up]
+        live = live[b[live] - a[live] > tol]
+    top = 0.5 * (a + b)
+    return float(top[0]) if scalar else top
 
 
-def optimal_operating_freq(design: DmaDesign, phi: float) -> OperatingPoint:
+def optimal_operating_freq(design: DmaDesign, phi) -> OperatingPoint:
     """Best operating frequency in [f_min, f_max] for the given angle.
 
     If an integer p is reachable the gain hits N^2 exactly (smallest such
     integer wins when several are reachable).  Otherwise the Dirichlet
     magnitude is maximized lobe by lobe between its nulls, which keeps
-    each golden-section run on a unimodal piece.
+    each golden-section run on a unimodal piece.  The candidates are the
+    band edges and nulls, then the lobe tops, and the first largest wins.
+
+    A scalar ``phi`` gives float fields and a bool ``integer_case``.  A
+    1-d array gives arrays with one entry per angle, each equal to the
+    scalar call's; the lobes of all its angles share one search.
     """
     n = design.n_elements
-    slope = design.spacing * (design.refractive_index + np.sin(phi)) / CONSTANTS.c
-    if slope <= 0:
+    phis = np.asarray(phi, dtype=float)
+    scalar = phis.ndim == 0
+    phis = phis.reshape(-1)
+    slope = design.spacing * (design.refractive_index + np.sin(phis)) / CONSTANTS.c
+    # count_nonzero: the cheapest reduction on the one-angle path.
+    if np.count_nonzero(slope <= 0):
         raise DomainError("need n_g + sin(phi) > 0")
     p_min = design.f_min * slope
     p_max = design.f_max * slope
-    first_int = np.ceil(p_min)
-    if first_int <= p_max:
-        p_star = float(first_int)
-        return OperatingPoint(
-            f_t_star=p_star / slope,
-            p_star=p_star,
-            gain=float(n ** 2),
-            integer_case=True,
-        )
+    p_star = np.ceil(p_min)
+    integer_case = p_star <= p_max
+    gain = np.full(phis.shape, float(n ** 2))
+    if np.count_nonzero(integer_case) < phis.size:
+        off = ~integer_case
+        lo, hi = p_min[off], p_max[off]
+        # Dirichlet nulls at multiples of 1/N partition [p_min, p_max] into
+        # unimodal lobes; integer p is excluded here so no lobe holds the peak.
+        k_lo = np.floor(lo * n).astype(np.int64) + 1
+        k_hi = np.ceil(hi * n).astype(np.int64) - 1
+        counts = k_hi - k_lo + 1           # >= 0, since hi > lo
+        owner = np.repeat(np.arange(lo.size), counts)
+        k = k_lo[owner] + np.arange(owner.size) \
+            - np.repeat(np.cumsum(counts) - counts, counts)
+        nulls = k / n
+        inside = (lo[owner] < nulls) & (nulls < hi[owner])
+        # Per angle, in order: lower edge, nulls, upper edge.  Stable sorts
+        # on the angle index keep that order within each angle.
+        edge_owner = np.concatenate([np.arange(lo.size), owner[inside],
+                                     np.arange(lo.size)])
+        order = np.argsort(edge_owner, kind="stable")
+        edge_owner = edge_owner[order]
+        edges = np.concatenate([lo, nulls[inside], hi])[order]
+        lobe = edge_owner[1:] == edge_owner[:-1]
 
-    def objective(p):
-        return abs(dirichlet_of_p(p, n))
+        def objective(p):
+            return np.abs(dirichlet_of_p(p, n))
 
-    # Dirichlet nulls at multiples of 1/N partition [p_min, p_max] into
-    # unimodal lobes; integer p is excluded here so no lobe holds the peak.
-    k_lo = int(np.floor(p_min * n)) + 1
-    k_hi = int(np.ceil(p_max * n)) - 1
-    bounds = [p_min] + [k / n for k in range(k_lo, k_hi + 1)
-                        if p_min < k / n < p_max] + [p_max]
-    candidates = list(bounds)
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        candidates.append(golden_section_max(objective, lo, hi))
-    values = [objective(p) for p in candidates]
-    p_star = float(candidates[int(np.argmax(values))])
-    s_best = max(values)
-    # p/slope can land an ulp outside the band when p came from an edge.
-    f_t_star = min(max(p_star / slope, design.f_min), design.f_max)
-    return OperatingPoint(
-        f_t_star=f_t_star,
-        p_star=p_star,
-        gain=float((n + s_best) ** 2 / 4.0),
-        integer_case=False,
-    )
+        tops = golden_section_max(objective, edges[:-1][lobe], edges[1:][lobe])
+        cand_owner = np.concatenate([edge_owner, edge_owner[:-1][lobe]])
+        order = np.argsort(cand_owner, kind="stable")
+        cand_owner = cand_owner[order]
+        candidates = np.concatenate([edges, tops])[order]
+        values = objective(candidates)
+        starts = np.flatnonzero(np.diff(cand_owner, prepend=-1))
+        s_best = np.maximum.reduceat(values, starts)
+        hits = np.flatnonzero(values == s_best[cand_owner])
+        _, first = np.unique(cand_owner[hits], return_index=True)
+        p_star[off] = candidates[hits[first]]
+        # float_power rounds like the scalar float ** of a Python float;
+        # an array ** 2 squares, which can differ in the last bit.
+        gain[off] = np.float_power(n + s_best, 2) / 4.0
+    # p/slope can land an ulp outside the band when p sits on a band edge,
+    # in either case.
+    f_t_star = np.minimum(np.maximum(p_star / slope, design.f_min), design.f_max)
+    if scalar:
+        return OperatingPoint(f_t_star=float(f_t_star[0]), p_star=float(p_star[0]),
+                              gain=float(gain[0]),
+                              integer_case=bool(integer_case[0]))
+    return OperatingPoint(f_t_star=f_t_star, p_star=p_star, gain=gain,
+                          integer_case=integer_case)
 
 
 def crossover_angle(design: DmaDesign, f_c: float) -> float:

@@ -141,15 +141,16 @@ def _replicated(layout: ArrayLayout, config) -> List:
     return [config] * layout.n_dmas
 
 
-def _angle_tunings(layout: ArrayLayout, codebook: Codebook, phi: float):
+def _angle_tunings(layout: ArrayLayout, codebook: Codebook, phi: float,
+                   f_star: float):
     """Band center and resonances of each DMA strategy at one angle.
 
-    Returns (center, ResonantConfig) pairs for the perfect, trained and
-    fixed strategies.  None of them depends on the link budget, so a
-    sweep over budgets computes them once per angle.
+    ``f_star`` is the planner's operating frequency at ``phi``.  Returns
+    (center, ResonantConfig) pairs for the perfect, trained and fixed
+    strategies.  None of them depends on the link budget, so a sweep over
+    budgets computes them once per angle.
     """
     design = layout.per_dma
-    f_star = optimal_operating_freq(design, phi).f_t_star
     perfect = (f_star, solve_p1a(design, phi, f_star).resonant)
 
     result = probe(layout, codebook, phi, np.sort(codebook.sector_freqs))
@@ -184,7 +185,9 @@ def compare_rates(layout: ArrayLayout, codebook: Codebook, phi: float,
     the TTD benchmark uses the same band placement as the perfect-AoD
     strategy.
     """
-    return _rates_at(layout, phi, _angle_tunings(layout, codebook, phi), budget)
+    f_star = optimal_operating_freq(layout.per_dma, phi).f_t_star
+    return _rates_at(layout, phi, _angle_tunings(layout, codebook, phi, f_star),
+                     budget)
 
 
 def _mean(comparisons: Sequence[RateComparison]) -> RateComparison:
@@ -222,7 +225,9 @@ def bandwidth_sweep(layout: ArrayLayout, codebook: Codebook,
     bandwidths[i]; the per-angle tunings are computed once for all rows.
     """
     grid = angle_grid(phi_lower, phi_upper, n_samples)
-    tunings = [_angle_tunings(layout, codebook, phi) for phi in grid]
+    f_stars = optimal_operating_freq(layout.per_dma, grid).f_t_star
+    tunings = [_angle_tunings(layout, codebook, phi, f_star)
+               for phi, f_star in zip(grid, f_stars.tolist())]
     rows = []
     for b in bandwidths:
         b_budget = replace(budget, bandwidth=b)

@@ -43,3 +43,64 @@ def _reference_gain(design, configs, phi, freqs, with_attenuation=False):
 def reference_gain():
     """The per-frequency, per-waveguide reference for configured gains."""
     return _reference_gain
+
+
+def _reference_golden_section_max(f, a, b, tol=1e-12):
+    """The scalar golden-section loop, one interval and one f call a step."""
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc < fd:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = f(d)
+        else:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = f(c)
+    return 0.5 * (a + b)
+
+
+def _reference_operating_point(design, phi):
+    """The planner for one angle, one lobe at a time, on Python scalars.
+
+    Independent of the broadcast planner: a scalar loop over lobes and
+    candidates, the first largest candidate winning.  Returns
+    (f_t_star, p_star, gain, integer_case).
+    """
+    n = design.n_elements
+    slope = design.spacing * (design.refractive_index + np.sin(phi)) / db.CONSTANTS.c
+    p_min, p_max = design.f_min * slope, design.f_max * slope
+    first_int = np.ceil(p_min)
+    if first_int <= p_max:
+        p_star, gain = float(first_int), float(n ** 2)
+    else:
+        def objective(p):
+            return abs(db.dirichlet_of_p(p, n))
+
+        k_lo = int(np.floor(p_min * n)) + 1
+        k_hi = int(np.ceil(p_max * n)) - 1
+        bounds = [p_min] + [k / n for k in range(k_lo, k_hi + 1)
+                            if p_min < k / n < p_max] + [p_max]
+        candidates = list(bounds) + [
+            _reference_golden_section_max(objective, lo, hi)
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
+        values = [objective(p) for p in candidates]
+        p_star = float(candidates[int(np.argmax(values))])
+        gain = float((n + max(values)) ** 2 / 4.0)
+    f_t_star = min(max(p_star / slope, design.f_min), design.f_max)
+    return float(f_t_star), p_star, gain, bool(first_int <= p_max)
+
+
+@pytest.fixture(scope="session")
+def reference_golden_section_max():
+    """The scalar golden-section search the broadcast one must match."""
+    return _reference_golden_section_max
+
+
+@pytest.fixture(scope="session")
+def reference_operating_point():
+    """The per-angle scalar planner the broadcast one must match."""
+    return _reference_operating_point

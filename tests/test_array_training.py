@@ -56,6 +56,18 @@ def test_codebook_frequencies_come_from_the_planner(layout):
         assert freq == pytest.approx(op.f_t_star, rel=1e-12)
 
 
+@pytest.mark.parametrize("phi_max_deg, delta", [(30.0, 0.5), (35.0, 0.8)])
+def test_codebook_frequencies_equal_the_scalar_planner(
+        layout, reference_operating_point, phi_max_deg, delta):
+    """The codebook plans all its sectors in one call; each frequency is
+    bit for bit the one-angle planner's.  At +-35 deg the outer sectors
+    lie past the design sector, where no integer p is reachable."""
+    cb = db.build_codebook(layout, np.radians(phi_max_deg), delta)
+    expected = [reference_operating_point(layout.per_dma, float(a))[0]
+                for a in cb.sector_angles]
+    assert np.array_equal(cb.sector_freqs, expected)
+
+
 def test_codebook_sectors_stay_inside_the_target_range(layout):
     cb = db.build_codebook(layout, PHI_MAX, 0.5)
     for angle in cb.sector_angles:

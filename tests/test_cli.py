@@ -129,6 +129,35 @@ def test_attenuation_override_changes_fingerprint_and_columns(scn, tmp_path):
     assert "gain_dma_attenuated(linear)" in cols
 
 
+@pytest.mark.parametrize("old", ["not json\n", "[1, 2]\n"])
+def test_unreadable_summary_is_replaced_with_a_warning(scn, tmp_path, capsys,
+                                                       old):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "summary.json").write_text(old)
+    assert run_cli("design", "--scenario", scn, "--out", str(out)) == 0
+    err = capsys.readouterr().err
+    assert err.count("warning:") == 1
+    assert str(out / "summary.json") in err
+    assert sorted(read_summary(str(out))) == ["design", "scenario"]
+    # the summary is replaced through a temporary file that does not stay
+    assert sorted(os.listdir(out)) == ["scenario_resolved.txt", "summary.json"]
+    assert run_cli("coverage", "--scenario", scn, "--out", str(out)) == 0
+    assert "warning" not in capsys.readouterr().err
+    assert sorted(read_summary(str(out))) == ["coverage", "design", "scenario"]
+
+
+def test_failed_summary_write_keeps_the_old_file(tmp_path):
+    out = tmp_path / "run"
+    out.mkdir()
+    cli._update_summary(str(out), "fp", "design", {"n_g": 2.5})
+    before = (out / "summary.json").read_bytes()
+    with pytest.raises(TypeError):
+        cli._update_summary(str(out), "fp", "coverage", {"bad": object()})
+    assert (out / "summary.json").read_bytes() == before
+    assert os.listdir(out) == ["summary.json"]
+
+
 def test_train_single_probe(scn, tmp_path):
     out = str(tmp_path / "run")
     assert run_cli("train", "--scenario", scn, "--out", out,
@@ -230,6 +259,19 @@ def test_rate_reports_saturated_coverage_by_its_cause(tmp_path, capsys,
     assert "coverage saturates at 90 deg" in err
     # rejected before the bandwidth sweep has run or written anything
     assert not os.path.exists(os.path.join(out, "rate_bandwidth.csv"))
+
+
+def test_rate_runs_where_p_equals_one_sits_on_the_band_edge(tmp_path, capsys):
+    """n_g_max = 4 at a 5 GHz tuning range puts p = 1 exactly at f_min for
+    the sector's upper edge, which the rate sweep samples."""
+    edge = tmp_path / "edge.scn"
+    edge.write_text(TINY.replace("sweep.tuning_ranges = 2.0, 3.0",
+                                 "sweep.tuning_ranges = 5.0")
+                    + "design.n_g_max = 4\n")
+    out = str(tmp_path / "run")
+    assert run_cli("rate", "--scenario", str(edge), "--out", out) == 0
+    assert capsys.readouterr().err == ""
+    assert os.path.exists(os.path.join(out, "rate_tuning.csv"))
 
 
 def test_too_narrow_sector_is_infeasible_not_invalid(tmp_path, capsys):

@@ -15,13 +15,14 @@ __version__ = "0.1.0"
 from .array_training import (ArrayLayout, Codebook, TrainingResult,
                              allowed_estimate_interval, array_gain_dma,
                              build_codebook, gain_at_estimate, pilot_grid,
-                             probe, psi_delta, training_config)
+                             probe, psi_delta, training_config,
+                             training_layout)
 from .bandwidth_analysis import (CutoffReport, array_cutoff_frequencies,
                                  array_gain, cutoff_frequencies, element_gain)
 from .binary_tuning import BinarySolution, solve_p4
 from .channel import (Channel, attenuation_vector, combined_phases,
                       dirichlet_kernel, dirichlet_of_p, effective_channel,
-                      extrinsic_phase, intrinsic_phase, normalized_product)
+                      normalized_product)
 from .core_model import (CONSTANTS, DmaDesign, PhysicalConstants,
                          ResonantConfig, beamformer_weight, polarizability,
                          psi_angle, resonant_from_shifted, shift_origin,
@@ -34,7 +35,7 @@ from .frequency_planner import (CoverageAngle, OperatingPoint, SectorDesign,
                                 crossover_angle, design_sector,
                                 golden_section_max, max_coverage_angle,
                                 optimal_operating_freq)
-from .gain_optimizer import (BeamformingSolution, TtdSolution,
+from .gain_optimizer import (BeamformingBatch, BeamformingSolution, TtdSolution,
                              closed_form_gain, gain_dma, gain_ttd,
                              optimal_shifted_phases, solve_p1a, solve_ttd,
                              wrap_shifted)

@@ -81,24 +81,26 @@ class Codebook:
 
 @dataclass(frozen=True)
 class TrainingResult:
-    """Outcome of one single-shot probe."""
+    """Outcome of one single-shot probe, or arrays of one per angle."""
 
-    k_star: int
-    f_k_star: float
-    phi_hat: float
-    gain_at_estimate: float
+    k_star: int | np.ndarray
+    f_k_star: float | np.ndarray
+    phi_hat: float | np.ndarray
+    gain_at_estimate: float | np.ndarray
 
 
-def array_gain_dma(layout: ArrayLayout, per_dma_configs: Sequence[ResonantConfig],
-                   phi: float, f, with_attenuation: bool = False):
+def array_gain_dma(layout: ArrayLayout, per_dma_configs, phi, f,
+                   with_attenuation: bool = False):
     """Array gain |sum_m f_dma,m(f)^T h(phi, f)|^2 over all waveguides.
 
-    A scalar ``f`` gives a float, a 1-d ``f`` one gain per frequency.
+    ``per_dma_configs`` is one ResonantConfig per waveguide or an
+    (..., n_dmas, N) array, broadcasting as in configured_gain.
     """
-    if len(per_dma_configs) != layout.n_dmas:
-        raise DomainError(
-            f"need {layout.n_dmas} configs, got {len(per_dma_configs)}")
-    res = np.stack([cfg.f_r for cfg in per_dma_configs])
+    res = per_dma_configs if isinstance(per_dma_configs, np.ndarray) \
+        else np.array([cfg.f_r for cfg in per_dma_configs])
+    count = res.shape[-2] if res.ndim >= 2 else len(res)
+    if count != layout.n_dmas:
+        raise DomainError(f"need {layout.n_dmas} configs, got {count}")
     return configured_gain(layout.per_dma, res, phi, f, with_attenuation)
 
 
@@ -130,35 +132,37 @@ def pilot_grid(design: DmaDesign, k_tr: int = DEFAULT_PILOT_COUNT,
     return grid
 
 
-def probe(layout: ArrayLayout, codebook: Codebook, phi_true: float,
+def probe(layout: ArrayLayout, codebook: Codebook, phi_true,
           pilot: np.ndarray) -> TrainingResult:
     """Single-shot training: strongest pilot subcarrier -> angle estimate.
 
     The measurement model is noise-free and feedback is a single integer;
-    ties resolve to the lowest subcarrier index.
+    ties resolve to the lowest subcarrier index.  A 1-d ``phi_true`` is
+    probed in one array gain evaluation, each angle as by a scalar call.
     """
     pilot = np.asarray(pilot, dtype=float)
     if pilot.size == 0:
         raise DomainError("pilot grid is empty")
     design = layout.per_dma
-    configs = training_config(layout, codebook)
-    gains = array_gain_dma(layout, configs, phi_true, pilot)
-    k_star = int(np.argmax(gains))
-    f_k = float(pilot[k_star])
+    phis = np.asarray(phi_true, dtype=float)
+    gains = array_gain_dma(layout, training_config(layout, codebook),
+                           phis[..., None], pilot)
+    k_star = np.argmax(gains, axis=-1)       # the first of tied maxima
+    f_k = pilot[k_star]
     arg = CONSTANTS.c / (design.spacing * f_k) - design.refractive_index
-    if not -1.0 <= arg <= 1.0:
+    visible = (-1.0 <= arg) & (arg <= 1.0)
+    if not np.all(visible):
         raise InvalidEstimateError(
-            f"subcarrier {f_k:.4g} Hz maps outside the visible region")
-    phi_hat = float(np.arcsin(arg))
-    return TrainingResult(
-        k_star=k_star,
-        f_k_star=f_k,
-        phi_hat=phi_hat,
-        gain_at_estimate=gain_at_estimate(layout, phi_true, phi_hat),
-    )
+            f"subcarrier {np.extract(~visible, f_k)[0]:.4g} Hz maps outside "
+            f"the visible region")
+    phi_hat = np.arcsin(arg)
+    if phis.ndim == 0:
+        k_star, f_k, phi_hat = int(k_star), float(f_k), float(phi_hat)
+    return TrainingResult(k_star=k_star, f_k_star=f_k, phi_hat=phi_hat,
+                          gain_at_estimate=gain_at_estimate(layout, phis, phi_hat))
 
 
-def gain_at_estimate(layout: ArrayLayout, phi_true: float, phi_hat: float) -> float:
+def gain_at_estimate(layout: ArrayLayout, phi_true, phi_hat):
     """Array gain after retuning every waveguide to the estimated angle.
 
     N_z^2 D_{N_y}(Psi)^2 with Psi = (n_g + sin phi) / (n_g + sin phi_hat);
@@ -167,7 +171,9 @@ def gain_at_estimate(layout: ArrayLayout, phi_true: float, phi_hat: float) -> fl
     n_g = layout.per_dma.refractive_index
     psi = (n_g + np.sin(phi_true)) / (n_g + np.sin(phi_hat))
     d = dirichlet_of_p(psi, layout.per_dma.n_elements)
-    return float(layout.n_dmas ** 2 * d ** 2)
+    # float_power rounds like the scalar Python **; an array ** 2 squares.
+    out = layout.n_dmas ** 2 * np.float_power(d, 2)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def psi_delta(n_y: int, delta: float) -> float:
@@ -249,3 +255,17 @@ def build_codebook(layout: ArrayLayout, phi_max: float, delta: float,
         delta=float(effective),
         psi_delta=float(width),
     )
+
+
+def training_layout(design: DmaDesign, n_dmas: int, phi_max: float,
+                    delta: float, n_sectors: Optional[int] = None):
+    """(ArrayLayout, Codebook): the codebook covering [-phi_max, phi_max]
+    and one training group per sector, which must divide n_dmas."""
+    seed = ArrayLayout(n_dmas=n_dmas, per_dma=design, groups=1)
+    codebook = build_codebook(seed, phi_max, delta, n_sectors=n_sectors)
+    if n_dmas % len(codebook):
+        raise CoverageInfeasibleError(
+            f"the codebook needs {len(codebook)} sectors, one training group "
+            f"each, and they do not divide design.n_z = {n_dmas}")
+    return ArrayLayout(n_dmas=n_dmas, per_dma=design,
+                       groups=len(codebook)), codebook

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core_model import CONSTANTS, DmaDesign
-from .errors import DomainError
 
 # Relative closeness to an integer below which the Dirichlet ratio is
 # replaced by its limit value; the gain optimum lives exactly at integer p.
@@ -23,30 +22,17 @@ NEAR_INTEGER_TOL = 1e-9
 
 @dataclass(frozen=True)
 class Channel:
-    """Effective channel vector h(phi, f) together with its arguments."""
+    """Effective channel vector h(phi, f)."""
 
     entries: np.ndarray
-    aod: float
-    freq: float
 
 
-def intrinsic_phase(design: DmaDesign, n: int, f: float) -> float:
-    """Waveguide phase at element n (1-based): -n_g 2 pi (f/c) (n-1) d_y."""
-    if not 1 <= n <= design.n_elements:
-        raise DomainError(f"element index {n} outside 1..{design.n_elements}")
-    return -design.refractive_index * 2.0 * np.pi * (f / CONSTANTS.c) \
-        * (n - 1) * design.spacing
+def combined_phases(design: DmaDesign, phi, f) -> np.ndarray:
+    """Total per-element phase, -2 pi (f/c) (n-1) d_y (n_g + sin phi).
 
-
-def extrinsic_phase(design: DmaDesign, n: int, phi: float, f: float) -> float:
-    """Free-space array phase at element n: -2 pi (f/c) (n-1) d_y sin(phi)."""
-    if not 1 <= n <= design.n_elements:
-        raise DomainError(f"element index {n} outside 1..{design.n_elements}")
-    return -2.0 * np.pi * (f / CONSTANTS.c) * (n - 1) * design.spacing * np.sin(phi)
-
-
-def combined_phases(design: DmaDesign, phi: float, f: float) -> np.ndarray:
-    """Total per-element phase, -2 pi (f/c) (n-1) d_y (n_g + sin phi)."""
+    The element index broadcasts on the last axis, so array arguments
+    carry a trailing unit axis for it.
+    """
     idx = np.arange(design.n_elements)
     return -2.0 * np.pi * (f / CONSTANTS.c) * idx * design.spacing \
         * (design.refractive_index + np.sin(phi))
@@ -70,7 +56,7 @@ def effective_channel(design: DmaDesign, phi: float, f: float,
     entries = np.exp(1j * combined_phases(design, phi, f))
     if with_attenuation:
         entries = entries * attenuation_vector(design)
-    return Channel(entries=entries, aod=float(phi), freq=float(f))
+    return Channel(entries=entries)
 
 
 def normalized_product(design: DmaDesign, phi, f):

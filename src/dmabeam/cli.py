@@ -25,7 +25,7 @@ import sys
 import numpy as np
 
 from . import __version__, oracle
-from .array_training import ArrayLayout, build_codebook, pilot_grid, probe
+from .array_training import pilot_grid, probe, training_layout
 from .bandwidth_analysis import (array_cutoff_frequencies, array_gain,
                                  cutoff_frequencies, element_gain)
 from .binary_tuning import solve_p4
@@ -141,11 +141,8 @@ def _resolve(scenario: Scenario):
 def _layout_and_codebook(scenario: Scenario, design: DmaDesign):
     phi_max = max(abs(scenario.phi_lower_rad), abs(scenario.phi_upper_rad))
     pinned = None if scenario.groups == AUTO else scenario.groups
-    seed = ArrayLayout(n_dmas=scenario.n_z, per_dma=design, groups=1)
-    codebook = build_codebook(seed, phi_max, scenario.delta, n_sectors=pinned)
-    layout = ArrayLayout(n_dmas=scenario.n_z, per_dma=design,
-                         groups=len(codebook))
-    return layout, codebook
+    return training_layout(design, scenario.n_z, phi_max, scenario.delta,
+                           n_sectors=pinned)
 
 
 def _budget(scenario: Scenario) -> LinkBudget:
@@ -274,34 +271,21 @@ def cmd_gain_sweep(scenario: Scenario, args) -> int:
                     "gain_fixed_attenuated(linear)",
                     "gain_binary_attenuated(linear)"]
 
-    def one_gain(f_t, phi):
-        """Achieved optimum at f_t, NaN where the mapping is infeasible."""
-        try:
-            return solve_p1a(design, phi, f_t)
-        except _INFEASIBLE:
-            return None
-
-    def row(phi_deg, phi, f_star):
-        opt = one_gain(f_star, phi)
-        fix = one_gain(f_c, phi)
-        g_opt = opt.gain if opt else float("nan")
-        g_fix = fix.gain if fix else float("nan")
-        binary = solve_p4(design, phi, f_c)
-        out = [phi_deg, f_star / 1e9,
-               g_opt, _db(g_opt), g_fix, _db(g_fix),
-               binary.gain, _db(binary.gain)]
-        if resolved.attenuation:
-            for sol in (opt, fix):
-                out.append(gain_dma(design, sol.resonant, phi,
-                                    sol.operating_freq, with_attenuation=True)
-                           if sol else float("nan"))
-            out.append(solve_p4(design, phi, f_c, with_attenuation=True).gain)
-        return out
-
     phis = np.radians(angles)
     f_stars = optimal_operating_freq(design, phis).f_t_star
-    rows = [row(phi_deg, phi, f_star) for phi_deg, phi, f_star
-            in zip(angles.tolist(), phis.tolist(), f_stars.tolist())]
+    opt = solve_p1a(design, phis, f_stars)
+    fix = solve_p1a(design, phis, f_c)
+    binary = [solve_p4(design, phi, f_c).gain for phi in phis.tolist()]
+    cols = [angles, f_stars / 1e9, opt.gain, [_db(g) for g in opt.gain],
+            fix.gain, [_db(g) for g in fix.gain],
+            binary, [_db(g) for g in binary]]
+    if resolved.attenuation:
+        for sol in (opt, fix):      # NaN rows of infeasible angles stay NaN
+            cols.append(gain_dma(design, sol.resonances, phis,
+                                 sol.operating_freq, with_attenuation=True))
+        cols.append([solve_p4(design, phi, f_c, with_attenuation=True).gain
+                     for phi in phis.tolist()])
+    rows = list(zip(*cols))
     _write_table(os.path.join(args.out, f"gain_sweep.{args.format}"),
                  fp, columns, rows, args.format)
     try:
@@ -335,20 +319,17 @@ def cmd_train(scenario: Scenario, args) -> int:
     sweep = angle_grid(resolved.phi_lower_rad, resolved.phi_upper_rad,
                        resolved.angle_samples)
 
-    def row(phi):
-        result = probe(layout, codebook, float(phi), pilots)
-        return [np.degrees(phi), result.f_k_star / 1e9,
-                np.degrees(result.phi_hat), result.gain_at_estimate,
-                result.gain_at_estimate / n_max]
-
-    rows = [row(phi) for phi in sweep]
+    result = probe(layout, codebook, sweep, pilots)
+    gains = result.gain_at_estimate
+    rows = list(zip(np.degrees(sweep), result.f_k_star / 1e9,
+                    np.degrees(result.phi_hat), gains, gains / n_max))
     _write_table(os.path.join(args.out, f"train.{args.format}"), fp,
                  ["phi(deg)", "f_k_star(GHz)", "phi_hat(deg)",
                   "gain(linear)", "gain_normalized(linear)"],
                  rows, args.format)
 
     floor = codebook.delta * n_max * (1.0 - 1e-6)
-    worst = min(r[3] for r in rows)
+    worst = float(np.min(gains))
     payload = {
         "n_sectors": len(codebook),
         "sector_angles_deg": [float(np.degrees(a))

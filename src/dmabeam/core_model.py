@@ -27,11 +27,10 @@ class PhysicalConstants:
     """Universal constants used throughout (rounded convention values)."""
 
     c: float = 3.0e8          # speed of light, m/s (exactly 3e8 by convention)
-    eta0: float = 377.0       # free-space impedance, ohm
     k_B: float = 1.38e-23     # Boltzmann constant, J/K
 
     def __post_init__(self):
-        if self.c <= 0 or self.eta0 <= 0 or self.k_B <= 0:
+        if self.c <= 0 or self.k_B <= 0:
             raise DomainError("physical constants must be strictly positive")
 
 
@@ -77,10 +76,6 @@ class DmaDesign:
             raise DomainError("need 0 < f_min < f_max")
         if self.attenuation is not None and self.attenuation < 0:
             raise DomainError("attenuation must be >= 0")
-
-    def quality_factor(self, f: float) -> float:
-        """Q evaluated at the frequency of use, Q(f) = 2 pi f / Gamma."""
-        return 2.0 * np.pi * f / self.damping
 
 
 @dataclass(frozen=True)
@@ -138,9 +133,14 @@ def beamformer_weight(design: DmaDesign, f_r_n, f):
     the frequency-normalized part that acts as the beamforming weight.
     It always lies on the circle |w + j/2| = 1/2.
     """
-    psi = psi_angle(design, f_r_n, f)
-    out = -np.sin(psi) * np.exp(1j * np.asarray(psi))
-    return complex(out) if np.ndim(out) == 0 else out
+    psi = np.asarray(psi_angle(design, f_r_n, f))
+    # In place: the weights are the largest arrays of a rate sweep.
+    out = np.multiply(psi, 1j, out=np.empty(psi.shape, dtype=complex))
+    np.exp(out, out=out)
+    np.sin(psi, out=psi)
+    np.negative(psi, out=psi)
+    out *= psi
+    return complex(out) if out.ndim == 0 else out
 
 
 def weight_from_shifted(psi_tilde):
@@ -173,25 +173,38 @@ def unshift_origin(psi_tilde):
     return float(out) if out.ndim == 0 else out
 
 
-def resonant_from_shifted(design: DmaDesign, psi_tilde: float, f_t: float) -> float:
+def on_tangent_pole(psi_tilde):
+    """Whether psi_tilde is within SINGULARITY_TOL of -3pi/2 or pi/2, the
+    tangent poles where f_r would need to be 0 or infinite."""
+    return np.abs(np.pi / 4.0 + np.asarray(psi_tilde) / 2.0) \
+        >= np.pi / 2.0 - SINGULARITY_TOL
+
+
+def resonant_from_shifted(design: DmaDesign, psi_tilde, f_t):
     """Resonant frequency realizing a requested shifted angle at f_t.
 
     f_r = sqrt(f_t^2 + (Gamma f_t / 2 pi) tan(pi/4 + psi_tilde/2)).
 
-    Raises SingularityError within SINGULARITY_TOL of the tangent poles
-    (psi_tilde -> -3pi/2 or pi/2, where |f_r| would need to be 0 or
-    infinite) and InfeasibleElementError when the square-root argument is
-    negative (the requested angle is not reachable by any real resonance
-    at this operating frequency).
+    ``psi_tilde`` and ``f_t`` broadcast.  Raises SingularityError on a
+    tangent pole.  Where the square-root argument is negative no real
+    resonance reaches the angle: a scalar call raises
+    InfeasibleElementError, an array call gives NaN there.
     """
-    if f_t <= 0:
+    f_t = np.asarray(f_t, dtype=float)
+    if np.any(f_t <= 0):
         raise DomainError("f_t must be positive")
-    half = np.pi / 4.0 + psi_tilde / 2.0
-    if abs(half) >= np.pi / 2.0 - SINGULARITY_TOL:
+    psi_tilde = np.asarray(psi_tilde, dtype=float)
+    pole = on_tangent_pole(psi_tilde)
+    if np.any(pole):
         raise SingularityError(
-            f"psi_tilde={psi_tilde:.6f} sits on the tangent singularity")
-    arg = f_t**2 + design.damping * f_t / (2.0 * np.pi) * np.tan(half)
-    if arg < 0:
+            f"psi_tilde={np.extract(pole, psi_tilde)[0]:.6f} sits on the "
+            f"tangent singularity")
+    # float_power rounds like the scalar Python **; an array ** 2 squares.
+    arg = np.float_power(f_t, 2) + design.damping * f_t / (2.0 * np.pi) \
+        * np.tan(np.pi / 4.0 + psi_tilde / 2.0)
+    if arg.ndim == 0 and arg < 0:
         raise InfeasibleElementError(
-            None, f"psi_tilde={psi_tilde:.6f} needs an imaginary resonance at f_t={f_t:.4g}")
-    return float(np.sqrt(arg))
+            None, f"psi_tilde={psi_tilde:.6f} needs an imaginary resonance at "
+                  f"f_t={f_t:.4g}")
+    out = np.sqrt(np.where(arg < 0, np.nan, arg))
+    return float(out) if out.ndim == 0 else out

@@ -19,9 +19,9 @@ import numpy as np
 from .channel import (attenuation_vector, combined_phases, dirichlet_kernel,
                       normalized_product)
 from .core_model import (CONSTANTS, DmaDesign, ResonantConfig,
-                         beamformer_weight, resonant_from_shifted)
-from .errors import (DmaError, DomainError, InfeasibleElementError,
-                     SingularityError)
+                         beamformer_weight, on_tangent_pole,
+                         resonant_from_shifted)
+from .errors import DomainError, InfeasibleElementError
 
 PSI_TILDE_LOW = -1.5 * np.pi   # principal interval for shifted angles,
 PSI_TILDE_HIGH = 0.5 * np.pi   # half open: [-3pi/2, pi/2)
@@ -39,46 +39,59 @@ class BeamformingSolution:
 
 
 @dataclass(frozen=True)
+class BeamformingBatch:
+    """solve_p1a per (aod, f_t) pair; NaN rows where the scalar call raises."""
+
+    resonances: np.ndarray       # (A, N), Hz
+    feasible: np.ndarray         # (A,) bool
+    gain: np.ndarray             # (A,) closed-form optimum
+    operating_freq: np.ndarray   # (A,), Hz
+
+
+@dataclass(frozen=True)
 class TtdSolution:
     """Optimal per-element true-time delays, seconds (all non-negative)."""
 
     delays: np.ndarray
 
 
-def configured_gain(design: DmaDesign, resonances, phi: float, f,
+def configured_gain(design: DmaDesign, resonances, phi, f,
                     with_attenuation: bool = False):
     """Gain |sum_m w_m(f)^T h(phi, f)|^2 of waveguides with set resonances.
 
-    ``resonances`` holds one waveguide's (N,) resonant frequencies or an
-    (M, N) stack, one row per waveguide.  A scalar ``f`` gives a float, a
-    1-d ``f`` one gain per frequency.  When every row is equal the array
-    sum is M times one waveguide's sum, so one row is evaluated and the
-    gain scaled by M^2.
+    ``phi`` and ``f`` broadcast to a shape S; scalars give a float.
+    ``resonances`` is one waveguide's (N,) resonances, an (M, N) stack with
+    one row per waveguide, or (..., M, N) stacks broadcasting against S.
+    When every stack repeats its first row the array sum is M times one
+    waveguide's sum, so one row is evaluated and the gain scaled by M^2.
     """
     res = np.atleast_2d(np.asarray(resonances, dtype=float))
     copies = 1
-    if len(res) > 1 and np.all(res == res[0]):
-        copies, res = len(res), res[:1]
-    freqs = np.asarray(f, dtype=float)
-    col = freqs.reshape(-1, 1)
-    h = np.exp(1j * combined_phases(design, phi, col))
+    if res.shape[-2] > 1 and np.all(res == res[..., :1, :]):
+        copies, res = res.shape[-2], res[..., :1, :]
+    freqs = np.asarray(f, dtype=float)[..., None]        # element axis last
+    h = 1j * combined_phases(design, np.asarray(phi, dtype=float)[..., None],
+                             freqs)
+    np.exp(h, out=h)
     if with_attenuation:
-        h = h * attenuation_vector(design)
-    weights = beamformer_weight(design, res, col[:, :, None])
-    out = copies ** 2 * np.abs(np.einsum("kmn,kn->k", weights, h)) ** 2
-    return float(out[0]) if freqs.ndim == 0 else out
+        h *= attenuation_vector(design)
+    weights = beamformer_weight(design, res, freqs[..., None])
+    out = copies ** 2 * np.abs(np.einsum("...mn,...n->...", weights, h)) ** 2
+    return float(out) if out.ndim == 0 else out
 
 
-def gain_dma(design: DmaDesign, config: ResonantConfig, phi: float, f,
+def gain_dma(design: DmaDesign, config, phi, f,
              with_attenuation: bool = False):
-    """Beamforming gain |f_dma(f)^T h(phi, f)|^2 of an arbitrary configuration.
+    """Beamforming gain |f_dma(f)^T h(phi, f)|^2 of arbitrary configurations.
 
-    A scalar ``f`` gives a float, a 1-d ``f`` one gain per frequency.
+    ``config`` is a ResonantConfig or an (..., N) array of resonances,
+    broadcasting as in configured_gain.
     """
-    if len(config) != design.n_elements:
+    f_r = np.asarray(getattr(config, "f_r", config), dtype=float)
+    if f_r.shape[-1] != design.n_elements:
         raise DomainError(
-            f"config has {len(config)} resonances for {design.n_elements} elements")
-    return configured_gain(design, config.f_r, phi, f, with_attenuation)
+            f"config has {f_r.shape[-1]} resonances for {design.n_elements} elements")
+    return configured_gain(design, f_r[..., None, :], phi, f, with_attenuation)
 
 
 def wrap_shifted(psi_tilde):
@@ -86,29 +99,31 @@ def wrap_shifted(psi_tilde):
     return np.mod(np.asarray(psi_tilde) - PSI_TILDE_LOW, 2.0 * np.pi) + PSI_TILDE_LOW
 
 
-def optimal_shifted_phases(design: DmaDesign, phi: float, f_t: float) -> np.ndarray:
-    """Closed-form optimal shifted angles for each element.
+def optimal_shifted_phases(design: DmaDesign, phi, f_t) -> np.ndarray:
+    """Closed-form optimal shifted angles for each element (last axis).
 
     psi_tilde*_n = -(pi/2) sgn(S) + 2 pi p (n - 1 - (N-1)/2), wrapped into
     the principal interval.  The convention sgn(0) = +1 keeps the output
     deterministic when the array sum vanishes.
     """
     n = design.n_elements
-    s = dirichlet_kernel(design, phi, f_t)
-    sign = 1.0 if s >= 0 else -1.0
-    p = float(normalized_product(design, phi, f_t))
+    sign = np.where(dirichlet_kernel(design, phi, f_t) >= 0, 1.0, -1.0)
+    p = normalized_product(design, phi, f_t)
     idx = np.arange(1, n + 1)
-    raw = -0.5 * np.pi * sign + 2.0 * np.pi * p * (idx - 1 - (n - 1) / 2.0)
+    raw = -0.5 * np.pi * sign[..., None] \
+        + 2.0 * np.pi * p[..., None] * (idx - 1 - (n - 1) / 2.0)
     return wrap_shifted(raw)
 
 
-def closed_form_gain(design: DmaDesign, phi: float, f_t: float) -> float:
+def closed_form_gain(design: DmaDesign, phi, f_t):
     """Maximum reachable DMA gain (N + |S(phi, f_t)|)^2 / 4."""
     s = dirichlet_kernel(design, phi, f_t)
-    return float((design.n_elements + abs(s)) ** 2 / 4.0)
+    # float_power rounds like the scalar Python **; an array ** 2 squares.
+    out = np.float_power(design.n_elements + np.abs(s), 2) / 4.0
+    return float(out) if np.ndim(out) == 0 else out
 
 
-def solve_p1a(design: DmaDesign, phi: float, f_t: float) -> BeamformingSolution:
+def solve_p1a(design: DmaDesign, phi, f_t):
     """Gain-optimal resonant configuration at a fixed operating frequency.
 
     The reported gain is the closed-form optimum (N + |S|)^2 / 4.  An
@@ -119,29 +134,39 @@ def solve_p1a(design: DmaDesign, phi: float, f_t: float) -> BeamformingSolution:
 
     Raises InfeasibleElementError (carrying the zero-based element index)
     when some element's required circle angle has no real resonance, which
-    happens on a narrow angular sliver near the bottom of the circle.
+    happens on a narrow angular sliver near the bottom of the circle.  A
+    1-d ``phi`` with a scalar or matching ``f_t`` gives a BeamformingBatch,
+    which marks such angles instead.
     """
-    if not (design.f_min <= f_t <= design.f_max):
+    phis, f_ts = np.broadcast_arrays(np.asarray(phi, dtype=float),
+                                     np.asarray(f_t, dtype=float))
+    in_band = (design.f_min <= f_ts) & (f_ts <= design.f_max)
+    if not np.all(in_band):
         raise DomainError(
-            f"operating frequency {f_t:.4g} outside [{design.f_min:.4g}, {design.f_max:.4g}]")
-    shifted = optimal_shifted_phases(design, phi, f_t)
-    f_r = np.empty(design.n_elements)
-    for i, pt in enumerate(shifted):
-        try:
-            f_r[i] = resonant_from_shifted(design, float(pt), f_t)
-        except SingularityError:
-            # Both interval endpoints map to weight zero; only the upper
-            # one is approachable with a real (large) resonance.
-            shifted[i] = PSI_TILDE_HIGH - DEGENERATE_CLAMP
-            f_r[i] = resonant_from_shifted(design, float(shifted[i]), f_t)
-        except DmaError as exc:
-            raise InfeasibleElementError(i, f"element {i}: {exc}") from exc
-    return BeamformingSolution(
-        resonant=ResonantConfig(f_r),
-        shifted_phases=shifted,
-        gain=closed_form_gain(design, phi, f_t),
-        operating_freq=float(f_t),
-    )
+            f"operating frequency {np.extract(~in_band, f_ts)[0]:.4g} outside "
+            f"[{design.f_min:.4g}, {design.f_max:.4g}]")
+    shifted = optimal_shifted_phases(design, phis, f_ts)
+    # Both interval endpoints map to weight zero; only the upper one is
+    # approachable with a real (large) resonance.
+    shifted = np.where(on_tangent_pole(shifted),
+                       PSI_TILDE_HIGH - DEGENERATE_CLAMP, shifted)
+    f_r = resonant_from_shifted(design, shifted, f_ts[..., None])
+    gain = closed_form_gain(design, phis, f_ts)
+    if phis.ndim == 0:
+        if np.isnan(f_r).any():
+            i = int(np.argmax(np.isnan(f_r)))
+            try:    # the scalar map raises, naming the angle and frequency
+                resonant_from_shifted(design, shifted[i], f_ts)
+            except InfeasibleElementError as exc:
+                raise InfeasibleElementError(i, f"element {i}: {exc}") from exc
+        return BeamformingSolution(resonant=ResonantConfig(f_r),
+                                   shifted_phases=shifted, gain=gain,
+                                   operating_freq=float(f_ts))
+    feasible = ~np.isnan(f_r).any(axis=-1)
+    f_r[~feasible] = np.nan
+    return BeamformingBatch(resonances=f_r, feasible=feasible,
+                            gain=np.where(feasible, gain, np.nan),
+                            operating_freq=np.array(f_ts))
 
 
 def solve_ttd(n_elements: int, spacing: float, phi: float) -> TtdSolution:

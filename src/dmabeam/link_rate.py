@@ -18,13 +18,13 @@ Four configuration strategies are compared:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import List, Sequence
 
 import numpy as np
 
-from .array_training import (ArrayLayout, Codebook, array_gain_dma,
-                             build_codebook, probe)
+from .array_training import (ArrayLayout, Codebook, array_gain_dma, probe,
+                             training_layout)
 # Kept as a module binding: the benchmark's tracer tests use it as a fixture.
 from .channel import combined_phases  # noqa: F401
 from .core_model import CONSTANTS, DmaDesign
@@ -38,22 +38,22 @@ DEFAULT_ANGLE_SAMPLES = 181
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Transmit/noise parameters for one OFDM band placement."""
+    """Transmit/noise parameters; ``center`` may hold one per angle."""
 
     tx_power: float
     distance: float
     noise_temp: float
     bandwidth: float
     n_subcarriers: int
-    center: float
+    center: float | np.ndarray
 
     def __post_init__(self):
         for name in ("tx_power", "distance", "noise_temp", "bandwidth", "center"):
-            if getattr(self, name) <= 0:
+            if np.any(np.asarray(getattr(self, name)) <= 0):
                 raise DomainError(f"{name} must be positive")
         if self.n_subcarriers < 1:
             raise DomainError("n_subcarriers must be >= 1")
-        if self.center - self.bandwidth / 2.0 <= 0:
+        if np.any(np.asarray(self.center) - self.bandwidth / 2.0 <= 0):
             raise DomainError("band extends below zero frequency")
 
 
@@ -61,18 +61,18 @@ class LinkBudget:
 class RateReport:
     """Achievable rate in bits/s with the per-subcarrier SNR breakdown."""
 
-    rate: float
+    rate: float | np.ndarray
     per_subcarrier_snr: np.ndarray
 
 
 @dataclass(frozen=True)
 class RateComparison:
-    """Rates (bits/s) of the four strategies at one sweep point."""
+    """Rates (bits/s) of the four strategies at one or more angles."""
 
-    fixed: float
-    trained: float
-    perfect: float
-    ttd: float
+    fixed: float | np.ndarray
+    trained: float | np.ndarray
+    perfect: float | np.ndarray
+    ttd: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -86,9 +86,9 @@ class TuningRangePoint:
 
 
 def subcarrier_grid(budget: LinkBudget) -> np.ndarray:
-    """Centered subcarrier frequencies f_t - B/2 + (k - 1/2) B/K_d."""
+    """Centered subcarriers f_t - B/2 + (k - 1/2) B/K_d, a row per center."""
     k = np.arange(1, budget.n_subcarriers + 1)
-    return budget.center - budget.bandwidth / 2.0 \
+    return np.expand_dims(budget.center, -1) - budget.bandwidth / 2.0 \
         + (k - 0.5) * budget.bandwidth / budget.n_subcarriers
 
 
@@ -107,16 +107,20 @@ def received_psd(budget: LinkBudget, gain, f):
 
 
 def _report(budget: LinkBudget, snr: np.ndarray) -> RateReport:
-    rate = budget.bandwidth / budget.n_subcarriers * np.sum(np.log2(1.0 + snr))
-    return RateReport(rate=float(rate), per_subcarrier_snr=snr)
+    rate = budget.bandwidth / budget.n_subcarriers \
+        * np.sum(np.log2(1.0 + snr), axis=-1)
+    return RateReport(rate=float(rate) if rate.ndim == 0 else rate,
+                      per_subcarrier_snr=snr)
 
 
 def achievable_rate(budget: LinkBudget, layout: ArrayLayout,
-                    per_dma_configs, phi: float) -> RateReport:
+                    per_dma_configs, phi) -> RateReport:
     """Sum rate (B/K_d) sum_k log2(1 + SNR_k) for a fixed DMA configuration.
 
     The configuration stays as given across the whole band, so the gain
-    rolls off away from the frequency it was tuned for.
+    rolls off away from the frequency it was tuned for.  ``phi`` and the
+    configurations broadcast against the subcarrier grid as in
+    configured_gain, and the rate sums over its last axis.
     """
     grid = subcarrier_grid(budget)
     gains = array_gain_dma(layout, per_dma_configs, phi, grid)
@@ -124,79 +128,56 @@ def achievable_rate(budget: LinkBudget, layout: ArrayLayout,
     return _report(budget, snr)
 
 
-def rate_ttd(budget: LinkBudget, layout: ArrayLayout, phi: float) -> RateReport:
+def rate_ttd(budget: LinkBudget, layout: ArrayLayout, phi) -> RateReport:
     """Rate of a true-time-delay array with the same aperture.
 
     Matched delays put the full gain (N_y N_z)^2 on every subcarrier for
     any angle, so the SNR is flat across the band (evaluated at the band
-    center).
+    center, or at each angle's center for an array of them).
     """
-    gain = (layout.per_dma.n_elements * layout.n_dmas) ** 2
-    snr_flat = received_psd(budget, gain, budget.center) \
+    gain = np.full(budget.n_subcarriers, (layout.per_dma.n_elements * layout.n_dmas) ** 2)
+    snr = received_psd(budget, gain, np.expand_dims(budget.center, -1)) \
         / (CONSTANTS.k_B * budget.noise_temp)
-    return _report(budget, np.full(budget.n_subcarriers, snr_flat))
+    return _report(budget, snr)
 
 
-def _replicated(layout: ArrayLayout, config) -> List:
-    return [config] * layout.n_dmas
-
-
-def _angle_tunings(layout: ArrayLayout, codebook: Codebook, phi: float,
-                   f_star: float):
-    """Band center and resonances of each DMA strategy at one angle.
-
-    ``f_star`` is the planner's operating frequency at ``phi``.  Returns
-    (center, ResonantConfig) pairs for the perfect, trained and fixed
-    strategies.  None of them depends on the link budget, so a sweep over
-    budgets computes them once per angle.
-    """
-    design = layout.per_dma
-    perfect = (f_star, solve_p1a(design, phi, f_star).resonant)
-
-    result = probe(layout, codebook, phi, np.sort(codebook.sector_freqs))
-    trained = (result.f_k_star,
-               solve_p1a(design, result.phi_hat, result.f_k_star).resonant)
-
-    f_c = 0.5 * (design.f_min + design.f_max)
-    fixed = (f_c, solve_p1a(design, phi, f_c).resonant)
-    return perfect, trained, fixed
-
-
-def _rates_at(layout: ArrayLayout, phi: float, tunings,
-              budget: LinkBudget) -> RateComparison:
-    """Strategy rates at one angle for precomputed _angle_tunings."""
-
-    def rate(tuning):
-        center, cfg = tuning
-        return achievable_rate(replace(budget, center=center), layout,
-                               _replicated(layout, cfg), phi).rate
-
-    perfect, trained, fixed = tunings
-    return RateComparison(
-        fixed=rate(fixed), trained=rate(trained), perfect=rate(perfect),
-        ttd=rate_ttd(replace(budget, center=perfect[0]), layout, phi).rate)
-
-
-def compare_rates(layout: ArrayLayout, codebook: Codebook, phi: float,
+def compare_rates(layout: ArrayLayout, codebook: Codebook, phi,
                   budget: LinkBudget) -> RateComparison:
-    """Evaluate all four strategies at one angle.
+    """Evaluate all four strategies at one angle or a 1-d array of angles.
 
     Each DMA strategy re-centers the band on its own operating frequency;
     the TTD benchmark uses the same band placement as the perfect-AoD
-    strategy.
+    strategy.  A 1-d ``phi`` solves every strategy for all angles at once;
+    an angle where one is infeasible raises as the scalar call would.
     """
-    f_star = optimal_operating_freq(layout.per_dma, phi).f_t_star
-    return _rates_at(layout, phi, _angle_tunings(layout, codebook, phi, f_star),
-                     budget)
+    design = layout.per_dma
+    grid = np.reshape(np.asarray(phi, dtype=float), -1)
+    f_star = optimal_operating_freq(design, grid).f_t_star
+    perfect = solve_p1a(design, grid, f_star)
+    probed = probe(layout, codebook, grid, np.sort(codebook.sector_freqs))
+    trained = solve_p1a(design, probed.phi_hat, probed.f_k_star)
+    f_c = 0.5 * (design.f_min + design.f_max)
+    fixed = solve_p1a(design, grid, f_c)
+    feasible = perfect.feasible & trained.feasible & fixed.feasible
+    if not feasible.all():
+        # The scalar solves at the first infeasible angle raise its error.
+        i = int(np.argmin(feasible))
+        solve_p1a(design, grid[i], f_star[i])
+        solve_p1a(design, probed.phi_hat[i], probed.f_k_star[i])
+        solve_p1a(design, grid[i], f_c)
 
+    def rate(solution):     # angles on axis 0, subcarriers on axis 1
+        stacks = np.broadcast_to(solution.resonances[:, None, None, :],
+                                 (grid.size, 1, layout.n_dmas, design.n_elements))
+        centered = replace(budget, center=solution.operating_freq)
+        return achievable_rate(centered, layout, stacks, grid[:, None]).rate
 
-def _mean(comparisons: Sequence[RateComparison]) -> RateComparison:
-    acc = np.zeros(4)
-    for r in comparisons:
-        acc += (r.fixed, r.trained, r.perfect, r.ttd)
-    acc /= len(comparisons)
-    return RateComparison(fixed=acc[0], trained=acc[1],
-                          perfect=acc[2], ttd=acc[3])
+    rates = RateComparison(
+        fixed=rate(fixed), trained=rate(trained), perfect=rate(perfect),
+        ttd=rate_ttd(replace(budget, center=f_star), layout, grid).rate)
+    if np.ndim(phi):
+        return rates
+    return RateComparison(*(float(r[0]) for r in astuple(rates)))
 
 
 def angle_grid(phi_lower: float, phi_upper: float,
@@ -211,8 +192,10 @@ def average_rates(layout: ArrayLayout, codebook: Codebook, budget: LinkBudget,
                   phi_lower: float, phi_upper: float,
                   n_samples: int = DEFAULT_ANGLE_SAMPLES) -> RateComparison:
     """Strategy rates averaged over a deterministic uniform angle grid."""
-    return _mean([compare_rates(layout, codebook, phi, budget)
-                  for phi in angle_grid(phi_lower, phi_upper, n_samples)])
+    rates = compare_rates(layout, codebook,
+                          angle_grid(phi_lower, phi_upper, n_samples), budget)
+    # cumsum adds left to right, as a loop would; np.mean pairs terms.
+    return RateComparison(*(np.cumsum(r)[-1] / n_samples for r in astuple(rates)))
 
 
 def bandwidth_sweep(layout: ArrayLayout, codebook: Codebook,
@@ -221,19 +204,12 @@ def bandwidth_sweep(layout: ArrayLayout, codebook: Codebook,
                     n_samples: int = DEFAULT_ANGLE_SAMPLES) -> List[RateComparison]:
     """Angle-averaged strategy rates for each bandwidth.
 
-    Row i equals average_rates with the budget's bandwidth set to
-    bandwidths[i]; the per-angle tunings are computed once for all rows.
+    Row i is average_rates with the budget's bandwidth set to
+    bandwidths[i].
     """
-    grid = angle_grid(phi_lower, phi_upper, n_samples)
-    f_stars = optimal_operating_freq(layout.per_dma, grid).f_t_star
-    tunings = [_angle_tunings(layout, codebook, phi, f_star)
-               for phi, f_star in zip(grid, f_stars.tolist())]
-    rows = []
-    for b in bandwidths:
-        b_budget = replace(budget, bandwidth=b)
-        rows.append(_mean([_rates_at(layout, phi, t, b_budget)
-                           for phi, t in zip(grid, tunings)]))
-    return rows
+    return [average_rates(layout, codebook, replace(budget, bandwidth=b),
+                          phi_lower, phi_upper, n_samples)
+            for b in bandwidths]
 
 
 def tuning_range_sweep(template: DmaDesign, n_dmas: int, n_g_max: float,
@@ -265,10 +241,7 @@ def tuning_range_sweep(template: DmaDesign, n_dmas: int, n_g_max: float,
         design = replace(template, spacing=sector.d_y_star,
                          refractive_index=sector.n_g_star,
                          f_min=f_min, f_max=f_max)
-        seed = ArrayLayout(n_dmas=n_dmas, per_dma=design, groups=1)
-        codebook = build_codebook(seed, phi_max, delta)
-        layout = ArrayLayout(n_dmas=n_dmas, per_dma=design,
-                             groups=len(codebook))
+        layout, codebook = training_layout(design, n_dmas, phi_max, delta)
         rates = average_rates(layout, codebook, budget,
                               -phi_max, phi_max, n_samples)
         points.append(TuningRangePoint(tuning_range=t_r, phi_max=phi_max,

@@ -1,5 +1,6 @@
-"""Shared fixtures: the reference waveguide, its stacked array, and an
-independent per-frequency reference for configured gains."""
+"""Shared fixtures: the reference waveguide, its stacked array, and
+independent scalar references for configured gains, the closed-form
+solver and the planner."""
 
 import numpy as np
 import pytest
@@ -104,3 +105,35 @@ def reference_golden_section_max():
 def reference_operating_point():
     """The per-angle scalar planner the broadcast one must match."""
     return _reference_operating_point
+
+
+def _reference_solve_p1a(design, phi, f_t):
+    """The closed-form solver one element at a time, on Python floats.
+
+    Independent of the broadcast solver: each element's shifted angle is
+    wrapped, clamped off a tangent pole and mapped to its resonance with
+    scalar arithmetic.  Returns (resonances, gain), or None where some
+    element needs an imaginary resonance.
+    """
+    n = design.n_elements
+    s = float(db.dirichlet_kernel(design, phi, f_t))
+    sign = 1.0 if s >= 0 else -1.0
+    p = float(db.normalized_product(design, phi, f_t))
+    f_r = []
+    for k in range(n):
+        pt = float(db.wrap_shifted(-0.5 * np.pi * sign
+                                   + 2.0 * np.pi * p * (k - (n - 1) / 2.0)))
+        if abs(np.pi / 4.0 + pt / 2.0) >= np.pi / 2.0 - 1e-9:
+            pt = 0.5 * np.pi - 1e-6
+        arg = f_t ** 2 + design.damping * f_t / (2.0 * np.pi) \
+            * np.tan(np.pi / 4.0 + pt / 2.0)
+        if arg < 0:
+            return None
+        f_r.append(float(np.sqrt(arg)))
+    return np.array(f_r), (n + abs(s)) ** 2 / 4.0
+
+
+@pytest.fixture(scope="session")
+def reference_solve_p1a():
+    """The per-element scalar solver the broadcast one must match."""
+    return _reference_solve_p1a

@@ -151,6 +151,15 @@ def test_gain_at_estimate_peaks_at_truth(layout):
     assert db.gain_at_estimate(layout, phi, phi + 0.05) < peak
 
 
+def test_gain_at_estimate_over_arrays_equals_the_scalar_calls(layout):
+    rng = np.random.default_rng(9)
+    phi = rng.uniform(-PHI_MAX, PHI_MAX, 20_000)
+    phi_hat = phi + rng.normal(0.0, 0.05, phi.size)
+    got = db.gain_at_estimate(layout, phi, phi_hat)
+    assert got.tolist() == [db.gain_at_estimate(layout, a, b)
+                            for a, b in zip(phi.tolist(), phi_hat.tolist())]
+
+
 def test_coverage_floor_holds_on_a_coarse_sweep(layout):
     """Worst-case probed gain stays above the codebook's own fraction."""
     cb = db.build_codebook(layout, PHI_MAX, 0.5)
@@ -223,6 +232,39 @@ def test_probe_argmax_matches_the_reference(layout, reference_gain, phi_deg):
     assert db.probe(grouped, cb, phi, pilots).k_star == expect
     doubled = np.repeat(pilots, 2)
     assert db.probe(grouped, cb, phi, doubled).k_star == 2 * expect
+
+
+@pytest.mark.parametrize("grid_pilots", [False, True])
+def test_array_probe_equals_the_per_angle_probes(layout, reference_gain,
+                                                 grid_pilots):
+    """One probe over 21 angles gives each angle's reference argmax and
+    the scalar probe's result; with every pilot doubled, each maximum is
+    an exact tie that the lower index must win."""
+    cb = db.build_codebook(layout, PHI_MAX, 0.5)
+    grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
+    configs = db.training_config(grouped, cb)
+    pilots = db.pilot_grid(layout.per_dma, 256, include=cb.sector_freqs) \
+        if grid_pilots else np.sort(cb.sector_freqs)
+    phis = np.linspace(-PHI_MAX, PHI_MAX, 21)
+    batch = db.probe(grouped, cb, phis, pilots)
+    doubled = db.probe(grouped, cb, phis, np.repeat(pilots, 2))
+    for i, phi in enumerate(phis.tolist()):
+        expect = int(np.argmax(reference_gain(layout.per_dma, configs, phi,
+                                              pilots)))
+        assert batch.k_star[i] == expect
+        assert doubled.k_star[i] == 2 * expect
+        one = db.probe(grouped, cb, phi, pilots)
+        assert (one.k_star, one.f_k_star, one.phi_hat, one.gain_at_estimate) \
+            == (batch.k_star[i], batch.f_k_star[i], batch.phi_hat[i],
+                batch.gain_at_estimate[i])
+
+
+def test_training_layout_groups_one_sector_per_waveguide_share(design):
+    layout, cb = db.training_layout(design, 4, PHI_MAX, 0.5)
+    assert layout.groups == len(cb) == 4 and layout.n_dmas == 4
+    with pytest.raises(db.CoverageInfeasibleError,
+                       match="needs 4 sectors.*design.n_z = 6"):
+        db.training_layout(design, 6, PHI_MAX, 0.5)
 
 
 def test_second_reference_codebook():

@@ -18,12 +18,15 @@ def test_channel_entries_have_unit_modulus(phi, f, design):
     np.testing.assert_allclose(np.abs(h), 1.0, atol=1e-12)
 
 
-def test_combined_phase_is_intrinsic_plus_extrinsic(design):
-    phi, f = np.radians(-18.0), 15e9
-    total = db.combined_phases(design, phi, f)
-    for n in range(1, design.n_elements + 1):
-        split = db.intrinsic_phase(design, n, f) + db.extrinsic_phase(design, n, phi, f)
-        assert total[n - 1] == pytest.approx(split, rel=1e-12)
+def test_combined_phases_match_the_oracle_channel(design):
+    """The combined phase is the intrinsic (waveguide) plus the extrinsic
+    (free-space) phase, which the oracle accumulates element by element."""
+    from dmabeam.oracle import _raw_channel
+
+    for phi, f in ((np.radians(-18.0), 15e9), (0.4, 12.5e9), (-1.1, 17.9e9)):
+        total = db.combined_phases(design, phi, f)
+        np.testing.assert_allclose(np.exp(1j * total),
+                                   _raw_channel(design, phi, f), atol=1e-12)
 
 
 def test_phase_slope_follows_spacing_and_index(design):

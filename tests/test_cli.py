@@ -191,12 +191,69 @@ def test_exit_code_for_floor_violation(scn, tmp_path, monkeypatch):
     from dmabeam.array_training import TrainingResult
 
     def broken_probe(layout, codebook, phi_true, pilot):
-        return TrainingResult(k_star=0, f_k_star=float(pilot[0]),
-                              phi_hat=0.0, gain_at_estimate=0.0)
+        zeros = np.zeros(np.shape(phi_true))
+        return TrainingResult(k_star=zeros.astype(int),
+                              f_k_star=zeros + pilot[0], phi_hat=zeros,
+                              gain_at_estimate=zeros)
 
     monkeypatch.setattr(cli, "probe", broken_probe)
     assert run_cli("train", "--scenario", scn,
                    "--out", str(tmp_path / "x")) == 4
+
+
+def test_gain_sweep_nan_cells_are_the_infeasible_angles(tmp_path):
+    """Q = 1: NaN cells sit exactly where the scalar solver raises, in the
+    plain and the attenuated columns alike."""
+    from dmabeam import InfeasibleElementError, optimal_operating_freq, \
+        solve_p1a
+    from dmabeam.scenario import parse_scenario
+
+    text = "design.q_factor = 1\nsweep.gain_angle_points = 61\n"
+    path = tmp_path / "lowq.scn"
+    path.write_text(text)
+    out = str(tmp_path / "run")
+    assert run_cli("gain-sweep", "--scenario", str(path), "--out", out,
+                   "--attenuation", "on") == 0
+    lines = open(os.path.join(out, "gain_sweep.csv")).read().splitlines()
+    columns = lines[1].split(",")
+    rows = [[float(c) for c in line.split(",")] for line in lines[2:]]
+    design = cli._resolve(parse_scenario(text + "design.attenuation = on\n"))[0]
+
+    def raises(phi, f_t):
+        try:
+            solve_p1a(design, phi, f_t)
+        except InfeasibleElementError:
+            return True
+        return False
+
+    phis = np.radians(np.linspace(-90.0, 90.0, 61)).tolist()
+    for label, f_ts in (
+            ("opt", [optimal_operating_freq(design, p).f_t_star for p in phis]),
+            ("fixed", [15e9] * len(phis))):
+        plain = columns.index(f"gain_{label}(linear)")
+        lossy = columns.index(f"gain_{label}_attenuated(linear)")
+        expect = [raises(phi, f_t) for phi, f_t in zip(phis, f_ts)]
+        assert any(expect) and not all(expect)
+        assert [np.isnan(row[plain]) for row in rows] == expect
+        assert [np.isnan(row[lossy]) for row in rows] == expect
+
+
+@pytest.mark.parametrize("command", ["train", "rate"])
+@pytest.mark.parametrize("extra", [
+    "sector.phi_lower = -20\nsector.phi_upper = 35\ndesign.n_g_max = 4\n",
+    "training.delta = 0.99\n",
+], ids=["five-sectors", "delta-0.99"])
+def test_auto_groups_that_cannot_split_the_array_are_infeasible(
+        tmp_path, capsys, command, extra):
+    """groups = auto takes one group per sector; a sector count that does
+    not divide design.n_z is an infeasible design, not a config error."""
+    path = tmp_path / "groups.scn"
+    path.write_text(TINY + extra)
+    assert run_cli(command, "--scenario", str(path),
+                   "--out", str(tmp_path / "run")) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"the codebook needs \d+ sectors", err)
+    assert "design.n_z = 4" in err
 
 
 def test_rate_runs_are_byte_identical(tmp_path):

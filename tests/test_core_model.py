@@ -36,11 +36,6 @@ def test_design_validation():
         make_design(attenuation=-2.0)
 
 
-def test_quality_factor():
-    design = make_design()
-    assert design.quality_factor(F_C) == pytest.approx(50.0, rel=1e-12)
-
-
 def test_polarizability_matches_direct_formula():
     design = make_design()
     rng = np.random.default_rng(7)
@@ -125,6 +120,27 @@ def test_resonant_from_shifted_infeasible_flank():
     design = make_design()
     with pytest.raises(db.InfeasibleElementError):
         db.resonant_from_shifted(design, -1.5 * np.pi + 0.01, 15e9)
+
+
+def test_resonant_from_shifted_over_arrays_equals_the_scalar_formula():
+    """Arrays give the scalar formula's value on Python floats, bit for
+    bit, and NaN exactly where the scalar call raises (a Q = 2 guide
+    reaches its infeasible flank inside the sampled range)."""
+    design = make_design(damping=2 * np.pi * F_C / 2)
+    rng = np.random.default_rng(5)
+    psi = rng.uniform(-1.45 * np.pi, 0.45 * np.pi, 20_000)
+    f_t = rng.uniform(12e9, 18e9, 20_000)
+    got = db.resonant_from_shifted(design, psi, f_t)
+    for p, f, g in zip(psi.tolist(), f_t.tolist(), got.tolist()):
+        arg = f ** 2 + design.damping * f / (2 * np.pi) \
+            * np.tan(np.pi / 4 + p / 2)
+        if arg < 0:
+            assert np.isnan(g)
+            with pytest.raises(db.InfeasibleElementError):
+                db.resonant_from_shifted(design, p, f)
+        else:
+            assert g == float(np.sqrt(arg))
+    assert np.isnan(got).any()
 
 
 def test_weight_from_shifted_matches_construction():

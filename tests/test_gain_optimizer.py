@@ -99,6 +99,49 @@ def test_infeasible_sliver_raises_with_element_index():
     assert err.value.index == 2
 
 
+@pytest.mark.parametrize("variant", ["default", "q_factor_1", "n_y_16", "n_y_3"])
+@pytest.mark.parametrize("at", ["f_star", "f_c"])
+def test_batch_solver_equals_the_scalar_calls(design, reference_solve_p1a,
+                                              variant, at):
+    """Over 361 angles the batch rows are bit for bit the scalar calls and
+    the per-element reference, with NaN rows exactly where they raise.
+
+    Q = 1 makes most angles infeasible; N_y = 3 puts the middle element on
+    the tangent pole wherever the array sum is negative.
+    """
+    dma = {"default": design,
+           "q_factor_1": dataclasses.replace(design, damping=2 * np.pi * F_C),
+           "n_y_16": dataclasses.replace(design, n_elements=16),
+           "n_y_3": dataclasses.replace(design, n_elements=3)}[variant]
+    phis = np.radians(np.linspace(-90.0, 90.0, 361))
+    f_ts = db.optimal_operating_freq(dma, phis).f_t_star if at == "f_star" \
+        else np.full(phis.size, F_C)
+    batch = db.solve_p1a(dma, phis, f_ts if at == "f_star" else F_C)
+    assert batch.resonances.shape == (phis.size, dma.n_elements)
+    np.testing.assert_array_equal(batch.operating_freq, f_ts)
+    for i, (phi, f_t) in enumerate(zip(phis.tolist(), f_ts.tolist())):
+        expect = reference_solve_p1a(dma, phi, f_t)
+        try:
+            scalar = db.solve_p1a(dma, phi, f_t)
+        except db.InfeasibleElementError:
+            scalar = None
+        assert (scalar is None) == (expect is None) == (not batch.feasible[i])
+        if scalar is None:
+            assert np.all(np.isnan(batch.resonances[i]))
+            assert np.isnan(batch.gain[i])
+            continue
+        assert np.array_equal(batch.resonances[i], scalar.resonant.f_r)
+        assert np.array_equal(batch.resonances[i], expect[0])
+        assert batch.gain[i] == scalar.gain == expect[1]
+    if variant == "q_factor_1":
+        assert 0 < np.count_nonzero(~batch.feasible) < phis.size
+
+
+def test_batch_solver_rejects_an_out_of_band_angle_pair(design):
+    with pytest.raises(db.DomainError, match="operating frequency 1.9e\\+10"):
+        db.solve_p1a(design, np.array([0.0, 0.1]), np.array([15e9, 19e9]))
+
+
 def test_gain_dma_checks_config_length(design):
     cfg = db.ResonantConfig(np.full(3, 15e9))
     with pytest.raises(db.DomainError):

@@ -148,6 +148,71 @@ def test_average_rates_is_the_grid_mean(layout):
     assert avg.fixed == pytest.approx(np.mean([p.fixed for p in pts]), rel=1e-12)
 
 
+def reference_rates(layout, codebook, phi, budget):
+    """The four strategies at one angle, assembled from scalar calls in the
+    order a per-angle sweep makes them: perfect, probe, trained, fixed."""
+    design = layout.per_dma
+    f_star = db.optimal_operating_freq(design, phi).f_t_star
+    perfect = db.solve_p1a(design, phi, f_star)
+    probed = db.probe(layout, codebook, phi, np.sort(codebook.sector_freqs))
+    trained = db.solve_p1a(design, probed.phi_hat, probed.f_k_star)
+    f_c = 0.5 * (design.f_min + design.f_max)
+    fixed = db.solve_p1a(design, phi, f_c)
+    rates = {name: db.achievable_rate(
+        dataclasses.replace(budget, center=sol.operating_freq), layout,
+        [sol.resonant] * layout.n_dmas, phi).rate
+        for name, sol in (("perfect", perfect), ("trained", trained),
+                          ("fixed", fixed))}
+    rates["ttd"] = db.rate_ttd(dataclasses.replace(budget, center=f_star),
+                               layout, phi).rate
+    return rates
+
+
+def test_array_compare_rates_equals_the_per_angle_calls(layout):
+    """One call over 25 angles, some past the design sector, gives each
+    angle's scalar rates; the average is their left-to-right mean, bit for
+    bit."""
+    cb = db.build_codebook(layout, np.radians(30.0), 0.5)
+    grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
+    budget = make_budget(n_subcarriers=16)
+    phis = db.angle_grid(np.radians(-35.0), np.radians(35.0), 25)
+    batch = db.compare_rates(grouped, cb, phis, budget)
+    singles = [db.compare_rates(grouped, cb, phi, budget) for phi in phis]
+    references = [reference_rates(grouped, cb, phi, budget) for phi in phis]
+    avg = db.average_rates(grouped, cb, budget, np.radians(-35.0),
+                           np.radians(35.0), 25)
+    for name in ("fixed", "trained", "perfect", "ttd"):
+        column = [getattr(r, name) for r in singles]
+        assert all(isinstance(v, float) for v in column)
+        np.testing.assert_allclose(getattr(batch, name), column, rtol=1e-12)
+        np.testing.assert_allclose(getattr(batch, name),
+                                   [r[name] for r in references], rtol=1e-12)
+        total = 0.0
+        for v in getattr(batch, name):
+            total += v
+        assert getattr(avg, name) == total / 25
+
+
+def test_infeasible_angle_raises_the_scalar_error(layout):
+    """A low-Q guide: the sweep stops with the first infeasible angle's
+    own error, as a loop over scalar calls did."""
+    lowq = dataclasses.replace(layout.per_dma, damping=2 * np.pi * F_C / 1.0)
+    cb = db.build_codebook(layout, np.radians(30.0), 0.5)
+    grouped = db.ArrayLayout(n_dmas=4, per_dma=lowq, groups=len(cb))
+    phis = np.radians(np.linspace(-30.0, 30.0, 21))
+    first = None
+    for phi in phis:
+        try:
+            reference_rates(grouped, cb, phi, make_budget())
+        except db.InfeasibleElementError as exc:
+            first = str(exc)
+            break
+    assert first is not None
+    with pytest.raises(db.InfeasibleElementError) as err:
+        db.compare_rates(grouped, cb, phis, make_budget())
+    assert str(err.value) == first
+
+
 def test_bandwidth_sweep_shapes_and_ttd_growth(layout):
     cb = db.build_codebook(layout, np.radians(30.0), 0.5)
     grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))

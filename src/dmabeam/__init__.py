@@ -12,21 +12,19 @@ cross-checking every closed form.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .array_training import (ArrayLayout, Codebook, TrainingResult,
-                             allowed_estimate_interval, array_gain_dma,
-                             build_codebook, gain_at_estimate, pilot_grid,
-                             probe, psi_delta, training_config,
-                             training_layout)
+                             array_gain_dma, build_codebook, gain_at_estimate,
+                             pilot_grid, probe, psi_delta, training_layout)
 from .bandwidth_analysis import (CutoffReport, array_cutoff_frequencies,
                                  array_gain, cutoff_frequencies, element_gain)
 from .binary_tuning import BinarySolution, solve_p4
-from .channel import (Channel, attenuation_vector, combined_phases,
-                      dirichlet_kernel, dirichlet_of_p, effective_channel,
-                      normalized_product)
+from .channel import (attenuation_vector, combined_phases, dirichlet_kernel,
+                      dirichlet_of_p, effective_channel, normalized_product)
 from .core_model import (CONSTANTS, DmaDesign, PhysicalConstants,
-                         ResonantConfig, beamformer_weight, polarizability,
-                         psi_angle, resonant_from_shifted, shift_origin,
-                         unshift_origin, weight_from_shifted)
+                         beamformer_weight, polarizability, psi_angle,
+                         resonant_from_shifted)
 from .errors import (CoverageInfeasibleError, CutoffError, DmaError,
                      DomainError, EnumerationLimitError, InfeasibleElementError,
                      InvalidEstimateError, NoCrossoverError, ScenarioError,
@@ -35,7 +33,7 @@ from .frequency_planner import (CoverageAngle, OperatingPoint, SectorDesign,
                                 crossover_angle, design_sector,
                                 golden_section_max, max_coverage_angle,
                                 optimal_operating_freq)
-from .gain_optimizer import (BeamformingBatch, BeamformingSolution, TtdSolution,
+from .gain_optimizer import (BeamformingSolution, TtdSolution,
                              closed_form_gain, gain_dma, gain_ttd,
                              optimal_shifted_phases, solve_p1a, solve_ttd,
                              wrap_shifted)
@@ -49,4 +47,6 @@ from .oracle import (binary_mask_gain, dense_p_scan, enumerate_binary,
 from .scenario import (Scenario, fingerprint, load_scenario, parse_scenario,
                        scenario_to_text)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The submodules bind here as attributes too; only their contents export.
+__all__ = [name for name in dir() if not name.startswith("_")
+           and not isinstance(globals()[name], _ModuleType)]

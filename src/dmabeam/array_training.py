@@ -14,12 +14,12 @@ inverted to estimate the angle of departure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .channel import dirichlet_of_p
-from .core_model import CONSTANTS, DmaDesign, ResonantConfig
+from .core_model import CONSTANTS, DmaDesign
 from .errors import (CoverageInfeasibleError, DomainError,
                      InvalidEstimateError)
 from .frequency_planner import optimal_operating_freq
@@ -89,32 +89,18 @@ class TrainingResult:
     gain_at_estimate: float | np.ndarray
 
 
-def array_gain_dma(layout: ArrayLayout, per_dma_configs, phi, f,
+def array_gain_dma(layout: ArrayLayout, resonances, phi, f,
                    with_attenuation: bool = False):
     """Array gain |sum_m f_dma,m(f)^T h(phi, f)|^2 over all waveguides.
 
-    ``per_dma_configs`` is one ResonantConfig per waveguide or an
-    (..., n_dmas, N) array, broadcasting as in configured_gain.
+    ``resonances`` is an (..., n_dmas, N) array, one row per waveguide,
+    broadcasting as in configured_gain.
     """
-    res = per_dma_configs if isinstance(per_dma_configs, np.ndarray) \
-        else np.array([cfg.f_r for cfg in per_dma_configs])
-    count = res.shape[-2] if res.ndim >= 2 else len(res)
-    if count != layout.n_dmas:
-        raise DomainError(f"need {layout.n_dmas} configs, got {count}")
+    res = np.asarray(resonances, dtype=float)
+    if res.ndim < 2 or res.shape[-2] != layout.n_dmas:
+        raise DomainError(f"need {layout.n_dmas} waveguide rows of "
+                          f"resonances, got shape {res.shape}")
     return configured_gain(layout.per_dma, res, phi, f, with_attenuation)
-
-
-def training_config(layout: ArrayLayout, codebook: Codebook) -> List[ResonantConfig]:
-    """Per-waveguide resonances for training: group l tuned to sector l."""
-    if len(codebook) != layout.groups:
-        raise DomainError(
-            f"codebook has {len(codebook)} sectors for {layout.groups} groups")
-    configs = []
-    n_y = layout.per_dma.n_elements
-    for m in range(layout.n_dmas):
-        sector = m // layout.group_size
-        configs.append(ResonantConfig(np.full(n_y, codebook.sector_freqs[sector])))
-    return configs
 
 
 def pilot_grid(design: DmaDesign, k_tr: int = DEFAULT_PILOT_COUNT,
@@ -136,17 +122,24 @@ def probe(layout: ArrayLayout, codebook: Codebook, phi_true,
           pilot: np.ndarray) -> TrainingResult:
     """Single-shot training: strongest pilot subcarrier -> angle estimate.
 
-    The measurement model is noise-free and feedback is a single integer;
-    ties resolve to the lowest subcarrier index.  A 1-d ``phi_true`` is
-    probed in one array gain evaluation, each angle as by a scalar call.
+    Group l of the waveguides resonates all its elements at sector l's
+    frequency.  The measurement model is noise-free and feedback is a
+    single integer; ties resolve to the lowest subcarrier index.  A 1-d
+    ``phi_true`` is probed in one array gain evaluation, each angle as by
+    a scalar call.
     """
     pilot = np.asarray(pilot, dtype=float)
     if pilot.size == 0:
         raise DomainError("pilot grid is empty")
+    if len(codebook) != layout.groups:
+        raise DomainError(
+            f"codebook has {len(codebook)} sectors for {layout.groups} groups")
     design = layout.per_dma
     phis = np.asarray(phi_true, dtype=float)
-    gains = array_gain_dma(layout, training_config(layout, codebook),
-                           phis[..., None], pilot)
+    tones = np.repeat(codebook.sector_freqs, layout.group_size)
+    training = np.broadcast_to(tones[:, None],
+                               (layout.n_dmas, design.n_elements))
+    gains = array_gain_dma(layout, training, phis[..., None], pilot)
     k_star = np.argmax(gains, axis=-1)       # the first of tied maxima
     f_k = pilot[k_star]
     arg = CONSTANTS.c / (design.spacing * f_k) - design.refractive_index
@@ -196,53 +189,44 @@ def psi_delta(n_y: int, delta: float) -> float:
     return float(brentq(excess, 1e-12, 1.0 / n_y - 1e-12, xtol=1e-15))
 
 
-def allowed_estimate_interval(phi_true: float, n_g_star: float,
-                              psi_delta_val: float):
-    """Estimate interval keeping the retuned gain above the delta fraction.
-
-    [arcsin((n_g + sin phi)/(1 + Psi_d) - n_g),
-     arcsin((n_g + sin phi)/(1 - Psi_d) - n_g)]
-    """
-    base = n_g_star + np.sin(phi_true)
-    lo = base / (1.0 + psi_delta_val) - n_g_star
-    hi = base / (1.0 - psi_delta_val) - n_g_star
-    if not (-1.0 <= lo <= 1.0 and -1.0 <= hi <= 1.0):
-        raise DomainError("allowed estimates leave the visible region at this angle")
-    return float(np.arcsin(lo)), float(np.arcsin(hi))
-
-
-def build_codebook(layout: ArrayLayout, phi_max: float, delta: float,
-                   width_resolution: float = WIDTH_RESOLUTION,
+def build_codebook(layout: ArrayLayout, phi_lower: float, phi_upper: float,
+                   delta: float, width_resolution: float = WIDTH_RESOLUTION,
                    n_sectors: Optional[int] = None) -> Codebook:
-    """Sequential sector placement covering [-phi_max, phi_max].
+    """Sequential sector placement covering [phi_lower, phi_upper].
 
-    The first sector angle puts the lower edge of its allowed-estimate
-    interval at -phi_max; each further angle abuts its predecessor's
-    interval; construction stops once the interval of the last sector
-    reaches +phi_max.
+    A sector at angle phi serves the estimates whose retuned gain keeps
+    the delta fraction, the allowed-estimate interval
+    [arcsin((n_g + sin phi) / (1 + Psi_d) - n_g),
+     arcsin((n_g + sin phi) / (1 - Psi_d) - n_g)].
+    The first sector angle puts the lower edge of its interval at
+    phi_lower; each further angle abuts its predecessor's interval;
+    construction stops once the interval of the last sector reaches
+    phi_upper.
 
-    The mainlobe half-width is quantized to ``width_resolution`` before
-    use (pass None to disable).  The stored ``delta`` is recomputed from
-    the quantized width so the codebook's guarantee is self-consistent.
+    The mainlobe half-width Psi_d is quantized to ``width_resolution``
+    before use (pass None to disable).  The stored ``delta`` is recomputed
+    from the quantized width so the codebook's guarantee is
+    self-consistent.
     """
     design = layout.per_dma
-    if not 0.0 < phi_max < np.pi / 2.0:
-        raise DomainError("phi_max must lie in (0, pi/2)")
+    if not -np.pi / 2.0 < phi_lower < phi_upper < np.pi / 2.0:
+        raise DomainError("need -pi/2 < phi_lower < phi_upper < pi/2")
     width = psi_delta(design.n_elements, delta)
     if width_resolution is not None:
         width = round(width / width_resolution) * width_resolution
     if width <= 0:
         raise CoverageInfeasibleError("delta is too strict: zero sector width")
     n_g = design.refractive_index
-    s_max = np.sin(phi_max)
+    s_max = np.sin(phi_upper)
 
-    s1 = (np.sin(-phi_max) + n_g) * (1.0 + width) - n_g
+    s1 = (np.sin(phi_lower) + n_g) * (1.0 + width) - n_g
     angles = [float(np.arcsin(min(s1, s_max)))]
     while (np.sin(angles[-1]) + n_g) / (1.0 - width) - n_g < s_max:
         s_next = (np.sin(angles[-1]) + n_g) * (1.0 + width) / (1.0 - width) - n_g
         if s_next > 1.0 or len(angles) >= MAX_SECTORS:
             raise CoverageInfeasibleError(
-                f"cannot cover ±{np.degrees(phi_max):.2f} deg at delta={delta:g}")
+                f"cannot cover {np.degrees(phi_lower):.2f} to "
+                f"{np.degrees(phi_upper):.2f} deg at delta={delta:g}")
         angles.append(float(np.arcsin(min(s_next, s_max))))
     if n_sectors is not None and len(angles) != n_sectors:
         raise CoverageInfeasibleError(
@@ -257,12 +241,14 @@ def build_codebook(layout: ArrayLayout, phi_max: float, delta: float,
     )
 
 
-def training_layout(design: DmaDesign, n_dmas: int, phi_max: float,
-                    delta: float, n_sectors: Optional[int] = None):
-    """(ArrayLayout, Codebook): the codebook covering [-phi_max, phi_max]
+def training_layout(design: DmaDesign, n_dmas: int, phi_lower: float,
+                    phi_upper: float, delta: float,
+                    n_sectors: Optional[int] = None):
+    """(ArrayLayout, Codebook): the codebook covering [phi_lower, phi_upper]
     and one training group per sector, which must divide n_dmas."""
     seed = ArrayLayout(n_dmas=n_dmas, per_dma=design, groups=1)
-    codebook = build_codebook(seed, phi_max, delta, n_sectors=n_sectors)
+    codebook = build_codebook(seed, phi_lower, phi_upper, delta,
+                              n_sectors=n_sectors)
     if n_dmas % len(codebook):
         raise CoverageInfeasibleError(
             f"the codebook needs {len(codebook)} sectors, one training group "

@@ -9,8 +9,6 @@ normalized product p = f d_y (n_g + sin phi) / c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core_model import CONSTANTS, DmaDesign
@@ -18,13 +16,6 @@ from .core_model import CONSTANTS, DmaDesign
 # Relative closeness to an integer below which the Dirichlet ratio is
 # replaced by its limit value; the gain optimum lives exactly at integer p.
 NEAR_INTEGER_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Channel:
-    """Effective channel vector h(phi, f)."""
-
-    entries: np.ndarray
 
 
 def combined_phases(design: DmaDesign, phi, f) -> np.ndarray:
@@ -50,13 +41,17 @@ def attenuation_vector(design: DmaDesign) -> np.ndarray:
     return np.exp(-design.attenuation * idx * design.spacing)
 
 
-def effective_channel(design: DmaDesign, phi: float, f: float,
-                      with_attenuation: bool = False) -> Channel:
-    """Effective channel h(phi, f), optionally with waveguide attenuation."""
-    entries = np.exp(1j * combined_phases(design, phi, f))
+def effective_channel(design: DmaDesign, phi, f,
+                      with_attenuation: bool = False) -> np.ndarray:
+    """Effective channel h(phi, f), optionally with waveguide attenuation.
+
+    Broadcasts as combined_phases: the element index is the last axis.
+    """
+    h = 1j * combined_phases(design, phi, f)
+    np.exp(h, out=h)
     if with_attenuation:
-        entries = entries * attenuation_vector(design)
-    return Channel(entries=entries)
+        h *= attenuation_vector(design)
+    return h
 
 
 def normalized_product(design: DmaDesign, phi, f):

@@ -139,9 +139,9 @@ def _resolve(scenario: Scenario):
 
 
 def _layout_and_codebook(scenario: Scenario, design: DmaDesign):
-    phi_max = max(abs(scenario.phi_lower_rad), abs(scenario.phi_upper_rad))
     pinned = None if scenario.groups == AUTO else scenario.groups
-    return training_layout(design, scenario.n_z, phi_max, scenario.delta,
+    return training_layout(design, scenario.n_z, scenario.phi_lower_rad,
+                           scenario.phi_upper_rad, scenario.delta,
                            n_sectors=pinned)
 
 
@@ -152,7 +152,6 @@ def _budget(scenario: Scenario) -> LinkBudget:
         noise_temp=scenario.noise_temp,
         bandwidth=scenario.bandwidth_hz,
         n_subcarriers=scenario.subcarriers,
-        center=scenario.f_center_hz,
     )
 
 
@@ -231,12 +230,12 @@ def cmd_freq_response(scenario: Scenario, args) -> int:
     if resolved.attenuation:
         columns.append("gain_dma_attenuated(linear)")
 
-    gains = gain_dma(design, solution.resonant, phi, freqs)
+    gains = gain_dma(design, solution.resonances, phi, freqs)
     cols = [freqs / 1e9, gains, [_db(g) for g in gains],
             element_gain(design, op.f_t_star, freqs),
             array_gain(design, phi, freqs), np.full(freqs.size, float(n_sq))]
     if resolved.attenuation:
-        cols.append(gain_dma(design, solution.resonant, phi, freqs,
+        cols.append(gain_dma(design, solution.resonances, phi, freqs,
                              with_attenuation=True))
     rows = list(zip(*cols))
     _write_table(os.path.join(args.out, f"freq_response.{args.format}"),

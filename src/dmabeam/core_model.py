@@ -11,7 +11,7 @@ All frequencies are in Hz, angles in radians, lengths in meters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -78,24 +78,6 @@ class DmaDesign:
             raise DomainError("attenuation must be >= 0")
 
 
-@dataclass(frozen=True)
-class ResonantConfig:
-    """The per-element resonant frequencies currently programmed."""
-
-    f_r: np.ndarray
-
-    def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.f_r, dtype=float))
-        object.__setattr__(self, "f_r", arr)
-        if arr.ndim != 1:
-            raise DomainError("f_r must be a 1-d vector")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
-            raise DomainError("resonant frequencies must be finite and positive")
-
-    def __len__(self) -> int:
-        return self.f_r.size
-
-
 def polarizability(design: DmaDesign, f_r_n, f):
     """Magnetic polarizability of one slot, m^3.
 
@@ -143,36 +125,6 @@ def beamformer_weight(design: DmaDesign, f_r_n, f):
     return complex(out) if out.ndim == 0 else out
 
 
-def weight_from_shifted(psi_tilde):
-    """Element weight expressed through the shifted angle psi_tilde."""
-    psi = np.asarray(psi_tilde) / 2.0 - np.pi / 4.0
-    out = -np.sin(psi) * np.exp(1j * psi)
-    return complex(out) if np.ndim(out) == 0 else out
-
-
-def shift_origin(psi):
-    """Map the Lorentzian angle psi in [-pi, 0] to psi_tilde = 2 psi + pi/2.
-
-    The shifted angle parameterizes the weight circle around its center,
-    ranging over [-3 pi/2, pi/2].
-    """
-    psi = np.asarray(psi, dtype=float)
-    if np.any(psi < -np.pi - 1e-12) or np.any(psi > 1e-12):
-        raise DomainError("psi must lie in [-pi, 0]")
-    out = 2.0 * psi + np.pi / 2.0
-    return float(out) if out.ndim == 0 else out
-
-
-def unshift_origin(psi_tilde):
-    """Inverse of shift_origin: psi = psi_tilde / 2 - pi/4."""
-    psi_tilde = np.asarray(psi_tilde, dtype=float)
-    lo, hi = -1.5 * np.pi, 0.5 * np.pi
-    if np.any(psi_tilde < lo - 1e-12) or np.any(psi_tilde > hi + 1e-12):
-        raise DomainError("psi_tilde must lie in [-3pi/2, pi/2]")
-    out = psi_tilde / 2.0 - np.pi / 4.0
-    return float(out) if out.ndim == 0 else out
-
-
 def on_tangent_pole(psi_tilde):
     """Whether psi_tilde is within SINGULARITY_TOL of -3pi/2 or pi/2, the
     tangent poles where f_r would need to be 0 or infinite."""
@@ -184,6 +136,8 @@ def resonant_from_shifted(design: DmaDesign, psi_tilde, f_t):
     """Resonant frequency realizing a requested shifted angle at f_t.
 
     f_r = sqrt(f_t^2 + (Gamma f_t / 2 pi) tan(pi/4 + psi_tilde/2)).
+    The shifted angle psi_tilde = 2 psi + pi/2 in [-3pi/2, pi/2] places
+    the weight on its circle: w = -j/2 + e^{j psi_tilde} / 2.
 
     ``psi_tilde`` and ``f_t`` broadcast.  Raises SingularityError on a
     tangent pole.  Where the square-root argument is negative no real

@@ -16,11 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import (attenuation_vector, combined_phases, dirichlet_kernel,
-                      normalized_product)
-from .core_model import (CONSTANTS, DmaDesign, ResonantConfig,
-                         beamformer_weight, on_tangent_pole,
-                         resonant_from_shifted)
+from .channel import dirichlet_kernel, effective_channel, normalized_product
+from .core_model import (CONSTANTS, DmaDesign, beamformer_weight,
+                         on_tangent_pole, resonant_from_shifted)
 from .errors import DomainError, InfeasibleElementError
 
 PSI_TILDE_LOW = -1.5 * np.pi   # principal interval for shifted angles,
@@ -30,22 +28,17 @@ DEGENERATE_CLAMP = 1e-6        # retreat (rad) from the zero-weight endpoint
 
 @dataclass(frozen=True)
 class BeamformingSolution:
-    """Optimal DMA configuration for one (aod, operating frequency) pair."""
+    """Optimal DMA configuration per (aod, operating frequency) pair.
 
-    resonant: ResonantConfig
-    shifted_phases: np.ndarray
-    gain: float
-    operating_freq: float
+    One pair gives (N,) resonances, feasible True and float gain and
+    frequency; A pairs give (A, N), (A,) arrays with NaN rows where the
+    one-pair call raises.
+    """
 
-
-@dataclass(frozen=True)
-class BeamformingBatch:
-    """solve_p1a per (aod, f_t) pair; NaN rows where the scalar call raises."""
-
-    resonances: np.ndarray       # (A, N), Hz
-    feasible: np.ndarray         # (A,) bool
-    gain: np.ndarray             # (A,) closed-form optimum
-    operating_freq: np.ndarray   # (A,), Hz
+    resonances: np.ndarray       # Hz
+    feasible: bool | np.ndarray
+    gain: float | np.ndarray     # closed-form optimum
+    operating_freq: float | np.ndarray   # Hz
 
 
 @dataclass(frozen=True)
@@ -70,27 +63,23 @@ def configured_gain(design: DmaDesign, resonances, phi, f,
     if res.shape[-2] > 1 and np.all(res == res[..., :1, :]):
         copies, res = res.shape[-2], res[..., :1, :]
     freqs = np.asarray(f, dtype=float)[..., None]        # element axis last
-    h = 1j * combined_phases(design, np.asarray(phi, dtype=float)[..., None],
-                             freqs)
-    np.exp(h, out=h)
-    if with_attenuation:
-        h *= attenuation_vector(design)
+    h = effective_channel(design, np.asarray(phi, dtype=float)[..., None],
+                          freqs, with_attenuation)
     weights = beamformer_weight(design, res, freqs[..., None])
     out = copies ** 2 * np.abs(np.einsum("...mn,...n->...", weights, h)) ** 2
     return float(out) if out.ndim == 0 else out
 
 
-def gain_dma(design: DmaDesign, config, phi, f,
+def gain_dma(design: DmaDesign, resonances, phi, f,
              with_attenuation: bool = False):
     """Beamforming gain |f_dma(f)^T h(phi, f)|^2 of arbitrary configurations.
 
-    ``config`` is a ResonantConfig or an (..., N) array of resonances,
-    broadcasting as in configured_gain.
+    ``resonances`` is an (..., N) array, broadcasting as in configured_gain.
     """
-    f_r = np.asarray(getattr(config, "f_r", config), dtype=float)
-    if f_r.shape[-1] != design.n_elements:
-        raise DomainError(
-            f"config has {f_r.shape[-1]} resonances for {design.n_elements} elements")
+    f_r = np.asarray(resonances, dtype=float)
+    if f_r.ndim == 0 or f_r.shape[-1] != design.n_elements:
+        raise DomainError(f"need {design.n_elements} resonances per "
+                          f"configuration, got shape {f_r.shape}")
     return configured_gain(design, f_r[..., None, :], phi, f, with_attenuation)
 
 
@@ -135,8 +124,8 @@ def solve_p1a(design: DmaDesign, phi, f_t):
     Raises InfeasibleElementError (carrying the zero-based element index)
     when some element's required circle angle has no real resonance, which
     happens on a narrow angular sliver near the bottom of the circle.  A
-    1-d ``phi`` with a scalar or matching ``f_t`` gives a BeamformingBatch,
-    which marks such angles instead.
+    1-d ``phi`` with a scalar or matching ``f_t`` solves every pair and
+    marks such angles as infeasible NaN rows instead.
     """
     phis, f_ts = np.broadcast_arrays(np.asarray(phi, dtype=float),
                                      np.asarray(f_t, dtype=float))
@@ -159,14 +148,13 @@ def solve_p1a(design: DmaDesign, phi, f_t):
                 resonant_from_shifted(design, shifted[i], f_ts)
             except InfeasibleElementError as exc:
                 raise InfeasibleElementError(i, f"element {i}: {exc}") from exc
-        return BeamformingSolution(resonant=ResonantConfig(f_r),
-                                   shifted_phases=shifted, gain=gain,
+        return BeamformingSolution(resonances=f_r, feasible=True, gain=gain,
                                    operating_freq=float(f_ts))
     feasible = ~np.isnan(f_r).any(axis=-1)
     f_r[~feasible] = np.nan
-    return BeamformingBatch(resonances=f_r, feasible=feasible,
-                            gain=np.where(feasible, gain, np.nan),
-                            operating_freq=np.array(f_ts))
+    return BeamformingSolution(resonances=f_r, feasible=feasible,
+                               gain=np.where(feasible, gain, np.nan),
+                               operating_freq=np.array(f_ts))
 
 
 def solve_ttd(n_elements: int, spacing: float, phi: float) -> TtdSolution:

@@ -38,23 +38,22 @@ DEFAULT_ANGLE_SAMPLES = 181
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Transmit/noise parameters; ``center`` may hold one per angle."""
+    """Transmit and noise parameters.  The band center is not one of them:
+    each strategy centers its band on its own operating frequency, so the
+    rate functions take the center as an argument."""
 
     tx_power: float
     distance: float
     noise_temp: float
     bandwidth: float
     n_subcarriers: int
-    center: float | np.ndarray
 
     def __post_init__(self):
-        for name in ("tx_power", "distance", "noise_temp", "bandwidth", "center"):
+        for name in ("tx_power", "distance", "noise_temp", "bandwidth"):
             if np.any(np.asarray(getattr(self, name)) <= 0):
                 raise DomainError(f"{name} must be positive")
         if self.n_subcarriers < 1:
             raise DomainError("n_subcarriers must be >= 1")
-        if np.any(np.asarray(self.center) - self.bandwidth / 2.0 <= 0):
-            raise DomainError("band extends below zero frequency")
 
 
 @dataclass(frozen=True)
@@ -85,10 +84,19 @@ class TuningRangePoint:
     rates: RateComparison
 
 
-def subcarrier_grid(budget: LinkBudget) -> np.ndarray:
-    """Centered subcarriers f_t - B/2 + (k - 1/2) B/K_d, a row per center."""
+def _band_centers(budget: LinkBudget, center) -> np.ndarray:
+    """``center`` with a trailing subcarrier axis; a band may not reach
+    zero frequency."""
+    center = np.expand_dims(np.asarray(center, dtype=float), -1)
+    if np.any(center - budget.bandwidth / 2.0 <= 0):
+        raise DomainError("band extends below zero frequency")
+    return center
+
+
+def subcarrier_grid(budget: LinkBudget, center) -> np.ndarray:
+    """Subcarriers center - B/2 + (k - 1/2) B/K_d, a row per center."""
     k = np.arange(1, budget.n_subcarriers + 1)
-    return np.expand_dims(budget.center, -1) - budget.bandwidth / 2.0 \
+    return _band_centers(budget, center) - budget.bandwidth / 2.0 \
         + (k - 0.5) * budget.bandwidth / budget.n_subcarriers
 
 
@@ -113,30 +121,31 @@ def _report(budget: LinkBudget, snr: np.ndarray) -> RateReport:
                       per_subcarrier_snr=snr)
 
 
-def achievable_rate(budget: LinkBudget, layout: ArrayLayout,
-                    per_dma_configs, phi) -> RateReport:
+def achievable_rate(budget: LinkBudget, layout: ArrayLayout, resonances,
+                    phi, center) -> RateReport:
     """Sum rate (B/K_d) sum_k log2(1 + SNR_k) for a fixed DMA configuration.
 
-    The configuration stays as given across the whole band, so the gain
-    rolls off away from the frequency it was tuned for.  ``phi`` and the
-    configurations broadcast against the subcarrier grid as in
-    configured_gain, and the rate sums over its last axis.
+    The band is centered on ``center``.  The configuration stays as given
+    across the whole band, so the gain rolls off away from the frequency
+    it was tuned for.  ``phi`` and the (..., n_dmas, N) resonances
+    broadcast against the subcarrier grid as in configured_gain, and the
+    rate sums over its last axis.
     """
-    grid = subcarrier_grid(budget)
-    gains = array_gain_dma(layout, per_dma_configs, phi, grid)
+    grid = subcarrier_grid(budget, center)
+    gains = array_gain_dma(layout, resonances, phi, grid)
     snr = received_psd(budget, gains, grid) / (CONSTANTS.k_B * budget.noise_temp)
     return _report(budget, snr)
 
 
-def rate_ttd(budget: LinkBudget, layout: ArrayLayout, phi) -> RateReport:
+def rate_ttd(budget: LinkBudget, layout: ArrayLayout, center) -> RateReport:
     """Rate of a true-time-delay array with the same aperture.
 
     Matched delays put the full gain (N_y N_z)^2 on every subcarrier for
     any angle, so the SNR is flat across the band (evaluated at the band
-    center, or at each angle's center for an array of them).
+    center, or at each center of an array of them).
     """
     gain = np.full(budget.n_subcarriers, (layout.per_dma.n_elements * layout.n_dmas) ** 2)
-    snr = received_psd(budget, gain, np.expand_dims(budget.center, -1)) \
+    snr = received_psd(budget, gain, _band_centers(budget, center)) \
         / (CONSTANTS.k_B * budget.noise_temp)
     return _report(budget, snr)
 
@@ -169,12 +178,12 @@ def compare_rates(layout: ArrayLayout, codebook: Codebook, phi,
     def rate(solution):     # angles on axis 0, subcarriers on axis 1
         stacks = np.broadcast_to(solution.resonances[:, None, None, :],
                                  (grid.size, 1, layout.n_dmas, design.n_elements))
-        centered = replace(budget, center=solution.operating_freq)
-        return achievable_rate(centered, layout, stacks, grid[:, None]).rate
+        return achievable_rate(budget, layout, stacks, grid[:, None],
+                               solution.operating_freq).rate
 
     rates = RateComparison(
         fixed=rate(fixed), trained=rate(trained), perfect=rate(perfect),
-        ttd=rate_ttd(replace(budget, center=f_star), layout, grid).rate)
+        ttd=rate_ttd(budget, layout, f_star).rate)
     if np.ndim(phi):
         return rates
     return RateComparison(*(float(r[0]) for r in astuple(rates)))
@@ -241,7 +250,8 @@ def tuning_range_sweep(template: DmaDesign, n_dmas: int, n_g_max: float,
         design = replace(template, spacing=sector.d_y_star,
                          refractive_index=sector.n_g_star,
                          f_min=f_min, f_max=f_max)
-        layout, codebook = training_layout(design, n_dmas, phi_max, delta)
+        layout, codebook = training_layout(design, n_dmas, -phi_max, phi_max,
+                                           delta)
         rates = average_rates(layout, codebook, budget,
                               -phi_max, phi_max, n_samples)
         points.append(TuningRangePoint(tuning_range=t_r, phi_max=phi_max,

@@ -24,18 +24,20 @@ def layout(design):
     return db.ArrayLayout(n_dmas=4, per_dma=design, groups=1)
 
 
-def _reference_gain(design, configs, phi, freqs, with_attenuation=False):
+def _reference_gain(design, resonances, phi, freqs, with_attenuation=False):
     """|sum_m w_m(f)^T h(phi, f)|^2 per frequency, one scalar f at a time.
 
-    Independent of the broadcast kernel: each waveguide's weights are
-    dotted with the channel separately and the sums added in Python.
+    ``resonances`` holds one (N,) row per waveguide, (M, N).  Independent
+    of the broadcast kernel: each waveguide's weights are dotted with the
+    channel separately and the sums added in Python.
     """
+    assert np.ndim(resonances) == 2
     out = []
     for f in np.atleast_1d(freqs):
         f = float(f)
-        h = db.effective_channel(design, phi, f, with_attenuation).entries
-        total = sum(np.dot(db.beamformer_weight(design, cfg.f_r, f), h)
-                    for cfg in configs)
+        h = db.effective_channel(design, phi, f, with_attenuation)
+        total = sum(np.dot(db.beamformer_weight(design, row, f), h)
+                    for row in resonances)
         out.append(abs(total) ** 2)
     return np.array(out)
 

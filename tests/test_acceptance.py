@@ -67,7 +67,7 @@ def test_04_sector_design_round_trip(design):
     for phi in np.linspace(np.radians(-30.0), np.radians(30.0), 100):
         op = db.optimal_operating_freq(designed, float(phi))
         sol = db.solve_p1a(designed, float(phi), op.f_t_star)
-        realized = db.gain_dma(designed, sol.resonant, float(phi), op.f_t_star)
+        realized = db.gain_dma(designed, sol.resonances, float(phi), op.f_t_star)
         worst = max(worst, abs(realized - n_sq) / n_sq)
     assert worst <= 1e-6
     _announce("sector design round trip",
@@ -80,14 +80,14 @@ def test_05_codebook_reproduction(design):
     phi_max = np.radians(30.0)
 
     seed8 = db.ArrayLayout(n_dmas=4, per_dma=design, groups=1)
-    cb8 = db.build_codebook(seed8, phi_max, 10.0 ** (-3.0 / 10.0))
+    cb8 = db.build_codebook(seed8, -phi_max, phi_max, 10.0 ** (-3.0 / 10.0))
     got8 = np.degrees(cb8.sector_angles)
     want8 = (-22.83, -7.9, 8.21, 27.16)
     assert got8 == pytest.approx(want8, abs=0.05)
 
     design4 = dataclasses.replace(design, n_elements=4)
     seed4 = db.ArrayLayout(n_dmas=8, per_dma=design4, groups=1)
-    cb4 = db.build_codebook(seed4, phi_max, 10.0 ** (-0.6 / 10.0))
+    cb4 = db.build_codebook(seed4, -phi_max, phi_max, 10.0 ** (-0.6 / 10.0))
     got4 = np.degrees(cb4.sector_angles)
     want4 = (-23.33, -9.51, 5.22, 22.04)
     assert got4 == pytest.approx(want4, abs=0.05)
@@ -123,7 +123,8 @@ def test_06_grid_oracle_equivalence(design):
 
 def test_07_training_gain_floor(design):
     layout_seed = db.ArrayLayout(n_dmas=4, per_dma=design, groups=1)
-    codebook = db.build_codebook(layout_seed, np.radians(30.0), 0.5)
+    codebook = db.build_codebook(layout_seed, np.radians(-30.0),
+                               np.radians(30.0), 0.5)
     layout = db.ArrayLayout(n_dmas=4, per_dma=design, groups=len(codebook))
     pilots = db.pilot_grid(design, 256, include=codebook.sector_freqs)
     n_max = (design.n_elements * layout.n_dmas) ** 2
@@ -165,10 +166,10 @@ def test_09_rate_orderings(design):
     t0 = time.perf_counter()
     lo, hi = np.radians(-30.0), np.radians(30.0)
     seed = db.ArrayLayout(n_dmas=4, per_dma=design, groups=1)
-    codebook = db.build_codebook(seed, hi, 0.5)
+    codebook = db.build_codebook(seed, lo, hi, 0.5)
     layout = db.ArrayLayout(n_dmas=4, per_dma=design, groups=len(codebook))
     budget = db.LinkBudget(tx_power=0.25, distance=500.0, noise_temp=290.0,
-                           bandwidth=0.3e9, n_subcarriers=64, center=F_C)
+                           bandwidth=0.3e9, n_subcarriers=64)
 
     bandwidths = tuple(b * 1e9 for b in (0.01, 0.05, 0.1, 0.3, 0.5, 1.0))
     per_b = db.bandwidth_sweep(layout, codebook, budget, bandwidths,
@@ -209,7 +210,7 @@ def test_10_invariant_suite(design, tmp_path):
 
     # Channel entries are pure phases.
     for phi_deg in (-41.0, 0.0, 17.5):
-        h = db.effective_channel(design, np.radians(phi_deg), 14.2e9).entries
+        h = db.effective_channel(design, np.radians(phi_deg), 14.2e9)
         assert np.abs(np.abs(h) - 1.0).max() < 1e-12
 
     # Dirichlet kernel at integer p reaches the coherent limit.

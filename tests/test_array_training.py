@@ -11,6 +11,13 @@ F_C = 15e9
 PHI_MAX = np.radians(30.0)
 
 
+def training_stack(layout, codebook):
+    """(n_dmas, N) training resonances: group l all at sector l's tone."""
+    n_y = layout.per_dma.n_elements
+    return np.array([np.full(n_y, codebook.sector_freqs[m // layout.group_size])
+                     for m in range(layout.n_dmas)])
+
+
 def test_layout_validation(design):
     lay = db.ArrayLayout(n_dmas=4, per_dma=design, groups=2)
     assert lay.group_size == 2
@@ -37,7 +44,7 @@ def test_psi_delta_narrows_with_stricter_fraction():
 
 
 def test_half_gain_codebook_reference(layout):
-    cb = db.build_codebook(layout, PHI_MAX, 0.5)
+    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
     assert len(cb) == 4
     assert cb.psi_delta == pytest.approx(0.056, abs=1e-12)
     assert cb.delta == pytest.approx(0.49657787891498717, rel=1e-12)
@@ -50,7 +57,7 @@ def test_half_gain_codebook_reference(layout):
 
 
 def test_codebook_frequencies_come_from_the_planner(layout):
-    cb = db.build_codebook(layout, PHI_MAX, 0.5)
+    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
     for angle, freq in zip(cb.sector_angles, cb.sector_freqs):
         op = db.optimal_operating_freq(layout.per_dma, angle)
         assert freq == pytest.approx(op.f_t_star, rel=1e-12)
@@ -62,50 +69,74 @@ def test_codebook_frequencies_equal_the_scalar_planner(
     """The codebook plans all its sectors in one call; each frequency is
     bit for bit the one-angle planner's.  At +-35 deg the outer sectors
     lie past the design sector, where no integer p is reachable."""
-    cb = db.build_codebook(layout, np.radians(phi_max_deg), delta)
+    phi_max = np.radians(phi_max_deg)
+    cb = db.build_codebook(layout, -phi_max, phi_max, delta)
     expected = [reference_operating_point(layout.per_dma, float(a))[0]
                 for a in cb.sector_angles]
     assert np.array_equal(cb.sector_freqs, expected)
 
 
+def allowed_sines(angle, n_g, width):
+    """sin of the allowed-estimate interval's edges around a sector angle:
+    (n_g + sin phi) / (1 +- Psi_d) - n_g."""
+    base = n_g + np.sin(angle)
+    return base / (1.0 + width) - n_g, base / (1.0 - width) - n_g
+
+
 def test_codebook_sectors_stay_inside_the_target_range(layout):
-    cb = db.build_codebook(layout, PHI_MAX, 0.5)
-    for angle in cb.sector_angles:
-        lo, hi = db.allowed_estimate_interval(
-            angle, layout.per_dma.refractive_index, cb.psi_delta)
-        assert lo <= angle <= hi
-    assert cb.sector_angles[-1] <= PHI_MAX + 1e-12
+    """The first interval starts at phi_lower, each next one starts where
+    its predecessor ends, and the last reaches phi_upper; a last sector
+    that would pass phi_upper sits on it instead, overlapping its
+    predecessor.  Every sector angle lies inside the sector and inside
+    its own interval.  Symmetric and asymmetric sectors alike."""
+    n_g = layout.per_dma.refractive_index
+    for lower_deg, upper_deg in ((-30.0, 30.0), (-20.0, 35.0), (-10.0, 30.0)):
+        lower, upper = np.radians(lower_deg), np.radians(upper_deg)
+        cb = db.build_codebook(layout, lower, upper, 0.5)
+        edges = [allowed_sines(a, n_g, cb.psi_delta) for a in cb.sector_angles]
+        assert edges[0][0] == pytest.approx(np.sin(lower), abs=1e-12)
+        for (_, hi), (lo, _) in zip(edges[:-2], edges[1:-1]):
+            assert lo == pytest.approx(hi, abs=1e-12)
+        last_lo, previous_hi = edges[-1][0], edges[-2][1]
+        assert last_lo == pytest.approx(previous_hi, abs=1e-12) or (
+            last_lo < previous_hi
+            and cb.sector_angles[-1] == pytest.approx(upper, abs=1e-12))
+        assert edges[-1][1] >= np.sin(upper) - 1e-12
+        assert edges[-2][1] < np.sin(upper)
+        for angle, (lo, hi) in zip(cb.sector_angles, edges):
+            assert lower <= angle <= upper
+            assert lo <= np.sin(angle) <= hi
 
 
 def test_codebook_pinned_sector_count(layout):
-    cb = db.build_codebook(layout, PHI_MAX, 0.5, n_sectors=4)
+    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5, n_sectors=4)
     assert len(cb) == 4
     with pytest.raises(db.CoverageInfeasibleError):
-        db.build_codebook(layout, PHI_MAX, 0.5, n_sectors=5)
+        db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5, n_sectors=5)
 
 
 def test_unquantized_codebook_still_covers(layout):
-    cb = db.build_codebook(layout, PHI_MAX, 0.5, width_resolution=None)
+    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5, width_resolution=None)
     assert cb.psi_delta == pytest.approx(db.psi_delta(8, 0.5), rel=1e-12)
     assert cb.delta == pytest.approx(0.5, rel=1e-9)
 
 
-def test_allowed_estimate_interval_contains_truth():
-    lo, hi = db.allowed_estimate_interval(0.1, 2.5, 0.056)
-    assert lo < 0.1 < hi
+def test_codebook_rejects_a_sector_outside_the_visible_half_plane(layout):
+    for lower, upper in ((-np.pi / 2, 0.3), (-0.3, np.pi / 2), (0.3, -0.3)):
+        with pytest.raises(db.DomainError):
+            db.build_codebook(layout, lower, upper, 0.5)
 
 
-def test_training_config_assigns_frequencies_by_group(layout):
-    """Each group resonates all of its slots at its sector's tone."""
-    cb = db.build_codebook(layout, PHI_MAX, 0.5)
-    grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
-    configs = db.training_config(grouped, cb)
-    assert len(configs) == 4
-    for m, cfg in enumerate(configs):
-        sector = m // grouped.group_size
-        np.testing.assert_allclose(cfg.f_r, cb.sector_freqs[sector], rtol=0)
-    with pytest.raises(db.DomainError):
-        db.training_config(layout, cb)  # one group cannot host four sectors
+def test_probe_rejects_a_codebook_that_does_not_match_the_groups(layout):
+    """The probe tunes group l to sector l: one group cannot host four
+    sectors, and neither can two."""
+    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
+    pilots = np.sort(cb.sector_freqs)
+    for groups in (1, 2):
+        lay = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=groups)
+        with pytest.raises(db.DomainError,
+                           match=f"4 sectors for {groups} groups"):
+            db.probe(lay, cb, 0.1, pilots)
 
 
 def test_pilot_grid_merges_required_tones(design):
@@ -118,7 +149,7 @@ def test_pilot_grid_merges_required_tones(design):
 
 
 def test_probe_recovers_each_sector_center(layout):
-    cb = db.build_codebook(layout, PHI_MAX, 0.5)
+    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
     grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
     pilots = np.sort(cb.sector_freqs)  # ascending; sector order is descending
     for ell in range(len(cb)):
@@ -129,7 +160,7 @@ def test_probe_recovers_each_sector_center(layout):
 
 
 def test_probe_estimate_feeds_the_gain_model(layout):
-    cb = db.build_codebook(layout, PHI_MAX, 0.5)
+    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
     grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
     phi = np.radians(-12.5)
     res = db.probe(grouped, cb, phi, np.sort(cb.sector_freqs))
@@ -138,7 +169,7 @@ def test_probe_estimate_feeds_the_gain_model(layout):
 
 
 def test_probe_rejects_unmappable_pilot(layout):
-    cb = db.build_codebook(layout, PHI_MAX, 0.5)
+    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
     grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
     with pytest.raises(db.InvalidEstimateError):
         db.probe(grouped, cb, 0.0, np.array([5e9]))
@@ -162,7 +193,7 @@ def test_gain_at_estimate_over_arrays_equals_the_scalar_calls(layout):
 
 def test_coverage_floor_holds_on_a_coarse_sweep(layout):
     """Worst-case probed gain stays above the codebook's own fraction."""
-    cb = db.build_codebook(layout, PHI_MAX, 0.5)
+    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
     grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
     pilots = db.pilot_grid(layout.per_dma, 256, include=cb.sector_freqs)
     floor = cb.delta * (8 * 4) ** 2 * (1 - 1e-6)
@@ -174,18 +205,29 @@ def test_coverage_floor_holds_on_a_coarse_sweep(layout):
 def test_array_gain_sums_coherently_across_waveguides(layout):
     """Identically configured waveguides reach (N_y N_z)^2 at the optimum."""
     phi = db.crossover_angle(layout.per_dma, F_C)
-    cfg = db.solve_p1a(layout.per_dma, phi, F_C).resonant
-    gain = db.array_gain_dma(layout, [cfg] * 4, phi, F_C)
+    cfg = db.solve_p1a(layout.per_dma, phi, F_C).resonances
+    gain = db.array_gain_dma(layout, np.array([cfg] * 4), phi, F_C)
     assert gain == pytest.approx(1024.0, rel=1e-9)
+
+
+def test_array_gain_rejects_a_wrong_waveguide_count(layout):
+    """One row of resonances per waveguide: 3 or 5 rows, or a single
+    waveguide's (N,) vector, do not fit four waveguides."""
+    cfg = db.solve_p1a(layout.per_dma, 0.1, F_C).resonances
+    for stack in (np.array([cfg] * 3), np.array([cfg] * 5), cfg,
+                  np.array([[cfg] * 3] * 2)):
+        with pytest.raises(db.DomainError, match="need 4 waveguide rows"):
+            db.array_gain_dma(layout, stack, 0.1, F_C)
 
 
 def test_array_gain_with_attenuation_is_lower(layout):
     lossy_dma = dataclasses.replace(layout.per_dma, attenuation=6.0)
     lossy = db.ArrayLayout(n_dmas=4, per_dma=lossy_dma, groups=1)
     phi = db.crossover_angle(layout.per_dma, F_C)
-    cfg = db.solve_p1a(layout.per_dma, phi, F_C).resonant
-    plain = db.array_gain_dma(lossy, [cfg] * 4, phi, F_C)
-    damped = db.array_gain_dma(lossy, [cfg] * 4, phi, F_C, with_attenuation=True)
+    cfg = db.solve_p1a(layout.per_dma, phi, F_C).resonances
+    plain = db.array_gain_dma(lossy, np.array([cfg] * 4), phi, F_C)
+    damped = db.array_gain_dma(lossy, np.array([cfg] * 4), phi, F_C,
+                               with_attenuation=True)
     assert damped < plain
 
 
@@ -197,16 +239,16 @@ def test_gain_over_a_frequency_array_matches_the_reference(
     dma = dataclasses.replace(layout.per_dma, attenuation=6.0)
     phi = np.radians(-12.0)
     freqs = np.linspace(dma.f_min, dma.f_max, 37)
-    cfg = db.solve_p1a(dma, phi, 14.4e9).resonant
+    cfg = db.solve_p1a(dma, phi, 14.4e9).resonances
     if stacked:
-        other = db.solve_p1a(dma, phi, 16.0e9).resonant
-        configs = [cfg, cfg, other, other]
+        other = db.solve_p1a(dma, phi, 16.0e9).resonances
+        configs = np.array([cfg, cfg, other, other])
         lay = db.ArrayLayout(n_dmas=4, per_dma=dma, groups=1)
         got = db.array_gain_dma(lay, configs, phi, freqs, with_attenuation)
         one = db.array_gain_dma(lay, configs, phi, float(freqs[5]),
                                 with_attenuation)
     else:
-        configs = [cfg]
+        configs = cfg[None, :]
         got = db.gain_dma(dma, cfg, phi, freqs, with_attenuation)
         one = db.gain_dma(dma, cfg, phi, float(freqs[5]), with_attenuation)
     expect = reference_gain(dma, configs, phi, freqs, with_attenuation)
@@ -223,9 +265,9 @@ def test_probe_argmax_matches_the_reference(layout, reference_gain, phi_deg):
     Each pilot appears twice, so every maximum is an exact tie between
     neighbours and the lower (even) index must win.
     """
-    cb = db.build_codebook(layout, PHI_MAX, 0.5)
+    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
     grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
-    configs = db.training_config(grouped, cb)
+    configs = training_stack(grouped, cb)
     pilots = db.pilot_grid(layout.per_dma, 256, include=cb.sector_freqs)
     phi = float(np.radians(phi_deg))
     expect = int(np.argmax(reference_gain(layout.per_dma, configs, phi, pilots)))
@@ -240,9 +282,9 @@ def test_array_probe_equals_the_per_angle_probes(layout, reference_gain,
     """One probe over 21 angles gives each angle's reference argmax and
     the scalar probe's result; with every pilot doubled, each maximum is
     an exact tie that the lower index must win."""
-    cb = db.build_codebook(layout, PHI_MAX, 0.5)
+    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
     grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
-    configs = db.training_config(grouped, cb)
+    configs = training_stack(grouped, cb)
     pilots = db.pilot_grid(layout.per_dma, 256, include=cb.sector_freqs) \
         if grid_pilots else np.sort(cb.sector_freqs)
     phis = np.linspace(-PHI_MAX, PHI_MAX, 21)
@@ -260,11 +302,11 @@ def test_array_probe_equals_the_per_angle_probes(layout, reference_gain,
 
 
 def test_training_layout_groups_one_sector_per_waveguide_share(design):
-    layout, cb = db.training_layout(design, 4, PHI_MAX, 0.5)
+    layout, cb = db.training_layout(design, 4, -PHI_MAX, PHI_MAX, 0.5)
     assert layout.groups == len(cb) == 4 and layout.n_dmas == 4
     with pytest.raises(db.CoverageInfeasibleError,
                        match="needs 4 sectors.*design.n_z = 6"):
-        db.training_layout(design, 6, PHI_MAX, 0.5)
+        db.training_layout(design, 6, -PHI_MAX, PHI_MAX, 0.5)
 
 
 def test_second_reference_codebook():
@@ -273,7 +315,7 @@ def test_second_reference_codebook():
                        damping=2 * np.pi * F_C / 50, coupling=1e-9,
                        f_min=12e9, f_max=18e9)
     lay = db.ArrayLayout(n_dmas=8, per_dma=dma, groups=1)
-    cb = db.build_codebook(lay, PHI_MAX, 10 ** (-0.6 / 10))
+    cb = db.build_codebook(lay, -PHI_MAX, PHI_MAX, 10 ** (-0.6 / 10))
     np.testing.assert_allclose(
         np.degrees(cb.sector_angles),
         [-23.3283561, -9.50777453, 5.21877997, 22.03662678], atol=1e-6)

@@ -13,7 +13,7 @@ C = 3.0e8
 @given(phi=st.floats(-np.pi / 2, np.pi / 2), f=st.floats(12e9, 18e9))
 @settings(max_examples=200)
 def test_channel_entries_have_unit_modulus(phi, f, design):
-    h = db.effective_channel(design, phi, f).entries
+    h = db.effective_channel(design, phi, f)
     assert h.shape == (design.n_elements,)
     np.testing.assert_allclose(np.abs(h), 1.0, atol=1e-12)
 
@@ -27,6 +27,29 @@ def test_combined_phases_match_the_oracle_channel(design):
         total = db.combined_phases(design, phi, f)
         np.testing.assert_allclose(np.exp(1j * total),
                                    _raw_channel(design, phi, f), atol=1e-12)
+
+
+@pytest.mark.parametrize("with_attenuation", [False, True])
+def test_effective_channel_over_a_grid_equals_the_oracle_pairs(
+        design, with_attenuation):
+    """Angle x frequency arrays, the element axis last, give pair by pair
+    the oracle's element-by-element channel, decayed when attenuated."""
+    import dataclasses
+    from dmabeam.oracle import _raw_channel
+
+    lossy = dataclasses.replace(design, attenuation=6.0)
+    phis = np.radians(np.linspace(-60.0, 60.0, 7))
+    freqs = np.linspace(12e9, 18e9, 5)
+    h = db.effective_channel(lossy, phis[:, None, None], freqs[:, None],
+                             with_attenuation)
+    assert h.shape == (7, 5, lossy.n_elements)
+    decay = np.exp(-6.0 * lossy.spacing * np.arange(lossy.n_elements)) \
+        if with_attenuation else 1.0
+    for i, phi in enumerate(phis):
+        for j, f in enumerate(freqs):
+            np.testing.assert_allclose(h[i, j],
+                                       _raw_channel(lossy, phi, f) * decay,
+                                       rtol=0, atol=1e-12)
 
 
 def test_phase_slope_follows_spacing_and_index(design):
@@ -96,13 +119,13 @@ def test_attenuation_decays_geometrically(design):
     assert g[0] == 1.0
     ratios = g[1:] / g[:-1]
     np.testing.assert_allclose(ratios, np.exp(-6.0 * lossy.spacing), rtol=1e-12)
-    h = db.effective_channel(lossy, 0.1, 15e9, with_attenuation=True).entries
+    h = db.effective_channel(lossy, 0.1, 15e9, with_attenuation=True)
     np.testing.assert_allclose(np.abs(h), g, rtol=1e-12)
 
 
 def test_attenuation_is_frequency_flat(design):
     import dataclasses
     lossy = dataclasses.replace(design, attenuation=6.0)
-    a = np.abs(db.effective_channel(lossy, 0.2, 12e9, with_attenuation=True).entries)
-    b = np.abs(db.effective_channel(lossy, 0.2, 18e9, with_attenuation=True).entries)
+    a = np.abs(db.effective_channel(lossy, 0.2, 12e9, with_attenuation=True))
+    b = np.abs(db.effective_channel(lossy, 0.2, 18e9, with_attenuation=True))
     np.testing.assert_allclose(a, b, rtol=1e-12)

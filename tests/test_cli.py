@@ -240,9 +240,8 @@ def test_gain_sweep_nan_cells_are_the_infeasible_angles(tmp_path):
 
 @pytest.mark.parametrize("command", ["train", "rate"])
 @pytest.mark.parametrize("extra", [
-    "sector.phi_lower = -20\nsector.phi_upper = 35\ndesign.n_g_max = 4\n",
     "training.delta = 0.99\n",
-], ids=["five-sectors", "delta-0.99"])
+], ids=["delta-0.99"])
 def test_auto_groups_that_cannot_split_the_array_are_infeasible(
         tmp_path, capsys, command, extra):
     """groups = auto takes one group per sector; a sector count that does
@@ -254,6 +253,31 @@ def test_auto_groups_that_cannot_split_the_array_are_infeasible(
     err = capsys.readouterr().err
     assert re.search(r"the codebook needs \d+ sectors", err)
     assert "design.n_z = 4" in err
+
+
+@pytest.mark.parametrize("command", ["train", "rate"])
+@pytest.mark.parametrize("lower, upper, extra", [
+    (-20.0, 35.0, "design.n_g_max = 4\n"),
+    (-10.0, 30.0, ""),
+], ids=["-20-to-35", "-10-to-30"])
+def test_codebook_spans_an_asymmetric_sector(tmp_path, command, lower, upper,
+                                             extra):
+    """The codebook starts at sector.phi_lower and stops at
+    sector.phi_upper, not at their mirror images: four sectors split the
+    four waveguides, every sector lies in the sector, and the training
+    floor and the rate ordering hold."""
+    path = tmp_path / "sector.scn"
+    path.write_text(TINY + extra + f"sector.phi_lower = {lower}\n"
+                    f"sector.phi_upper = {upper}\n")
+    out = tmp_path / "run"
+    assert run_cli(command, "--scenario", str(path), "--out", str(out)) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    if command == "train":
+        train = summary["train"]
+        assert train["n_sectors"] == 4 and train["floor_respected"]
+        assert all(lower <= a <= upper for a in train["sector_angles_deg"])
+    else:
+        assert summary["rate"]["ordering_fixed_trained_perfect_ttd"]
 
 
 def test_rate_runs_are_byte_identical(tmp_path):

@@ -77,21 +77,6 @@ def test_psi_angle_range_and_weight_identity(f_r, f):
     assert w == pytest.approx(-np.sin(psi) * np.exp(1j * psi), abs=1e-12)
 
 
-@given(psi=st.floats(-np.pi, 0.0))
-@settings(max_examples=200)
-def test_shift_origin_round_trip(psi):
-    psi_tilde = db.shift_origin(psi)
-    assert -1.5 * np.pi <= psi_tilde <= 0.5 * np.pi
-    assert db.unshift_origin(psi_tilde) == pytest.approx(psi, abs=1e-12)
-
-
-def test_shift_origin_rejects_out_of_range():
-    with pytest.raises(db.DomainError):
-        db.shift_origin(0.5)
-    with pytest.raises(db.DomainError):
-        db.unshift_origin(2.0)
-
-
 @given(psi_tilde=st.floats(-1.4 * np.pi, 0.49 * np.pi))
 @settings(max_examples=100)
 def test_resonant_from_shifted_realizes_the_angle(psi_tilde):
@@ -104,7 +89,7 @@ def test_resonant_from_shifted_realizes_the_angle(psi_tilde):
         # the steep lower flank needs f_r^2 < 0 for this design
         assert psi_tilde < -np.pi
         return
-    realized = db.shift_origin(db.psi_angle(design, f_r, f_t))
+    realized = 2.0 * db.psi_angle(design, f_r, f_t) + np.pi / 2.0
     assert realized == pytest.approx(psi_tilde, abs=1e-6)
 
 
@@ -144,18 +129,23 @@ def test_resonant_from_shifted_over_arrays_equals_the_scalar_formula():
 
 
 def test_weight_from_shifted_matches_construction():
+    """The resonance built for a shifted angle puts the weight on the
+    circle point at that angle, -j/2 + e^{j psi_tilde} / 2."""
     design = make_design()
     for psi_tilde in np.linspace(-0.9 * np.pi, 0.4 * np.pi, 9):
         f_r = db.resonant_from_shifted(design, psi_tilde, 15e9)
-        direct = db.weight_from_shifted(psi_tilde)
+        circle = -0.5j + 0.5 * np.exp(1j * psi_tilde)
         built = db.beamformer_weight(design, f_r, 15e9)
-        assert built == pytest.approx(direct, abs=1e-9)
+        assert built == pytest.approx(circle, abs=1e-9)
 
 
-def test_resonant_config_validation():
-    with pytest.raises(db.DomainError):
-        db.ResonantConfig(np.array([15e9, -1.0]))
-    with pytest.raises(db.DomainError):
-        db.ResonantConfig(np.array([np.inf, 15e9]))
-    cfg = db.ResonantConfig(np.array([14e9, 15e9, 16e9]))
-    assert len(cfg) == 3
+def test_non_positive_resonances_are_rejected():
+    """A configuration is a plain array of resonances; psi_angle, and so
+    every weight and gain built on it, rejects a non-positive entry."""
+    design = make_design()
+    for bad in (-1.0, 0.0):
+        f_r = np.array([14e9, bad, 16e9])
+        with pytest.raises(db.DomainError):
+            db.psi_angle(design, f_r, 15e9)
+        with pytest.raises(db.DomainError):
+            db.gain_dma(make_design(n_elements=3), f_r, 0.1, 15e9)

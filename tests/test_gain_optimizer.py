@@ -26,7 +26,7 @@ def test_solved_config_attains_closed_form(design):
         phi = rng.uniform(-np.pi / 3, np.pi / 3)
         f_t = rng.uniform(12e9, 18e9)
         sol = db.solve_p1a(design, phi, f_t)
-        realized = db.gain_dma(design, sol.resonant, phi, f_t)
+        realized = db.gain_dma(design, sol.resonances, phi, f_t)
         assert realized == pytest.approx(sol.gain, rel=1e-9)
 
 
@@ -34,7 +34,7 @@ def test_peak_gain_at_integer_product(design):
     op = db.optimal_operating_freq(design, np.radians(-18.0))
     sol = db.solve_p1a(design, np.radians(-18.0), op.f_t_star)
     assert sol.gain == pytest.approx(64.0, rel=1e-12)
-    assert db.gain_dma(design, sol.resonant, np.radians(-18.0), op.f_t_star) \
+    assert db.gain_dma(design, sol.resonances, np.radians(-18.0), op.f_t_star) \
         == pytest.approx(64.0, rel=1e-9)
 
 
@@ -63,9 +63,9 @@ def test_degenerate_middle_element_is_realized():
     f_t = 12e9
     assert db.dirichlet_kernel(design, phi, f_t) < 0
     sol = db.solve_p1a(design, phi, f_t)
-    w_mid = db.beamformer_weight(design, sol.resonant.f_r[1], f_t)
+    w_mid = db.beamformer_weight(design, sol.resonances[1], f_t)
     assert abs(w_mid) < 1e-6
-    realized = db.gain_dma(design, sol.resonant, phi, f_t)
+    realized = db.gain_dma(design, sol.resonances, phi, f_t)
     assert realized == pytest.approx(sol.gain, rel=1e-5)
     assert realized <= sol.gain * (1 + 1e-12)
 
@@ -75,7 +75,7 @@ def test_solver_beats_random_feasible_configs(design):
     rng = np.random.default_rng(3)
     phi, f_t = 0.42, 13.3e9
     sol = db.solve_p1a(design, phi, f_t)
-    h = db.effective_channel(design, phi, f_t).entries
+    h = db.effective_channel(design, phi, f_t)
     f_r = rng.uniform(0.3 * f_t, 3.0 * f_t, size=(10_000, design.n_elements))
     w = db.beamformer_weight(design, f_r, f_t)
     gains = np.abs(w @ h) ** 2
@@ -130,7 +130,7 @@ def test_batch_solver_equals_the_scalar_calls(design, reference_solve_p1a,
             assert np.all(np.isnan(batch.resonances[i]))
             assert np.isnan(batch.gain[i])
             continue
-        assert np.array_equal(batch.resonances[i], scalar.resonant.f_r)
+        assert np.array_equal(batch.resonances[i], scalar.resonances)
         assert np.array_equal(batch.resonances[i], expect[0])
         assert batch.gain[i] == scalar.gain == expect[1]
     if variant == "q_factor_1":
@@ -142,10 +142,30 @@ def test_batch_solver_rejects_an_out_of_band_angle_pair(design):
         db.solve_p1a(design, np.array([0.0, 0.1]), np.array([15e9, 19e9]))
 
 
+def test_scalar_solution_is_a_row_of_the_batch_solution(design):
+    """One type for both calls: the scalar solution's fields equal row i
+    of the batch solution's, with plain float gain and frequency."""
+    phis = np.radians([-20.0, 5.0, 33.0])
+    f_ts = db.optimal_operating_freq(design, phis).f_t_star
+    batch = db.solve_p1a(design, phis, f_ts)
+    assert [f.name for f in dataclasses.fields(batch)] == [
+        "resonances", "feasible", "gain", "operating_freq"]
+    for i in range(phis.size):
+        one = db.solve_p1a(design, float(phis[i]), float(f_ts[i]))
+        assert type(one) is type(batch) is db.BeamformingSolution
+        assert one.resonances.shape == (design.n_elements,)
+        assert np.array_equal(one.resonances, batch.resonances[i])
+        assert one.feasible is True and bool(batch.feasible[i]) is True
+        assert isinstance(one.gain, float) and one.gain == batch.gain[i]
+        assert isinstance(one.operating_freq, float)
+        assert one.operating_freq == batch.operating_freq[i]
+
+
 def test_gain_dma_checks_config_length(design):
-    cfg = db.ResonantConfig(np.full(3, 15e9))
+    with pytest.raises(db.DomainError, match="need 8 resonances"):
+        db.gain_dma(design, np.full(3, 15e9), 0.0, 15e9)
     with pytest.raises(db.DomainError):
-        db.gain_dma(design, cfg, 0.0, 15e9)
+        db.gain_dma(design, 15e9, 0.0, 15e9)
 
 
 @given(x=st.floats(-30.0, 30.0))

@@ -9,11 +9,12 @@ import dmabeam as db
 
 F_C = 15e9
 K_B = 1.38e-23
+PHI_MAX = np.radians(30.0)
 
 
 def make_budget(**kw):
     base = dict(tx_power=0.25, distance=500.0, noise_temp=290.0,
-                bandwidth=0.3e9, n_subcarriers=64, center=F_C)
+                bandwidth=0.3e9, n_subcarriers=64)
     base.update(kw)
     return db.LinkBudget(**base)
 
@@ -24,17 +25,31 @@ def test_budget_validation():
     with pytest.raises(db.DomainError):
         make_budget(n_subcarriers=0)
     with pytest.raises(db.DomainError):
-        make_budget(center=0.1e9, bandwidth=0.3e9)  # band crosses zero
+        make_budget(bandwidth=-0.3e9)
 
 
 def test_subcarrier_grid_geometry():
     budget = make_budget(n_subcarriers=8)
-    f = db.subcarrier_grid(budget)
+    f = db.subcarrier_grid(budget, F_C)
     assert f.shape == (8,)
     np.testing.assert_allclose(np.diff(f), budget.bandwidth / 8, rtol=1e-12)
-    assert f.mean() == pytest.approx(budget.center, rel=1e-12)
+    assert f.mean() == pytest.approx(F_C, rel=1e-12)
     assert f[0] == pytest.approx(
-        budget.center - budget.bandwidth / 2 + budget.bandwidth / 16, rel=1e-12)
+        F_C - budget.bandwidth / 2 + budget.bandwidth / 16, rel=1e-12)
+    rows = db.subcarrier_grid(budget, np.array([13e9, F_C]))
+    assert rows.shape == (2, 8) and np.array_equal(rows[1], f)
+
+
+def test_subcarrier_grid_rejects_a_band_below_zero_at_its_center(layout):
+    """The check is on the center each call is given, one per row too;
+    the TTD rate, centered apart, checks the same way."""
+    budget = make_budget()                          # B = 0.3 GHz
+    assert db.subcarrier_grid(budget, 0.16e9).shape == (64,)
+    for center in (0.1e9, 0.15e9, np.array([F_C, 0.1e9])):
+        with pytest.raises(db.DomainError, match="below zero frequency"):
+            db.subcarrier_grid(budget, center)
+        with pytest.raises(db.DomainError, match="below zero frequency"):
+            db.rate_ttd(budget, layout, center)
 
 
 def test_received_psd_hand_value():
@@ -58,12 +73,12 @@ def test_received_psd_broadcasts():
 
 def test_achievable_rate_matches_hand_computation(layout, reference_gain):
     """Two-subcarrier case recomputed from first principles."""
-    budget = make_budget(n_subcarriers=2, center=14.4e9)
-    cfg = db.solve_p1a(layout.per_dma, 0.0, 14.4e9).resonant
-    configs = [cfg] * 4
-    rep = db.achievable_rate(budget, layout, configs, 0.0)
+    budget = make_budget(n_subcarriers=2)
+    cfg = db.solve_p1a(layout.per_dma, 0.0, 14.4e9).resonances
+    configs = np.array([cfg] * 4)
+    rep = db.achievable_rate(budget, layout, configs, 0.0, 14.4e9)
     total = 0.0
-    for f in db.subcarrier_grid(budget):
+    for f in db.subcarrier_grid(budget, 14.4e9):
         g = reference_gain(layout.per_dma, configs, 0.0, f)[0]
         snr = db.received_psd(budget, g, float(f)) / (K_B * 290.0)
         total += budget.bandwidth / 2 * np.log2(1 + snr)
@@ -81,19 +96,21 @@ def test_achievable_rate_matches_per_subcarrier_array_gain(layout, grouped,
     per-waveguide sum.  The reference sums waveguide by waveguide, one
     subcarrier at a time.
     """
-    budget = make_budget(center=14.4e9)
+    budget = make_budget()
     phi = np.radians(-12.0)
     if grouped:
-        cb = db.build_codebook(layout, np.radians(30.0), 0.5)
+        cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
         lay = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
-        configs = db.training_config(lay, cb)
-        assert len({cfg.f_r[0] for cfg in configs}) > 1
+        configs = np.array([np.full(8, cb.sector_freqs[m // lay.group_size])
+                            for m in range(4)])
+        assert len(set(configs[:, 0])) > 1
     else:
         lay = layout
-        configs = [db.solve_p1a(layout.per_dma, phi, 14.4e9).resonant] * 4
-    rep = db.achievable_rate(budget, lay, configs, phi)
+        configs = np.array(
+            [db.solve_p1a(layout.per_dma, phi, 14.4e9).resonances] * 4)
+    rep = db.achievable_rate(budget, lay, configs, phi, 14.4e9)
     total = 0.0
-    for f in db.subcarrier_grid(budget):
+    for f in db.subcarrier_grid(budget, 14.4e9):
         g = reference_gain(lay.per_dma, configs, phi, f)[0]
         snr = db.received_psd(budget, g, float(f)) / (K_B * 290.0)
         total += budget.bandwidth / 64 * np.log2(1 + snr)
@@ -103,18 +120,18 @@ def test_achievable_rate_matches_per_subcarrier_array_gain(layout, grouped,
 
 def test_ttd_rate_is_frequency_flat(layout):
     budget = make_budget()
-    rep = db.rate_ttd(budget, layout, np.radians(-20.0))
+    rep = db.rate_ttd(budget, layout, F_C)
     assert np.ptp(rep.per_subcarrier_snr) == 0.0
     snr = rep.per_subcarrier_snr[0]
     assert rep.rate == pytest.approx(budget.bandwidth * np.log2(1 + snr), rel=1e-12)
     # flat gain is the full aperture (N_y N_z)^2 at the band center
-    expect = db.received_psd(budget, 1024.0, budget.center) / (K_B * 290.0)
+    expect = db.received_psd(budget, 1024.0, F_C) / (K_B * 290.0)
     assert snr == pytest.approx(expect, rel=1e-12)
 
 
 def test_ttd_bounds_every_strategy_pointwise(layout):
     """Squint-free N^2 gain caps the DMA rate at each individual angle."""
-    cb = db.build_codebook(layout, np.radians(30.0), 0.5)
+    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
     grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
     budget = make_budget()
     for phi_deg in (-28.0, -12.5, 0.0, 9.0, 24.0):
@@ -130,7 +147,7 @@ def test_sector_average_ordering(layout):
     Pointwise per angle this can flip (a band centered off the gain peak
     may average a better rate), so the ordering is a sector-level claim.
     """
-    cb = db.build_codebook(layout, np.radians(30.0), 0.5)
+    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
     grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
     r = db.average_rates(grouped, cb, make_budget(),
                          np.radians(-30.0), np.radians(30.0), n_samples=21)
@@ -138,7 +155,7 @@ def test_sector_average_ordering(layout):
 
 
 def test_average_rates_is_the_grid_mean(layout):
-    cb = db.build_codebook(layout, np.radians(30.0), 0.5)
+    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
     grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
     budget = make_budget()
     avg = db.average_rates(grouped, cb, budget, -0.1, 0.1, n_samples=3)
@@ -159,12 +176,11 @@ def reference_rates(layout, codebook, phi, budget):
     f_c = 0.5 * (design.f_min + design.f_max)
     fixed = db.solve_p1a(design, phi, f_c)
     rates = {name: db.achievable_rate(
-        dataclasses.replace(budget, center=sol.operating_freq), layout,
-        [sol.resonant] * layout.n_dmas, phi).rate
+        budget, layout, np.array([sol.resonances] * layout.n_dmas), phi,
+        sol.operating_freq).rate
         for name, sol in (("perfect", perfect), ("trained", trained),
                           ("fixed", fixed))}
-    rates["ttd"] = db.rate_ttd(dataclasses.replace(budget, center=f_star),
-                               layout, phi).rate
+    rates["ttd"] = db.rate_ttd(budget, layout, f_star).rate
     return rates
 
 
@@ -172,7 +188,7 @@ def test_array_compare_rates_equals_the_per_angle_calls(layout):
     """One call over 25 angles, some past the design sector, gives each
     angle's scalar rates; the average is their left-to-right mean, bit for
     bit."""
-    cb = db.build_codebook(layout, np.radians(30.0), 0.5)
+    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
     grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
     budget = make_budget(n_subcarriers=16)
     phis = db.angle_grid(np.radians(-35.0), np.radians(35.0), 25)
@@ -197,7 +213,7 @@ def test_infeasible_angle_raises_the_scalar_error(layout):
     """A low-Q guide: the sweep stops with the first infeasible angle's
     own error, as a loop over scalar calls did."""
     lowq = dataclasses.replace(layout.per_dma, damping=2 * np.pi * F_C / 1.0)
-    cb = db.build_codebook(layout, np.radians(30.0), 0.5)
+    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
     grouped = db.ArrayLayout(n_dmas=4, per_dma=lowq, groups=len(cb))
     phis = np.radians(np.linspace(-30.0, 30.0, 21))
     first = None
@@ -214,7 +230,7 @@ def test_infeasible_angle_raises_the_scalar_error(layout):
 
 
 def test_bandwidth_sweep_shapes_and_ttd_growth(layout):
-    cb = db.build_codebook(layout, np.radians(30.0), 0.5)
+    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
     grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
     budget = make_budget()
     rows = db.bandwidth_sweep(grouped, cb, budget, [0.1e9, 0.3e9, 1.0e9],
@@ -225,7 +241,7 @@ def test_bandwidth_sweep_shapes_and_ttd_growth(layout):
 
 
 def test_bandwidth_sweep_rows_equal_average_rates(layout):
-    cb = db.build_codebook(layout, np.radians(30.0), 0.5)
+    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
     grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
     budget = make_budget(n_subcarriers=16)
     bandwidths = [0.1e9, 0.5e9]

@@ -133,7 +133,7 @@ def test_oracle_shares_no_solver_code(design):
     from dmabeam.oracle import _raw_channel, _raw_weight
     phi, f = 0.37, 14.1e9
     np.testing.assert_allclose(_raw_channel(design, phi, f),
-                               db.effective_channel(design, phi, f).entries,
+                               db.effective_channel(design, phi, f),
                                rtol=0, atol=1e-9)
     f_r = np.array([13e9, 15e9, 17e9])
     np.testing.assert_allclose(_raw_weight(design, f_r, f),

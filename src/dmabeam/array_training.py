@@ -32,21 +32,14 @@ MAX_SECTORS = 256
 
 @dataclass(frozen=True)
 class ArrayLayout:
-    """Planar array of identical waveguides with a training group count."""
+    """Planar array of n_dmas identical waveguides."""
 
     n_dmas: int
     per_dma: DmaDesign
-    groups: int
 
     def __post_init__(self):
         if self.n_dmas < 1:
             raise DomainError("n_dmas must be >= 1")
-        if self.groups < 1 or self.n_dmas % self.groups != 0:
-            raise DomainError("groups must divide n_dmas")
-
-    @property
-    def group_size(self) -> int:
-        return self.n_dmas // self.groups
 
 
 @dataclass(frozen=True)
@@ -89,8 +82,7 @@ class TrainingResult:
     gain_at_estimate: float | np.ndarray
 
 
-def array_gain_dma(layout: ArrayLayout, resonances, phi, f,
-                   with_attenuation: bool = False):
+def array_gain_dma(layout: ArrayLayout, resonances, phi, f):
     """Array gain |sum_m f_dma,m(f)^T h(phi, f)|^2 over all waveguides.
 
     ``resonances`` is an (..., n_dmas, N) array, one row per waveguide,
@@ -100,7 +92,7 @@ def array_gain_dma(layout: ArrayLayout, resonances, phi, f,
     if res.ndim < 2 or res.shape[-2] != layout.n_dmas:
         raise DomainError(f"need {layout.n_dmas} waveguide rows of "
                           f"resonances, got shape {res.shape}")
-    return configured_gain(layout.per_dma, res, phi, f, with_attenuation)
+    return configured_gain(layout.per_dma, res, phi, f)
 
 
 def pilot_grid(design: DmaDesign, k_tr: int = DEFAULT_PILOT_COUNT,
@@ -122,21 +114,21 @@ def probe(layout: ArrayLayout, codebook: Codebook, phi_true,
           pilot: np.ndarray) -> TrainingResult:
     """Single-shot training: strongest pilot subcarrier -> angle estimate.
 
-    Group l of the waveguides resonates all its elements at sector l's
-    frequency.  The measurement model is noise-free and feedback is a
-    single integer; ties resolve to the lowest subcarrier index.  A 1-d
-    ``phi_true`` is probed in one array gain evaluation, each angle as by
-    a scalar call.
+    Group l of n_dmas / len(codebook) waveguides resonates all its elements
+    at sector l's frequency.  The measurement model is noise-free and
+    feedback is a single integer; ties resolve to the lowest subcarrier
+    index.  A 1-d ``phi_true`` is probed in one array gain evaluation,
+    each angle as by a scalar call.
     """
     pilot = np.asarray(pilot, dtype=float)
     if pilot.size == 0:
         raise DomainError("pilot grid is empty")
-    if len(codebook) != layout.groups:
-        raise DomainError(
-            f"codebook has {len(codebook)} sectors for {layout.groups} groups")
+    if layout.n_dmas % len(codebook):
+        raise DomainError(f"{len(codebook)} sectors do not split "
+                          f"{layout.n_dmas} waveguides into equal groups")
     design = layout.per_dma
     phis = np.asarray(phi_true, dtype=float)
-    tones = np.repeat(codebook.sector_freqs, layout.group_size)
+    tones = np.repeat(codebook.sector_freqs, layout.n_dmas // len(codebook))
     training = np.broadcast_to(tones[:, None],
                                (layout.n_dmas, design.n_elements))
     gains = array_gain_dma(layout, training, phis[..., None], pilot)
@@ -189,9 +181,8 @@ def psi_delta(n_y: int, delta: float) -> float:
     return float(brentq(excess, 1e-12, 1.0 / n_y - 1e-12, xtol=1e-15))
 
 
-def build_codebook(layout: ArrayLayout, phi_lower: float, phi_upper: float,
-                   delta: float, width_resolution: float = WIDTH_RESOLUTION,
-                   n_sectors: Optional[int] = None) -> Codebook:
+def build_codebook(design: DmaDesign, phi_lower: float, phi_upper: float,
+                   delta: float) -> Codebook:
     """Sequential sector placement covering [phi_lower, phi_upper].
 
     A sector at angle phi serves the estimates whose retuned gain keeps
@@ -203,17 +194,14 @@ def build_codebook(layout: ArrayLayout, phi_lower: float, phi_upper: float,
     construction stops once the interval of the last sector reaches
     phi_upper.
 
-    The mainlobe half-width Psi_d is quantized to ``width_resolution``
-    before use (pass None to disable).  The stored ``delta`` is recomputed
-    from the quantized width so the codebook's guarantee is
-    self-consistent.
+    The mainlobe half-width Psi_d is quantized to WIDTH_RESOLUTION before
+    use.  The stored ``delta`` is recomputed from the quantized width so
+    the codebook's guarantee is self-consistent.
     """
-    design = layout.per_dma
     if not -np.pi / 2.0 < phi_lower < phi_upper < np.pi / 2.0:
         raise DomainError("need -pi/2 < phi_lower < phi_upper < pi/2")
     width = psi_delta(design.n_elements, delta)
-    if width_resolution is not None:
-        width = round(width / width_resolution) * width_resolution
+    width = round(width / WIDTH_RESOLUTION) * WIDTH_RESOLUTION
     if width <= 0:
         raise CoverageInfeasibleError("delta is too strict: zero sector width")
     n_g = design.refractive_index
@@ -228,9 +216,6 @@ def build_codebook(layout: ArrayLayout, phi_lower: float, phi_upper: float,
                 f"cannot cover {np.degrees(phi_lower):.2f} to "
                 f"{np.degrees(phi_upper):.2f} deg at delta={delta:g}")
         angles.append(float(np.arcsin(min(s_next, s_max))))
-    if n_sectors is not None and len(angles) != n_sectors:
-        raise CoverageInfeasibleError(
-            f"construction needs {len(angles)} sectors, caller pinned {n_sectors}")
     sector_angles = np.array(angles)
     effective = dirichlet_of_p(width, design.n_elements) ** 2 / design.n_elements ** 2
     return Codebook(
@@ -244,14 +229,14 @@ def build_codebook(layout: ArrayLayout, phi_lower: float, phi_upper: float,
 def training_layout(design: DmaDesign, n_dmas: int, phi_lower: float,
                     phi_upper: float, delta: float,
                     n_sectors: Optional[int] = None):
-    """(ArrayLayout, Codebook): the codebook covering [phi_lower, phi_upper]
-    and one training group per sector, which must divide n_dmas."""
-    seed = ArrayLayout(n_dmas=n_dmas, per_dma=design, groups=1)
-    codebook = build_codebook(seed, phi_lower, phi_upper, delta,
-                              n_sectors=n_sectors)
+    """(ArrayLayout, Codebook): the codebook covering [phi_lower, phi_upper];
+    its sectors must divide n_dmas and number ``n_sectors`` if given."""
+    codebook = build_codebook(design, phi_lower, phi_upper, delta)
+    if n_sectors is not None and len(codebook) != n_sectors:
+        raise CoverageInfeasibleError(
+            f"construction needs {len(codebook)} sectors, caller pinned {n_sectors}")
     if n_dmas % len(codebook):
         raise CoverageInfeasibleError(
             f"the codebook needs {len(codebook)} sectors, one training group "
             f"each, and they do not divide design.n_z = {n_dmas}")
-    return ArrayLayout(n_dmas=n_dmas, per_dma=design,
-                       groups=len(codebook)), codebook
+    return ArrayLayout(n_dmas=n_dmas, per_dma=design), codebook

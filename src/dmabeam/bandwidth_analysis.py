@@ -15,7 +15,7 @@ from typing import Tuple
 import numpy as np
 
 from .channel import dirichlet_kernel
-from .core_model import CONSTANTS, DmaDesign
+from .core_model import DmaDesign
 from .errors import CutoffError, DomainError
 
 ARRAY_CUTOFF_TOL = 1e3   # Hz, bisection tolerance for full-array cutoffs

@@ -25,14 +25,13 @@ class BinarySolution:
     gain: float
 
 
-def solve_p4(design: DmaDesign, phi: float, f_c: float,
-             with_attenuation: bool = False) -> BinarySolution:
+def solve_p4(design: DmaDesign, phi: float, f_c: float) -> BinarySolution:
     """Globally optimal binary weights by an exact half-plane search.
 
     Among masks with the maximal gain the lexicographically smallest
     (element 1 most significant) wins.
     """
-    h = effective_channel(design, phi, f_c, with_attenuation)
+    h = effective_channel(design, phi, f_c)
     # At an optimal sum s, dropping a member or adding a non-member cannot
     # raise |s|^2, so |Re(h_n conj(s))| >= |h_n|^2 / 2 for every n.  The
     # optimum is thus the half-plane mask Re(h e^{-j theta}) > 0 at

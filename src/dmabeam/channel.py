@@ -41,15 +41,14 @@ def attenuation_vector(design: DmaDesign) -> np.ndarray:
     return np.exp(-design.attenuation * idx * design.spacing)
 
 
-def effective_channel(design: DmaDesign, phi, f,
-                      with_attenuation: bool = False) -> np.ndarray:
-    """Effective channel h(phi, f), optionally with waveguide attenuation.
+def effective_channel(design: DmaDesign, phi, f) -> np.ndarray:
+    """Effective channel h(phi, f), decayed by the design's attenuation.
 
     Broadcasts as combined_phases: the element index is the last axis.
     """
     h = 1j * combined_phases(design, phi, f)
     np.exp(h, out=h)
-    if with_attenuation:
+    if design.attenuation is not None:
         h *= attenuation_vector(design)
     return h
 

@@ -48,8 +48,7 @@ class TtdSolution:
     delays: np.ndarray
 
 
-def configured_gain(design: DmaDesign, resonances, phi, f,
-                    with_attenuation: bool = False):
+def configured_gain(design: DmaDesign, resonances, phi, f):
     """Gain |sum_m w_m(f)^T h(phi, f)|^2 of waveguides with set resonances.
 
     ``phi`` and ``f`` broadcast to a shape S; scalars give a float.
@@ -64,14 +63,13 @@ def configured_gain(design: DmaDesign, resonances, phi, f,
         copies, res = res.shape[-2], res[..., :1, :]
     freqs = np.asarray(f, dtype=float)[..., None]        # element axis last
     h = effective_channel(design, np.asarray(phi, dtype=float)[..., None],
-                          freqs, with_attenuation)
+                          freqs)
     weights = beamformer_weight(design, res, freqs[..., None])
     out = copies ** 2 * np.abs(np.einsum("...mn,...n->...", weights, h)) ** 2
     return float(out) if out.ndim == 0 else out
 
 
-def gain_dma(design: DmaDesign, resonances, phi, f,
-             with_attenuation: bool = False):
+def gain_dma(design: DmaDesign, resonances, phi, f):
     """Beamforming gain |f_dma(f)^T h(phi, f)|^2 of arbitrary configurations.
 
     ``resonances`` is an (..., N) array, broadcasting as in configured_gain.
@@ -80,7 +78,7 @@ def gain_dma(design: DmaDesign, resonances, phi, f,
     if f_r.ndim == 0 or f_r.shape[-1] != design.n_elements:
         raise DomainError(f"need {design.n_elements} resonances per "
                           f"configuration, got shape {f_r.shape}")
-    return configured_gain(design, f_r[..., None, :], phi, f, with_attenuation)
+    return configured_gain(design, f_r[..., None, :], phi, f)
 
 
 def wrap_shifted(psi_tilde):

@@ -28,7 +28,8 @@ from .array_training import (ArrayLayout, Codebook, array_gain_dma, probe,
 # Kept as a module binding: the benchmark's tracer tests use it as a fixture.
 from .channel import combined_phases  # noqa: F401
 from .core_model import CONSTANTS, DmaDesign
-from .errors import CoverageInfeasibleError, DomainError
+from .errors import (CoverageInfeasibleError, DomainError,
+                     InfeasibleElementError)
 from .frequency_planner import (design_sector, max_coverage_angle,
                                 optimal_operating_freq)
 from .gain_optimizer import solve_p1a
@@ -156,8 +157,9 @@ def compare_rates(layout: ArrayLayout, codebook: Codebook, phi,
 
     Each DMA strategy re-centers the band on its own operating frequency;
     the TTD benchmark uses the same band placement as the perfect-AoD
-    strategy.  A 1-d ``phi`` solves every strategy for all angles at once;
-    an angle where one is infeasible raises as the scalar call would.
+    strategy.  A 1-d ``phi`` solves every strategy for all angles at once.
+    The first angle where one is infeasible raises the scalar call's
+    InfeasibleElementError, its message prefixed with strategy and angle.
     """
     design = layout.per_dma
     grid = np.reshape(np.asarray(phi, dtype=float), -1)
@@ -171,9 +173,15 @@ def compare_rates(layout: ArrayLayout, codebook: Codebook, phi,
     if not feasible.all():
         # The scalar solves at the first infeasible angle raise its error.
         i = int(np.argmin(feasible))
-        solve_p1a(design, grid[i], f_star[i])
-        solve_p1a(design, probed.phi_hat[i], probed.f_k_star[i])
-        solve_p1a(design, grid[i], f_c)
+        for name, phi_i, f_i in (("perfect", grid[i], f_star[i]),
+                                 ("trained", probed.phi_hat[i], probed.f_k_star[i]),
+                                 ("fixed", grid[i], f_c)):
+            try:
+                solve_p1a(design, phi_i, f_i)
+            except InfeasibleElementError as exc:
+                raise InfeasibleElementError(
+                    exc.index, f"{name} strategy at "
+                    f"{np.degrees(grid[i]):.2f} deg: {exc}") from exc
 
     def rate(solution):     # angles on axis 0, subcarriers on axis 1
         stacks = np.broadcast_to(solution.resonances[:, None, None, :],
@@ -252,8 +260,12 @@ def tuning_range_sweep(template: DmaDesign, n_dmas: int, n_g_max: float,
                          f_min=f_min, f_max=f_max)
         layout, codebook = training_layout(design, n_dmas, -phi_max, phi_max,
                                            delta)
-        rates = average_rates(layout, codebook, budget,
-                              -phi_max, phi_max, n_samples)
+        try:
+            rates = average_rates(layout, codebook, budget,
+                                  -phi_max, phi_max, n_samples)
+        except InfeasibleElementError as exc:
+            raise InfeasibleElementError(
+                exc.index, f"tuning range {t_r / 1e9:g} GHz: {exc}") from exc
         points.append(TuningRangePoint(tuning_range=t_r, phi_max=phi_max,
                                        n_sectors=len(codebook), rates=rates))
     return points

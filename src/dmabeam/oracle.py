@@ -42,18 +42,17 @@ def _raw_channel(design: DmaDesign, phi, f):
 
 
 def resonance_grid(design: DmaDesign, f_t: float, points: int) -> np.ndarray:
-    """Candidate per-element resonant frequencies spanning [f_t/1.5, 1.5 f_t].
+    """Candidate per-element resonant frequencies, increasing.
 
     The grid is uniform in the Lorentzian phase angle rather than in
     frequency: near resonance the phase turns through most of its range
     within a tiny frequency interval, so a frequency-uniform grid of any
-    practical size skips straight past the high-gain configurations.
+    practical size skips straight past the high-gain configurations.  It
+    spans the arc (-pi + atan(Gamma / (2 pi f_t)), 0) that resonances in
+    (0, inf) reach at f_t, endpoints excluded, as a low-Q guide needs.
     """
-    lo = np.arctan2(-design.damping * f_t,
-                    2.0 * np.pi * ((f_t / 1.5) ** 2 - f_t ** 2))
-    hi = np.arctan2(-design.damping * f_t,
-                    2.0 * np.pi * ((1.5 * f_t) ** 2 - f_t ** 2))
-    psi = np.linspace(lo, hi, points)
+    lo = -np.pi + np.arctan(design.damping / (2.0 * np.pi * f_t))
+    psi = np.linspace(lo, 0.0, points + 2)[1:-1]
     # invert psi = atan2(-Gamma f, 2 pi (f_r^2 - f^2)) for f_r
     f_r_sq = f_t ** 2 - design.damping * f_t / (2.0 * np.pi * np.tan(psi))
     return np.sqrt(f_r_sq)

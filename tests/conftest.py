@@ -20,22 +20,27 @@ def design():
 
 @pytest.fixture(scope="session")
 def layout(design):
-    """Four stacked waveguides, one training group until a codebook exists."""
-    return db.ArrayLayout(n_dmas=4, per_dma=design, groups=1)
+    """Four stacked waveguides."""
+    return db.ArrayLayout(n_dmas=4, per_dma=design)
 
 
-def _reference_gain(design, resonances, phi, freqs, with_attenuation=False):
+def _reference_gain(design, resonances, phi, freqs):
     """|sum_m w_m(f)^T h(phi, f)|^2 per frequency, one scalar f at a time.
 
     ``resonances`` holds one (N,) row per waveguide, (M, N).  Independent
-    of the broadcast kernel: each waveguide's weights are dotted with the
-    channel separately and the sums added in Python.
+    of the broadcast kernel: the channel is built from its phases, element
+    n decayed by exp(-alpha n d_y) when the design has an attenuation, and
+    each waveguide's weights are dotted with it separately and the sums
+    added in Python.
     """
     assert np.ndim(resonances) == 2
+    decay = [1.0 if design.attenuation is None
+             else float(np.exp(-design.attenuation * n * design.spacing))
+             for n in range(design.n_elements)]
     out = []
     for f in np.atleast_1d(freqs):
         f = float(f)
-        h = db.effective_channel(design, phi, f, with_attenuation)
+        h = np.exp(1j * db.combined_phases(design, phi, f)) * decay
         total = sum(np.dot(db.beamformer_weight(design, row, f), h)
                     for row in resonances)
         out.append(abs(total) ** 2)

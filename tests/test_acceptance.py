@@ -79,15 +79,13 @@ def test_04_sector_design_round_trip(design):
 def test_05_codebook_reproduction(design):
     phi_max = np.radians(30.0)
 
-    seed8 = db.ArrayLayout(n_dmas=4, per_dma=design, groups=1)
-    cb8 = db.build_codebook(seed8, -phi_max, phi_max, 10.0 ** (-3.0 / 10.0))
+    cb8 = db.build_codebook(design, -phi_max, phi_max, 10.0 ** (-3.0 / 10.0))
     got8 = np.degrees(cb8.sector_angles)
     want8 = (-22.83, -7.9, 8.21, 27.16)
     assert got8 == pytest.approx(want8, abs=0.05)
 
     design4 = dataclasses.replace(design, n_elements=4)
-    seed4 = db.ArrayLayout(n_dmas=8, per_dma=design4, groups=1)
-    cb4 = db.build_codebook(seed4, -phi_max, phi_max, 10.0 ** (-0.6 / 10.0))
+    cb4 = db.build_codebook(design4, -phi_max, phi_max, 10.0 ** (-0.6 / 10.0))
     got4 = np.degrees(cb4.sector_angles)
     want4 = (-23.33, -9.51, 5.22, 22.04)
     assert got4 == pytest.approx(want4, abs=0.05)
@@ -122,10 +120,8 @@ def test_06_grid_oracle_equivalence(design):
 
 
 def test_07_training_gain_floor(design):
-    layout_seed = db.ArrayLayout(n_dmas=4, per_dma=design, groups=1)
-    codebook = db.build_codebook(layout_seed, np.radians(-30.0),
-                               np.radians(30.0), 0.5)
-    layout = db.ArrayLayout(n_dmas=4, per_dma=design, groups=len(codebook))
+    layout, codebook = db.training_layout(design, 4, np.radians(-30.0),
+                                          np.radians(30.0), 0.5)
     pilots = db.pilot_grid(design, 256, include=codebook.sector_freqs)
     n_max = (design.n_elements * layout.n_dmas) ** 2
     floor = codebook.delta * n_max * (1.0 - 1e-6)
@@ -165,9 +161,7 @@ def test_08_binary_weight_trends(design):
 def test_09_rate_orderings(design):
     t0 = time.perf_counter()
     lo, hi = np.radians(-30.0), np.radians(30.0)
-    seed = db.ArrayLayout(n_dmas=4, per_dma=design, groups=1)
-    codebook = db.build_codebook(seed, lo, hi, 0.5)
-    layout = db.ArrayLayout(n_dmas=4, per_dma=design, groups=len(codebook))
+    layout, codebook = db.training_layout(design, 4, lo, hi, 0.5)
     budget = db.LinkBudget(tx_power=0.25, distance=500.0, noise_temp=290.0,
                            bandwidth=0.3e9, n_subcarriers=64)
 

@@ -14,17 +14,15 @@ PHI_MAX = np.radians(30.0)
 def training_stack(layout, codebook):
     """(n_dmas, N) training resonances: group l all at sector l's tone."""
     n_y = layout.per_dma.n_elements
-    return np.array([np.full(n_y, codebook.sector_freqs[m // layout.group_size])
+    group_size = layout.n_dmas // len(codebook)
+    return np.array([np.full(n_y, codebook.sector_freqs[m // group_size])
                      for m in range(layout.n_dmas)])
 
 
 def test_layout_validation(design):
-    lay = db.ArrayLayout(n_dmas=4, per_dma=design, groups=2)
-    assert lay.group_size == 2
+    assert db.ArrayLayout(n_dmas=3, per_dma=design).n_dmas == 3
     with pytest.raises(db.DomainError):
-        db.ArrayLayout(n_dmas=4, per_dma=design, groups=3)
-    with pytest.raises(db.DomainError):
-        db.ArrayLayout(n_dmas=0, per_dma=design, groups=1)
+        db.ArrayLayout(n_dmas=0, per_dma=design)
 
 
 def test_psi_delta_reference_value():
@@ -44,7 +42,7 @@ def test_psi_delta_narrows_with_stricter_fraction():
 
 
 def test_half_gain_codebook_reference(layout):
-    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
+    cb = db.build_codebook(layout.per_dma, -PHI_MAX, PHI_MAX, 0.5)
     assert len(cb) == 4
     assert cb.psi_delta == pytest.approx(0.056, abs=1e-12)
     assert cb.delta == pytest.approx(0.49657787891498717, rel=1e-12)
@@ -57,7 +55,7 @@ def test_half_gain_codebook_reference(layout):
 
 
 def test_codebook_frequencies_come_from_the_planner(layout):
-    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
+    cb = db.build_codebook(layout.per_dma, -PHI_MAX, PHI_MAX, 0.5)
     for angle, freq in zip(cb.sector_angles, cb.sector_freqs):
         op = db.optimal_operating_freq(layout.per_dma, angle)
         assert freq == pytest.approx(op.f_t_star, rel=1e-12)
@@ -70,7 +68,7 @@ def test_codebook_frequencies_equal_the_scalar_planner(
     bit for bit the one-angle planner's.  At +-35 deg the outer sectors
     lie past the design sector, where no integer p is reachable."""
     phi_max = np.radians(phi_max_deg)
-    cb = db.build_codebook(layout, -phi_max, phi_max, delta)
+    cb = db.build_codebook(layout.per_dma, -phi_max, phi_max, delta)
     expected = [reference_operating_point(layout.per_dma, float(a))[0]
                 for a in cb.sector_angles]
     assert np.array_equal(cb.sector_freqs, expected)
@@ -92,7 +90,7 @@ def test_codebook_sectors_stay_inside_the_target_range(layout):
     n_g = layout.per_dma.refractive_index
     for lower_deg, upper_deg in ((-30.0, 30.0), (-20.0, 35.0), (-10.0, 30.0)):
         lower, upper = np.radians(lower_deg), np.radians(upper_deg)
-        cb = db.build_codebook(layout, lower, upper, 0.5)
+        cb = db.build_codebook(layout.per_dma, lower, upper, 0.5)
         edges = [allowed_sines(a, n_g, cb.psi_delta) for a in cb.sector_angles]
         assert edges[0][0] == pytest.approx(np.sin(lower), abs=1e-12)
         for (_, hi), (lo, _) in zip(edges[:-2], edges[1:-1]):
@@ -108,34 +106,51 @@ def test_codebook_sectors_stay_inside_the_target_range(layout):
             assert lo <= np.sin(angle) <= hi
 
 
-def test_codebook_pinned_sector_count(layout):
-    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5, n_sectors=4)
-    assert len(cb) == 4
-    with pytest.raises(db.CoverageInfeasibleError):
-        db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5, n_sectors=5)
+def test_codebook_pinned_sector_count(design):
+    """training_layout checks a pinned sector count against the count
+    that the construction needs."""
+    layout, cb = db.training_layout(design, 4, -PHI_MAX, PHI_MAX, 0.5,
+                                    n_sectors=4)
+    assert len(cb) == 4 and layout.n_dmas == 4
+    for pinned in (2, 5):
+        with pytest.raises(db.CoverageInfeasibleError,
+                           match=f"needs 4 sectors, caller pinned {pinned}"):
+            db.training_layout(design, 4, -PHI_MAX, PHI_MAX, 0.5,
+                               n_sectors=pinned)
 
 
-def test_unquantized_codebook_still_covers(layout):
-    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5, width_resolution=None)
-    assert cb.psi_delta == pytest.approx(db.psi_delta(8, 0.5), rel=1e-12)
-    assert cb.delta == pytest.approx(0.5, rel=1e-9)
+def test_codebook_width_is_quantized(design):
+    """The mainlobe half-width is rounded to WIDTH_RESOLUTION, and the
+    stored fraction is the one that the rounded width guarantees."""
+    from dmabeam.array_training import WIDTH_RESOLUTION
+
+    for n_y, delta in ((8, 0.5), (4, 10 ** (-0.6 / 10)), (16, 0.8)):
+        dma = dataclasses.replace(design, n_elements=n_y)
+        cb = db.build_codebook(dma, -PHI_MAX, PHI_MAX, delta)
+        steps = round(db.psi_delta(n_y, delta) / WIDTH_RESOLUTION)
+        assert cb.psi_delta == pytest.approx(steps * WIDTH_RESOLUTION, rel=1e-12)
+        assert cb.delta == pytest.approx(
+            db.dirichlet_of_p(cb.psi_delta, n_y) ** 2 / n_y ** 2, rel=1e-12)
 
 
 def test_codebook_rejects_a_sector_outside_the_visible_half_plane(layout):
     for lower, upper in ((-np.pi / 2, 0.3), (-0.3, np.pi / 2), (0.3, -0.3)):
         with pytest.raises(db.DomainError):
-            db.build_codebook(layout, lower, upper, 0.5)
+            db.build_codebook(layout.per_dma, lower, upper, 0.5)
 
 
 def test_probe_rejects_a_codebook_that_does_not_match_the_groups(layout):
-    """The probe tunes group l to sector l: one group cannot host four
-    sectors, and neither can two."""
-    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
+    """The probe tunes one equal group of waveguides to each sector: four
+    sectors split 4 or 8 waveguides, but not 2, 6 or 3."""
+    cb = db.build_codebook(layout.per_dma, -PHI_MAX, PHI_MAX, 0.5)
     pilots = np.sort(cb.sector_freqs)
-    for groups in (1, 2):
-        lay = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=groups)
+    expect = db.probe(layout, cb, 0.1, pilots).k_star
+    lay = db.ArrayLayout(n_dmas=8, per_dma=layout.per_dma)
+    assert db.probe(lay, cb, 0.1, pilots).k_star == expect
+    for n_dmas in (2, 6, 3):
+        lay = db.ArrayLayout(n_dmas=n_dmas, per_dma=layout.per_dma)
         with pytest.raises(db.DomainError,
-                           match=f"4 sectors for {groups} groups"):
+                           match=f"4 sectors do not split {n_dmas} waveguides"):
             db.probe(lay, cb, 0.1, pilots)
 
 
@@ -149,30 +164,27 @@ def test_pilot_grid_merges_required_tones(design):
 
 
 def test_probe_recovers_each_sector_center(layout):
-    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
-    grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
+    cb = db.build_codebook(layout.per_dma, -PHI_MAX, PHI_MAX, 0.5)
     pilots = np.sort(cb.sector_freqs)  # ascending; sector order is descending
     for ell in range(len(cb)):
-        res = db.probe(grouped, cb, float(cb.sector_angles[ell]), pilots)
+        res = db.probe(layout, cb, float(cb.sector_angles[ell]), pilots)
         assert res.k_star == len(cb) - 1 - ell
         assert res.phi_hat == pytest.approx(cb.sector_angles[ell], abs=1e-9)
         assert res.f_k_star == pytest.approx(cb.sector_freqs[ell], rel=1e-12)
 
 
 def test_probe_estimate_feeds_the_gain_model(layout):
-    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
-    grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
+    cb = db.build_codebook(layout.per_dma, -PHI_MAX, PHI_MAX, 0.5)
     phi = np.radians(-12.5)
-    res = db.probe(grouped, cb, phi, np.sort(cb.sector_freqs))
-    expect = db.gain_at_estimate(grouped, phi, res.phi_hat)
+    res = db.probe(layout, cb, phi, np.sort(cb.sector_freqs))
+    expect = db.gain_at_estimate(layout, phi, res.phi_hat)
     assert res.gain_at_estimate == pytest.approx(expect, rel=1e-12)
 
 
 def test_probe_rejects_unmappable_pilot(layout):
-    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
-    grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
+    cb = db.build_codebook(layout.per_dma, -PHI_MAX, PHI_MAX, 0.5)
     with pytest.raises(db.InvalidEstimateError):
-        db.probe(grouped, cb, 0.0, np.array([5e9]))
+        db.probe(layout, cb, 0.0, np.array([5e9]))
 
 
 def test_gain_at_estimate_peaks_at_truth(layout):
@@ -193,12 +205,11 @@ def test_gain_at_estimate_over_arrays_equals_the_scalar_calls(layout):
 
 def test_coverage_floor_holds_on_a_coarse_sweep(layout):
     """Worst-case probed gain stays above the codebook's own fraction."""
-    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
-    grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
+    cb = db.build_codebook(layout.per_dma, -PHI_MAX, PHI_MAX, 0.5)
     pilots = db.pilot_grid(layout.per_dma, 256, include=cb.sector_freqs)
     floor = cb.delta * (8 * 4) ** 2 * (1 - 1e-6)
     for phi in np.linspace(-PHI_MAX, PHI_MAX, 101):
-        res = db.probe(grouped, cb, float(phi), pilots)
+        res = db.probe(layout, cb, float(phi), pilots)
         assert res.gain_at_estimate >= floor
 
 
@@ -221,37 +232,41 @@ def test_array_gain_rejects_a_wrong_waveguide_count(layout):
 
 
 def test_array_gain_with_attenuation_is_lower(layout):
-    lossy_dma = dataclasses.replace(layout.per_dma, attenuation=6.0)
-    lossy = db.ArrayLayout(n_dmas=4, per_dma=lossy_dma, groups=1)
+    """The design alone decides: a lossy design's peak gain is lower, and a
+    zero attenuation gives the lossless gains bit for bit."""
     phi = db.crossover_angle(layout.per_dma, F_C)
-    cfg = db.solve_p1a(layout.per_dma, phi, F_C).resonances
-    plain = db.array_gain_dma(lossy, np.array([cfg] * 4), phi, F_C)
-    damped = db.array_gain_dma(lossy, np.array([cfg] * 4), phi, F_C,
-                               with_attenuation=True)
-    assert damped < plain
+    cfg = np.array([db.solve_p1a(layout.per_dma, phi, F_C).resonances] * 4)
+    freqs = np.linspace(12e9, 18e9, 7)      # F_C, the peak, at index 3
+    gains = {alpha: db.array_gain_dma(
+        dataclasses.replace(layout, per_dma=dataclasses.replace(
+            layout.per_dma, attenuation=alpha)), cfg, phi, freqs)
+        for alpha in (None, 0.0, 6.0)}
+    assert gains[6.0][3] < gains[None][3] == pytest.approx(1024.0, rel=1e-9)
+    assert gains[0.0].tobytes() == gains[None].tobytes()
 
 
-@pytest.mark.parametrize("with_attenuation", [False, True])
+@pytest.mark.parametrize("lossy", [False, True])
 @pytest.mark.parametrize("stacked", [False, True])
 def test_gain_over_a_frequency_array_matches_the_reference(
-        layout, reference_gain, stacked, with_attenuation):
-    """gain_dma / array_gain_dma over an f array equal the scalar reference."""
-    dma = dataclasses.replace(layout.per_dma, attenuation=6.0)
+        layout, reference_gain, stacked, lossy):
+    """gain_dma / array_gain_dma over an f array equal the scalar reference,
+    which decays element n by exp(-alpha n d_y) on a lossy design."""
+    dma = dataclasses.replace(layout.per_dma,
+                              attenuation=6.0 if lossy else None)
     phi = np.radians(-12.0)
     freqs = np.linspace(dma.f_min, dma.f_max, 37)
     cfg = db.solve_p1a(dma, phi, 14.4e9).resonances
     if stacked:
         other = db.solve_p1a(dma, phi, 16.0e9).resonances
         configs = np.array([cfg, cfg, other, other])
-        lay = db.ArrayLayout(n_dmas=4, per_dma=dma, groups=1)
-        got = db.array_gain_dma(lay, configs, phi, freqs, with_attenuation)
-        one = db.array_gain_dma(lay, configs, phi, float(freqs[5]),
-                                with_attenuation)
+        lay = db.ArrayLayout(n_dmas=4, per_dma=dma)
+        got = db.array_gain_dma(lay, configs, phi, freqs)
+        one = db.array_gain_dma(lay, configs, phi, float(freqs[5]))
     else:
         configs = cfg[None, :]
-        got = db.gain_dma(dma, cfg, phi, freqs, with_attenuation)
-        one = db.gain_dma(dma, cfg, phi, float(freqs[5]), with_attenuation)
-    expect = reference_gain(dma, configs, phi, freqs, with_attenuation)
+        got = db.gain_dma(dma, cfg, phi, freqs)
+        one = db.gain_dma(dma, cfg, phi, float(freqs[5]))
+    expect = reference_gain(dma, configs, phi, freqs)
     assert got.shape == freqs.shape
     np.testing.assert_allclose(got, expect, rtol=1e-12)
     assert isinstance(one, float)
@@ -265,15 +280,14 @@ def test_probe_argmax_matches_the_reference(layout, reference_gain, phi_deg):
     Each pilot appears twice, so every maximum is an exact tie between
     neighbours and the lower (even) index must win.
     """
-    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
-    grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
-    configs = training_stack(grouped, cb)
+    cb = db.build_codebook(layout.per_dma, -PHI_MAX, PHI_MAX, 0.5)
+    configs = training_stack(layout, cb)
     pilots = db.pilot_grid(layout.per_dma, 256, include=cb.sector_freqs)
     phi = float(np.radians(phi_deg))
     expect = int(np.argmax(reference_gain(layout.per_dma, configs, phi, pilots)))
-    assert db.probe(grouped, cb, phi, pilots).k_star == expect
+    assert db.probe(layout, cb, phi, pilots).k_star == expect
     doubled = np.repeat(pilots, 2)
-    assert db.probe(grouped, cb, phi, doubled).k_star == 2 * expect
+    assert db.probe(layout, cb, phi, doubled).k_star == 2 * expect
 
 
 @pytest.mark.parametrize("grid_pilots", [False, True])
@@ -282,20 +296,19 @@ def test_array_probe_equals_the_per_angle_probes(layout, reference_gain,
     """One probe over 21 angles gives each angle's reference argmax and
     the scalar probe's result; with every pilot doubled, each maximum is
     an exact tie that the lower index must win."""
-    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
-    grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
-    configs = training_stack(grouped, cb)
+    cb = db.build_codebook(layout.per_dma, -PHI_MAX, PHI_MAX, 0.5)
+    configs = training_stack(layout, cb)
     pilots = db.pilot_grid(layout.per_dma, 256, include=cb.sector_freqs) \
         if grid_pilots else np.sort(cb.sector_freqs)
     phis = np.linspace(-PHI_MAX, PHI_MAX, 21)
-    batch = db.probe(grouped, cb, phis, pilots)
-    doubled = db.probe(grouped, cb, phis, np.repeat(pilots, 2))
+    batch = db.probe(layout, cb, phis, pilots)
+    doubled = db.probe(layout, cb, phis, np.repeat(pilots, 2))
     for i, phi in enumerate(phis.tolist()):
         expect = int(np.argmax(reference_gain(layout.per_dma, configs, phi,
                                               pilots)))
         assert batch.k_star[i] == expect
         assert doubled.k_star[i] == 2 * expect
-        one = db.probe(grouped, cb, phi, pilots)
+        one = db.probe(layout, cb, phi, pilots)
         assert (one.k_star, one.f_k_star, one.phi_hat, one.gain_at_estimate) \
             == (batch.k_star[i], batch.f_k_star[i], batch.phi_hat[i],
                 batch.gain_at_estimate[i])
@@ -303,7 +316,7 @@ def test_array_probe_equals_the_per_angle_probes(layout, reference_gain,
 
 def test_training_layout_groups_one_sector_per_waveguide_share(design):
     layout, cb = db.training_layout(design, 4, -PHI_MAX, PHI_MAX, 0.5)
-    assert layout.groups == len(cb) == 4 and layout.n_dmas == 4
+    assert len(cb) == 4 and layout == db.ArrayLayout(n_dmas=4, per_dma=design)
     with pytest.raises(db.CoverageInfeasibleError,
                        match="needs 4 sectors.*design.n_z = 6"):
         db.training_layout(design, 6, -PHI_MAX, PHI_MAX, 0.5)
@@ -314,8 +327,7 @@ def test_second_reference_codebook():
     dma = db.DmaDesign(n_elements=4, spacing=1.0 / 120.0, refractive_index=2.5,
                        damping=2 * np.pi * F_C / 50, coupling=1e-9,
                        f_min=12e9, f_max=18e9)
-    lay = db.ArrayLayout(n_dmas=8, per_dma=dma, groups=1)
-    cb = db.build_codebook(lay, -PHI_MAX, PHI_MAX, 10 ** (-0.6 / 10))
+    cb = db.build_codebook(dma, -PHI_MAX, PHI_MAX, 10 ** (-0.6 / 10))
     np.testing.assert_allclose(
         np.degrees(cb.sector_angles),
         [-23.3283561, -9.50777453, 5.21877997, 22.03662678], atol=1e-6)

@@ -45,8 +45,11 @@ def test_all_on_is_a_lower_bound(design):
 
 
 def _product_enumeration(design, phi, f_c):
-    """Attenuated optimum over itertools.product, lexicographic order."""
-    h = db.effective_channel(design, phi, f_c, with_attenuation=True)
+    """Optimum over itertools.product, lexicographic order, from a channel
+    decayed element by element by the design's attenuation."""
+    decay = np.exp(-design.attenuation * design.spacing
+                   * np.arange(design.n_elements))
+    h = np.exp(1j * db.combined_phases(design, phi, f_c)) * decay
     masks = np.array(list(itertools.product((0, 1), repeat=design.n_elements)))
     gains = np.abs(masks @ h) ** 2
     k = int(np.argmax(gains))           # first maximum: smallest mask
@@ -70,26 +73,32 @@ def test_matches_plain_enumeration(design):
             refractive_index=float(rng.uniform(1.0, 5.0)),
             attenuation=float(rng.uniform(0.5, 20.0)))
         phi, f = float(rng.uniform(-1.5, 1.5)), float(rng.uniform(12e9, 18e9))
-        fast = db.solve_p4(rand, phi, f)
-        slow = db.enumerate_binary(rand, phi, f)
+        lossless = dataclasses.replace(rand, attenuation=None)
+        fast = db.solve_p4(lossless, phi, f)
+        slow = db.enumerate_binary(lossless, phi, f)
         assert fast.gain == pytest.approx(slow.gain, rel=1e-12)
         # A lossless channel is a geometric sequence, so a mask shifted by
         # one slot ties exactly and rounding picks the winner: a different
         # mask must then be optimal by the oracle's own evaluation.
         if not np.array_equal(fast.mask, slow.mask):
-            assert db.binary_mask_gain(rand, phi, f, fast.mask) \
+            assert db.binary_mask_gain(lossless, phi, f, fast.mask) \
                 == pytest.approx(slow.gain, rel=1e-12)
-        fast = db.solve_p4(rand, phi, f, with_attenuation=True)
+        fast = db.solve_p4(rand, phi, f)
         mask, gain = _product_enumeration(rand, phi, f)
         np.testing.assert_array_equal(fast.mask, mask)
         assert fast.gain == pytest.approx(gain, rel=1e-12)
 
 
 def test_attenuated_variant_changes_the_problem(design):
+    """The design alone decides: a lossy design lowers the optimum, and a
+    zero attenuation gives the lossless solution bit for bit."""
     lossy = dataclasses.replace(design, attenuation=6.0)
-    plain = db.solve_p4(lossy, 0.3, F_C, with_attenuation=False)
-    damped = db.solve_p4(lossy, 0.3, F_C, with_attenuation=True)
+    plain = db.solve_p4(design, 0.3, F_C)
+    damped = db.solve_p4(lossy, 0.3, F_C)
     assert damped.gain < plain.gain
+    zero = db.solve_p4(dataclasses.replace(design, attenuation=0.0), 0.3, F_C)
+    assert zero.gain == plain.gain
+    np.testing.assert_array_equal(zero.mask, plain.mask)
 
 
 @pytest.mark.parametrize("n", [25, 64])
@@ -97,8 +106,8 @@ def test_large_arrays_get_a_half_plane_optimum(design, n):
     """No element cap: the mask is the half-plane of its own sum, and no
     single-element flip raises the gain."""
     big = dataclasses.replace(design, n_elements=n, attenuation=6.0)
-    sol = db.solve_p4(big, 0.3, F_C, with_attenuation=True)
-    h = db.effective_channel(big, 0.3, F_C, with_attenuation=True)
+    sol = db.solve_p4(big, 0.3, F_C)
+    h = db.effective_channel(big, 0.3, F_C)
     s = sol.mask @ h
     np.testing.assert_array_equal(sol.mask, np.real(h * np.conj(s)) > 0)
     assert sol.gain == pytest.approx(abs(s) ** 2, rel=1e-12)

@@ -29,26 +29,24 @@ def test_combined_phases_match_the_oracle_channel(design):
                                    _raw_channel(design, phi, f), atol=1e-12)
 
 
-@pytest.mark.parametrize("with_attenuation", [False, True])
-def test_effective_channel_over_a_grid_equals_the_oracle_pairs(
-        design, with_attenuation):
+@pytest.mark.parametrize("lossy", [False, True])
+def test_effective_channel_over_a_grid_equals_the_oracle_pairs(design, lossy):
     """Angle x frequency arrays, the element axis last, give pair by pair
-    the oracle's element-by-element channel, decayed when attenuated."""
+    the oracle's element-by-element channel, decayed on a lossy design."""
     import dataclasses
     from dmabeam.oracle import _raw_channel
 
-    lossy = dataclasses.replace(design, attenuation=6.0)
+    dma = dataclasses.replace(design, attenuation=6.0 if lossy else None)
     phis = np.radians(np.linspace(-60.0, 60.0, 7))
     freqs = np.linspace(12e9, 18e9, 5)
-    h = db.effective_channel(lossy, phis[:, None, None], freqs[:, None],
-                             with_attenuation)
-    assert h.shape == (7, 5, lossy.n_elements)
-    decay = np.exp(-6.0 * lossy.spacing * np.arange(lossy.n_elements)) \
-        if with_attenuation else 1.0
+    h = db.effective_channel(dma, phis[:, None, None], freqs[:, None])
+    assert h.shape == (7, 5, dma.n_elements)
+    decay = np.exp(-6.0 * dma.spacing * np.arange(dma.n_elements)) \
+        if lossy else 1.0
     for i, phi in enumerate(phis):
         for j, f in enumerate(freqs):
             np.testing.assert_allclose(h[i, j],
-                                       _raw_channel(lossy, phi, f) * decay,
+                                       _raw_channel(dma, phi, f) * decay,
                                        rtol=0, atol=1e-12)
 
 
@@ -119,13 +117,13 @@ def test_attenuation_decays_geometrically(design):
     assert g[0] == 1.0
     ratios = g[1:] / g[:-1]
     np.testing.assert_allclose(ratios, np.exp(-6.0 * lossy.spacing), rtol=1e-12)
-    h = db.effective_channel(lossy, 0.1, 15e9, with_attenuation=True)
+    h = db.effective_channel(lossy, 0.1, 15e9)
     np.testing.assert_allclose(np.abs(h), g, rtol=1e-12)
 
 
 def test_attenuation_is_frequency_flat(design):
     import dataclasses
     lossy = dataclasses.replace(design, attenuation=6.0)
-    a = np.abs(db.effective_channel(lossy, 0.2, 12e9, with_attenuation=True))
-    b = np.abs(db.effective_channel(lossy, 0.2, 18e9, with_attenuation=True))
+    a = np.abs(db.effective_channel(lossy, 0.2, 12e9))
+    b = np.abs(db.effective_channel(lossy, 0.2, 18e9))
     np.testing.assert_allclose(a, b, rtol=1e-12)

@@ -399,6 +399,66 @@ def test_verify_reports_pass_lines(scn, tmp_path, capsys):
     assert all(entry["pass"] for entry in checks.values())
 
 
+@pytest.mark.parametrize("q", ["1", "5", "12"])
+def test_verify_passes_at_low_q(tmp_path, capsys, q):
+    """A low-Q guide: the resonance grid spans the whole reachable arc,
+    and a closed-form draw that is infeasible is skipped and counted."""
+    path = tmp_path / "lowq.scn"
+    path.write_text(f"design.q_factor = {q}\n")
+    out = str(tmp_path / "run")
+    assert run_cli("verify", "--scenario", str(path), "--out", out) == 0
+    text = capsys.readouterr().out
+    assert text.count("PASS") == 3 and "FAIL" not in text
+    detail = read_summary(out)["verify"]["closed form vs resonance grid"]["detail"]
+    assert ("5 of 20 draws infeasible, skipped" in detail) == (q == "1")
+
+
+def test_verify_fails_when_no_draw_is_feasible(scn, tmp_path, capsys,
+                                               monkeypatch):
+    from dmabeam import InfeasibleElementError
+
+    def infeasible(*args):
+        raise InfeasibleElementError(0, "element 0: no real resonance")
+
+    monkeypatch.setattr(cli, "solve_p1a", infeasible)
+    out = str(tmp_path / "run")
+    assert run_cli("verify", "--scenario", scn, "--out", out) == 4
+    assert "FAIL  closed form vs resonance grid  (no draw compared; 20 of " \
+        "20 draws infeasible, skipped)" in capsys.readouterr().out
+
+
+def test_rate_names_where_an_infeasible_angle_stopped_it(tmp_path, capsys):
+    """Q = 1: the rate sweep stops at its first infeasible angle and says
+    in which tuning range, for which strategy and at which angle."""
+    path = tmp_path / "lowq.scn"
+    path.write_text("design.q_factor = 1\n")
+    assert run_cli("rate", "--scenario", str(path),
+                   "--out", str(tmp_path / "run")) == 3
+    assert capsys.readouterr().err == (
+        "error: infeasible design: tuning range 2 GHz: fixed strategy at "
+        "9.59 deg: element 0: psi_tilde=-3.141593 needs an imaginary "
+        "resonance at f_t=1.5e+10\n")
+
+
+def test_attenuation_changes_no_lossless_command(scn, tmp_path):
+    """--attenuation on adds columns to gain-sweep and freq-response only:
+    every other command writes the same files as with it off, apart from
+    the scenario fingerprint and the attenuation line itself."""
+    texts = {}
+    for flag in ("off", "on"):
+        out = str(tmp_path / flag)
+        for cmd in ("rate", "train", "design", "coverage", "verify"):
+            assert run_cli(cmd, "--scenario", scn, "--out", out,
+                           "--attenuation", flag) == 0
+        fp = read_summary(out)["scenario"]
+        texts[flag] = {
+            name: open(os.path.join(out, name)).read().replace(fp, "<fp>")
+            .replace(f"design.attenuation = {flag}", "design.attenuation")
+            for name in sorted(os.listdir(out))}
+    assert len(texts["on"]) == 7
+    assert texts["on"] == texts["off"]
+
+
 def test_console_entry_point(scn, tmp_path):
     """The installed script behaves like the in-process main."""
     out = str(tmp_path / "run")

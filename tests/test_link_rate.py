@@ -99,19 +99,16 @@ def test_achievable_rate_matches_per_subcarrier_array_gain(layout, grouped,
     budget = make_budget()
     phi = np.radians(-12.0)
     if grouped:
-        cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
-        lay = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
-        configs = np.array([np.full(8, cb.sector_freqs[m // lay.group_size])
-                            for m in range(4)])
+        cb = db.build_codebook(layout.per_dma, -PHI_MAX, PHI_MAX, 0.5)
+        configs = np.array([np.full(8, f) for f in cb.sector_freqs])
         assert len(set(configs[:, 0])) > 1
     else:
-        lay = layout
         configs = np.array(
             [db.solve_p1a(layout.per_dma, phi, 14.4e9).resonances] * 4)
-    rep = db.achievable_rate(budget, lay, configs, phi, 14.4e9)
+    rep = db.achievable_rate(budget, layout, configs, phi, 14.4e9)
     total = 0.0
     for f in db.subcarrier_grid(budget, 14.4e9):
-        g = reference_gain(lay.per_dma, configs, phi, f)[0]
+        g = reference_gain(layout.per_dma, configs, phi, f)[0]
         snr = db.received_psd(budget, g, float(f)) / (K_B * 290.0)
         total += budget.bandwidth / 64 * np.log2(1 + snr)
     assert rep.per_subcarrier_snr.shape == (64,)
@@ -131,11 +128,10 @@ def test_ttd_rate_is_frequency_flat(layout):
 
 def test_ttd_bounds_every_strategy_pointwise(layout):
     """Squint-free N^2 gain caps the DMA rate at each individual angle."""
-    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
-    grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
+    cb = db.build_codebook(layout.per_dma, -PHI_MAX, PHI_MAX, 0.5)
     budget = make_budget()
     for phi_deg in (-28.0, -12.5, 0.0, 9.0, 24.0):
-        r = db.compare_rates(grouped, cb, np.radians(phi_deg), budget)
+        r = db.compare_rates(layout, cb, np.radians(phi_deg), budget)
         assert r.fixed <= r.ttd * (1 + 1e-9)
         assert r.trained <= r.ttd * (1 + 1e-9)
         assert r.perfect <= r.ttd * (1 + 1e-9)
@@ -147,19 +143,17 @@ def test_sector_average_ordering(layout):
     Pointwise per angle this can flip (a band centered off the gain peak
     may average a better rate), so the ordering is a sector-level claim.
     """
-    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
-    grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
-    r = db.average_rates(grouped, cb, make_budget(),
+    cb = db.build_codebook(layout.per_dma, -PHI_MAX, PHI_MAX, 0.5)
+    r = db.average_rates(layout, cb, make_budget(),
                          np.radians(-30.0), np.radians(30.0), n_samples=21)
     assert r.fixed <= r.trained <= r.perfect <= r.ttd
 
 
 def test_average_rates_is_the_grid_mean(layout):
-    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
-    grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
+    cb = db.build_codebook(layout.per_dma, -PHI_MAX, PHI_MAX, 0.5)
     budget = make_budget()
-    avg = db.average_rates(grouped, cb, budget, -0.1, 0.1, n_samples=3)
-    pts = [db.compare_rates(grouped, cb, phi, budget)
+    avg = db.average_rates(layout, cb, budget, -0.1, 0.1, n_samples=3)
+    pts = [db.compare_rates(layout, cb, phi, budget)
            for phi in np.linspace(-0.1, 0.1, 3)]
     assert avg.perfect == pytest.approx(np.mean([p.perfect for p in pts]), rel=1e-12)
     assert avg.fixed == pytest.approx(np.mean([p.fixed for p in pts]), rel=1e-12)
@@ -188,14 +182,13 @@ def test_array_compare_rates_equals_the_per_angle_calls(layout):
     """One call over 25 angles, some past the design sector, gives each
     angle's scalar rates; the average is their left-to-right mean, bit for
     bit."""
-    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
-    grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
+    cb = db.build_codebook(layout.per_dma, -PHI_MAX, PHI_MAX, 0.5)
     budget = make_budget(n_subcarriers=16)
     phis = db.angle_grid(np.radians(-35.0), np.radians(35.0), 25)
-    batch = db.compare_rates(grouped, cb, phis, budget)
-    singles = [db.compare_rates(grouped, cb, phi, budget) for phi in phis]
-    references = [reference_rates(grouped, cb, phi, budget) for phi in phis]
-    avg = db.average_rates(grouped, cb, budget, np.radians(-35.0),
+    batch = db.compare_rates(layout, cb, phis, budget)
+    singles = [db.compare_rates(layout, cb, phi, budget) for phi in phis]
+    references = [reference_rates(layout, cb, phi, budget) for phi in phis]
+    avg = db.average_rates(layout, cb, budget, np.radians(-35.0),
                            np.radians(35.0), 25)
     for name in ("fixed", "trained", "perfect", "ttd"):
         column = [getattr(r, name) for r in singles]
@@ -211,29 +204,40 @@ def test_array_compare_rates_equals_the_per_angle_calls(layout):
 
 def test_infeasible_angle_raises_the_scalar_error(layout):
     """A low-Q guide: the sweep stops with the first infeasible angle's
-    own error, as a loop over scalar calls did."""
+    own error, as a loop over scalar calls did, prefixed with the strategy
+    that failed and the angle."""
     lowq = dataclasses.replace(layout.per_dma, damping=2 * np.pi * F_C / 1.0)
-    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
-    grouped = db.ArrayLayout(n_dmas=4, per_dma=lowq, groups=len(cb))
+    cb = db.build_codebook(layout.per_dma, -PHI_MAX, PHI_MAX, 0.5)
+    lowq_layout = db.ArrayLayout(n_dmas=4, per_dma=lowq)
     phis = np.radians(np.linspace(-30.0, 30.0, 21))
     first = None
     for phi in phis:
         try:
-            reference_rates(grouped, cb, phi, make_budget())
+            reference_rates(lowq_layout, cb, phi, make_budget())
         except db.InfeasibleElementError as exc:
-            first = str(exc)
+            first = exc
             break
     assert first is not None
     with pytest.raises(db.InfeasibleElementError) as err:
-        db.compare_rates(grouped, cb, phis, make_budget())
-    assert str(err.value) == first
+        db.compare_rates(lowq_layout, cb, phis, make_budget())
+    assert str(err.value) == f"fixed strategy at {np.degrees(phi):.2f} deg: {first}"
+    assert err.value.index == first.index
+
+
+def test_tuning_range_sweep_names_the_range_that_fails(design):
+    """The same low-Q error from a tuning-range sweep also names the range."""
+    lowq = dataclasses.replace(design, damping=2 * np.pi * F_C / 1.0)
+    with pytest.raises(db.InfeasibleElementError) as err:
+        db.tuning_range_sweep(lowq, 4, 2.5, 0.5, make_budget(n_subcarriers=4),
+                              [2e9, 3e9], n_samples=5)
+    assert str(err.value).startswith("tuning range 2 GHz: fixed strategy at ")
+    assert err.value.index == 0
 
 
 def test_bandwidth_sweep_shapes_and_ttd_growth(layout):
-    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
-    grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
+    cb = db.build_codebook(layout.per_dma, -PHI_MAX, PHI_MAX, 0.5)
     budget = make_budget()
-    rows = db.bandwidth_sweep(grouped, cb, budget, [0.1e9, 0.3e9, 1.0e9],
+    rows = db.bandwidth_sweep(layout, cb, budget, [0.1e9, 0.3e9, 1.0e9],
                               -0.2, 0.2, n_samples=3)
     assert len(rows) == 3
     ttd = [r.ttd for r in rows]
@@ -241,14 +245,13 @@ def test_bandwidth_sweep_shapes_and_ttd_growth(layout):
 
 
 def test_bandwidth_sweep_rows_equal_average_rates(layout):
-    cb = db.build_codebook(layout, -PHI_MAX, PHI_MAX, 0.5)
-    grouped = db.ArrayLayout(n_dmas=4, per_dma=layout.per_dma, groups=len(cb))
+    cb = db.build_codebook(layout.per_dma, -PHI_MAX, PHI_MAX, 0.5)
     budget = make_budget(n_subcarriers=16)
     bandwidths = [0.1e9, 0.5e9]
-    rows = db.bandwidth_sweep(grouped, cb, budget, bandwidths,
+    rows = db.bandwidth_sweep(layout, cb, budget, bandwidths,
                               -0.3, 0.3, n_samples=4)
     for b, row in zip(bandwidths, rows):
-        ref = db.average_rates(grouped, cb,
+        ref = db.average_rates(layout, cb,
                                dataclasses.replace(budget, bandwidth=b),
                                -0.3, 0.3, n_samples=4)
         for name in ("fixed", "trained", "perfect", "ttd"):

@@ -17,12 +17,20 @@ def small_design(n):
 
 
 def test_resonance_grid_shape_and_range():
-    design = small_design(2)
-    grid = db.resonance_grid(design, 15e9, 50)
-    assert grid.shape == (50,)
-    assert np.all(np.diff(grid) > 0)
-    assert grid[0] >= 15e9 / 1.5 - 1.0
-    assert grid[-1] <= 1.5 * 15e9 + 1.0
+    """The grid is uniform in the circle angle psi over the whole arc
+    (-pi + atan(Gamma / (2 pi f_t)), 0) that positive resonances reach,
+    endpoints excluded; at Q = 1 that arc reaches far past [f_t/1.5, 1.5 f_t]."""
+    for q in (50.0, 1.0):
+        design = dataclasses.replace(small_design(2),
+                                     damping=2 * np.pi * F_C / q)
+        grid = db.resonance_grid(design, F_C, 50)
+        assert grid.shape == (50,)
+        assert np.all(grid > 0) and np.all(np.diff(grid) > 0)
+        lo = -np.pi + np.arctan(1.0 / q)
+        np.testing.assert_allclose(db.psi_angle(design, grid, F_C),
+                                   lo - lo / 51 * np.arange(1, 51),
+                                   rtol=0, atol=1e-9)
+    assert grid[0] < F_C / 1.5 and grid[-1] > 1.5 * F_C
 
 
 def test_single_element_grid_approaches_unity():

@@ -283,6 +283,13 @@ def cmd_gain_sweep(scenario: Scenario, args) -> int:
     rows = list(zip(*cols))
     _write_table(os.path.join(args.out, f"gain_sweep.{args.format}"),
                  fp, columns, rows, args.format)
+    for name, col in zip(columns, cols):   # infeasible angles are NaN cells
+        nan = np.isnan(np.asarray(col, dtype=float))
+        if name.endswith("(linear)") and nan.any():
+            sys.stderr.write(
+                f"gain-sweep: {name}: {int(nan.sum())} NaN cells at "
+                f"infeasible angles, the first at {angles[nan.argmax()]:g} "
+                f"deg\n")
     try:
         phi_c = float(np.degrees(crossover_angle(design, f_c)))
     except NoCrossoverError:

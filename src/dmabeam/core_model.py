@@ -78,6 +78,15 @@ class DmaDesign:
             raise DomainError("attenuation must be >= 0")
 
 
+def _positive_frequencies(f_r_n, f):
+    """Resonances and frequencies as float arrays, all of them positive."""
+    f_r_n = np.asarray(f_r_n, dtype=float)
+    f = np.asarray(f, dtype=float)
+    if np.any(f <= 0) or np.any(f_r_n <= 0):
+        raise DomainError("frequencies must be positive")
+    return f_r_n, f
+
+
 def polarizability(design: DmaDesign, f_r_n, f):
     """Magnetic polarizability of one slot, m^3.
 
@@ -85,10 +94,7 @@ def polarizability(design: DmaDesign, f_r_n, f):
     The imaginary damping term keeps the denominator away from zero for
     every positive frequency.  Accepts scalars or arrays.
     """
-    f_r_n = np.asarray(f_r_n, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if np.any(f <= 0) or np.any(f_r_n <= 0):
-        raise DomainError("frequencies must be positive")
+    f_r_n, f = _positive_frequencies(f_r_n, f)
     den = 2.0 * np.pi * f_r_n**2 - 2.0 * np.pi * f**2 + 1j * design.damping * f
     out = design.coupling * 2.0 * np.pi * f**2 / den
     return complex(out) if out.ndim == 0 else out
@@ -100,10 +106,7 @@ def psi_angle(design: DmaDesign, f_r_n, f):
     Always in [-pi, 0]: 0- far below resonance, -pi/2 on resonance,
     -pi far above.
     """
-    f_r_n = np.asarray(f_r_n, dtype=float)
-    f = np.asarray(f, dtype=float)
-    if np.any(f <= 0) or np.any(f_r_n <= 0):
-        raise DomainError("frequencies must be positive")
+    f_r_n, f = _positive_frequencies(f_r_n, f)
     out = np.arctan2(-design.damping * f, 2.0 * np.pi * (f_r_n**2 - f**2))
     return float(out) if out.ndim == 0 else out
 
@@ -114,14 +117,29 @@ def beamformer_weight(design: DmaDesign, f_r_n, f):
     The polarizability factors as alpha = -F Q sin(psi) e^{j psi}; this is
     the frequency-normalized part that acts as the beamforming weight.
     It always lies on the circle |w + j/2| = 1/2.
+
+    It is evaluated in rational form.  With x = 2 pi (f_r^2 - f^2),
+    y = -Gamma f and r = |x + j y|, psi is the argument of x + j y, so
+    e^{j psi} = (x + j y) / r and sin(psi) = y / r.  Hence
+    w = -y (x + j y) / r^2 = g (x - j g) / (x^2 + g^2) with g = Gamma f:
+    no arctan2, sine or complex exponential.  The real and imaginary
+    parts are formed separately: a complex division would warn on a NaN
+    resonance, which must give a quiet NaN weight.
     """
-    psi = np.asarray(psi_angle(design, f_r_n, f))
-    # In place: the weights are the largest arrays of a rate sweep.
-    out = np.multiply(psi, 1j, out=np.empty(psi.shape, dtype=complex))
-    np.exp(out, out=out)
-    np.sin(psi, out=psi)
-    np.negative(psi, out=psi)
-    out *= psi
+    f_r_n, f = _positive_frequencies(f_r_n, f)
+    g = design.damping * f
+    # The output's real and imaginary views hold the intermediates, so
+    # the weights, the largest arrays of a rate sweep, need no temporary.
+    out = np.empty(np.broadcast_shapes(f_r_n.shape, f.shape), dtype=complex)
+    x, scale = out.real, out.imag
+    np.subtract(f_r_n**2, f**2, out=x)
+    x *= 2.0 * np.pi
+    np.multiply(x, x, out=scale)
+    scale += g * g
+    np.divide(g, scale, out=scale)              # g / (x^2 + g^2)
+    x *= scale
+    scale *= g
+    np.negative(scale, out=scale)
     return complex(out) if out.ndim == 0 else out
 
 

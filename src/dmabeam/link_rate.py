@@ -151,18 +151,15 @@ def rate_ttd(budget: LinkBudget, layout: ArrayLayout, center) -> RateReport:
     return _report(budget, snr)
 
 
-def compare_rates(layout: ArrayLayout, codebook: Codebook, phi,
-                  budget: LinkBudget) -> RateComparison:
-    """Evaluate all four strategies at one angle or a 1-d array of angles.
+def _tunings(layout: ArrayLayout, codebook: Codebook, grid: np.ndarray):
+    """The fixed, trained and perfect solutions over a 1-d angle grid.
 
-    Each DMA strategy re-centers the band on its own operating frequency;
-    the TTD benchmark uses the same band placement as the perfect-AoD
-    strategy.  A 1-d ``phi`` solves every strategy for all angles at once.
-    The first angle where one is infeasible raises the scalar call's
-    InfeasibleElementError, its message prefixed with strategy and angle.
+    They depend on the angles, the array and the codebook, not on the
+    link budget.  The first angle where one is infeasible raises the
+    scalar call's InfeasibleElementError, its message prefixed with
+    strategy and angle.
     """
     design = layout.per_dma
-    grid = np.reshape(np.asarray(phi, dtype=float), -1)
     f_star = optimal_operating_freq(design, grid).f_t_star
     perfect = solve_p1a(design, grid, f_star)
     probed = probe(layout, codebook, grid, np.sort(codebook.sector_freqs))
@@ -182,6 +179,14 @@ def compare_rates(layout: ArrayLayout, codebook: Codebook, phi,
                 raise InfeasibleElementError(
                     exc.index, f"{name} strategy at "
                     f"{np.degrees(grid[i]):.2f} deg: {exc}") from exc
+    return fixed, trained, perfect
+
+
+def _rates(layout: ArrayLayout, budget: LinkBudget, grid: np.ndarray,
+           tunings) -> RateComparison:
+    """Rates of the four strategies at each angle of ``grid``, from the
+    solutions of _tunings over the same grid."""
+    design = layout.per_dma
 
     def rate(solution):     # angles on axis 0, subcarriers on axis 1
         stacks = np.broadcast_to(solution.resonances[:, None, None, :],
@@ -189,9 +194,29 @@ def compare_rates(layout: ArrayLayout, codebook: Codebook, phi,
         return achievable_rate(budget, layout, stacks, grid[:, None],
                                solution.operating_freq).rate
 
-    rates = RateComparison(
+    fixed, trained, perfect = tunings
+    return RateComparison(
         fixed=rate(fixed), trained=rate(trained), perfect=rate(perfect),
-        ttd=rate_ttd(budget, layout, f_star).rate)
+        ttd=rate_ttd(budget, layout, perfect.operating_freq).rate)
+
+
+def _angle_mean(rates: RateComparison) -> RateComparison:
+    # cumsum adds left to right, as a loop would; np.mean pairs terms.
+    return RateComparison(*(np.cumsum(r)[-1] / r.size for r in astuple(rates)))
+
+
+def compare_rates(layout: ArrayLayout, codebook: Codebook, phi,
+                  budget: LinkBudget) -> RateComparison:
+    """Evaluate all four strategies at one angle or a 1-d array of angles.
+
+    Each DMA strategy re-centers the band on its own operating frequency;
+    the TTD benchmark uses the same band placement as the perfect-AoD
+    strategy.  A 1-d ``phi`` solves every strategy for all angles at once.
+    The first angle where one is infeasible raises the scalar call's
+    InfeasibleElementError, its message prefixed with strategy and angle.
+    """
+    grid = np.reshape(np.asarray(phi, dtype=float), -1)
+    rates = _rates(layout, budget, grid, _tunings(layout, codebook, grid))
     if np.ndim(phi):
         return rates
     return RateComparison(*(float(r[0]) for r in astuple(rates)))
@@ -209,10 +234,8 @@ def average_rates(layout: ArrayLayout, codebook: Codebook, budget: LinkBudget,
                   phi_lower: float, phi_upper: float,
                   n_samples: int = DEFAULT_ANGLE_SAMPLES) -> RateComparison:
     """Strategy rates averaged over a deterministic uniform angle grid."""
-    rates = compare_rates(layout, codebook,
-                          angle_grid(phi_lower, phi_upper, n_samples), budget)
-    # cumsum adds left to right, as a loop would; np.mean pairs terms.
-    return RateComparison(*(np.cumsum(r)[-1] / n_samples for r in astuple(rates)))
+    return _angle_mean(compare_rates(
+        layout, codebook, angle_grid(phi_lower, phi_upper, n_samples), budget))
 
 
 def bandwidth_sweep(layout: ArrayLayout, codebook: Codebook,
@@ -222,10 +245,13 @@ def bandwidth_sweep(layout: ArrayLayout, codebook: Codebook,
     """Angle-averaged strategy rates for each bandwidth.
 
     Row i is average_rates with the budget's bandwidth set to
-    bandwidths[i].
+    bandwidths[i].  The strategies' tunings do not depend on the
+    bandwidth, so they are solved once for all rows.
     """
-    return [average_rates(layout, codebook, replace(budget, bandwidth=b),
-                          phi_lower, phi_upper, n_samples)
+    grid = angle_grid(phi_lower, phi_upper, n_samples)
+    tunings = _tunings(layout, codebook, grid)
+    return [_angle_mean(_rates(layout, replace(budget, bandwidth=b), grid,
+                               tunings))
             for b in bandwidths]
 
 

@@ -238,6 +238,36 @@ def test_gain_sweep_nan_cells_are_the_infeasible_angles(tmp_path):
         assert [np.isnan(row[lossy]) for row in rows] == expect
 
 
+def test_gain_sweep_names_its_nan_cells_on_stderr(tmp_path, capsys):
+    """Q = 1: one stderr line per solver column with NaN cells, giving the
+    count and the first angle as read back from the CSV; exit stays 0.  A
+    sweep without NaN cells prints nothing."""
+    path = tmp_path / "lowq.scn"
+    path.write_text("design.q_factor = 1\nsweep.gain_angle_points = 61\n")
+    out = str(tmp_path / "run")
+    assert run_cli("gain-sweep", "--scenario", str(path), "--out", out) == 0
+    err = capsys.readouterr().err
+    lines = open(os.path.join(out, "gain_sweep.csv")).read().splitlines()
+    columns = lines[1].split(",")
+    rows = [[float(c) for c in line.split(",")] for line in lines[2:]]
+    expect = []
+    for i, name in enumerate(columns):
+        nan = [row[0] for row in rows if np.isnan(row[i])]
+        if name.endswith("(linear)") and nan:
+            expect.append(f"gain-sweep: {name}: {len(nan)} NaN cells at "
+                          f"infeasible angles, the first at {nan[0]:g} deg")
+    assert len(expect) == 2            # gain_opt and gain_fixed
+    assert err.splitlines() == expect
+    assert "gain_opt(linear): 33 NaN cells" in err
+
+    path.write_text("sweep.gain_angle_points = 11\n")
+    assert run_cli("gain-sweep", "--scenario", str(path),
+                   "--out", str(tmp_path / "clean")) == 0
+    assert "nan" not in open(os.path.join(tmp_path, "clean",
+                                          "gain_sweep.csv")).read()
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("command", ["train", "rate"])
 @pytest.mark.parametrize("extra", [
     "training.delta = 0.99\n",

@@ -77,6 +77,37 @@ def test_psi_angle_range_and_weight_identity(f_r, f):
     assert w == pytest.approx(-np.sin(psi) * np.exp(1j * psi), abs=1e-12)
 
 
+@given(f=st.floats(1e9, 1e12), f_r=st.floats(1e9, 1e12),
+       near=st.sampled_from([None, -1.0, 1.0]))
+@settings(max_examples=300)
+def test_weight_equals_the_raw_polarizability_form(f, f_r, near):
+    """The rational kernel agrees with the oracle's division of the
+    polarizability over the whole range, and within 1e-6 of resonance
+    (``near`` puts f_r at f (1 -+ 1e-6))."""
+    from dmabeam.oracle import _raw_weight
+
+    if near is not None:
+        f_r = f * (1.0 + near * 1e-6)
+    design = make_design()
+    np.testing.assert_allclose(db.beamformer_weight(design, f_r, f),
+                               _raw_weight(design, f_r, f), rtol=1e-11, atol=0)
+
+
+def test_weight_of_a_nan_resonance_is_a_quiet_nan():
+    """An infeasible element's NaN resonance gives a NaN weight in its slot
+    only, and no floating-point warning (a complex division would warn)."""
+    import warnings
+
+    design = make_design()
+    f_r = np.array([14e9, np.nan, 16e9])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = db.beamformer_weight(design, f_r, np.array([[15e9], [17e9]]))
+    assert w.shape == (2, 3)
+    assert np.isnan(w.real[:, 1]).all() and np.isnan(w.imag[:, 1]).all()
+    assert np.isfinite(w[:, [0, 2]]).all()
+
+
 @given(psi_tilde=st.floats(-1.4 * np.pi, 0.49 * np.pi))
 @settings(max_examples=100)
 def test_resonant_from_shifted_realizes_the_angle(psi_tilde):

@@ -255,8 +255,33 @@ def test_bandwidth_sweep_rows_equal_average_rates(layout):
                                dataclasses.replace(budget, bandwidth=b),
                                -0.3, 0.3, n_samples=4)
         for name in ("fixed", "trained", "perfect", "ttd"):
-            assert getattr(row, name) == pytest.approx(getattr(ref, name),
-                                                       rel=1e-12)
+            assert getattr(row, name) == getattr(ref, name)
+
+
+@pytest.mark.parametrize("bandwidths", [[0.3e9], [0.1e9, 0.3e9, 1.0e9]])
+def test_bandwidth_sweep_solves_the_tunings_once(layout, monkeypatch,
+                                                 bandwidths):
+    """The tunings do not depend on the bandwidth: one planner call and
+    one probe per sweep, whatever the number of bandwidths."""
+    import dmabeam.link_rate as link_rate
+
+    calls = {"optimal_operating_freq": 0, "probe": 0}
+
+    def counted(name):
+        inner = getattr(link_rate, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(link_rate, name, counted(name))
+    cb = db.build_codebook(layout.per_dma, -PHI_MAX, PHI_MAX, 0.5)
+    rows = db.bandwidth_sweep(layout, cb, make_budget(n_subcarriers=8),
+                              bandwidths, -0.3, 0.3, n_samples=5)
+    assert len(rows) == len(bandwidths)
+    assert calls == {"optimal_operating_freq": 1, "probe": 1}
 
 
 def test_angle_grid_endpoints():

@@ -26,9 +26,8 @@ from .core_model import (CONSTANTS, DmaDesign, PhysicalConstants,
                          beamformer_weight, polarizability, psi_angle,
                          resonant_from_shifted)
 from .errors import (CoverageInfeasibleError, CutoffError, DmaError,
-                     DomainError, EnumerationLimitError, InfeasibleElementError,
-                     InvalidEstimateError, NoCrossoverError, ScenarioError,
-                     SingularityError)
+                     DomainError, EnumerationLimitError, InvalidEstimateError,
+                     NoCrossoverError, ScenarioError, SingularityError)
 from .frequency_planner import (CoverageAngle, OperatingPoint, SectorDesign,
                                 crossover_angle, design_sector,
                                 golden_section_max, max_coverage_angle,

@@ -196,7 +196,9 @@ def build_codebook(design: DmaDesign, phi_lower: float, phi_upper: float,
 
     The mainlobe half-width Psi_d is quantized to WIDTH_RESOLUTION before
     use.  The stored ``delta`` is recomputed from the quantized width so
-    the codebook's guarantee is self-consistent.
+    the codebook's guarantee is self-consistent.  Raises
+    CoverageInfeasibleError when the sector frequencies do not decrease
+    with the angle, so that no probe can tell two sectors apart.
     """
     if not -np.pi / 2.0 < phi_lower < phi_upper < np.pi / 2.0:
         raise DomainError("need -pi/2 < phi_lower < phi_upper < pi/2")
@@ -217,10 +219,20 @@ def build_codebook(design: DmaDesign, phi_lower: float, phi_upper: float,
                 f"{np.degrees(phi_upper):.2f} deg at delta={delta:g}")
         angles.append(float(np.arcsin(min(s_next, s_max))))
     sector_angles = np.array(angles)
+    freqs = optimal_operating_freq(design, sector_angles).f_t_star
+    rising = np.flatnonzero(np.diff(freqs) >= 0)
+    if rising.size:
+        k = int(rising[0])
+        raise CoverageInfeasibleError(
+            f"sectors {k + 1} and {k + 2} ({np.degrees(angles[k]):.2f} and "
+            f"{np.degrees(angles[k + 1]):.2f} deg) get operating frequencies "
+            f"{freqs[k] / 1e9:.4g} and {freqs[k + 1] / 1e9:.4g} GHz, which "
+            f"do not decrease: the design cannot steer the sector by "
+            f"frequency")
     effective = dirichlet_of_p(width, design.n_elements) ** 2 / design.n_elements ** 2
     return Codebook(
         sector_angles=sector_angles,
-        sector_freqs=optimal_operating_freq(design, sector_angles).f_t_star,
+        sector_freqs=freqs,
         delta=float(effective),
         psi_delta=float(width),
     )

@@ -31,8 +31,7 @@ from .bandwidth_analysis import (array_cutoff_frequencies, array_gain,
 from .binary_tuning import solve_p4
 from .core_model import CONSTANTS, DmaDesign
 from .errors import (CoverageInfeasibleError, CutoffError, DmaError,
-                     InfeasibleElementError, NoCrossoverError, ScenarioError,
-                     SingularityError)
+                     NoCrossoverError, ScenarioError, SingularityError)
 from .frequency_planner import (crossover_angle, design_sector,
                                 max_coverage_angle, optimal_operating_freq)
 from .gain_optimizer import gain_dma, solve_p1a
@@ -48,8 +47,8 @@ EXIT_CONFIG = 2
 EXIT_INFEASIBLE = 3
 EXIT_VERIFICATION = 4
 
-_INFEASIBLE = (InfeasibleElementError, NoCrossoverError,
-               CoverageInfeasibleError, SingularityError, CutoffError)
+_INFEASIBLE = (NoCrossoverError, CoverageInfeasibleError, SingularityError,
+               CutoffError)
 
 
 # ----------------------------------------------------------------- plumbing
@@ -74,6 +73,20 @@ def _write_table(path: str, fp: str, columns, rows, fmt: str) -> None:
         text = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+
+
+def _report_nan_cells(command: str, columns, rows, row_label: str) -> None:
+    """Name on stderr each column holding NaN cells, the cells of
+    infeasible angles, with their count and the first such row:
+    ``row_label`` formatted with that row's first cell."""
+    table = np.array(rows, dtype=float)
+    for name, col in zip(columns, table.T):
+        nan = np.isnan(col)
+        if nan.any():
+            sys.stderr.write(
+                f"{command}: {name}: {int(nan.sum())} NaN cells at "
+                f"infeasible angles, the first at "
+                f"{row_label.format(table[nan.argmax(), 0])}\n")
 
 
 def _update_summary(outdir: str, fp: str, section: str, payload: dict) -> None:
@@ -159,6 +172,20 @@ def _db(x: float) -> float:
     return 10.0 * np.log10(x) if x > 0 else float("-inf")
 
 
+def _crossover(design: DmaDesign, f_c: float) -> float:
+    """The crossover angle in radians, NaN when the design has none."""
+    try:
+        return crossover_angle(design, f_c)
+    except NoCrossoverError:
+        return float("nan")
+
+
+def _ordered(rates) -> bool:
+    """Whether the rates that are not NaN are in non-decreasing order."""
+    finite = [r for r in rates if not math.isnan(r)]
+    return all(a <= b for a, b in zip(finite, finite[1:]))
+
+
 # ----------------------------------------------------------------- commands
 
 def cmd_design(scenario: Scenario, args) -> int:
@@ -168,10 +195,7 @@ def cmd_design(scenario: Scenario, args) -> int:
                            design.f_min, design.f_max)
     f_c = resolved.f_center_hz
     lam_c = CONSTANTS.c / f_c
-    try:
-        phi_c = float(np.degrees(crossover_angle(design, f_c)))
-    except NoCrossoverError:
-        phi_c = float("nan")
+    phi_c = float(np.degrees(_crossover(design, f_c)))
     reach = max_coverage_angle(resolved.n_g_max, design.f_max - design.f_min, f_c)
     text = scenario_to_text(resolved)
     sys.stdout.write(text)
@@ -238,6 +262,7 @@ def cmd_freq_response(scenario: Scenario, args) -> int:
     rows = list(zip(*cols))
     _write_table(os.path.join(args.out, f"freq_response.{args.format}"),
                  fp, columns, rows, args.format)
+    _report_nan_cells("freq-response", columns, rows, "{:g} GHz")
     cut = cutoff_frequencies(design, op.f_t_star, nu=0.5)
     arr_lo, arr_hi = array_cutoff_frequencies(design, phi, op.f_t_star, nu=0.5)
     _update_summary(args.out, fp, "freq_response", {
@@ -283,19 +308,9 @@ def cmd_gain_sweep(scenario: Scenario, args) -> int:
     rows = list(zip(*cols))
     _write_table(os.path.join(args.out, f"gain_sweep.{args.format}"),
                  fp, columns, rows, args.format)
-    for name, col in zip(columns, cols):   # infeasible angles are NaN cells
-        nan = np.isnan(np.asarray(col, dtype=float))
-        if name.endswith("(linear)") and nan.any():
-            sys.stderr.write(
-                f"gain-sweep: {name}: {int(nan.sum())} NaN cells at "
-                f"infeasible angles, the first at {angles[nan.argmax()]:g} "
-                f"deg\n")
-    try:
-        phi_c = float(np.degrees(crossover_angle(design, f_c)))
-    except NoCrossoverError:
-        phi_c = float("nan")
+    _report_nan_cells("gain-sweep", columns, rows, "{:g} deg")
     _update_summary(args.out, fp, "gain_sweep", {
-        "crossover_deg": phi_c,
+        "crossover_deg": float(np.degrees(_crossover(design, f_c))),
         "max_gain": design.n_elements ** 2,
     })
     return EXIT_OK
@@ -381,18 +396,21 @@ def cmd_rate(scenario: Scenario, args) -> int:
                             resolved.angle_samples)
     b_rows = [[b / 1e9, r.fixed, r.trained, r.perfect, r.ttd]
               for b, r in zip(resolved.bandwidths_hz, rates)]
+    b_columns = ["bandwidth(GHz)"] + columns
     _write_table(os.path.join(args.out, f"rate_bandwidth.{args.format}"),
-                 fp, ["bandwidth(GHz)"] + columns, b_rows, args.format)
+                 fp, b_columns, b_rows, args.format)
+    _report_nan_cells("rate", b_columns, b_rows, "bandwidth {:g} GHz")
 
     t_rows = [[p.tuning_range / 1e9, np.degrees(p.phi_max), p.n_sectors,
                p.rates.fixed, p.rates.trained, p.rates.perfect, p.rates.ttd]
               for p in points]
+    t_columns = ["tuning_range(GHz)", "phi_max(deg)", "n_sectors"] + columns
     _write_table(os.path.join(args.out, f"rate_tuning.{args.format}"),
-                 fp, ["tuning_range(GHz)", "phi_max(deg)", "n_sectors"]
-                 + columns, t_rows, args.format)
+                 fp, t_columns, t_rows, args.format)
+    _report_nan_cells("rate", t_columns, t_rows, "tuning range {:g} GHz")
 
-    ordered = all(r[1] <= r[2] <= r[3] <= r[4] for r in b_rows) \
-        and all(r[3] <= r[4] <= r[5] <= r[6] for r in t_rows)
+    ordered = all(_ordered(r[1:]) for r in b_rows) \
+        and all(_ordered(r[3:]) for r in t_rows)
     _update_summary(args.out, fp, "rate", {
         "ordering_fixed_trained_perfect_ttd": bool(ordered),
         "bandwidths_ghz": [r[0] for r in b_rows],
@@ -419,12 +437,11 @@ def cmd_verify(scenario: Scenario, args) -> int:
         phi = rng.uniform(-np.pi / 3, np.pi / 3)
         f_t = rng.uniform(design.f_min + 1e9, design.f_max - 1e9)
         sub = dataclasses.replace(design, n_elements=n)
-        try:
-            closed = solve_p1a(sub, phi, f_t).gain
-        except InfeasibleElementError:
+        closed = solve_p1a(sub, phi, f_t)
+        if not closed.feasible:
             continue
         grid = grid_max_gain(sub, phi, f_t, 200)
-        gaps.append((closed - grid) / closed)
+        gaps.append((closed.gain - grid) / closed.gain)
     detail = f"worst relative gap {max(gaps):.3e}" if gaps else "no draw compared"
     if len(gaps) < 20:
         detail += f"; {20 - len(gaps)} of 20 draws infeasible, skipped"
@@ -460,7 +477,9 @@ def cmd_verify(scenario: Scenario, args) -> int:
         bin_design = dataclasses.replace(
             design, n_elements=oracle.BINARY_MAX_ELEMENTS)
     bin_ok = True
-    angles = [crossover_angle(bin_design, f_c)] + \
+    # A design with no crossover checks the random angles alone.
+    phi_c = _crossover(bin_design, f_c)
+    angles = ([] if math.isnan(phi_c) else [phi_c]) + \
         list(rng.uniform(-np.pi / 3, np.pi / 3, 3))
     # Masks that tie to within rounding are all optimal, so the check is
     # on gains: the reported one and the fast mask's own, recomputed.

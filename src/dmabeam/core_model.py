@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleElementError, SingularityError
+from .errors import DomainError, SingularityError
 
 # Tolerance (rad) around the tangent pole of the resonance map.
 SINGULARITY_TOL = 1e-9
@@ -159,8 +159,8 @@ def resonant_from_shifted(design: DmaDesign, psi_tilde, f_t):
 
     ``psi_tilde`` and ``f_t`` broadcast.  Raises SingularityError on a
     tangent pole.  Where the square-root argument is negative no real
-    resonance reaches the angle: a scalar call raises
-    InfeasibleElementError, an array call gives NaN there.
+    resonance reaches the angle, and the result is NaN there, for a
+    scalar call as for an array call.
     """
     f_t = np.asarray(f_t, dtype=float)
     if np.any(f_t <= 0):
@@ -174,9 +174,5 @@ def resonant_from_shifted(design: DmaDesign, psi_tilde, f_t):
     # float_power rounds like the scalar Python **; an array ** 2 squares.
     arg = np.float_power(f_t, 2) + design.damping * f_t / (2.0 * np.pi) \
         * np.tan(np.pi / 4.0 + psi_tilde / 2.0)
-    if arg.ndim == 0 and arg < 0:
-        raise InfeasibleElementError(
-            None, f"psi_tilde={psi_tilde:.6f} needs an imaginary resonance at "
-                  f"f_t={f_t:.4g}")
     out = np.sqrt(np.where(arg < 0, np.nan, arg))
     return float(out) if out.ndim == 0 else out

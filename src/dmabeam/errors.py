@@ -14,20 +14,6 @@ class SingularityError(DmaError, ValueError):
     resonance map, where no finite resonant frequency exists."""
 
 
-class InfeasibleElementError(DmaError, ValueError):
-    """The closed-form resonance for some element would be imaginary.
-
-    Carries the zero-based element index in ``index`` when known.
-    """
-
-    def __init__(self, index=None, message: str = ""):
-        self.index = index
-        if not message:
-            who = f"element {index}" if index is not None else "element"
-            message = f"{who}: resonance outside the reachable set"
-        super().__init__(message)
-
-
 class NoCrossoverError(DmaError, ValueError):
     """No angle exists where the optimal operating frequency equals the
     requested fixed frequency."""

@@ -89,10 +89,12 @@ def optimal_operating_freq(design: DmaDesign, phi) -> OperatingPoint:
     """Best operating frequency in [f_min, f_max] for the given angle.
 
     If an integer p is reachable the gain hits N^2 exactly (smallest such
-    integer wins when several are reachable).  Otherwise the Dirichlet
-    magnitude is maximized lobe by lobe between its nulls, which keeps
-    each golden-section run on a unimodal piece.  The candidates are the
-    band edges and nulls, then the lobe tops, and the first largest wins.
+    integer wins when several are reachable).  Where n_g + sin(phi) = 0,
+    p = 0 at every frequency, an integer, and f_min is chosen.  Otherwise
+    the Dirichlet magnitude is maximized lobe by lobe between its nulls,
+    which keeps each golden-section run on a unimodal piece.  The
+    candidates are the band edges and nulls, then the lobe tops, and the
+    first largest wins.
 
     A scalar ``phi`` gives float fields and a bool ``integer_case``.  A
     1-d array gives arrays with one entry per angle, each equal to the
@@ -102,10 +104,8 @@ def optimal_operating_freq(design: DmaDesign, phi) -> OperatingPoint:
     phis = np.asarray(phi, dtype=float)
     scalar = phis.ndim == 0
     phis = phis.reshape(-1)
+    # n_g >= 1 (DmaDesign) and sin >= -1 keep the slope non-negative.
     slope = design.spacing * (design.refractive_index + np.sin(phis)) / CONSTANTS.c
-    # count_nonzero: the cheapest reduction on the one-angle path.
-    if np.count_nonzero(slope <= 0):
-        raise DomainError("need n_g + sin(phi) > 0")
     p_min = design.f_min * slope
     p_max = design.f_max * slope
     p_star = np.ceil(p_min)
@@ -151,8 +151,9 @@ def optimal_operating_freq(design: DmaDesign, phi) -> OperatingPoint:
         # an array ** 2 squares, which can differ in the last bit.
         gain[off] = np.float_power(n + s_best, 2) / 4.0
     # p/slope can land an ulp outside the band when p sits on a band edge,
-    # in either case.
-    f_t_star = np.minimum(np.maximum(p_star / slope, design.f_min), design.f_max)
+    # in either case.  A zero slope (p = 0 throughout) divides to 0, f_min.
+    f_t = p_star / np.where(slope > 0, slope, np.inf)
+    f_t_star = np.minimum(np.maximum(f_t, design.f_min), design.f_max)
     if scalar:
         return OperatingPoint(f_t_star=float(f_t_star[0]), p_star=float(p_star[0]),
                               gain=float(gain[0]),

@@ -19,7 +19,7 @@ import numpy as np
 from .channel import dirichlet_kernel, effective_channel, normalized_product
 from .core_model import (CONSTANTS, DmaDesign, beamformer_weight,
                          on_tangent_pole, resonant_from_shifted)
-from .errors import DomainError, InfeasibleElementError
+from .errors import DomainError
 
 PSI_TILDE_LOW = -1.5 * np.pi   # principal interval for shifted angles,
 PSI_TILDE_HIGH = 0.5 * np.pi   # half open: [-3pi/2, pi/2)
@@ -30,9 +30,9 @@ DEGENERATE_CLAMP = 1e-6        # retreat (rad) from the zero-weight endpoint
 class BeamformingSolution:
     """Optimal DMA configuration per (aod, operating frequency) pair.
 
-    One pair gives (N,) resonances, feasible True and float gain and
-    frequency; A pairs give (A, N), (A,) arrays with NaN rows where the
-    one-pair call raises.
+    One pair gives (N,) resonances, a bool and float gain and frequency;
+    A pairs give (A, N), (A,) arrays, each row the one-pair result.  An
+    infeasible pair has feasible False, NaN resonances and a NaN gain.
     """
 
     resonances: np.ndarray       # Hz
@@ -56,10 +56,12 @@ def configured_gain(design: DmaDesign, resonances, phi, f):
     one row per waveguide, or (..., M, N) stacks broadcasting against S.
     When every stack repeats its first row the array sum is M times one
     waveguide's sum, so one row is evaluated and the gain scaled by M^2.
+    A NaN row, an infeasible configuration, repeats as well.
     """
     res = np.atleast_2d(np.asarray(resonances, dtype=float))
     copies = 1
-    if res.shape[-2] > 1 and np.all(res == res[..., :1, :]):
+    if res.shape[-2] > 1 and np.array_equal(
+            res, np.broadcast_to(res[..., :1, :], res.shape), equal_nan=True):
         copies, res = res.shape[-2], res[..., :1, :]
     freqs = np.asarray(f, dtype=float)[..., None]        # element axis last
     h = effective_channel(design, np.asarray(phi, dtype=float)[..., None],
@@ -119,11 +121,11 @@ def solve_p1a(design: DmaDesign, phi, f_t):
     the interval instead; the configuration then attains the reported gain
     up to a relative deficit of order DEGENERATE_CLAMP.
 
-    Raises InfeasibleElementError (carrying the zero-based element index)
-    when some element's required circle angle has no real resonance, which
-    happens on a narrow angular sliver near the bottom of the circle.  A
-    1-d ``phi`` with a scalar or matching ``f_t`` solves every pair and
-    marks such angles as infeasible NaN rows instead.
+    Where some element's required circle angle has no real resonance,
+    which happens on a narrow angular sliver near the bottom of the
+    circle, the pair is infeasible: feasible is False and the resonances
+    and gain are NaN.  A 1-d ``phi`` with a scalar or matching ``f_t``
+    solves every pair, each row as by a scalar call.
     """
     phis, f_ts = np.broadcast_arrays(np.asarray(phi, dtype=float),
                                      np.asarray(f_t, dtype=float))
@@ -138,20 +140,13 @@ def solve_p1a(design: DmaDesign, phi, f_t):
     shifted = np.where(on_tangent_pole(shifted),
                        PSI_TILDE_HIGH - DEGENERATE_CLAMP, shifted)
     f_r = resonant_from_shifted(design, shifted, f_ts[..., None])
-    gain = closed_form_gain(design, phis, f_ts)
-    if phis.ndim == 0:
-        if np.isnan(f_r).any():
-            i = int(np.argmax(np.isnan(f_r)))
-            try:    # the scalar map raises, naming the angle and frequency
-                resonant_from_shifted(design, shifted[i], f_ts)
-            except InfeasibleElementError as exc:
-                raise InfeasibleElementError(i, f"element {i}: {exc}") from exc
-        return BeamformingSolution(resonances=f_r, feasible=True, gain=gain,
-                                   operating_freq=float(f_ts))
     feasible = ~np.isnan(f_r).any(axis=-1)
     f_r[~feasible] = np.nan
-    return BeamformingSolution(resonances=f_r, feasible=feasible,
-                               gain=np.where(feasible, gain, np.nan),
+    gain = np.where(feasible, closed_form_gain(design, phis, f_ts), np.nan)
+    if phis.ndim == 0:
+        return BeamformingSolution(resonances=f_r, feasible=bool(feasible),
+                                   gain=float(gain), operating_freq=float(f_ts))
+    return BeamformingSolution(resonances=f_r, feasible=feasible, gain=gain,
                                operating_freq=np.array(f_ts))
 
 

@@ -28,8 +28,7 @@ from .array_training import (ArrayLayout, Codebook, array_gain_dma, probe,
 # Kept as a module binding: the benchmark's tracer tests use it as a fixture.
 from .channel import combined_phases  # noqa: F401
 from .core_model import CONSTANTS, DmaDesign
-from .errors import (CoverageInfeasibleError, DomainError,
-                     InfeasibleElementError)
+from .errors import CoverageInfeasibleError, DomainError
 from .frequency_planner import (design_sector, max_coverage_angle,
                                 optimal_operating_freq)
 from .gain_optimizer import solve_p1a
@@ -155,9 +154,8 @@ def _tunings(layout: ArrayLayout, codebook: Codebook, grid: np.ndarray):
     """The fixed, trained and perfect solutions over a 1-d angle grid.
 
     They depend on the angles, the array and the codebook, not on the
-    link budget.  The first angle where one is infeasible raises the
-    scalar call's InfeasibleElementError, its message prefixed with
-    strategy and angle.
+    link budget.  An angle infeasible for a strategy is a NaN row of its
+    solution.
     """
     design = layout.per_dma
     f_star = optimal_operating_freq(design, grid).f_t_star
@@ -166,19 +164,6 @@ def _tunings(layout: ArrayLayout, codebook: Codebook, grid: np.ndarray):
     trained = solve_p1a(design, probed.phi_hat, probed.f_k_star)
     f_c = 0.5 * (design.f_min + design.f_max)
     fixed = solve_p1a(design, grid, f_c)
-    feasible = perfect.feasible & trained.feasible & fixed.feasible
-    if not feasible.all():
-        # The scalar solves at the first infeasible angle raise its error.
-        i = int(np.argmin(feasible))
-        for name, phi_i, f_i in (("perfect", grid[i], f_star[i]),
-                                 ("trained", probed.phi_hat[i], probed.f_k_star[i]),
-                                 ("fixed", grid[i], f_c)):
-            try:
-                solve_p1a(design, phi_i, f_i)
-            except InfeasibleElementError as exc:
-                raise InfeasibleElementError(
-                    exc.index, f"{name} strategy at "
-                    f"{np.degrees(grid[i]):.2f} deg: {exc}") from exc
     return fixed, trained, perfect
 
 
@@ -212,8 +197,7 @@ def compare_rates(layout: ArrayLayout, codebook: Codebook, phi,
     Each DMA strategy re-centers the band on its own operating frequency;
     the TTD benchmark uses the same band placement as the perfect-AoD
     strategy.  A 1-d ``phi`` solves every strategy for all angles at once.
-    The first angle where one is infeasible raises the scalar call's
-    InfeasibleElementError, its message prefixed with strategy and angle.
+    A strategy's rate is NaN at an angle where it is infeasible.
     """
     grid = np.reshape(np.asarray(phi, dtype=float), -1)
     rates = _rates(layout, budget, grid, _tunings(layout, codebook, grid))
@@ -233,7 +217,8 @@ def angle_grid(phi_lower: float, phi_upper: float,
 def average_rates(layout: ArrayLayout, codebook: Codebook, budget: LinkBudget,
                   phi_lower: float, phi_upper: float,
                   n_samples: int = DEFAULT_ANGLE_SAMPLES) -> RateComparison:
-    """Strategy rates averaged over a deterministic uniform angle grid."""
+    """Strategy rates averaged over a deterministic uniform angle grid;
+    a strategy infeasible at some angle of it averages to NaN."""
     return _angle_mean(compare_rates(
         layout, codebook, angle_grid(phi_lower, phi_upper, n_samples), budget))
 
@@ -286,12 +271,8 @@ def tuning_range_sweep(template: DmaDesign, n_dmas: int, n_g_max: float,
                          f_min=f_min, f_max=f_max)
         layout, codebook = training_layout(design, n_dmas, -phi_max, phi_max,
                                            delta)
-        try:
-            rates = average_rates(layout, codebook, budget,
-                                  -phi_max, phi_max, n_samples)
-        except InfeasibleElementError as exc:
-            raise InfeasibleElementError(
-                exc.index, f"tuning range {t_r / 1e9:g} GHz: {exc}") from exc
+        rates = average_rates(layout, codebook, budget,
+                              -phi_max, phi_max, n_samples)
         points.append(TuningRangePoint(tuning_range=t_r, phi_max=phi_max,
                                        n_sectors=len(codebook), rates=rates))
     return points

@@ -221,6 +221,23 @@ def test_array_gain_sums_coherently_across_waveguides(layout):
     assert gain == pytest.approx(1024.0, rel=1e-9)
 
 
+def test_nan_stacks_keep_the_replicated_shortcut(design):
+    """Three copies of one configuration per angle, one angle's copies NaN
+    (infeasible): the other angles' gains equal their own calls bit for
+    bit, which take the one-row M^2 shortcut, and the NaN angle is NaN."""
+    three = db.ArrayLayout(n_dmas=3, per_dma=design)
+    phis = np.radians([-20.0, 5.0, 33.0])
+    res = db.solve_p1a(design, phis, F_C).resonances
+    res[1] = np.nan
+    stacks = np.repeat(res[:, None, :], 3, axis=1)
+    freqs = np.linspace(14e9, 16e9, 16)
+    got = db.array_gain_dma(three, stacks[:, None], phis[:, None], freqs)
+    assert np.isnan(got[1]).all()
+    for i in (0, 2):
+        assert np.array_equal(
+            got[i], db.array_gain_dma(three, stacks[i], phis[i], freqs))
+
+
 def test_array_gain_rejects_a_wrong_waveguide_count(layout):
     """One row of resonances per waveguide: 3 or 5 rows, or a single
     waveguide's (N,) vector, do not fit four waveguides."""

@@ -202,10 +202,9 @@ def test_exit_code_for_floor_violation(scn, tmp_path, monkeypatch):
 
 
 def test_gain_sweep_nan_cells_are_the_infeasible_angles(tmp_path):
-    """Q = 1: NaN cells sit exactly where the scalar solver raises, in the
-    plain and the attenuated columns alike."""
-    from dmabeam import InfeasibleElementError, optimal_operating_freq, \
-        solve_p1a
+    """Q = 1: NaN cells sit exactly where the scalar solver reports an
+    infeasible pair, in the plain and the attenuated columns alike."""
+    from dmabeam import optimal_operating_freq, solve_p1a
     from dmabeam.scenario import parse_scenario
 
     text = "design.q_factor = 1\nsweep.gain_angle_points = 61\n"
@@ -219,20 +218,14 @@ def test_gain_sweep_nan_cells_are_the_infeasible_angles(tmp_path):
     rows = [[float(c) for c in line.split(",")] for line in lines[2:]]
     design = cli._resolve(parse_scenario(text + "design.attenuation = on\n"))[0]
 
-    def raises(phi, f_t):
-        try:
-            solve_p1a(design, phi, f_t)
-        except InfeasibleElementError:
-            return True
-        return False
-
     phis = np.radians(np.linspace(-90.0, 90.0, 61)).tolist()
     for label, f_ts in (
             ("opt", [optimal_operating_freq(design, p).f_t_star for p in phis]),
             ("fixed", [15e9] * len(phis))):
         plain = columns.index(f"gain_{label}(linear)")
         lossy = columns.index(f"gain_{label}_attenuated(linear)")
-        expect = [raises(phi, f_t) for phi, f_t in zip(phis, f_ts)]
+        expect = [not solve_p1a(design, phi, f_t).feasible
+                  for phi, f_t in zip(phis, f_ts)]
         assert any(expect) and not all(expect)
         assert [np.isnan(row[plain]) for row in rows] == expect
         assert [np.isnan(row[lossy]) for row in rows] == expect
@@ -445,10 +438,12 @@ def test_verify_passes_at_low_q(tmp_path, capsys, q):
 
 def test_verify_fails_when_no_draw_is_feasible(scn, tmp_path, capsys,
                                                monkeypatch):
-    from dmabeam import InfeasibleElementError
+    from dmabeam import BeamformingSolution
 
-    def infeasible(*args):
-        raise InfeasibleElementError(0, "element 0: no real resonance")
+    def infeasible(design, phi, f_t):
+        return BeamformingSolution(
+            resonances=np.full(design.n_elements, np.nan), feasible=False,
+            gain=float("nan"), operating_freq=f_t)
 
     monkeypatch.setattr(cli, "solve_p1a", infeasible)
     out = str(tmp_path / "run")
@@ -457,17 +452,93 @@ def test_verify_fails_when_no_draw_is_feasible(scn, tmp_path, capsys,
         "20 draws infeasible, skipped)" in capsys.readouterr().out
 
 
-def test_rate_names_where_an_infeasible_angle_stopped_it(tmp_path, capsys):
-    """Q = 1: the rate sweep stops at its first infeasible angle and says
-    in which tuning range, for which strategy and at which angle."""
+def test_rate_reports_infeasible_angles_as_nan_cells(tmp_path, capsys):
+    """Q = 1: the fixed strategy is infeasible at some angles of every
+    sweep, so its column is NaN in both tables and named on stderr for
+    each; the other columns are finite, in order, and exit stays 0."""
     path = tmp_path / "lowq.scn"
     path.write_text("design.q_factor = 1\n")
-    assert run_cli("rate", "--scenario", str(path),
+    out = tmp_path / "run"
+    assert run_cli("rate", "--scenario", str(path), "--out", str(out)) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "rate: rate_fixed(bit/s): 6 NaN cells at infeasible angles, the "
+        "first at bandwidth 0.01 GHz",
+        "rate: rate_fixed(bit/s): 4 NaN cells at infeasible angles, the "
+        "first at tuning range 2 GHz"]
+    for name in ("rate_bandwidth.csv", "rate_tuning.csv"):
+        lines = (out / name).read_text().splitlines()
+        columns = lines[1].split(",")
+        rows = np.array([[float(c) for c in line.split(",")]
+                         for line in lines[2:]])
+        fixed = columns.index("rate_fixed(bit/s)")
+        assert np.isnan(rows[:, fixed]).all()
+        rest = np.delete(rows, fixed, axis=1)
+        assert np.isfinite(rest).all()
+        assert np.all(np.diff(rest[:, -3:], axis=1) >= 0)
+    assert read_summary(str(out))["rate"]["ordering_fixed_trained_perfect_ttd"]
+
+
+def test_ordering_skips_nan_cells():
+    assert cli._ordered([float("nan"), 1.0, 2.0, 2.0])
+    assert cli._ordered([1.0, float("nan"), 3.0])
+    assert not cli._ordered([3.0, float("nan"), 1.0])
+    assert cli._ordered([float("nan")] * 4)
+
+
+def test_freq_response_at_an_infeasible_angle_writes_nan_cells(tmp_path,
+                                                               capsys):
+    """Q = 1 at -50 deg: no real resonance realizes the optimum, so the
+    configured-gain columns are NaN and named on stderr; exit stays 0."""
+    path = tmp_path / "lowq.scn"
+    path.write_text("design.q_factor = 1\nsweep.freq_points = 11\n")
+    out = tmp_path / "run"
+    assert run_cli("freq-response", "--scenario", str(path), "--phi", "-50",
+                   "--out", str(out), "--attenuation", "on") == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"freq-response: {name}: 11 NaN cells at infeasible angles, the "
+        f"first at 12 GHz"
+        for name in ("gain_dma(linear)", "gain_dma_attenuated(linear)")]
+    assert np.isnan(read_summary(str(out))["freq_response"]["gain_at_peak"])
+
+
+def test_unit_refractive_index_gain_sweep_steers_minus_90_deg(tmp_path):
+    """n_g = 1 at -90 deg: p = 0 at every frequency, the integer case, so
+    the row holds f_min and the full gain N^2."""
+    path = tmp_path / "ng1.scn"
+    path.write_text("design.n_g = 1\nsweep.gain_angle_points = 19\n")
+    out = tmp_path / "run"
+    assert run_cli("gain-sweep", "--scenario", str(path), "--out", str(out)) == 0
+    lines = (out / "gain_sweep.csv").read_text().splitlines()
+    first = [float(c) for c in lines[2].split(",")]
+    assert first[:3] == [-90.0, 12.0, 64.0]
+
+
+@pytest.mark.parametrize("command", ["train", "rate"])
+def test_unit_refractive_index_codebook_names_the_sectors(tmp_path, capsys,
+                                                          command):
+    """n_g = 1 puts the sector frequencies on sidelobe maxima that do not
+    decrease: exit 3, naming the first sector pair and its frequencies."""
+    path = tmp_path / "ng1.scn"
+    path.write_text(TINY + "design.n_g = 1\n")
+    assert run_cli(command, "--scenario", str(path),
                    "--out", str(tmp_path / "run")) == 3
-    assert capsys.readouterr().err == (
-        "error: infeasible design: tuning range 2 GHz: fixed strategy at "
-        "9.59 deg: element 0: psi_tilde=-3.141593 needs an imaginary "
-        "resonance at f_t=1.5e+10\n")
+    err = capsys.readouterr().err
+    assert re.search(r"sectors 2 and 3 \(.* deg\) get operating frequencies "
+                     r"12 and 16\.84 GHz, which do not decrease", err)
+
+
+def test_verify_without_a_crossover_checks_the_random_angles(tmp_path,
+                                                             capsys):
+    """n_g = 1 has no angle with p = 1 at f_c: the binary check runs on
+    its three random angles alone."""
+    path = tmp_path / "ng1.scn"
+    path.write_text("design.n_g = 1\n")
+    assert run_cli("verify", "--scenario", str(path),
+                   "--out", str(tmp_path / "run")) == 0
+    text = capsys.readouterr().out
+    assert text.count("PASS") == 3 and "FAIL" not in text
+    assert "binary solver vs plain enumeration  (3 instances)" in text
 
 
 def test_attenuation_changes_no_lossless_command(scn, tmp_path):

@@ -1,0 +1,83 @@
+"""Fuzz gate over the scenario space: every command ends in a known exit
+code, lets no exception escape, and names on stderr every CSV column that
+holds a NaN cell."""
+
+import contextlib
+import csv
+import io
+import os
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dmabeam.cli as cli
+
+COMMANDS = ("gain-sweep", "freq-response", "train", "rate", "verify")
+
+# Small sweeps keep one example, verify's fixed-size oracles included,
+# near half a second.
+SMALL = {
+    "budget.subcarriers": "8",
+    "training.k_tr": "32",
+    "sweep.angle_samples": "9",
+    "sweep.freq_points": "16",
+    "sweep.gain_angle_points": "19",
+    "sweep.bandwidths": "0.3",
+    "sweep.tuning_ranges": "3.0",
+}
+
+
+@st.composite
+def scenarios(draw):
+    # Sectors of 20 to 80 deg: the design rule realizes most of them with
+    # n_g_max = 2.5, and some are too narrow or too wide for it.
+    lower = draw(st.integers(-60, 10))
+    upper = min(lower + draw(st.integers(20, 80)), 85)
+    fields = {
+        "design.q_factor": draw(st.sampled_from(["1", "2", "5", "50"])),
+        "design.n_g": draw(st.sampled_from(["auto", "1"])),
+        "design.n_y": str(draw(st.integers(1, 12))),
+        "design.n_z": draw(st.sampled_from(["1", "2", "4", "8"])),
+        "design.attenuation": draw(st.sampled_from(["on", "off"])),
+        "sector.phi_lower": str(lower),
+        "sector.phi_upper": str(upper),
+    }
+    fields.update(SMALL)
+    return "".join(f"{key} = {value}\n" for key, value in fields.items())
+
+
+def nan_columns(path):
+    """Names of the columns of a CSV output that hold a NaN cell."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if not row[0].startswith("#")]
+    header, body = rows[0], rows[1:]
+    return {name for i, name in enumerate(header)
+            if any(row[i] == "nan" for row in body)}
+
+
+def check_commands(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.scn")
+        with open(path, "w") as fh:
+            fh.write(text)
+        for command in COMMANDS:
+            out = os.path.join(tmp, command)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main([command, "--scenario", path, "--out", out])
+            assert code in (0, 2, 3, 4), (command, code, err.getvalue())
+            if not os.path.isdir(out):
+                continue
+            for name in sorted(os.listdir(out)):
+                if name.endswith(".csv"):
+                    for column in nan_columns(os.path.join(out, name)):
+                        assert f"{command}: {column}: " in err.getvalue(), \
+                            (command, name, column)
+
+
+@given(text=scenarios())
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+def test_every_command_ends_in_a_known_exit_code(text):
+    check_commands(text)

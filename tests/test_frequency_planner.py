@@ -93,10 +93,22 @@ def test_planner_output_always_usable(design):
     for phi_deg in np.linspace(-90.0, 90.0, 181):
         op = db.optimal_operating_freq(design, np.radians(phi_deg))
         assert design.f_min <= op.f_t_star <= design.f_max
-        try:
-            db.solve_p1a(design, np.radians(phi_deg), op.f_t_star)
-        except db.InfeasibleElementError:
-            pass  # the circle-bottom sliver is a separate concern
+        # the circle-bottom sliver is infeasible: a NaN row, not a raise
+        db.solve_p1a(design, np.radians(phi_deg), op.f_t_star)
+
+
+def test_zero_slope_is_the_integer_case_at_f_min(design):
+    """n_g = 1 at -90 deg: p = n_g + sin(phi) = 0 at every frequency, an
+    integer, so the lowest frequency wins with the full gain N^2, in a
+    scalar call and in the -90 deg row of an array call."""
+    flat = dataclasses.replace(design, refractive_index=1.0)
+    one = db.optimal_operating_freq(flat, -np.pi / 2)
+    assert one.integer_case and one.p_star == 0.0
+    assert one.f_t_star == flat.f_min and one.gain == 64.0
+    ops = db.optimal_operating_freq(flat, np.radians(np.linspace(-90.0, 90.0, 7)))
+    assert ops.integer_case[0] and ops.p_star[0] == 0.0
+    assert ops.f_t_star[0] == flat.f_min and ops.gain[0] == 64.0
+    assert np.all(ops.f_t_star[1:] > 0)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 16])

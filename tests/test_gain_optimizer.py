@@ -89,14 +89,22 @@ def test_solve_p1a_rejects_out_of_band(design):
         db.solve_p1a(design, 0.0, 19e9)
 
 
-def test_infeasible_sliver_raises_with_element_index():
-    """A low-Q guide has angles where some element has no real resonance."""
+def test_infeasible_sliver_is_a_nan_solution():
+    """A low-Q guide has angles where some element has no real resonance:
+    the scalar call reports feasible False with NaN resonances and a NaN
+    gain, the types of a feasible call."""
     lowq = db.DmaDesign(n_elements=8, spacing=1.0 / 120.0, refractive_index=2.5,
                         damping=2 * np.pi * F_C / 5, coupling=1e-9,
                         f_min=12e9, f_max=18e9)
-    with pytest.raises(db.InfeasibleElementError) as err:
-        db.solve_p1a(lowq, np.radians(-60.0), 14e9)
-    assert err.value.index == 2
+    sol = db.solve_p1a(lowq, np.radians(-60.0), 14e9)
+    assert sol.feasible is False
+    assert sol.resonances.shape == (8,) and np.isnan(sol.resonances).all()
+    assert isinstance(sol.gain, float) and np.isnan(sol.gain)
+    assert sol.operating_freq == 14e9
+    # element 2's circle angle is the one with no real resonance
+    shifted = db.optimal_shifted_phases(lowq, np.radians(-60.0), 14e9)
+    f_r = db.resonant_from_shifted(lowq, shifted, 14e9)
+    assert np.flatnonzero(np.isnan(f_r))[0] == 2
 
 
 @pytest.mark.parametrize("variant", ["default", "q_factor_1", "n_y_16", "n_y_3"])
@@ -104,7 +112,9 @@ def test_infeasible_sliver_raises_with_element_index():
 def test_batch_solver_equals_the_scalar_calls(design, reference_solve_p1a,
                                               variant, at):
     """Over 361 angles the batch rows are bit for bit the scalar calls and
-    the per-element reference, with NaN rows exactly where they raise.
+    the per-element reference.  Where the reference finds an element with
+    no real resonance, both give feasible False, NaN resonances and a NaN
+    gain.
 
     Q = 1 makes most angles infeasible; N_y = 3 puts the middle element on
     the tangent pole wherever the array sum is negative.
@@ -121,14 +131,14 @@ def test_batch_solver_equals_the_scalar_calls(design, reference_solve_p1a,
     np.testing.assert_array_equal(batch.operating_freq, f_ts)
     for i, (phi, f_t) in enumerate(zip(phis.tolist(), f_ts.tolist())):
         expect = reference_solve_p1a(dma, phi, f_t)
-        try:
-            scalar = db.solve_p1a(dma, phi, f_t)
-        except db.InfeasibleElementError:
-            scalar = None
-        assert (scalar is None) == (expect is None) == (not batch.feasible[i])
-        if scalar is None:
+        scalar = db.solve_p1a(dma, phi, f_t)
+        assert scalar.feasible is (expect is not None)
+        assert scalar.feasible == batch.feasible[i]
+        assert scalar.operating_freq == batch.operating_freq[i]
+        if expect is None:
+            assert np.all(np.isnan(scalar.resonances))
             assert np.all(np.isnan(batch.resonances[i]))
-            assert np.isnan(batch.gain[i])
+            assert np.isnan(scalar.gain) and np.isnan(batch.gain[i])
             continue
         assert np.array_equal(batch.resonances[i], scalar.resonances)
         assert np.array_equal(batch.resonances[i], expect[0])

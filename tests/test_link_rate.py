@@ -202,36 +202,39 @@ def test_array_compare_rates_equals_the_per_angle_calls(layout):
         assert getattr(avg, name) == total / 25
 
 
-def test_infeasible_angle_raises_the_scalar_error(layout):
-    """A low-Q guide: the sweep stops with the first infeasible angle's
-    own error, as a loop over scalar calls did, prefixed with the strategy
-    that failed and the angle."""
+def test_infeasible_angles_are_nan_rates(layout):
+    """A low-Q guide: a strategy's rate is NaN exactly at the angles where
+    its solution is infeasible, as the per-angle calls give it, and the
+    other angles and strategies keep their rates.  A strategy infeasible
+    at some angle averages to NaN."""
     lowq = dataclasses.replace(layout.per_dma, damping=2 * np.pi * F_C / 1.0)
     cb = db.build_codebook(layout.per_dma, -PHI_MAX, PHI_MAX, 0.5)
     lowq_layout = db.ArrayLayout(n_dmas=4, per_dma=lowq)
+    budget = make_budget(n_subcarriers=16)
     phis = np.radians(np.linspace(-30.0, 30.0, 21))
-    first = None
-    for phi in phis:
-        try:
-            reference_rates(lowq_layout, cb, phi, make_budget())
-        except db.InfeasibleElementError as exc:
-            first = exc
-            break
-    assert first is not None
-    with pytest.raises(db.InfeasibleElementError) as err:
-        db.compare_rates(lowq_layout, cb, phis, make_budget())
-    assert str(err.value) == f"fixed strategy at {np.degrees(phi):.2f} deg: {first}"
-    assert err.value.index == first.index
+    batch = db.compare_rates(lowq_layout, cb, phis, budget)
+    references = [reference_rates(lowq_layout, cb, phi, budget) for phi in phis]
+    for name in ("fixed", "trained", "perfect", "ttd"):
+        np.testing.assert_allclose(getattr(batch, name),
+                                   [r[name] for r in references], rtol=1e-12)
+    fixed = db.solve_p1a(lowq, phis, F_C)
+    assert np.array_equal(np.isnan(batch.fixed), ~fixed.feasible)
+    assert 0 < np.count_nonzero(~fixed.feasible) < phis.size
+    avg = db.average_rates(lowq_layout, cb, budget, phis[0], phis[-1], 21)
+    assert np.isnan(avg.fixed) and np.isfinite(avg.ttd)
 
 
-def test_tuning_range_sweep_names_the_range_that_fails(design):
-    """The same low-Q error from a tuning-range sweep also names the range."""
+def test_tuning_range_sweep_keeps_going_past_infeasible_angles(design):
+    """The same low-Q guide in a tuning-range sweep: every range is
+    computed, the fixed strategy's average is NaN, and the strategies
+    that stay feasible keep their order."""
     lowq = dataclasses.replace(design, damping=2 * np.pi * F_C / 1.0)
-    with pytest.raises(db.InfeasibleElementError) as err:
-        db.tuning_range_sweep(lowq, 4, 2.5, 0.5, make_budget(n_subcarriers=4),
-                              [2e9, 3e9], n_samples=5)
-    assert str(err.value).startswith("tuning range 2 GHz: fixed strategy at ")
-    assert err.value.index == 0
+    pts = db.tuning_range_sweep(lowq, 4, 2.5, 0.5, make_budget(n_subcarriers=4),
+                                [2e9, 3e9], n_samples=5)
+    assert [pt.tuning_range for pt in pts] == [2e9, 3e9]
+    assert np.isnan(pts[0].rates.fixed)
+    for pt in pts:
+        assert pt.rates.trained <= pt.rates.perfect <= pt.rates.ttd
 
 
 def test_bandwidth_sweep_shapes_and_ttd_growth(layout):

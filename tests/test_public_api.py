@@ -9,8 +9,8 @@ PUBLIC = [
     'ArrayLayout', 'BeamformingSolution', 'BinarySolution', 'CONSTANTS',
     'Codebook', 'CoverageAngle', 'CoverageInfeasibleError', 'CutoffError',
     'CutoffReport', 'DmaDesign', 'DmaError', 'DomainError',
-    'EnumerationLimitError', 'InfeasibleElementError',
-    'InvalidEstimateError', 'LinkBudget', 'NoCrossoverError',
+    'EnumerationLimitError', 'InvalidEstimateError', 'LinkBudget',
+    'NoCrossoverError',
     'OperatingPoint', 'PhysicalConstants', 'RateComparison', 'RateReport',
     'Scenario', 'ScenarioError', 'SectorDesign', 'SingularityError',
     'TrainingResult', 'TtdSolution', 'TuningRangePoint', 'achievable_rate',

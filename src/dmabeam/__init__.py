@@ -23,7 +23,7 @@ from .binary_tuning import BinarySolution, solve_p4
 from .channel import (attenuation_vector, combined_phases, dirichlet_kernel,
                       dirichlet_of_p, effective_channel, normalized_product)
 from .core_model import (CONSTANTS, DmaDesign, PhysicalConstants,
-                         beamformer_weight, polarizability, psi_angle,
+                         beamformer_weight, polarizability,
                          resonant_from_shifted)
 from .errors import (CoverageInfeasibleError, CutoffError, DmaError,
                      DomainError, EnumerationLimitError, InvalidEstimateError,
@@ -32,9 +32,8 @@ from .frequency_planner import (CoverageAngle, OperatingPoint, SectorDesign,
                                 crossover_angle, design_sector,
                                 golden_section_max, max_coverage_angle,
                                 optimal_operating_freq)
-from .gain_optimizer import (BeamformingSolution, TtdSolution,
-                             closed_form_gain, gain_dma, gain_ttd,
-                             optimal_shifted_phases, solve_p1a, solve_ttd,
+from .gain_optimizer import (BeamformingSolution, closed_form_gain,
+                             gain_dma, optimal_shifted_phases, solve_p1a,
                              wrap_shifted)
 from .link_rate import (LinkBudget, RateComparison, RateReport,
                         TuningRangePoint, achievable_rate, angle_grid,

@@ -198,10 +198,17 @@ def build_codebook(design: DmaDesign, phi_lower: float, phi_upper: float,
     use.  The stored ``delta`` is recomputed from the quantized width so
     the codebook's guarantee is self-consistent.  Raises
     CoverageInfeasibleError when the sector frequencies do not decrease
-    with the angle, so that no probe can tell two sectors apart.
+    with the angle, so that no probe can tell two sectors apart, and
+    for a waveguide of fewer than 2 elements, whose gain has no mainlobe
+    to place sectors by.
     """
     if not -np.pi / 2.0 < phi_lower < phi_upper < np.pi / 2.0:
         raise DomainError("need -pi/2 < phi_lower < phi_upper < pi/2")
+    if design.n_elements < 2:
+        raise CoverageInfeasibleError(
+            f"a waveguide of design.n_y = {design.n_elements} element has "
+            f"no mainlobe to place codebook sectors by: training needs at "
+            f"least 2")
     width = psi_delta(design.n_elements, delta)
     width = round(width / WIDTH_RESOLUTION) * WIDTH_RESOLUTION
     if width <= 0:

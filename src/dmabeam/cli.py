@@ -10,7 +10,9 @@ force.
 
 Outputs are deterministic: identical scenario plus flags produce
 byte-identical files.  CSV columns carry units in the header and every
-file starts with the scenario fingerprint.
+file starts with the scenario fingerprint.  A command only computes: it
+returns a ``CommandResult`` and ``main`` writes it, so a run that fails
+writes nothing.
 """
 
 from __future__ import annotations
@@ -89,13 +91,25 @@ def _report_nan_cells(command: str, columns, rows, row_label: str) -> None:
                 f"{row_label.format(table[nan.argmax(), 0])}\n")
 
 
+def _finite_or_null(value):
+    """``value`` with each non-finite float, at any depth, as None:
+    RFC 8259 JSON has no NaN or Infinity token."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _update_summary(outdir: str, fp: str, section: str, payload: dict) -> None:
     """Set one section of summary.json, replacing the file in one step.
 
     A reader never sees a half-written file: the new text goes to a
     temporary file in the same directory, which then replaces the old
     one.  An existing file that is not a JSON object is replaced, with a
-    warning naming it.
+    warning naming it.  Non-finite values are written as null.
     """
     path = os.path.join(outdir, "summary.json")
     summary = {}
@@ -113,12 +127,45 @@ def _update_summary(outdir: str, fp: str, section: str, payload: dict) -> None:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
+            json.dump(_finite_or_null(summary), fh, indent=2, sort_keys=True,
+                      allow_nan=False)
             fh.write("\n")
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+@dataclasses.dataclass(frozen=True)
+class CommandResult:
+    """All that one command computed; ``main`` writes it under --out.
+
+    ``tables`` holds (stem, columns, rows, nan_label) per table, written
+    to <stem>.<format>; a nan_label, formatted with a row's first cell,
+    names the first NaN row of each column on stderr, and None skips
+    that report.  ``files`` holds (name, text) pairs written verbatim.
+    ``summary`` is the command's section of summary.json.
+    """
+
+    summary: dict
+    tables: tuple = ()
+    files: tuple = ()
+    code: int = EXIT_OK
+
+
+def _write_result(args, fp: str, result: CommandResult) -> None:
+    """Write a command's result under --out, each table headed by ``fp``."""
+    os.makedirs(args.out, exist_ok=True)
+    for name, text in result.files:
+        with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    for stem, columns, rows, nan_label in result.tables:
+        _write_table(os.path.join(args.out, f"{stem}.{args.format}"), fp,
+                     columns, rows, args.format)
+        if nan_label is not None:
+            _report_nan_cells(args.command, columns, rows, nan_label)
+    _update_summary(args.out, fp, args.command.replace("-", "_"),
+                    result.summary)
 
 
 def _resolve(scenario: Scenario):
@@ -188,9 +235,7 @@ def _ordered(rates) -> bool:
 
 # ----------------------------------------------------------------- commands
 
-def cmd_design(scenario: Scenario, args) -> int:
-    design, resolved = _resolve(scenario)
-    fp = fingerprint(resolved)
+def cmd_design(design: DmaDesign, resolved: Scenario, args) -> CommandResult:
     sector = design_sector(resolved.phi_lower_rad, resolved.phi_upper_rad,
                            design.f_min, design.f_max)
     f_c = resolved.f_center_hz
@@ -199,10 +244,7 @@ def cmd_design(scenario: Scenario, args) -> int:
     reach = max_coverage_angle(resolved.n_g_max, design.f_max - design.f_min, f_c)
     text = scenario_to_text(resolved)
     sys.stdout.write(text)
-    with open(os.path.join(args.out, "scenario_resolved.txt"), "w",
-              encoding="utf-8") as fh:
-        fh.write(text)
-    _update_summary(args.out, fp, "design", {
+    return CommandResult(files=(("scenario_resolved.txt", text),), summary={
         "n_g_star": sector.n_g_star,
         "d_y_star_m": sector.d_y_star,
         "d_y_star_wavelengths": sector.d_y_star / lam_c,
@@ -212,12 +254,9 @@ def cmd_design(scenario: Scenario, args) -> int:
         "phi_max_deg": float(np.degrees(reach.angle)),
         "phi_max_saturated": reach.saturated,
     })
-    return EXIT_OK
 
 
-def cmd_coverage(scenario: Scenario, args) -> int:
-    design, resolved = _resolve(scenario)
-    fp = fingerprint(resolved)
+def cmd_coverage(design: DmaDesign, resolved: Scenario, args) -> CommandResult:
     f_c = resolved.f_center_hz
     ratios = np.linspace(0.0, resolved.coverage_ratio_max,
                          resolved.coverage_points)
@@ -230,19 +269,15 @@ def cmd_coverage(scenario: Scenario, args) -> int:
         return [ratio] + angles
 
     rows = [row(ratio) for ratio in ratios]
-    _write_table(os.path.join(args.out, f"coverage.{args.format}"),
-                 fp, columns, rows, args.format)
     anchor = max_coverage_angle(4.0, 0.25 * f_c, f_c)
-    _update_summary(args.out, fp, "coverage", {
+    return CommandResult(tables=(("coverage", columns, rows, None),), summary={
         "anchor_ng4_quarter_ratio_deg": float(np.degrees(anchor.angle)),
         "n_g_values": list(resolved.coverage_n_g),
     })
-    return EXIT_OK
 
 
-def cmd_freq_response(scenario: Scenario, args) -> int:
-    design, resolved = _resolve(scenario)
-    fp = fingerprint(resolved)
+def cmd_freq_response(design: DmaDesign, resolved: Scenario,
+                      args) -> CommandResult:
     phi = float(np.radians(args.phi))
     op = optimal_operating_freq(design, phi)
     solution = solve_p1a(design, phi, op.f_t_star)
@@ -260,28 +295,24 @@ def cmd_freq_response(scenario: Scenario, args) -> int:
         columns.append("gain_dma_attenuated(linear)")
         cols.append(gain_dma(lossy, solution.resonances, phi, freqs))
     rows = list(zip(*cols))
-    _write_table(os.path.join(args.out, f"freq_response.{args.format}"),
-                 fp, columns, rows, args.format)
-    _report_nan_cells("freq-response", columns, rows, "{:g} GHz")
     cut = cutoff_frequencies(design, op.f_t_star, nu=0.5)
     arr_lo, arr_hi = array_cutoff_frequencies(design, phi, op.f_t_star, nu=0.5)
-    _update_summary(args.out, fp, "freq_response", {
-        "phi_deg": args.phi,
-        "f_star_ghz": op.f_t_star / 1e9,
-        "gain_at_peak": solution.gain,
-        "element_f_lower_ghz": cut.f_lower / 1e9,
-        "element_f_upper_ghz": cut.f_upper / 1e9,
-        "element_bandwidth_mhz": cut.bandwidth / 1e6,
-        "element_bandwidth_approx_mhz": cut.approx_bandwidth / 1e6,
-        "array_f_lower_ghz": arr_lo / 1e9,
-        "array_f_upper_ghz": arr_hi / 1e9,
-    })
-    return EXIT_OK
+    return CommandResult(
+        tables=(("freq_response", columns, rows, "{:g} GHz"),), summary={
+            "phi_deg": args.phi,
+            "f_star_ghz": op.f_t_star / 1e9,
+            "gain_at_peak": solution.gain,
+            "element_f_lower_ghz": cut.f_lower / 1e9,
+            "element_f_upper_ghz": cut.f_upper / 1e9,
+            "element_bandwidth_mhz": cut.bandwidth / 1e6,
+            "element_bandwidth_approx_mhz": cut.approx_bandwidth / 1e6,
+            "array_f_lower_ghz": arr_lo / 1e9,
+            "array_f_upper_ghz": arr_hi / 1e9,
+        })
 
 
-def cmd_gain_sweep(scenario: Scenario, args) -> int:
-    design, resolved = _resolve(scenario)
-    fp = fingerprint(resolved)
+def cmd_gain_sweep(design: DmaDesign, resolved: Scenario,
+                   args) -> CommandResult:
     f_c = resolved.f_center_hz
     angles = np.linspace(-90.0, 90.0, resolved.gain_angle_points)
     columns = ["phi(deg)", "f_star(GHz)",
@@ -306,29 +337,19 @@ def cmd_gain_sweep(scenario: Scenario, args) -> int:
                                  sol.operating_freq))
         cols.append([solve_p4(lossy, phi, f_c).gain for phi in phis.tolist()])
     rows = list(zip(*cols))
-    _write_table(os.path.join(args.out, f"gain_sweep.{args.format}"),
-                 fp, columns, rows, args.format)
-    _report_nan_cells("gain-sweep", columns, rows, "{:g} deg")
-    _update_summary(args.out, fp, "gain_sweep", {
-        "crossover_deg": float(np.degrees(_crossover(design, f_c))),
-        "max_gain": design.n_elements ** 2,
-    })
-    return EXIT_OK
+    return CommandResult(
+        tables=(("gain_sweep", columns, rows, "{:g} deg"),), summary={
+            "crossover_deg": float(np.degrees(_crossover(design, f_c))),
+            "max_gain": design.n_elements ** 2,
+        })
 
 
-def cmd_train(scenario: Scenario, args) -> int:
-    design, resolved = _resolve(scenario)
-    fp = fingerprint(resolved)
+def cmd_train(design: DmaDesign, resolved: Scenario, args) -> CommandResult:
     layout, codebook = _layout_and_codebook(resolved, design)
     n_max = (design.n_elements * layout.n_dmas) ** 2
-
-    _write_table(
-        os.path.join(args.out, f"codebook.{args.format}"), fp,
-        ["sector", "angle(deg)", "f_t(GHz)"],
-        [[k + 1, np.degrees(a), f / 1e9]
-         for k, (a, f) in enumerate(zip(codebook.sector_angles,
-                                        codebook.sector_freqs))],
-        args.format)
+    codebook_rows = [[k + 1, np.degrees(a), f / 1e9]
+                     for k, (a, f) in enumerate(zip(codebook.sector_angles,
+                                                    codebook.sector_freqs))]
 
     # Sector frequencies alone as pilots: the staircase then shows one
     # plateau per sector instead of smearing across neighboring bins.
@@ -340,10 +361,6 @@ def cmd_train(scenario: Scenario, args) -> int:
     gains = result.gain_at_estimate
     rows = list(zip(np.degrees(sweep), result.f_k_star / 1e9,
                     np.degrees(result.phi_hat), gains, gains / n_max))
-    _write_table(os.path.join(args.out, f"train.{args.format}"), fp,
-                 ["phi(deg)", "f_k_star(GHz)", "phi_hat(deg)",
-                  "gain(linear)", "gain_normalized(linear)"],
-                 rows, args.format)
 
     floor = codebook.delta * n_max * (1.0 - 1e-6)
     worst = float(np.min(gains))
@@ -369,23 +386,25 @@ def cmd_train(scenario: Scenario, args) -> int:
             "phi_hat_deg": float(np.degrees(single.phi_hat)),
             "gain": single.gain_at_estimate,
         }
-    _update_summary(args.out, fp, "train", payload)
     if worst < floor:
         sys.stderr.write(
             f"train: gain floor violated: {worst:.6g} < {floor:.6g}\n")
-        return EXIT_VERIFICATION
-    return EXIT_OK
+    tables = (
+        ("codebook", ["sector", "angle(deg)", "f_t(GHz)"], codebook_rows,
+         None),
+        ("train", ["phi(deg)", "f_k_star(GHz)", "phi_hat(deg)",
+                   "gain(linear)", "gain_normalized(linear)"], rows, None))
+    return CommandResult(tables=tables, summary=payload,
+                         code=EXIT_OK if worst >= floor else EXIT_VERIFICATION)
 
 
-def cmd_rate(scenario: Scenario, args) -> int:
-    design, resolved = _resolve(scenario)
-    fp = fingerprint(resolved)
+def cmd_rate(design: DmaDesign, resolved: Scenario, args) -> CommandResult:
     budget = _budget(resolved)
     columns = ["rate_fixed(bit/s)", "rate_trained(bit/s)",
                "rate_perfect(bit/s)", "rate_ttd(bit/s)"]
 
     # The tuning sweep runs first: it rejects a saturated range before
-    # any codebook or sweep is computed and before any file is written.
+    # any codebook or sweep is computed.
     points = tuning_range_sweep(design, resolved.n_z, resolved.n_g_max,
                                 resolved.delta, budget,
                                 resolved.tuning_ranges_hz,
@@ -397,31 +416,22 @@ def cmd_rate(scenario: Scenario, args) -> int:
     b_rows = [[b / 1e9, r.fixed, r.trained, r.perfect, r.ttd]
               for b, r in zip(resolved.bandwidths_hz, rates)]
     b_columns = ["bandwidth(GHz)"] + columns
-    _write_table(os.path.join(args.out, f"rate_bandwidth.{args.format}"),
-                 fp, b_columns, b_rows, args.format)
-    _report_nan_cells("rate", b_columns, b_rows, "bandwidth {:g} GHz")
-
     t_rows = [[p.tuning_range / 1e9, np.degrees(p.phi_max), p.n_sectors,
                p.rates.fixed, p.rates.trained, p.rates.perfect, p.rates.ttd]
               for p in points]
     t_columns = ["tuning_range(GHz)", "phi_max(deg)", "n_sectors"] + columns
-    _write_table(os.path.join(args.out, f"rate_tuning.{args.format}"),
-                 fp, t_columns, t_rows, args.format)
-    _report_nan_cells("rate", t_columns, t_rows, "tuning range {:g} GHz")
-
     ordered = all(_ordered(r[1:]) for r in b_rows) \
         and all(_ordered(r[3:]) for r in t_rows)
-    _update_summary(args.out, fp, "rate", {
+    tables = (("rate_bandwidth", b_columns, b_rows, "bandwidth {:g} GHz"),
+              ("rate_tuning", t_columns, t_rows, "tuning range {:g} GHz"))
+    return CommandResult(tables=tables, summary={
         "ordering_fixed_trained_perfect_ttd": bool(ordered),
         "bandwidths_ghz": [r[0] for r in b_rows],
         "tuning_ranges_ghz": [r[0] for r in t_rows],
     })
-    return EXIT_OK
 
 
-def cmd_verify(scenario: Scenario, args) -> int:
-    design, resolved = _resolve(scenario)
-    fp = fingerprint(resolved)
+def cmd_verify(design: DmaDesign, resolved: Scenario, args) -> CommandResult:
     checks = []
 
     if design.n_elements > 4:
@@ -495,11 +505,10 @@ def cmd_verify(scenario: Scenario, args) -> int:
     all_ok = all(ok for _, ok, _ in checks)
     for name, ok, detail in checks:
         sys.stdout.write(f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})\n")
-    _update_summary(args.out, fp, "verify", {
-        name: {"pass": bool(ok), "detail": detail}
-        for name, ok, detail in checks
-    })
-    return EXIT_OK if all_ok else EXIT_VERIFICATION
+    return CommandResult(
+        summary={name: {"pass": bool(ok), "detail": detail}
+                 for name, ok, detail in checks},
+        code=EXIT_OK if all_ok else EXIT_VERIFICATION)
 
 
 # --------------------------------------------------------------- entry point
@@ -543,8 +552,8 @@ def main(argv=None) -> int:
         if args.attenuation is not None:
             scenario = dataclasses.replace(scenario,
                                            attenuation=args.attenuation == "on")
-        os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](scenario, args)
+        design, resolved = _resolve(scenario)
+        result = _COMMANDS[args.command](design, resolved, args)
     except ScenarioError as err:
         sys.stderr.write(f"error: invalid scenario: {err}\n")
         return EXIT_CONFIG
@@ -554,6 +563,10 @@ def main(argv=None) -> int:
     except DmaError as err:
         sys.stderr.write(f"error: {err}\n")
         return EXIT_CONFIG
+    # Nothing is written before the command has computed all of it: a
+    # run that raises leaves --out as it found it.
+    _write_result(args, fingerprint(resolved), result)
+    return result.code
 
 
 if __name__ == "__main__":

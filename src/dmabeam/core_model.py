@@ -100,23 +100,15 @@ def polarizability(design: DmaDesign, f_r_n, f):
     return complex(out) if out.ndim == 0 else out
 
 
-def psi_angle(design: DmaDesign, f_r_n, f):
-    """Lorentzian phase angle psi = atan2(-Gamma f, 2 pi (f_r^2 - f^2)).
-
-    Always in [-pi, 0]: 0- far below resonance, -pi/2 on resonance,
-    -pi far above.
-    """
-    f_r_n, f = _positive_frequencies(f_r_n, f)
-    out = np.arctan2(-design.damping * f, 2.0 * np.pi * (f_r_n**2 - f**2))
-    return float(out) if out.ndim == 0 else out
-
-
 def beamformer_weight(design: DmaDesign, f_r_n, f):
     """Dimensionless element weight w = -sin(psi) e^{j psi}.
 
-    The polarizability factors as alpha = -F Q sin(psi) e^{j psi}; this is
-    the frequency-normalized part that acts as the beamforming weight.
-    It always lies on the circle |w + j/2| = 1/2.
+    psi = atan2(-Gamma f, 2 pi (f_r^2 - f^2)) is the Lorentzian phase
+    angle, in [-pi, 0]: 0- far below resonance, -pi/2 on resonance, -pi
+    far above.  The polarizability factors as
+    alpha = -F Q sin(psi) e^{j psi}; this is the frequency-normalized part
+    that acts as the beamforming weight.  It always lies on the circle
+    |w + j/2| = 1/2.
 
     It is evaluated in rational form.  With x = 2 pi (f_r^2 - f^2),
     y = -Gamma f and r = |x + j y|, psi is the argument of x + j y, so

@@ -1,13 +1,11 @@
 """Fixed-frequency beamforming gain maximization.
 
-Two architectures are solved in closed form:
-
-* the DMA, whose per-element weights are confined to the Lorentzian
-  circle: the best reachable gain at (phi, f_t) is (N + |S|)^2 / 4 with S
-  the Dirichlet array sum, attained by pointing every weight's circle
-  angle at the common phase of the channel conjugate;
-* the true-time-delay (TTD) array, whose per-element delays align all
-  frequencies at once, giving the squint-free gain N^2 everywhere.
+The DMA's per-element weights are confined to the Lorentzian circle, and
+its gain is maximized in closed form: the best reachable gain at
+(phi, f_t) is (N + |S|)^2 / 4 with S the Dirichlet array sum, attained by
+pointing every weight's circle angle at the common phase of the channel
+conjugate.  The true-time-delay benchmark's gain is N^2 at every
+frequency, so the rate sweeps use that value directly.
 """
 
 from __future__ import annotations
@@ -17,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import dirichlet_kernel, effective_channel, normalized_product
-from .core_model import (CONSTANTS, DmaDesign, beamformer_weight,
-                         on_tangent_pole, resonant_from_shifted)
+from .core_model import (DmaDesign, beamformer_weight, on_tangent_pole,
+                         resonant_from_shifted)
 from .errors import DomainError
 
 PSI_TILDE_LOW = -1.5 * np.pi   # principal interval for shifted angles,
@@ -39,13 +37,6 @@ class BeamformingSolution:
     feasible: bool | np.ndarray
     gain: float | np.ndarray     # closed-form optimum
     operating_freq: float | np.ndarray   # Hz
-
-
-@dataclass(frozen=True)
-class TtdSolution:
-    """Optimal per-element true-time delays, seconds (all non-negative)."""
-
-    delays: np.ndarray
 
 
 def configured_gain(design: DmaDesign, resonances, phi, f):
@@ -149,25 +140,3 @@ def solve_p1a(design: DmaDesign, phi, f_t):
     return BeamformingSolution(resonances=f_r, feasible=feasible, gain=gain,
                                operating_freq=np.array(f_ts))
 
-
-def solve_ttd(n_elements: int, spacing: float, phi: float) -> TtdSolution:
-    """Optimal TTD delays; the branch choice keeps every delay non-negative."""
-    idx = np.arange(1, n_elements + 1)
-    if phi >= 0:
-        delays = spacing / CONSTANTS.c * (idx - 1) * np.sin(phi)
-    else:
-        delays = spacing / CONSTANTS.c * (idx - n_elements) * np.sin(phi)
-    return TtdSolution(delays=delays)
-
-
-def gain_ttd(solution: TtdSolution, spacing: float, phi: float, f: float) -> float:
-    """TTD gain |sum_n e^{j 2 pi f tau_n} e^{j phase_e,n(phi, f)}|^2.
-
-    With delays from solve_ttd at the matching angle this is N^2 for every
-    frequency: the delays cancel the extrinsic phase slope exactly.
-    """
-    n = solution.delays.size
-    idx = np.arange(n)
-    extrinsic = -2.0 * np.pi * (f / CONSTANTS.c) * idx * spacing * np.sin(phi)
-    total = np.exp(1j * (2.0 * np.pi * f * solution.delays + extrinsic))
-    return float(np.abs(total.sum()) ** 2)

@@ -214,13 +214,6 @@ def test_10_invariant_suite(design, tmp_path):
             assert db.dirichlet_of_p(float(k), n) == pytest.approx(want,
                                                                    rel=1e-12)
 
-    # True time delay is squint-free: gain N^2 at any frequency.
-    phi = np.radians(-23.0)
-    ttd = db.solve_ttd(design.n_elements, design.spacing, phi)
-    for f_i in rng.uniform(design.f_min, design.f_max, 50):
-        g = db.gain_ttd(ttd, design.spacing, phi, float(f_i))
-        assert g == pytest.approx(design.n_elements ** 2, rel=1e-9)
-
     # Two identical runs produce byte-identical artifacts.
     scn = tmp_path / "tiny.scn"
     scn.write_text("sweep.freq_points = 64\nsweep.gain_angle_points = 25\n")
@@ -235,5 +228,5 @@ def test_10_invariant_suite(design, tmp_path):
         b = open(os.path.join(outs[1], name), "rb").read()
         assert a == b, name
     _announce("invariant suite",
-              "circle, unit-modulus channel, Dirichlet limits, squint-free "
-              f"ttd, determinism over {len(names)} files")
+              "circle, unit-modulus channel, Dirichlet limits, "
+              f"determinism over {len(names)} files")

@@ -133,6 +133,14 @@ def test_codebook_width_is_quantized(design):
             db.dirichlet_of_p(cb.psi_delta, n_y) ** 2 / n_y ** 2, rel=1e-12)
 
 
+def test_codebook_needs_two_elements_per_waveguide(design):
+    """One slot has no mainlobe to place sectors by: the codebook is
+    infeasible and names design.n_y (psi_delta itself raises DomainError)."""
+    one = dataclasses.replace(design, n_elements=1)
+    with pytest.raises(db.CoverageInfeasibleError, match="design.n_y = 1"):
+        db.build_codebook(one, -PHI_MAX, PHI_MAX, 0.5)
+
+
 def test_codebook_rejects_a_sector_outside_the_visible_half_plane(layout):
     for lower, upper in ((-np.pi / 2, 0.3), (-0.3, np.pi / 2), (0.3, -0.3)):
         with pytest.raises(db.DomainError):

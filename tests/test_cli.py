@@ -38,9 +38,14 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+def reject_constant(name):
+    raise ValueError(f"summary.json holds the non-standard token {name}")
+
+
 def read_summary(out):
+    """summary.json, parsed as strict JSON: a NaN or Infinity token fails."""
     with open(os.path.join(out, "summary.json")) as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=reject_constant)
 
 
 def test_design_writes_summary_and_resolved_scenario(scn, tmp_path, capsys):
@@ -499,7 +504,52 @@ def test_freq_response_at_an_infeasible_angle_writes_nan_cells(tmp_path,
         f"freq-response: {name}: 11 NaN cells at infeasible angles, the "
         f"first at 12 GHz"
         for name in ("gain_dma(linear)", "gain_dma_attenuated(linear)")]
-    assert np.isnan(read_summary(str(out))["freq_response"]["gain_at_peak"])
+    assert read_summary(str(out))["freq_response"]["gain_at_peak"] is None
+
+
+@pytest.mark.parametrize("command,section",
+                         [("design", "design"), ("gain-sweep", "gain_sweep")])
+def test_missing_crossover_is_null_in_the_summary(tmp_path, command, section):
+    """n_g = 1 has no crossover angle: summary.json holds null there, not
+    the bare NaN token that strict JSON parsers reject."""
+    path = tmp_path / "ng1.scn"
+    path.write_text("design.n_g = 1\nsweep.gain_angle_points = 19\n")
+    out = str(tmp_path / "run")
+    assert run_cli(command, "--scenario", str(path), "--out", out) == 0
+    assert read_summary(out)[section]["crossover_deg"] is None
+
+
+@pytest.mark.parametrize("command,text,flags,code", [
+    # cutoff_frequencies fails after the gain table is computed
+    ("freq-response", "design.q_factor = 1e9\n", (), 3),
+    # the staircase probe fails after the codebook is computed
+    ("train", "design.n_g = 3\ndesign.d_y = 0.02\n", ("--phi", "10"), 2),
+], ids=["freq-response", "train"])
+def test_a_failing_command_writes_nothing(tmp_path, capsys, command, text,
+                                          flags, code):
+    """A command computes all its outputs before writing any: a run that
+    fails part-way creates no file and no --out directory."""
+    path = tmp_path / "fail.scn"
+    path.write_text(text)
+    out = tmp_path / "run"
+    assert run_cli(command, "--scenario", str(path), "--out", str(out),
+                   *flags) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "rate"])
+def test_single_element_waveguide_cannot_train(tmp_path, capsys, command):
+    """N_y = 1 has no mainlobe to place sectors by: exit 3, naming
+    design.n_y, as an infeasible design, not an invalid scenario."""
+    path = tmp_path / "one.scn"
+    path.write_text(TINY.replace("design.n_y = 8", "design.n_y = 1"))
+    out = tmp_path / "run"
+    assert run_cli(command, "--scenario", str(path), "--out", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: infeasible design: ")
+    assert "design.n_y = 1" in err
+    assert not out.exists()
 
 
 def test_unit_refractive_index_gain_sweep_steers_minus_90_deg(tmp_path):

@@ -1,10 +1,12 @@
 """Fuzz gate over the scenario space: every command ends in a known exit
-code, lets no exception escape, and names on stderr every CSV column that
+code, lets no exception escape, writes nothing when it fails, writes
+summary.json as strict JSON, and names on stderr every CSV column that
 holds a NaN cell."""
 
 import contextlib
 import csv
 import io
+import json
 import os
 import tempfile
 
@@ -56,6 +58,10 @@ def nan_columns(path):
             if any(row[i] == "nan" for row in body)}
 
 
+def reject_constant(name):
+    raise ValueError(f"summary.json holds the non-standard token {name}")
+
+
 def check_commands(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "fuzz.scn")
@@ -68,8 +74,11 @@ def check_commands(text):
                     contextlib.redirect_stderr(err):
                 code = cli.main([command, "--scenario", path, "--out", out])
             assert code in (0, 2, 3, 4), (command, code, err.getvalue())
-            if not os.path.isdir(out):
+            if code in (cli.EXIT_CONFIG, cli.EXIT_INFEASIBLE):
+                assert not os.path.exists(out), (command, os.listdir(out))
                 continue
+            with open(os.path.join(out, "summary.json")) as fh:
+                json.loads(fh.read(), parse_constant=reject_constant)
             for name in sorted(os.listdir(out)):
                 if name.endswith(".csv"):
                     for column in nan_columns(os.path.join(out, name)):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dmabeam as db
+from dmabeam.oracle import _raw_weight
 
 F_C = 15e9
 
@@ -69,9 +70,10 @@ def test_weights_live_on_the_half_circle(f_r, f):
 @given(f_r=st.floats(1e9, 1e12), f=st.floats(1e9, 1e11))
 @settings(max_examples=200)
 def test_psi_angle_range_and_weight_identity(f_r, f):
-    """psi in [-pi, 0] and w = -sin(psi) e^{j psi}."""
+    """The Lorentzian phase angle psi, the argument of the polarizability,
+    lies in [-pi, 0], and w = -sin(psi) e^{j psi}."""
     design = make_design()
-    psi = db.psi_angle(design, f_r, f)
+    psi = np.angle(_raw_weight(design, f_r, f))
     assert -np.pi <= psi <= 0.0
     w = db.beamformer_weight(design, f_r, f)
     assert w == pytest.approx(-np.sin(psi) * np.exp(1j * psi), abs=1e-12)
@@ -84,8 +86,6 @@ def test_weight_equals_the_raw_polarizability_form(f, f_r, near):
     """The rational kernel agrees with the oracle's division of the
     polarizability over the whole range, and within 1e-6 of resonance
     (``near`` puts f_r at f (1 -+ 1e-6))."""
-    from dmabeam.oracle import _raw_weight
-
     if near is not None:
         f_r = f * (1.0 + near * 1e-6)
     design = make_design()
@@ -119,7 +119,7 @@ def test_resonant_from_shifted_realizes_the_angle(psi_tilde):
         # the steep lower flank needs f_r^2 < 0 for this design
         assert psi_tilde < -np.pi
         return
-    realized = 2.0 * db.psi_angle(design, f_r, f_t) + np.pi / 2.0
+    realized = 2.0 * np.angle(_raw_weight(design, f_r, f_t)) + np.pi / 2.0
     assert realized == pytest.approx(psi_tilde, abs=1e-6)
 
 
@@ -171,12 +171,12 @@ def test_weight_from_shifted_matches_construction():
 
 
 def test_non_positive_resonances_are_rejected():
-    """A configuration is a plain array of resonances; psi_angle, and so
-    every weight and gain built on it, rejects a non-positive entry."""
+    """A configuration is a plain array of resonances; the weight, and so
+    every gain built on it, rejects a non-positive entry."""
     design = make_design()
     for bad in (-1.0, 0.0):
         f_r = np.array([14e9, bad, 16e9])
         with pytest.raises(db.DomainError):
-            db.psi_angle(design, f_r, 15e9)
+            db.beamformer_weight(design, f_r, 15e9)
         with pytest.raises(db.DomainError):
             db.gain_dma(make_design(n_elements=3), f_r, 0.1, 15e9)

@@ -189,27 +189,6 @@ def test_wrap_shifted_is_2pi_periodic(x):
     assert min(d, 2 * np.pi - d) < 1e-9
 
 
-def test_ttd_delays_non_negative(design):
-    for phi in (-0.8, -0.1, 0.0, 0.3, 1.1):
-        sol = db.solve_ttd(design.n_elements, design.spacing, phi)
-        assert np.all(sol.delays >= 0.0)
-
-
-def test_ttd_gain_is_squint_free(design):
-    """Matched delays give N^2 at every frequency, including off-band."""
-    rng = np.random.default_rng(11)
-    phi = np.radians(-25.0)
-    sol = db.solve_ttd(design.n_elements, design.spacing, phi)
-    for f in rng.uniform(10e9, 20e9, size=50):
-        g = db.gain_ttd(sol, design.spacing, phi, f)
-        assert g == pytest.approx(design.n_elements ** 2, rel=1e-9)
-
-
-def test_ttd_gain_drops_off_target(design):
-    sol = db.solve_ttd(design.n_elements, design.spacing, 0.3)
-    assert db.gain_ttd(sol, design.spacing, 0.5, 15e9) < 0.9 * design.n_elements ** 2
-
-
 def test_solution_is_immutable(design):
     sol = db.solve_p1a(design, 0.1, 15e9)
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -13,7 +13,7 @@ PUBLIC = [
     'NoCrossoverError',
     'OperatingPoint', 'PhysicalConstants', 'RateComparison', 'RateReport',
     'Scenario', 'ScenarioError', 'SectorDesign', 'SingularityError',
-    'TrainingResult', 'TtdSolution', 'TuningRangePoint', 'achievable_rate',
+    'TrainingResult', 'TuningRangePoint', 'achievable_rate',
     'angle_grid', 'array_cutoff_frequencies', 'array_gain',
     'array_gain_dma', 'attenuation_vector', 'average_rates',
     'bandwidth_sweep', 'beamformer_weight', 'binary_mask_gain',
@@ -21,13 +21,13 @@ PUBLIC = [
     'compare_rates', 'crossover_angle', 'cutoff_frequencies',
     'dense_p_scan', 'design_sector', 'dirichlet_kernel', 'dirichlet_of_p',
     'effective_channel', 'element_gain', 'enumerate_binary', 'fingerprint',
-    'gain_at_estimate', 'gain_dma', 'gain_ttd', 'golden_section_max',
+    'gain_at_estimate', 'gain_dma', 'golden_section_max',
     'grid_max_gain', 'load_scenario', 'max_coverage_angle',
     'normalized_product', 'optimal_operating_freq',
     'optimal_shifted_phases', 'parse_scenario', 'pilot_grid',
-    'polarizability', 'probe', 'psi_angle', 'psi_delta', 'rate_ttd',
+    'polarizability', 'probe', 'psi_delta', 'rate_ttd',
     'received_psd', 'resonance_grid', 'resonant_from_shifted',
-    'scenario_to_text', 'solve_p1a', 'solve_p4', 'solve_ttd',
+    'scenario_to_text', 'solve_p1a', 'solve_p4',
     'subcarrier_grid', 'training_layout', 'tuning_range_sweep',
     'wrap_shifted',
 ]

@@ -138,8 +138,10 @@ def probe(layout: ArrayLayout, codebook: Codebook, phi_true,
     visible = (-1.0 <= arg) & (arg <= 1.0)
     if not np.all(visible):
         raise InvalidEstimateError(
-            f"subcarrier {np.extract(~visible, f_k)[0]:.4g} Hz maps outside "
-            f"the visible region")
+            f"pilot {np.extract(~visible, f_k)[0]:.4g} Hz maps outside the "
+            f"visible region: the design's design.n_g = "
+            f"{design.refractive_index:g} and design.d_y = "
+            f"{design.spacing:g} m put its angle estimate beyond +-90 deg")
     phi_hat = np.arcsin(arg)
     if phis.ndim == 0:
         k_star, f_k, phi_hat = int(k_star), float(f_k), float(phi_hat)

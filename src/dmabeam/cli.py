@@ -33,7 +33,8 @@ from .bandwidth_analysis import (array_cutoff_frequencies, array_gain,
 from .binary_tuning import solve_p4
 from .core_model import CONSTANTS, DmaDesign
 from .errors import (CoverageInfeasibleError, CutoffError, DmaError,
-                     NoCrossoverError, ScenarioError, SingularityError)
+                     InvalidEstimateError, NoCrossoverError, ScenarioError,
+                     SingularityError)
 from .frequency_planner import (crossover_angle, design_sector,
                                 max_coverage_angle, optimal_operating_freq)
 from .gain_optimizer import gain_dma, solve_p1a
@@ -50,7 +51,7 @@ EXIT_INFEASIBLE = 3
 EXIT_VERIFICATION = 4
 
 _INFEASIBLE = (NoCrossoverError, CoverageInfeasibleError, SingularityError,
-               CutoffError)
+               CutoffError, InvalidEstimateError)
 
 
 # ----------------------------------------------------------------- plumbing
@@ -323,7 +324,7 @@ def cmd_gain_sweep(design: DmaDesign, resolved: Scenario,
     f_stars = optimal_operating_freq(design, phis).f_t_star
     opt = solve_p1a(design, phis, f_stars)
     fix = solve_p1a(design, phis, f_c)
-    binary = [solve_p4(design, phi, f_c).gain for phi in phis.tolist()]
+    binary = solve_p4(design, phis, f_c).gain
     cols = [angles, f_stars / 1e9, opt.gain, [_db(g) for g in opt.gain],
             fix.gain, [_db(g) for g in fix.gain],
             binary, [_db(g) for g in binary]]
@@ -335,7 +336,7 @@ def cmd_gain_sweep(design: DmaDesign, resolved: Scenario,
         for sol in (opt, fix):      # NaN rows of infeasible angles stay NaN
             cols.append(gain_dma(lossy, sol.resonances, phis,
                                  sol.operating_freq))
-        cols.append([solve_p4(lossy, phi, f_c).gain for phi in phis.tolist()])
+        cols.append(solve_p4(lossy, phis, f_c).gain)
     rows = list(zip(*cols))
     return CommandResult(
         tables=(("gain_sweep", columns, rows, "{:g} deg"),), summary={
@@ -491,13 +492,13 @@ def cmd_verify(design: DmaDesign, resolved: Scenario, args) -> CommandResult:
     phi_c = _crossover(bin_design, f_c)
     angles = ([] if math.isnan(phi_c) else [phi_c]) + \
         list(rng.uniform(-np.pi / 3, np.pi / 3, 3))
+    fast = solve_p4(bin_design, np.array(angles, dtype=float), f_c)
     # Masks that tie to within rounding are all optimal, so the check is
     # on gains: the reported one and the fast mask's own, recomputed.
-    for phi in angles:
-        fast = solve_p4(bin_design, float(phi), f_c)
+    for phi, mask, gain in zip(angles, fast.mask, fast.gain.tolist()):
         slow = enumerate_binary(bin_design, float(phi), f_c)
-        own = binary_mask_gain(bin_design, float(phi), f_c, fast.mask)
-        bin_ok &= math.isclose(fast.gain, slow.gain, rel_tol=1e-9)
+        own = binary_mask_gain(bin_design, float(phi), f_c, mask)
+        bin_ok &= math.isclose(gain, slow.gain, rel_tol=1e-9)
         bin_ok &= math.isclose(own, slow.gain, rel_tol=1e-9)
     checks.append(("binary solver vs plain enumeration", bool(bin_ok),
                    f"{len(angles)} instances"))

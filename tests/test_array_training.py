@@ -191,7 +191,8 @@ def test_probe_estimate_feeds_the_gain_model(layout):
 
 def test_probe_rejects_unmappable_pilot(layout):
     cb = db.build_codebook(layout.per_dma, -PHI_MAX, PHI_MAX, 0.5)
-    with pytest.raises(db.InvalidEstimateError):
+    with pytest.raises(db.InvalidEstimateError,
+                       match=r"pilot 5e\+09 Hz .* design\.n_g = 2\.5"):
         db.probe(layout, cb, 0.0, np.array([5e9]))
 
 

@@ -126,3 +126,90 @@ def test_lexicographically_smallest_tie_break():
     assert sol.gain == pytest.approx(1.0, rel=1e-12)
     slow = db.enumerate_binary(two, 0.0, 7.2e9)
     np.testing.assert_array_equal(slow.mask, sol.mask)
+    # Tied rows of a batch keep the rule next to untied ones.
+    batch = db.solve_p4(two, np.array([0.0, 0.4, 0.0]), 7.2e9)
+    np.testing.assert_array_equal(batch.mask[[0, 2]], [[0, 1], [0, 1]])
+    np.testing.assert_array_equal(batch.mask[1],
+                                  db.solve_p4(two, 0.4, 7.2e9).mask)
+
+
+def _sweep_with_ties(design):
+    """361 angles over the half plane plus the crossover angle: broadside
+    and the crossover are where lossless masks tie."""
+    phis = np.radians(np.linspace(-90.0, 90.0, 361))
+    try:
+        return np.append(phis, db.crossover_angle(design, F_C))
+    except db.NoCrossoverError:
+        return phis
+
+
+def _reference_half_plane(design, phi, f_c):
+    """The half-plane search for one angle: 2N arc midpoints, integer
+    candidate masks summed by matmul, the smallest of the tied masks."""
+    h = db.effective_channel(design, phi, f_c)
+    edges = np.sort(np.mod(np.angle(h)[:, None] + [np.pi / 2, -np.pi / 2],
+                           2.0 * np.pi).ravel())
+    mids = 0.5 * (edges + np.append(edges[1:], edges[0] + 2.0 * np.pi))
+    masks = (np.real(h * np.exp(-1j * mids[:, None])) > 0).astype(np.int64)
+    gains = np.abs(masks @ h) ** 2
+    return min(masks[gains == gains.max()].tolist()), float(gains.max())
+
+
+def _assert_rows_are_scalar_calls(design, phis):
+    """Each batch row equals its scalar call and the one-angle reference,
+    bit for bit."""
+    batch = db.solve_p4(design, phis, F_C)
+    for row, phi in enumerate(phis.tolist()):
+        one = db.solve_p4(design, phi, F_C)
+        mask, gain = _reference_half_plane(design, phi, F_C)
+        np.testing.assert_array_equal(batch.mask[row], one.mask)
+        np.testing.assert_array_equal(batch.mask[row], mask)
+        assert batch.gain[row] == one.gain == gain
+
+
+@pytest.mark.parametrize("lossy", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 8, 16])
+def test_batch_rows_equal_the_scalar_calls(design, n, lossy):
+    """Every row of a 1-d call is its scalar call bit for bit."""
+    sized = dataclasses.replace(design, n_elements=n,
+                                attenuation=6.0 if lossy else None)
+    _assert_rows_are_scalar_calls(sized, _sweep_with_ties(sized))
+
+
+@pytest.mark.parametrize("lossy", [False, True])
+def test_batch_spanning_several_blocks_equals_the_scalar_calls(design, lossy):
+    """At N_y = 128 a block holds two angles, so 41 angles take 21 blocks,
+    the last one partial."""
+    big = dataclasses.replace(design, n_elements=128,
+                              attenuation=6.0 if lossy else None)
+    assert db.binary_tuning.MASK_BLOCK_ENTRIES // (2 * 128 ** 2) == 2
+    _assert_rows_are_scalar_calls(big, np.radians(np.linspace(-60, 60, 41)))
+
+
+def test_return_shapes_and_dtypes(design):
+    one = db.solve_p4(design, 0.3, F_C)
+    assert one.mask.shape == (8,) and one.mask.dtype == np.int8
+    assert type(one.gain) is float
+    for phis in (np.array([0.3]), np.radians(np.linspace(-90, 90, 7))):
+        many = db.solve_p4(design, phis, F_C)
+        assert many.mask.shape == (phis.size, 8)
+        assert many.mask.dtype == np.int8
+        assert many.gain.shape == (phis.size,)
+        assert many.gain.dtype == np.float64
+
+
+@pytest.mark.parametrize("n", [1, 5, 12])
+def test_batch_gains_match_the_oracles(design, n):
+    """Lossless rows against the plain double loop, attenuated rows against
+    the itertools.product enumeration, each called per angle."""
+    phis = np.radians(np.linspace(-80.0, 80.0, 9))
+    lossless = dataclasses.replace(design, n_elements=n)
+    batch = db.solve_p4(lossless, phis, F_C)
+    for gain, phi in zip(batch.gain, phis.tolist()):
+        slow = db.enumerate_binary(lossless, phi, F_C)
+        assert gain == pytest.approx(slow.gain, rel=1e-9)
+    lossy = dataclasses.replace(lossless, attenuation=6.0)
+    batch = db.solve_p4(lossy, phis, F_C)
+    for gain, phi in zip(batch.gain, phis.tolist()):
+        assert gain == pytest.approx(_product_enumeration(lossy, phi, F_C)[1],
+                                     rel=1e-9)

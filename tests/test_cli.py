@@ -522,9 +522,12 @@ def test_missing_crossover_is_null_in_the_summary(tmp_path, command, section):
 @pytest.mark.parametrize("command,text,flags,code", [
     # cutoff_frequencies fails after the gain table is computed
     ("freq-response", "design.q_factor = 1e9\n", (), 3),
-    # the staircase probe fails after the codebook is computed
-    ("train", "design.n_g = 3\ndesign.d_y = 0.02\n", ("--phi", "10"), 2),
-], ids=["freq-response", "train"])
+    # the staircase probe fails after the codebook is computed: a sector
+    # pilot's estimate leaves the visible region, an infeasible design
+    ("train", "design.n_g = 3\ndesign.d_y = 0.02\n", ("--phi", "10"), 3),
+    # the rate sweep's probe fails the same way
+    ("rate", "design.n_g = 3\ndesign.d_y = 0.02\n", (), 3),
+], ids=["freq-response", "train", "rate"])
 def test_a_failing_command_writes_nothing(tmp_path, capsys, command, text,
                                           flags, code):
     """A command computes all its outputs before writing any: a run that

@@ -33,8 +33,7 @@ from .frequency_planner import (CoverageAngle, OperatingPoint, SectorDesign,
                                 golden_section_max, max_coverage_angle,
                                 optimal_operating_freq)
 from .gain_optimizer import (BeamformingSolution, closed_form_gain,
-                             gain_dma, optimal_shifted_phases, solve_p1a,
-                             wrap_shifted)
+                             optimal_shifted_phases, solve_p1a, wrap_shifted)
 from .link_rate import (LinkBudget, RateComparison, RateReport,
                         TuningRangePoint, achievable_rate, angle_grid,
                         average_rates, bandwidth_sweep, compare_rates,

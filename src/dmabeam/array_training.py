@@ -18,12 +18,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import dirichlet_of_p
-from .core_model import CONSTANTS, DmaDesign
+from .channel import dirichlet_of_p, effective_channel
+from .core_model import CONSTANTS, DmaDesign, beamformer_weight
 from .errors import (CoverageInfeasibleError, DomainError,
                      InvalidEstimateError)
 from .frequency_planner import optimal_operating_freq
-from .gain_optimizer import configured_gain
 
 DEFAULT_PILOT_COUNT = 256
 WIDTH_RESOLUTION = 1e-3    # quantization of the mainlobe half-width
@@ -85,14 +84,28 @@ class TrainingResult:
 def array_gain_dma(layout: ArrayLayout, resonances, phi, f):
     """Array gain |sum_m f_dma,m(f)^T h(phi, f)|^2 over all waveguides.
 
-    ``resonances`` is an (..., n_dmas, N) array, one row per waveguide,
-    broadcasting as in configured_gain.
+    ``phi`` and ``f`` broadcast to a shape S; scalars give a float.
+    ``resonances`` is an (..., L, N) array of sub-array rows, L dividing
+    n_dmas, its leading axes broadcasting against S: row l configures the
+    l-th run of n_dmas / L consecutive waveguides.  All waveguides see one
+    channel, so the gain is (n_dmas / L)^2 |sum_l w_l(f)^T h(phi, f)|^2.
+    One row configures every waveguide alike.
     """
     res = np.asarray(resonances, dtype=float)
-    if res.ndim < 2 or res.shape[-2] != layout.n_dmas:
-        raise DomainError(f"need {layout.n_dmas} waveguide rows of "
-                          f"resonances, got shape {res.shape}")
-    return configured_gain(layout.per_dma, res, phi, f)
+    design = layout.per_dma
+    if res.ndim < 2 or res.shape[-2] < 1 or layout.n_dmas % res.shape[-2]:
+        raise DomainError(f"need a number of resonance rows dividing the "
+                          f"{layout.n_dmas} waveguides, got shape {res.shape}")
+    if res.shape[-1] != design.n_elements:
+        raise DomainError(f"need {design.n_elements} resonances per row "
+                          f"(design.n_y), got shape {res.shape}")
+    copies = layout.n_dmas // res.shape[-2]
+    freqs = np.asarray(f, dtype=float)[..., None]        # element axis last
+    h = effective_channel(design, np.asarray(phi, dtype=float)[..., None],
+                          freqs)
+    weights = beamformer_weight(design, res, freqs[..., None])
+    out = copies ** 2 * np.abs(np.einsum("...mn,...n->...", weights, h)) ** 2
+    return float(out) if out.ndim == 0 else out
 
 
 def pilot_grid(design: DmaDesign, k_tr: int = DEFAULT_PILOT_COUNT,
@@ -114,8 +127,9 @@ def probe(layout: ArrayLayout, codebook: Codebook, phi_true,
           pilot: np.ndarray) -> TrainingResult:
     """Single-shot training: strongest pilot subcarrier -> angle estimate.
 
-    Group l of n_dmas / len(codebook) waveguides resonates all its elements
-    at sector l's frequency.  The measurement model is noise-free and
+    Group l of n_dmas / len(codebook) consecutive waveguides resonates all
+    its elements at sector l's frequency: the codebook's L sector rows are
+    array_gain_dma's sub-array rows.  The measurement model is noise-free and
     feedback is a single integer; ties resolve to the lowest subcarrier
     index.  A 1-d ``phi_true`` is probed in one array gain evaluation,
     each angle as by a scalar call.
@@ -128,9 +142,8 @@ def probe(layout: ArrayLayout, codebook: Codebook, phi_true,
                           f"{layout.n_dmas} waveguides into equal groups")
     design = layout.per_dma
     phis = np.asarray(phi_true, dtype=float)
-    tones = np.repeat(codebook.sector_freqs, layout.n_dmas // len(codebook))
-    training = np.broadcast_to(tones[:, None],
-                               (layout.n_dmas, design.n_elements))
+    training = np.broadcast_to(codebook.sector_freqs[:, None],
+                               (len(codebook), design.n_elements))
     gains = array_gain_dma(layout, training, phis[..., None], pilot)
     k_star = np.argmax(gains, axis=-1)       # the first of tied maxima
     f_k = pilot[k_star]

@@ -27,7 +27,8 @@ import sys
 import numpy as np
 
 from . import __version__, oracle
-from .array_training import pilot_grid, probe, training_layout
+from .array_training import (ArrayLayout, array_gain_dma, pilot_grid, probe,
+                             training_layout)
 from .bandwidth_analysis import (array_cutoff_frequencies, array_gain,
                                  cutoff_frequencies, element_gain)
 from .binary_tuning import solve_p4
@@ -37,7 +38,7 @@ from .errors import (CoverageInfeasibleError, CutoffError, DmaError,
                      SingularityError)
 from .frequency_planner import (crossover_angle, design_sector,
                                 max_coverage_angle, optimal_operating_freq)
-from .gain_optimizer import gain_dma, solve_p1a
+from .gain_optimizer import solve_p1a
 from .link_rate import (LinkBudget, angle_grid, bandwidth_sweep,
                         tuning_range_sweep)
 from .oracle import (binary_mask_gain, dense_p_scan, enumerate_binary,
@@ -287,14 +288,15 @@ def cmd_freq_response(design: DmaDesign, resolved: Scenario,
     columns = ["f(GHz)", "gain_dma(linear)", "gain_dma(dB)",
                "element_factor(linear)", "array_factor(linear)",
                "gain_ttd(linear)"]
-    gains = gain_dma(design, solution.resonances, phi, freqs)
+    row = solution.resonances[None, :]      # one row: the one waveguide
+    gains = array_gain_dma(ArrayLayout(1, design), row, phi, freqs)
     cols = [freqs / 1e9, gains, [_db(g) for g in gains],
             element_gain(design, op.f_t_star, freqs),
             array_gain(design, phi, freqs), np.full(freqs.size, float(n_sq))]
     if resolved.attenuation:
         lossy = dataclasses.replace(design, attenuation=resolved.alpha)
         columns.append("gain_dma_attenuated(linear)")
-        cols.append(gain_dma(lossy, solution.resonances, phi, freqs))
+        cols.append(array_gain_dma(ArrayLayout(1, lossy), row, phi, freqs))
     rows = list(zip(*cols))
     cut = cutoff_frequencies(design, op.f_t_star, nu=0.5)
     arr_lo, arr_hi = array_cutoff_frequencies(design, phi, op.f_t_star, nu=0.5)
@@ -334,8 +336,9 @@ def cmd_gain_sweep(design: DmaDesign, resolved: Scenario,
                     "gain_fixed_attenuated(linear)",
                     "gain_binary_attenuated(linear)"]
         for sol in (opt, fix):      # NaN rows of infeasible angles stay NaN
-            cols.append(gain_dma(lossy, sol.resonances, phis,
-                                 sol.operating_freq))
+            cols.append(array_gain_dma(ArrayLayout(1, lossy),
+                                       sol.resonances[:, None, :], phis,
+                                       sol.operating_freq))
         cols.append(solve_p4(lossy, phis, f_c).gain)
     rows = list(zip(*cols))
     return CommandResult(

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import dirichlet_kernel, effective_channel, normalized_product
-from .core_model import (DmaDesign, beamformer_weight, on_tangent_pole,
-                         resonant_from_shifted)
+from .channel import dirichlet_kernel, normalized_product
+from .core_model import DmaDesign, on_tangent_pole, resonant_from_shifted
 from .errors import DomainError
 
 PSI_TILDE_LOW = -1.5 * np.pi   # principal interval for shifted angles,
@@ -37,41 +36,6 @@ class BeamformingSolution:
     feasible: bool | np.ndarray
     gain: float | np.ndarray     # closed-form optimum
     operating_freq: float | np.ndarray   # Hz
-
-
-def configured_gain(design: DmaDesign, resonances, phi, f):
-    """Gain |sum_m w_m(f)^T h(phi, f)|^2 of waveguides with set resonances.
-
-    ``phi`` and ``f`` broadcast to a shape S; scalars give a float.
-    ``resonances`` is one waveguide's (N,) resonances, an (M, N) stack with
-    one row per waveguide, or (..., M, N) stacks broadcasting against S.
-    When every stack repeats its first row the array sum is M times one
-    waveguide's sum, so one row is evaluated and the gain scaled by M^2.
-    A NaN row, an infeasible configuration, repeats as well.
-    """
-    res = np.atleast_2d(np.asarray(resonances, dtype=float))
-    copies = 1
-    if res.shape[-2] > 1 and np.array_equal(
-            res, np.broadcast_to(res[..., :1, :], res.shape), equal_nan=True):
-        copies, res = res.shape[-2], res[..., :1, :]
-    freqs = np.asarray(f, dtype=float)[..., None]        # element axis last
-    h = effective_channel(design, np.asarray(phi, dtype=float)[..., None],
-                          freqs)
-    weights = beamformer_weight(design, res, freqs[..., None])
-    out = copies ** 2 * np.abs(np.einsum("...mn,...n->...", weights, h)) ** 2
-    return float(out) if out.ndim == 0 else out
-
-
-def gain_dma(design: DmaDesign, resonances, phi, f):
-    """Beamforming gain |f_dma(f)^T h(phi, f)|^2 of arbitrary configurations.
-
-    ``resonances`` is an (..., N) array, broadcasting as in configured_gain.
-    """
-    f_r = np.asarray(resonances, dtype=float)
-    if f_r.ndim == 0 or f_r.shape[-1] != design.n_elements:
-        raise DomainError(f"need {design.n_elements} resonances per "
-                          f"configuration, got shape {f_r.shape}")
-    return configured_gain(design, f_r[..., None, :], phi, f)
 
 
 def wrap_shifted(psi_tilde):

@@ -127,9 +127,10 @@ def achievable_rate(budget: LinkBudget, layout: ArrayLayout, resonances,
 
     The band is centered on ``center``.  The configuration stays as given
     across the whole band, so the gain rolls off away from the frequency
-    it was tuned for.  ``phi`` and the (..., n_dmas, N) resonances
-    broadcast against the subcarrier grid as in configured_gain, and the
-    rate sums over its last axis.
+    it was tuned for.  ``phi`` and the (..., L, N) sub-array rows of
+    resonances broadcast against the subcarrier grid as in array_gain_dma
+    (one row configures every waveguide alike), and the rate sums over
+    its last axis.
     """
     grid = subcarrier_grid(budget, center)
     gains = array_gain_dma(layout, resonances, phi, grid)
@@ -171,13 +172,11 @@ def _rates(layout: ArrayLayout, budget: LinkBudget, grid: np.ndarray,
            tunings) -> RateComparison:
     """Rates of the four strategies at each angle of ``grid``, from the
     solutions of _tunings over the same grid."""
-    design = layout.per_dma
 
     def rate(solution):     # angles on axis 0, subcarriers on axis 1
-        stacks = np.broadcast_to(solution.resonances[:, None, None, :],
-                                 (grid.size, 1, layout.n_dmas, design.n_elements))
-        return achievable_rate(budget, layout, stacks, grid[:, None],
-                               solution.operating_freq).rate
+        return achievable_rate(budget, layout,
+                               solution.resonances[:, None, None, :],
+                               grid[:, None], solution.operating_freq).rate
 
     fixed, trained, perfect = tunings
     return RateComparison(

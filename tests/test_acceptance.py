@@ -67,7 +67,9 @@ def test_04_sector_design_round_trip(design):
     for phi in np.linspace(np.radians(-30.0), np.radians(30.0), 100):
         op = db.optimal_operating_freq(designed, float(phi))
         sol = db.solve_p1a(designed, float(phi), op.f_t_star)
-        realized = db.gain_dma(designed, sol.resonances, float(phi), op.f_t_star)
+        realized = db.array_gain_dma(db.ArrayLayout(1, designed),
+                                     sol.resonances[None, :], float(phi),
+                                     op.f_t_star)
         worst = max(worst, abs(realized - n_sq) / n_sq)
     assert worst <= 1e-6
     _announce("sector design round trip",

@@ -230,17 +230,17 @@ def test_array_gain_sums_coherently_across_waveguides(layout):
     assert gain == pytest.approx(1024.0, rel=1e-9)
 
 
-def test_nan_stacks_keep_the_replicated_shortcut(design):
-    """Three copies of one configuration per angle, one angle's copies NaN
-    (infeasible): the other angles' gains equal their own calls bit for
-    bit, which take the one-row M^2 shortcut, and the NaN angle is NaN."""
+def test_nan_rows_stay_nan_in_a_one_row_stack(design):
+    """One configuration row per angle for all three waveguides, one
+    angle's row NaN (infeasible): the other angles' gains equal their own
+    calls bit for bit, and the NaN angle is NaN."""
     three = db.ArrayLayout(n_dmas=3, per_dma=design)
     phis = np.radians([-20.0, 5.0, 33.0])
     res = db.solve_p1a(design, phis, F_C).resonances
     res[1] = np.nan
-    stacks = np.repeat(res[:, None, :], 3, axis=1)
+    stacks = res[:, None, None, :]          # (A, 1, 1, N)
     freqs = np.linspace(14e9, 16e9, 16)
-    got = db.array_gain_dma(three, stacks[:, None], phis[:, None], freqs)
+    got = db.array_gain_dma(three, stacks, phis[:, None], freqs)
     assert np.isnan(got[1]).all()
     for i in (0, 2):
         assert np.array_equal(
@@ -248,13 +248,51 @@ def test_nan_stacks_keep_the_replicated_shortcut(design):
 
 
 def test_array_gain_rejects_a_wrong_waveguide_count(layout):
-    """One row of resonances per waveguide: 3 or 5 rows, or a single
-    waveguide's (N,) vector, do not fit four waveguides."""
+    """The row count must divide the waveguide count: 3, 5 or 0 rows, or
+    a single (N,) vector with no row axis, do not fit four waveguides."""
     cfg = db.solve_p1a(layout.per_dma, 0.1, F_C).resonances
     for stack in (np.array([cfg] * 3), np.array([cfg] * 5), cfg,
-                  np.array([[cfg] * 3] * 2)):
-        with pytest.raises(db.DomainError, match="need 4 waveguide rows"):
+                  np.array([[cfg] * 3] * 2), np.empty((0, cfg.size))):
+        with pytest.raises(db.DomainError,
+                           match="rows dividing the 4 waveguides"):
             db.array_gain_dma(layout, stack, 0.1, F_C)
+
+
+def test_array_gain_checks_the_row_length(design, layout):
+    """Each row holds one resonance per element: short rows, rows of one
+    resonance (which would broadcast over all elements) and a scalar are
+    rejected with the element count they need."""
+    one = db.ArrayLayout(1, design)
+    for lay, res in ((one, np.full((1, 3), 15e9)), (layout, np.full((4, 3), 15e9)),
+                     (layout, np.full((4, 1), 15e9))):
+        with pytest.raises(db.DomainError, match="need 8 resonances per row"):
+            db.array_gain_dma(lay, res, 0.0, 15e9)
+    with pytest.raises(db.DomainError):
+        db.array_gain_dma(one, 15e9, 0.0, 15e9)
+
+
+@pytest.mark.parametrize("lossy", [False, True])
+@pytest.mark.parametrize("n_rows", [1, 2, 4])
+def test_sub_array_rows_match_the_expanded_reference(
+        layout, reference_gain, n_rows, lossy):
+    """L rows on four waveguides configure runs of 4 / L consecutive
+    waveguides: the gain equals the reference over the expanded (4, N)
+    stack, over an f array and at a scalar f."""
+    dma = dataclasses.replace(layout.per_dma,
+                              attenuation=6.0 if lossy else None)
+    lay = db.ArrayLayout(n_dmas=4, per_dma=dma)
+    phi = np.radians(8.0)
+    rows = db.solve_p1a(dma, np.full(n_rows, phi),
+                        np.linspace(13e9, 17e9, n_rows)).resonances
+    assert np.isfinite(rows).all()
+    freqs = np.linspace(dma.f_min, dma.f_max, 23)
+    expect = reference_gain(dma, np.repeat(rows, 4 // n_rows, axis=-2),
+                            phi, freqs)
+    np.testing.assert_allclose(db.array_gain_dma(lay, rows, phi, freqs),
+                               expect, rtol=1e-12)
+    one = db.array_gain_dma(lay, rows, phi, float(freqs[7]))
+    assert isinstance(one, float)
+    assert one == pytest.approx(expect[7], rel=1e-12)
 
 
 def test_array_gain_with_attenuation_is_lower(layout):
@@ -275,8 +313,9 @@ def test_array_gain_with_attenuation_is_lower(layout):
 @pytest.mark.parametrize("stacked", [False, True])
 def test_gain_over_a_frequency_array_matches_the_reference(
         layout, reference_gain, stacked, lossy):
-    """gain_dma / array_gain_dma over an f array equal the scalar reference,
-    which decays element n by exp(-alpha n d_y) on a lossy design."""
+    """array_gain_dma of one waveguide or four over an f array equals the
+    scalar reference, which decays element n by exp(-alpha n d_y) on a
+    lossy design."""
     dma = dataclasses.replace(layout.per_dma,
                               attenuation=6.0 if lossy else None)
     phi = np.radians(-12.0)
@@ -290,8 +329,9 @@ def test_gain_over_a_frequency_array_matches_the_reference(
         one = db.array_gain_dma(lay, configs, phi, float(freqs[5]))
     else:
         configs = cfg[None, :]
-        got = db.gain_dma(dma, cfg, phi, freqs)
-        one = db.gain_dma(dma, cfg, phi, float(freqs[5]))
+        lay = db.ArrayLayout(n_dmas=1, per_dma=dma)
+        got = db.array_gain_dma(lay, configs, phi, freqs)
+        one = db.array_gain_dma(lay, configs, phi, float(freqs[5]))
     expect = reference_gain(dma, configs, phi, freqs)
     assert got.shape == freqs.shape
     np.testing.assert_allclose(got, expect, rtol=1e-12)

@@ -179,4 +179,5 @@ def test_non_positive_resonances_are_rejected():
         with pytest.raises(db.DomainError):
             db.beamformer_weight(design, f_r, 15e9)
         with pytest.raises(db.DomainError):
-            db.gain_dma(make_design(n_elements=3), f_r, 0.1, 15e9)
+            db.array_gain_dma(db.ArrayLayout(1, make_design(n_elements=3)),
+                              f_r[None, :], 0.1, 15e9)

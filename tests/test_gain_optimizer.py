@@ -26,7 +26,8 @@ def test_solved_config_attains_closed_form(design):
         phi = rng.uniform(-np.pi / 3, np.pi / 3)
         f_t = rng.uniform(12e9, 18e9)
         sol = db.solve_p1a(design, phi, f_t)
-        realized = db.gain_dma(design, sol.resonances, phi, f_t)
+        realized = db.array_gain_dma(db.ArrayLayout(1, design),
+                                     sol.resonances[None, :], phi, f_t)
         assert realized == pytest.approx(sol.gain, rel=1e-9)
 
 
@@ -34,7 +35,8 @@ def test_peak_gain_at_integer_product(design):
     op = db.optimal_operating_freq(design, np.radians(-18.0))
     sol = db.solve_p1a(design, np.radians(-18.0), op.f_t_star)
     assert sol.gain == pytest.approx(64.0, rel=1e-12)
-    assert db.gain_dma(design, sol.resonances, np.radians(-18.0), op.f_t_star) \
+    assert db.array_gain_dma(db.ArrayLayout(1, design), sol.resonances[None, :],
+                             np.radians(-18.0), op.f_t_star) \
         == pytest.approx(64.0, rel=1e-9)
 
 
@@ -65,7 +67,8 @@ def test_degenerate_middle_element_is_realized():
     sol = db.solve_p1a(design, phi, f_t)
     w_mid = db.beamformer_weight(design, sol.resonances[1], f_t)
     assert abs(w_mid) < 1e-6
-    realized = db.gain_dma(design, sol.resonances, phi, f_t)
+    realized = db.array_gain_dma(db.ArrayLayout(1, design),
+                                 sol.resonances[None, :], phi, f_t)
     assert realized == pytest.approx(sol.gain, rel=1e-5)
     assert realized <= sol.gain * (1 + 1e-12)
 
@@ -169,13 +172,6 @@ def test_scalar_solution_is_a_row_of_the_batch_solution(design):
         assert isinstance(one.gain, float) and one.gain == batch.gain[i]
         assert isinstance(one.operating_freq, float)
         assert one.operating_freq == batch.operating_freq[i]
-
-
-def test_gain_dma_checks_config_length(design):
-    with pytest.raises(db.DomainError, match="need 8 resonances"):
-        db.gain_dma(design, np.full(3, 15e9), 0.0, 15e9)
-    with pytest.raises(db.DomainError):
-        db.gain_dma(design, 15e9, 0.0, 15e9)
 
 
 @given(x=st.floats(-30.0, 30.0))

@@ -21,7 +21,7 @@ PUBLIC = [
     'compare_rates', 'crossover_angle', 'cutoff_frequencies',
     'dense_p_scan', 'design_sector', 'dirichlet_kernel', 'dirichlet_of_p',
     'effective_channel', 'element_gain', 'enumerate_binary', 'fingerprint',
-    'gain_at_estimate', 'gain_dma', 'golden_section_max',
+    'gain_at_estimate', 'golden_section_max',
     'grid_max_gain', 'load_scenario', 'max_coverage_angle',
     'normalized_product', 'optimal_operating_freq',
     'optimal_shifted_phases', 'parse_scenario', 'pilot_grid',

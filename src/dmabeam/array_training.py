@@ -13,12 +13,12 @@ inverted to estimate the angle of departure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .channel import dirichlet_of_p, effective_channel
+from .channel import attenuation_vector, combined_phases, dirichlet_of_p
 from .core_model import CONSTANTS, DmaDesign, beamformer_weight
 from .errors import (CoverageInfeasibleError, DomainError,
                      InvalidEstimateError)
@@ -90,6 +90,17 @@ def array_gain_dma(layout: ArrayLayout, resonances, phi, f):
     l-th run of n_dmas / L consecutive waveguides.  All waveguides see one
     channel, so the gain is (n_dmas / L)^2 |sum_l w_l(f)^T h(phi, f)|^2.
     One row configures every waveguide alike.
+
+    The channel of element n is z^n with the one step
+    z = e^{-alpha d_y} e^{j theta_1(phi, f)}, theta_1 the phase of element
+    1 (see combined_phases; the decay factor only on a lossy design).  The
+    sum over elements is therefore a polynomial in z, evaluated by
+    Horner's rule from the last element down,
+    total = (...(W_{N-1} z + W_{N-2}) z + ...) z + W_0, with W_n the
+    row-summed weights: one complex exponential per (angle, frequency)
+    instead of one per element.  Since |z| <= 1 no partial sum exceeds
+    sum_n |W_n|, so the rounding error is of order N ulps of that sum,
+    the bound of the direct element-by-element sum.
     """
     res = np.asarray(resonances, dtype=float)
     design = layout.per_dma
@@ -100,11 +111,24 @@ def array_gain_dma(layout: ArrayLayout, resonances, phi, f):
         raise DomainError(f"need {design.n_elements} resonances per row "
                           f"(design.n_y), got shape {res.shape}")
     copies = layout.n_dmas // res.shape[-2]
+    phis = np.asarray(phi, dtype=float)
     freqs = np.asarray(f, dtype=float)[..., None]        # element axis last
-    h = effective_channel(design, np.asarray(phi, dtype=float)[..., None],
-                          freqs)
     weights = beamformer_weight(design, res, freqs[..., None])
-    out = copies ** 2 * np.abs(np.einsum("...mn,...n->...", weights, h)) ** 2
+    w = weights[..., 0, :] if res.shape[-2] == 1 else weights.sum(axis=-2)
+    total = w[..., -1]
+    if design.n_elements > 1:
+        # A two-element guide's phases are the first two of any guide's:
+        # theta_1 without forming the other N - 2 columns.
+        pair = replace(design, n_elements=2)
+        z = np.exp(1j * combined_phases(pair, phis[..., None], freqs)[..., 1])
+        if design.attenuation is not None:
+            z *= attenuation_vector(design)[1]
+        for n in range(design.n_elements - 2, -1, -1):
+            total = total * z + w[..., n]
+    else:
+        total = np.broadcast_to(total, np.broadcast_shapes(total.shape,
+                                                           phis.shape))
+    out = copies ** 2 * np.abs(total) ** 2
     return float(out) if out.ndim == 0 else out
 
 

@@ -5,6 +5,12 @@ radiating from each slot; free-space propagation toward azimuth phi adds
 the extrinsic array phase.  Both are linear in frequency and element
 index, which makes the coherent array sum a Dirichlet kernel in the
 normalized product p = f d_y (n_g + sin phi) / c.
+
+Linear phase and exponential decay make the channel of element n the
+n-th power of one step z = e^{-alpha d_y} e^{j theta_1}, theta_1 the
+phase of element 1.  array_training.array_gain_dma sums configured
+weights against it by Horner's rule in z; effective_channel builds the
+channel element by element for the binary solver and the tests.
 """
 
 from __future__ import annotations

@@ -295,6 +295,37 @@ def test_sub_array_rows_match_the_expanded_reference(
     assert one == pytest.approx(expect[7], rel=1e-12)
 
 
+@pytest.mark.parametrize("lossy", [False, True])
+@pytest.mark.parametrize("n_rows", [1, 2, 4])
+@pytest.mark.parametrize("n_y", [1, 2, 3, 8, 64, 128])
+def test_horner_sum_matches_the_per_element_reference(
+        layout, reference_gain, n_y, n_rows, lossy):
+    """The Horner evaluation in the step z equals the reference's
+    element-by-element channel and dot products, over an f array and at
+    a scalar f.  The bound is absolute, a fraction of the peak gain
+    (N_z N_y)^2: near a null the relative error of either evaluation is
+    set by the cancellation, not by the kernel."""
+    dma = dataclasses.replace(layout.per_dma, n_elements=n_y,
+                              attenuation=6.0 if lossy else None)
+    lay = db.ArrayLayout(n_dmas=4, per_dma=dma)
+    phi = np.radians(8.0)
+    # Rows steered at spread tones; a long guide is infeasible at many.
+    tunings = db.solve_p1a(dma, np.full(41, phi), np.linspace(13e9, 17e9, 41))
+    feasible = tunings.resonances[tunings.feasible]
+    assert len(feasible) >= n_rows
+    rows = feasible[np.linspace(0, len(feasible) - 1, n_rows).astype(int)]
+    freqs = np.linspace(dma.f_min, dma.f_max, 23)
+    expect = reference_gain(dma, np.repeat(rows, 4 // n_rows, axis=-2),
+                            phi, freqs)
+    bound = 1e-14 * (4 * n_y) ** 2
+    got = db.array_gain_dma(lay, rows, phi, freqs)
+    assert got.shape == freqs.shape
+    assert np.abs(got - expect).max() <= bound
+    one = db.array_gain_dma(lay, rows, phi, float(freqs[11]))
+    assert isinstance(one, float)
+    assert abs(one - expect[11]) <= bound
+
+
 def test_array_gain_with_attenuation_is_lower(layout):
     """The design alone decides: a lossy design's peak gain is lower, and a
     zero attenuation gives the lossless gains bit for bit."""

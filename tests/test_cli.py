@@ -404,17 +404,28 @@ def test_verify_passes_where_the_scan_nears_integer_p(tmp_path, capsys):
 
 def test_verify_reduces_the_binary_check_above_the_oracle_cap(
         scn, tmp_path, capsys, monkeypatch):
-    """N_y above the enumeration oracle's cap is checked on a reduced
-    array, as the grid check is, instead of failing as a config error."""
-    import dmabeam.oracle as oracle
-
-    monkeypatch.setattr(oracle, "BINARY_MAX_ELEMENTS", 6)
+    """N_y above verify's binary-check cap is checked on a reduced array,
+    as the grid check is, instead of failing as a config error or
+    enumerating 2^N masks per angle."""
+    monkeypatch.setattr(cli, "VERIFY_BINARY_ELEMENTS", 6)
     assert run_cli("verify", "--scenario", scn,
                    "--out", str(tmp_path / "run")) == 0
     text = capsys.readouterr().out
     assert "binary oracle capped at 6 elements" in text
     assert "PASS  binary solver vs plain enumeration" in text
     assert "FAIL" not in text
+
+
+def test_verify_checks_a_long_lossy_guide_on_twelve_elements(tmp_path, capsys):
+    """At N_y = 128 the binary check runs on 12 elements, not on the
+    oracle's own cap of 20, whose 2^20 masks per angle took seconds."""
+    wide = tmp_path / "wide.scn"
+    wide.write_text("design.n_y = 128\ndesign.attenuation = on\n")
+    assert run_cli("verify", "--scenario", str(wide),
+                   "--out", str(tmp_path / "run")) == 0
+    text = capsys.readouterr().out
+    assert "binary oracle capped at 12 elements" in text
+    assert text.count("PASS") == 3 and "FAIL" not in text
 
 
 def test_verify_reports_pass_lines(scn, tmp_path, capsys):

@@ -41,8 +41,8 @@ from .frequency_planner import (crossover_angle, design_sector,
 from .gain_optimizer import solve_p1a
 from .link_rate import (LinkBudget, angle_grid, bandwidth_sweep,
                         tuning_range_sweep)
-from .oracle import (binary_mask_gain, dense_p_scan, enumerate_binary,
-                     grid_max_gain)
+from .oracle import (GRID_MAX_ELEMENTS, binary_mask_gain, dense_p_scan,
+                     enumerate_binary, grid_max_gain)
 from .scenario import (AUTO, Scenario, fingerprint, load_scenario,
                        scenario_to_text)
 
@@ -444,16 +444,18 @@ def cmd_rate(design: DmaDesign, resolved: Scenario, args) -> CommandResult:
 def cmd_verify(design: DmaDesign, resolved: Scenario, args) -> CommandResult:
     checks = []
 
-    if design.n_elements > 4:
+    if design.n_elements > GRID_MAX_ELEMENTS:
         sys.stdout.write(
-            f"note: grid oracle capped at 4 elements; configured N_y = "
-            f"{design.n_elements} checked via reduced arrays\n")
+            f"note: grid oracle capped at {GRID_MAX_ELEMENTS} elements; "
+            f"configured N_y = {design.n_elements} checked via reduced "
+            f"arrays\n")
     rng = np.random.default_rng(12345)
     gaps = []
     # An infeasible draw is skipped, not redrawn: the rng stream, and with
     # it the binary check's angles, stay fixed.
     for _ in range(20):
-        n = int(rng.integers(1, min(4, design.n_elements) + 1))
+        n = int(rng.integers(
+            1, min(GRID_MAX_ELEMENTS, design.n_elements) + 1))
         phi = rng.uniform(-np.pi / 3, np.pi / 3)
         f_t = rng.uniform(design.f_min + 1e9, design.f_max - 1e9)
         sub = dataclasses.replace(design, n_elements=n)

@@ -19,7 +19,8 @@ GRID_MAX_ELEMENTS = 4
 GRID_MAX_POINTS = 400
 BINARY_MAX_ELEMENTS = 20
 MIN_SCAN_RESOLUTION = 10 ** 5
-_PAIR_LIMIT = 4 * 10 ** 6   # brute-force pair budget before hull pruning
+_PAIR_BLOCK = 2 ** 16      # sums |a + b|^2 formed at once by grid_max_gain
+_SCAN_BLOCK = 2 ** 15      # points per block of dense_p_scan
 
 
 def _raw_weight(design: DmaDesign, f_r, f):
@@ -58,35 +59,81 @@ def resonance_grid(design: DmaDesign, f_t: float, points: int) -> np.ndarray:
     return np.sqrt(f_r_sq)
 
 
+def _from_lowest(polygon: np.ndarray) -> np.ndarray:
+    """A counter-clockwise polygon re-started at its lowest vertex.
+
+    Lowest means least imaginary part, ties to the least real part, so
+    the edge angles then rise through [0, 2 pi) around the polygon.
+    """
+    start = int(np.lexsort((polygon.real, polygon.imag))[0])
+    return np.roll(polygon, -start)
+
+
 def _hull_prune(sums: np.ndarray) -> np.ndarray:
-    """Keep only the convex-hull vertices of a cloud of partial sums.
+    """Convex-hull vertices of a cloud of points, counter-clockwise from
+    the lowest one (Andrew's monotone chain; collinear points dropped).
 
     The maximum of |a + b| over two finite clouds is always attained with
     both a and b on their hulls (for fixed b, |a + b| is the distance of a
     from -b, maximized at a hull vertex of the a-cloud, and vice versa),
     so pruning loses nothing.
     """
-    if sums.size <= 512:
-        return sums
-    # Imported here: scipy.spatial is slow to import; big clouds only.
-    from scipy.spatial import ConvexHull, QhullError
+    pts = np.unique(sums)           # sorted by real part, then imaginary
+    if pts.size < 3:
+        return _from_lowest(pts)
+    pts = pts.tolist()
 
-    pts = np.column_stack([sums.real, sums.imag])
-    try:
-        keep = ConvexHull(pts).vertices
-    except QhullError:
-        return sums
-    return sums[keep]
+    def chain(points):
+        # Im(conj(u) v) > 0 when v turns left of u.
+        kept = []
+        for p in points:
+            while len(kept) >= 2 and ((kept[-1] - kept[-2]).conjugate()
+                                      * (p - kept[-2])).imag <= 0.0:
+                kept.pop()
+            kept.append(p)
+        return kept[:-1]
+
+    hull = np.array(chain(pts) + chain(pts[::-1]), dtype=complex)
+    return _from_lowest(hull)
+
+
+def _edge_angles(polygon: np.ndarray) -> np.ndarray:
+    """Polar angles in [0, 2 pi) of a polygon's edges, the closing one last."""
+    edges = np.roll(polygon, -1) - polygon
+    angles = np.arctan2(edges.imag, edges.real)
+    return np.where(angles < 0.0, angles + 2.0 * np.pi, angles)
+
+
+def _minkowski_vertices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Candidates p_i + q_j that include every vertex of hull(A + B).
+
+    a and b are convex polygons, counter-clockwise from their lowest
+    vertices.  Walking both boundaries with their edges merged by polar
+    angle traces the boundary of the Minkowski sum (de Berg et al.,
+    Computational Geometry, ch. 13): at most |A| + |B| points, each one
+    sum of a vertex of A and a vertex of B.
+    """
+    order = np.argsort(np.concatenate([_edge_angles(a), _edge_angles(b)]),
+                       kind="stable")[:-1]
+    from_a = order < a.size
+    i = np.concatenate([[0], np.cumsum(from_a)]) % a.size
+    j = np.concatenate([[0], np.cumsum(~from_a)]) % b.size
+    return a[i] + b[j]
 
 
 def grid_max_gain(design: DmaDesign, phi: float, f_t: float,
                   grid_points_per_element: int) -> float:
     """Max gain over the full tensor grid of per-element resonances.
 
-    Exhaustive over points^N combinations; the combination space is split
-    into two halves whose partial-sum clouds are hull-pruned before the
-    cross-pairing, which changes nothing about the result (see
-    _hull_prune) but keeps the search tractable at 400^4.
+    Exact over all points^N combinations without enumerating them.  The
+    elements are split into two halves; the best combination pairs a
+    vertex of the hull of one half's partial-sum cloud with a vertex of
+    the other's (see _hull_prune).  Each element's cloud is the weight
+    cloud turned by its unit-modulus channel, so one weight hull serves
+    every element, and the hull of a two-element half comes from the
+    Minkowski sum of two convex polygons: at most 2 * points candidates
+    instead of points^2 partial sums.  The halves are then paired in
+    blocks of at most _PAIR_BLOCK sums.
     """
     n = design.n_elements
     if n > GRID_MAX_ELEMENTS:
@@ -100,28 +147,35 @@ def grid_max_gain(design: DmaDesign, phi: float, f_t: float,
 
     weights = _raw_weight(design, resonance_grid(design, f_t,
                                                  grid_points_per_element), f_t)
+    hull = _hull_prune(weights)
     h = _raw_channel(design, phi, f_t)
 
-    def half_sums(indices):
-        sums = np.zeros(1, dtype=complex)
-        for i in indices:
-            sums = (sums[:, None] + weights[None, :] * h[i]).ravel()
-        return sums
+    def half_hull(indices):
+        # Rotation keeps each polygon convex and counter-clockwise.
+        polygons = [_from_lowest(hull * h[i]) for i in indices]
+        if not polygons:
+            return np.zeros(1, dtype=complex)
+        if len(polygons) == 1:
+            return polygons[0]
+        return _minkowski_vertices(*polygons)
 
-    first = half_sums(range(n // 2))
-    second = half_sums(range(n // 2, n))
-    if first.size * second.size > _PAIR_LIMIT:
-        first, second = _hull_prune(first), _hull_prune(second)
+    first = half_hull(range(n // 2))
+    second = half_hull(range(n // 2, n))
+    rows = max(1, _PAIR_BLOCK // second.size)
     best = 0.0
-    for a in first:
-        best = max(best, float(np.max(np.abs(a + second) ** 2)))
+    for k in range(0, first.size, rows):
+        sums = first[k:k + rows, None] + second[None, :]
+        best = max(best, float(np.max(np.abs(sums) ** 2)))
     return best
 
 
 def dense_p_scan(design: DmaDesign, phi: float, resolution: int):
     """Uniform scan of |sin(pi N p) / sin(pi p)| over the reachable p range.
 
-    Returns (p at the grid argmax, objective value there).
+    Returns (p at the grid argmax, objective value there).  The grid is
+    evaluated in blocks of _SCAN_BLOCK points, so the temporaries stay
+    small; a later block replaces the best only when strictly greater,
+    so ties keep the first index, as np.argmax does.
     """
     if resolution < MIN_SCAN_RESOLUTION:
         raise DomainError(
@@ -129,22 +183,26 @@ def dense_p_scan(design: DmaDesign, phi: float, resolution: int):
     n = design.n_elements
     scale = design.spacing * (design.refractive_index + np.sin(phi)) / CONSTANTS.c
     p = np.linspace(design.f_min * scale, design.f_max * scale, resolution)
-    # |S| has period 1 in p; reducing to r = p - round(p) (exact) keeps the
-    # rounding of sin(pi N p) from being amplified by 1/sin(pi p) near
-    # integer p, where it would push the objective above N.
-    # In place where possible: at 10^6 points each temporary is 8 MB.
-    r = np.round(p)
-    np.subtract(p, r, out=r)
-    den = np.sin(np.pi * r)
-    safe = np.abs(den) > 1e-12
-    den[~safe] = 1.0
-    r *= np.pi * n
-    objective = np.sin(r, out=r)
-    objective /= den
-    np.abs(objective, out=objective)
-    objective[~safe] = float(n)
-    k = int(np.argmax(objective))
-    return float(p[k]), float(objective[k])
+    best_k, best = 0, -np.inf
+    for start in range(0, resolution, _SCAN_BLOCK):
+        block = p[start:start + _SCAN_BLOCK]
+        # |S| has period 1 in p; reducing to r = p - round(p) (exact) keeps
+        # the rounding of sin(pi N p) from being amplified by 1/sin(pi p)
+        # near integer p, where it would push the objective above N.
+        r = np.round(block)
+        np.subtract(block, r, out=r)
+        den = np.sin(np.pi * r)
+        safe = np.abs(den) > 1e-12
+        den[~safe] = 1.0
+        r *= np.pi * n
+        objective = np.sin(r, out=r)
+        objective /= den
+        np.abs(objective, out=objective)
+        objective[~safe] = float(n)
+        k = int(np.argmax(objective))
+        if objective[k] > best:
+            best_k, best = start + k, objective[k]
+    return float(p[best_k]), float(best)
 
 
 def enumerate_binary(design: DmaDesign, phi: float, f_c: float) -> BinarySolution:

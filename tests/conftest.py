@@ -144,3 +144,29 @@ def _reference_solve_p1a(design, phi, f_t):
 def reference_solve_p1a():
     """The per-element scalar solver the broadcast one must match."""
     return _reference_solve_p1a
+
+
+def _reference_dense_p_scan(design, phi, resolution):
+    """The dense p scan over the whole grid at once, argmax by np.argmax.
+
+    The unblocked form the blocked oracle must match bit for bit: same
+    grid, same per-point arithmetic, first index on a tie.
+    """
+    n = design.n_elements
+    scale = design.spacing * (design.refractive_index + np.sin(phi)) \
+        / db.CONSTANTS.c
+    p = np.linspace(design.f_min * scale, design.f_max * scale, resolution)
+    r = p - np.round(p)
+    den = np.sin(np.pi * r)
+    safe = np.abs(den) > 1e-12
+    den[~safe] = 1.0
+    objective = np.abs(np.sin(np.pi * n * r) / den)
+    objective[~safe] = float(n)
+    k = int(np.argmax(objective))
+    return float(p[k]), float(objective[k])
+
+
+@pytest.fixture(scope="session")
+def reference_dense_p_scan():
+    """The unblocked dense scan the blocked one must match."""
+    return _reference_dense_p_scan

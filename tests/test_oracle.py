@@ -1,12 +1,15 @@
 """Independent brute-force checks: resonance grids, dense scans, enumeration."""
 
 import dataclasses
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import dmabeam as db
-from dmabeam.oracle import _raw_weight
+from dmabeam import oracle
+from dmabeam.oracle import _raw_channel, _raw_weight
 
 F_C = 15e9
 
@@ -68,6 +71,49 @@ def test_grid_oracle_enforces_its_caps():
         db.grid_max_gain(small_design(2), 0.0, 15e9, 1)
 
 
+def _enumerated_max_gain(design, phi, f_t, points):
+    """max |sum_n w_n h_n|^2 over all points^N resonance choices at once.
+
+    The elements are added in the oracle's two halves, (w_0 h_0 + w_1 h_1)
+    + (w_2 h_2 + w_3 h_3) for N = 4, so each combination's sum is the
+    same float as the oracle's and its maximum can never lie above this.
+    """
+    n = design.n_elements
+    w = _raw_weight(design, db.resonance_grid(design, f_t, points), f_t)
+    h = _raw_channel(design, phi, f_t)
+
+    def half(indices):
+        sums = np.zeros(1, dtype=complex)
+        for i in indices:
+            sums = np.add.outer(sums, w * h[i]).ravel()
+        return sums
+
+    total = np.add.outer(half(range(n // 2)), half(range(n // 2, n)))
+    return float(np.max(np.abs(total) ** 2))
+
+
+@pytest.mark.parametrize("pair_block", [oracle._PAIR_BLOCK, 40])
+@pytest.mark.parametrize("attenuation", [None, 3.0])
+@pytest.mark.parametrize("q", [50.0, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_grid_oracle_matches_plain_enumeration(n, q, attenuation, pair_block,
+                                               monkeypatch):
+    """The hull search returns the enumerated maximum over every grid,
+    down to P = 2, where each element's hull is a two-point segment.  A
+    block of 40 sums splits the pairing of the halves into many blocks."""
+    monkeypatch.setattr(oracle, "_PAIR_BLOCK", pair_block)
+    design = dataclasses.replace(small_design(n), attenuation=attenuation,
+                                 damping=2 * np.pi * F_C / q)
+    rng = np.random.default_rng(n * 100 + int(q))
+    for points in (2, 3, 7, 12):
+        phi = rng.uniform(-1.0, 1.0)
+        f_t = rng.uniform(12.5e9, 17.5e9)
+        grid = db.grid_max_gain(design, phi, f_t, points)
+        full = _enumerated_max_gain(design, phi, f_t, points)
+        assert grid <= full
+        assert (full - grid) / full <= 1e-12
+
+
 def test_hull_pruning_is_lossless():
     """max |a + b| over two clouds survives pruning either cloud."""
     from dmabeam.oracle import _hull_prune
@@ -81,6 +127,35 @@ def test_hull_pruning_is_lossless():
             full = np.abs(cloud + z).max()
             kept = np.abs(pruned + z).max()
             assert kept == pytest.approx(full, rel=1e-12)
+
+
+def test_hull_vertices_run_counter_clockwise_from_the_lowest():
+    from dmabeam.oracle import _hull_prune
+    rng = np.random.default_rng(5)
+    cloud = rng.normal(size=500) + 1j * rng.normal(size=500)
+    hull = _hull_prune(cloud)
+    assert hull[0] == cloud[np.argmin(cloud.imag)]
+    edges = np.roll(hull, -1) - hull
+    turns = (edges * np.conj(np.roll(edges, 1))).imag
+    assert np.all(turns > 0)
+    # Degenerate clouds: a segment, repeated points, a single point.
+    np.testing.assert_array_equal(_hull_prune(np.array([2 + 1j, 0j, 1 + 0.5j])),
+                                  [0j, 2 + 1j])
+    np.testing.assert_array_equal(_hull_prune(np.array([1j, 1j])), [1j])
+
+
+def test_grid_oracle_leaves_scipy_spatial_unloaded():
+    """The hull is NumPy and Python: a four-element grid loads no Qhull."""
+    code = ("import sys, numpy as np, dmabeam as db; "
+            "d = db.DmaDesign(n_elements=4, spacing=1 / 120, "
+            "refractive_index=2.5, damping=2 * np.pi * 15e9 / 50, "
+            "coupling=1e-9, f_min=12e9, f_max=18e9); "
+            "db.grid_max_gain(d, 0.3, 15e9, 200); "
+            "print('scipy.spatial' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_dense_scan_finds_the_integer_point(design):
@@ -108,6 +183,50 @@ def test_dense_scan_never_exceeds_n_near_integer_p(n):
         _, objective = db.dense_p_scan(small_design(n), np.radians(phi_deg),
                                        10 ** 6)
         assert objective <= n * (1 + 1e-12)
+
+
+def _dyadic_design(n, p_min, p_max):
+    """A design whose scan grid p = linspace(p_min, p_max, .) is exact at
+    phi = 0: p = f * 2^-30, since spacing / c = 2^-30 and n_g = 1."""
+    return db.DmaDesign(n_elements=n, spacing=db.CONSTANTS.c * 2.0 ** -30,
+                        refractive_index=1.0, damping=1e9, coupling=1e-9,
+                        f_min=p_min * 2.0 ** 30, f_max=p_max * 2.0 ** 30)
+
+
+def test_dense_scan_finds_a_maximum_in_the_last_partial_block(
+        reference_dense_p_scan):
+    """p = 1 is the last of 100,001 points: block 4 holds only 1,697."""
+    resolution = 100_001
+    assert resolution % oracle._SCAN_BLOCK != 0
+    design = _dyadic_design(5, 0.25, 1.0)
+    p, objective = db.dense_p_scan(design, 0.0, resolution)
+    assert (p, objective) == (1.0, 5.0)
+    assert (p, objective) == reference_dense_p_scan(design, 0.0, resolution)
+
+
+def test_dense_scan_keeps_the_first_of_tied_maxima_across_blocks(
+        reference_dense_p_scan):
+    """p in [0.5, 2.5] on 2^17 + 1 points, a step of 2^-16: p = 1 and p = 2
+    both land on the grid, at indices 2^15 and 3 * 2^15, in different
+    blocks, with the identical value N.  The first one wins."""
+    resolution = 2 ** 17 + 1
+    design = _dyadic_design(7, 0.5, 2.5)
+    p_grid = np.linspace(0.5, 2.5, resolution)
+    assert p_grid[2 ** 15] == 1.0 and p_grid[3 * 2 ** 15] == 2.0
+    assert 2 ** 15 // oracle._SCAN_BLOCK != 3 * 2 ** 15 // oracle._SCAN_BLOCK
+    p, objective = db.dense_p_scan(design, 0.0, resolution)
+    assert (p, objective) == (1.0, 7.0)
+    assert (p, objective) == reference_dense_p_scan(design, 0.0, resolution)
+
+
+@pytest.mark.parametrize("phi_deg", [-18.0, -5.0, 10.0, 45.0])
+def test_blocked_scan_equals_the_unblocked_scan(design, phi_deg,
+                                                reference_dense_p_scan):
+    """Bit for bit, at a resolution that leaves a partial last block."""
+    phi = np.radians(phi_deg)
+    for resolution in (10 ** 5 + 3, 10 ** 6):
+        assert db.dense_p_scan(design, phi, resolution) \
+            == reference_dense_p_scan(design, phi, resolution)
 
 
 def test_dense_scan_resolution_floor(design):

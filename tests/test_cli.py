@@ -635,7 +635,8 @@ def test_console_entry_point(scn, tmp_path):
 
 
 def test_cli_import_leaves_scipy_solvers_unloaded():
-    """scipy.optimize and scipy.spatial load only when first needed."""
+    """scipy.optimize loads only when first needed; nothing loads
+    scipy.spatial."""
     code = ("import dmabeam.cli, sys; "
             "print([m for m in ('scipy.optimize', 'scipy.spatial') "
             "if m in sys.modules])")

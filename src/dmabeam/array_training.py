@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._brent import brentq
 from .channel import attenuation_vector, combined_phases, dirichlet_of_p
 from .core_model import CONSTANTS, DmaDesign, beamformer_weight
 from .errors import (CoverageInfeasibleError, DomainError,
@@ -204,15 +205,12 @@ def psi_delta(n_y: int, delta: float) -> float:
     """Half-width of the Dirichlet mainlobe above the fraction delta.
 
     Solves (sin(pi N x) / sin(pi x))^2 = delta N^2 on the monotone flank
-    x in (0, 1/N) by bisection.
+    x in (0, 1/N) by Brent's method.
     """
     if not 0.0 < delta < 1.0:
         raise DomainError("delta must lie strictly between 0 and 1")
     if n_y < 2:
         raise DomainError("need at least 2 elements for a mainlobe width")
-
-    # Imported here: scipy.optimize dominates the package import time.
-    from scipy.optimize import brentq
 
     def excess(x):
         return dirichlet_of_p(x, n_y) ** 2 - delta * n_y ** 2

@@ -14,11 +14,12 @@ from typing import Tuple
 
 import numpy as np
 
+from ._brent import brentq
 from .channel import dirichlet_kernel
 from .core_model import DmaDesign
 from .errors import CutoffError, DomainError
 
-ARRAY_CUTOFF_TOL = 1e3   # Hz, bisection tolerance for full-array cutoffs
+ARRAY_CUTOFF_TOL = 1e3   # Hz, root-finder tolerance for full-array cutoffs
 
 
 @dataclass(frozen=True)
@@ -96,12 +97,9 @@ def array_cutoff_frequencies(design: DmaDesign, phi: float, f_t_star: float,
 
     The array factor only narrows the response around the configured peak,
     so the element-only cutoffs bracket the search on each side.  Solved
-    by root bisection to ARRAY_CUTOFF_TOL; raises CutoffError when a
-    bracket holds no crossing.
+    by Brent's method to ARRAY_CUTOFF_TOL; raises CutoffError when a
+    bracket holds no crossing or the search meets a NaN response.
     """
-    # Imported here: scipy.optimize dominates the package import time.
-    from scipy.optimize import brentq
-
     if not 0.0 < nu < 1.0:
         raise DomainError("nu must lie strictly between 0 and 1")
     peak = element_gain(design, f_t_star, f_t_star) \

@@ -1,21 +1,19 @@
 """Brent's bracketed root finder (Brent 1973, ch. 4), written as SciPy's
 brentq.c computes it: the same float operations in the same order, so it
-returns the bits and raises the errors of ``scipy.optimize.brentq``."""
+returns the bits and raises the errors of ``scipy.optimize.brentq`` —
+ValueError when f is NaN at a point it visits or f(a), f(b) share a sign,
+RuntimeError when MAXITER iterations do not converge."""
 
 import math
 
 RTOL = 4 * 2.0 ** -52    # SciPy's default and smallest allowed rtol
+MAXITER = 100            # SciPy's default
 
 
-def brentq(f, a: float, b: float, xtol: float, maxiter: int = 100) -> float:
-    """A root of f in [a, b] to within xtol + RTOL |x|.
-
-    Raises ValueError when f is NaN at a point it visits or f(a), f(b)
-    share a sign, RuntimeError when maxiter iterations do not converge.
-    """
+def brentq(f, a: float, b: float, xtol: float) -> float:
+    """A root of f in [a, b] to within xtol + RTOL |x|."""
     def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
+        if math.isnan(fx := float(f(x))):
             raise ValueError(f"The function value at x={x} is NaN; "
                              "solver cannot continue.")
         return fx
@@ -28,8 +26,7 @@ def brentq(f, a: float, b: float, xtol: float, maxiter: int = 100) -> float:
         return xcur
     if (fpre < 0) == (fcur < 0):
         raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(MAXITER):
         if (fpre < 0) != (fcur < 0):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
@@ -44,21 +41,18 @@ def brentq(f, a: float, b: float, xtol: float, maxiter: int = 100) -> float:
         stry = math.inf
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             try:
-                if xpre == xblk:    # interpolate
+                if xpre == xblk:
                     stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:               # extrapolate
+                else:
                     dpre = (fpre - fcur) / (xpre - xcur)
                     dblk = (fblk - fcur) / (xblk - xcur)
                     stry = -fcur * (fblk * dblk - fpre * dpre) \
                         / (dblk * dpre * (fblk - fpre))
             except ZeroDivisionError:
                 pass
-        bound = 3 * abs(sbis) - delta
-        if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
-            spre, scur = scur, stry     # good short step
-        else:
-            spre = scur = sbis          # bisect
+        short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError(f"Failed to converge after {MAXITER} iterations.")

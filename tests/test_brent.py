@@ -12,6 +12,7 @@ import pytest
 import dmabeam as db
 import dmabeam.array_training as at
 import dmabeam.bandwidth_analysis as ba
+from dmabeam import _brent
 from dmabeam._brent import RTOL, brentq
 
 F_STAR = 16.430980937585947e9
@@ -70,14 +71,16 @@ def test_array_cutoffs_match_scipy_bit_for_bit(design, monkeypatch):
     assert ours == theirs
 
 
-def test_random_brackets_match_scipy_bit_for_bit():
+def test_random_brackets_match_scipy_bit_for_bit(monkeypatch):
     """1,000 brackets with xtol from 1e-15 to 1e-1, a tenth of them with a
     small iteration cap, and the edge cases: same bits, same errors."""
     scipy_brentq = pytest.importorskip("scipy.optimize").brentq
     for i, (f, a, b, xtol) in enumerate(random_brackets(1000, seed=3)):
         maxiter = 100 if i % 10 else 1 + i % 7
-        assert outcome(brentq, f, a, b, xtol=xtol, maxiter=maxiter) \
+        monkeypatch.setattr(_brent, "MAXITER", maxiter)
+        assert outcome(brentq, f, a, b, xtol=xtol) \
             == outcome(scipy_brentq, f, a, b, xtol=xtol, maxiter=maxiter)
+    monkeypatch.undo()
     for f, a, b in [(lambda x: x if x < 1 else math.nan, -1.0, 1.0),
                     (lambda x: math.nan if x < 0 else x, -1.0, 1.0),
                     (lambda x: math.nan if -0.5 < x < 0.5 else x, -1.0, 2.0),
@@ -113,22 +116,20 @@ def test_bracket_without_a_sign_change_raises():
         brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
 
 
-@pytest.mark.parametrize("f", [lambda x: x if x < 1 else math.nan,
-                               lambda x: math.nan if x < 0 else x])
-def test_nan_at_an_end_raises(f):
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: x if x < 1 else math.nan, -1.0, 1.0),
+    (lambda x: math.nan if x < 0 else x, -1.0, 1.0),
+    (lambda x: math.nan if -0.5 < x < 0.5 else x, -1.0, 2.0)],
+    ids=["upper-end", "lower-end", "inside"])
+def test_nan_value_raises(f, a, b):
     with pytest.raises(ValueError, match="is NaN"):
-        brentq(f, -1.0, 1.0, xtol=1e-12)
+        brentq(f, a, b, xtol=1e-12)
 
 
-def test_nan_inside_the_bracket_raises():
-    with pytest.raises(ValueError, match="is NaN"):
-        brentq(lambda x: math.nan if -0.5 < x < 0.5 else x,
-               -1.0, 2.0, xtol=1e-12)
-
-
-def test_running_out_of_iterations_raises():
+def test_running_out_of_iterations_raises(monkeypatch):
+    monkeypatch.setattr(_brent, "MAXITER", 3)
     with pytest.raises(RuntimeError, match="after 3 iterations"):
-        brentq(cubic, 2.0, 3.0, xtol=1e-15, maxiter=3)
+        brentq(cubic, 2.0, 3.0, xtol=1e-15)
 
 
 def test_array_cutoff_with_a_nan_response_raises_cutoff_error(design,

@@ -30,8 +30,7 @@ from .errors import (CoverageInfeasibleError, CutoffError, DmaError,
                      NoCrossoverError, ScenarioError, SingularityError)
 from .frequency_planner import (CoverageAngle, OperatingPoint, SectorDesign,
                                 crossover_angle, design_sector,
-                                golden_section_max, max_coverage_angle,
-                                optimal_operating_freq)
+                                max_coverage_angle, optimal_operating_freq)
 from .gain_optimizer import (BeamformingSolution, closed_form_gain,
                              optimal_shifted_phases, solve_p1a, wrap_shifted)
 from .link_rate import (LinkBudget, RateComparison, RateReport,

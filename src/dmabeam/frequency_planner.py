@@ -3,9 +3,12 @@
 The array sum peaks whenever the normalized product
 p = f d_y (n_g + sin phi) / c is an integer, so steering reduces to
 picking the operating frequency that lands p on (or closest to) an
-integer inside the tunable band.  The waveguide design rules choose the
-refractive index and element spacing so an integer p is reachable for
-every angle of a target sector.
+integer inside the tunable band.  Where no integer is reachable the band
+lies inside one period of the Dirichlet kernel, and the best point is a
+band edge or one of that period's sidelobe tops; the tops depend on the
+element count only, so they are found once per call by Newton's method.
+The waveguide design rules choose the refractive index and element
+spacing so an integer p is reachable for every angle of a target sector.
 """
 
 from __future__ import annotations
@@ -19,8 +22,11 @@ from .channel import dirichlet_of_p
 from .core_model import CONSTANTS, DmaDesign
 from .errors import DomainError, NoCrossoverError
 
-GOLDEN_TOL = 1e-12   # interval tolerance for the lobe search, in p units
-INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+# Tolerance of a sidelobe top, in p units: the last Newton step stays
+# below it.  bench/checks.py imports it under this name for its f_star
+# tolerance.
+GOLDEN_TOL = 1e-12
+NEWTON_STEPS = 6     # Newton steps per sidelobe top, from the lobe middle
 
 
 class CoverageAngle(NamedTuple):
@@ -55,34 +61,26 @@ class SectorDesign:
     p_star_choice: int
 
 
-def golden_section_max(f, a, b, tol: float = GOLDEN_TOL):
-    """Argmax of a unimodal f on [a, b] by golden-section search.
+def _sidelobe_tops(n: int):
+    """Tops x_j of the sidelobes j = 1 ... N-2 of |D_N| in (0, 1), in
+    increasing order, and their heights |D_N(x_j)|.
 
-    ``a`` and ``b`` may be 1-d arrays of interval ends, searched together:
-    ``f`` maps an array of points to their values, and each step calls it
-    once for the intervals still wider than ``tol``.  Every interval makes
-    the comparisons and updates of its own scalar search, so its result
-    does not depend on the others.  Scalar ends give a float.
+    Each top is the one root in its lobe (j/N, (j+1)/N) of
+    h = N cos(pi N x) sin(pi x) - sin(pi N x) cos(pi x), whose derivative
+    pi (1 - N^2) sin(pi N x) sin(pi x) keeps one sign there, found by
+    NEWTON_STEPS Newton steps from the lobe middle.  Only the lobes below
+    1/2 are solved; the others are their mirrors x -> 1 - x with the same
+    height (bit for bit), and an odd N adds the top at 1/2.
     """
-    scalar = np.ndim(a) == 0 and np.ndim(b) == 0
-    a, b = (np.array(x, dtype=float, ndmin=1) for x in np.broadcast_arrays(a, b))
-    c = b - INV_PHI * (b - a)
-    d = a + INV_PHI * (b - a)
-    # Copies: f may return its argument, and c, d are updated in place.
-    fc, fd = np.array(f(c), dtype=float), np.array(f(d), dtype=float)
-    live = np.flatnonzero(b - a > tol)
-    while live.size:
-        up = fc[live] < fd[live]
-        rise, fall = live[up], live[~up]
-        a[rise], c[rise], fc[rise] = c[rise], d[rise], fd[rise]
-        d[rise] = a[rise] + INV_PHI * (b[rise] - a[rise])
-        b[fall], d[fall], fd[fall] = d[fall], c[fall], fc[fall]
-        c[fall] = b[fall] - INV_PHI * (b[fall] - a[fall])
-        values = f(np.where(up, d[live], c[live]))
-        fd[rise], fc[fall] = values[up], values[~up]
-        live = live[b[live] - a[live] > tol]
-    top = 0.5 * (a + b)
-    return float(top[0]) if scalar else top
+    x = (np.arange(1, n // 2) + 0.5) / n
+    for _ in range(NEWTON_STEPS):
+        s, c = np.sin(np.pi * x), np.cos(np.pi * x)
+        sn, cn = np.sin(np.pi * n * x), np.cos(np.pi * n * x)
+        x = x - (n * cn * s - sn * c) / (np.pi * (1 - n * n) * sn * s)
+    middle = [0.5] if n % 2 and n > 1 else []
+    heights = np.abs(dirichlet_of_p(np.concatenate([x, middle]), n))
+    tops = np.concatenate([x, middle, 1.0 - x[::-1]])
+    return tops, np.concatenate([heights, heights[:x.size][::-1]])
 
 
 def optimal_operating_freq(design: DmaDesign, phi) -> OperatingPoint:
@@ -91,14 +89,16 @@ def optimal_operating_freq(design: DmaDesign, phi) -> OperatingPoint:
     If an integer p is reachable the gain hits N^2 exactly (smallest such
     integer wins when several are reachable).  Where n_g + sin(phi) = 0,
     p = 0 at every frequency, an integer, and f_min is chosen.  Otherwise
-    the Dirichlet magnitude is maximized lobe by lobe between its nulls,
-    which keeps each golden-section run on a unimodal piece.  The
-    candidates are the band edges and nulls, then the lobe tops, and the
-    first largest wins.
+    the band lies inside one period (m, m + 1), m = floor(p_min), and
+    |D_N| peaks at a band edge or at one of that period's sidelobe tops
+    m + x_j.  The tops fall toward m + 1/2, so only the first and last
+    top inside the band can win.  The candidates are the lower edge,
+    those two tops and the upper edge, in increasing p, and the first
+    largest wins: of two mirrored tops of equal height, the lower.
 
     A scalar ``phi`` gives float fields and a bool ``integer_case``.  A
     1-d array gives arrays with one entry per angle, each equal to the
-    scalar call's; the lobes of all its angles share one search.
+    scalar call's.
     """
     n = design.n_elements
     phis = np.asarray(phi, dtype=float)
@@ -114,42 +114,27 @@ def optimal_operating_freq(design: DmaDesign, phi) -> OperatingPoint:
     if np.count_nonzero(integer_case) < phis.size:
         off = ~integer_case
         lo, hi = p_min[off], p_max[off]
-        # Dirichlet nulls at multiples of 1/N partition [p_min, p_max] into
-        # unimodal lobes; integer p is excluded here so no lobe holds the peak.
-        k_lo = np.floor(lo * n).astype(np.int64) + 1
-        k_hi = np.ceil(hi * n).astype(np.int64) - 1
-        counts = k_hi - k_lo + 1           # >= 0, since hi > lo
-        owner = np.repeat(np.arange(lo.size), counts)
-        k = k_lo[owner] + np.arange(owner.size) \
-            - np.repeat(np.cumsum(counts) - counts, counts)
-        nulls = k / n
-        inside = (lo[owner] < nulls) & (nulls < hi[owner])
-        # Per angle, in order: lower edge, nulls, upper edge.  Stable sorts
-        # on the angle index keep that order within each angle.
-        edge_owner = np.concatenate([np.arange(lo.size), owner[inside],
-                                     np.arange(lo.size)])
-        order = np.argsort(edge_owner, kind="stable")
-        edge_owner = edge_owner[order]
-        edges = np.concatenate([lo, nulls[inside], hi])[order]
-        lobe = edge_owner[1:] == edge_owner[:-1]
-
-        def objective(p):
-            return np.abs(dirichlet_of_p(p, n))
-
-        tops = golden_section_max(objective, edges[:-1][lobe], edges[1:][lobe])
-        cand_owner = np.concatenate([edge_owner, edge_owner[:-1][lobe]])
-        order = np.argsort(cand_owner, kind="stable")
-        cand_owner = cand_owner[order]
-        candidates = np.concatenate([edges, tops])[order]
-        values = objective(candidates)
-        starts = np.flatnonzero(np.diff(cand_owner, prepend=-1))
-        s_best = np.maximum.reduceat(values, starts)
-        hits = np.flatnonzero(values == s_best[cand_owner])
-        _, first = np.unique(cand_owner[hits], return_index=True)
-        p_star[off] = candidates[hits[first]]
+        # No integer lies in [lo, hi], so the band sits inside one period
+        # (m, m + 1) and lo - m, hi - m are exact.
+        m = np.floor(lo)
+        r_lo, r_hi = lo - m, hi - m
+        tops, heights = _sidelobe_tops(n)
+        first = np.searchsorted(tops, r_lo, side="right")
+        last = np.searchsorted(tops, r_hi, side="left") - 1
+        # Index tops.size stands for "no top in the band" and never wins.
+        none = first > last
+        first[none] = last[none] = tops.size
+        tops, heights = np.append(tops, np.nan), np.append(heights, -np.inf)
+        edges = np.abs(dirichlet_of_p(np.concatenate([lo, hi]), n)).reshape(2, -1)
+        # Candidates in increasing p; argmax keeps the first largest.
+        r = np.stack([r_lo, tops[first], tops[last], r_hi])
+        values = np.stack([edges[0], heights[first], heights[last], edges[1]])
+        best = np.argmax(values, axis=0)
+        cols = np.arange(lo.size)
+        p_star[off] = m + r[best, cols]
         # float_power rounds like the scalar float ** of a Python float;
         # an array ** 2 squares, which can differ in the last bit.
-        gain[off] = np.float_power(n + s_best, 2) / 4.0
+        gain[off] = np.float_power(n + values[best, cols], 2) / 4.0
     # p/slope can land an ulp outside the band when p sits on a band edge,
     # in either case.  A zero slope (p = 0 throughout) divides to 0, f_min.
     f_t = p_star / np.where(slope > 0, slope, np.inf)

@@ -74,9 +74,10 @@ def _reference_golden_section_max(f, a, b, tol=1e-12):
 def _reference_operating_point(design, phi):
     """The planner for one angle, one lobe at a time, on Python scalars.
 
-    Independent of the broadcast planner: a scalar loop over lobes and
-    candidates, the first largest candidate winning.  Returns
-    (f_t_star, p_star, gain, integer_case).
+    Independent of the broadcast planner: the band is cut at the
+    Dirichlet nulls and each lobe searched by the scalar golden-section
+    loop.  Candidates within 1e-12 relative of the largest count as tied
+    and the lowest p wins.  Returns (f_t_star, p_star, gain, integer_case).
     """
     n = design.n_elements
     slope = design.spacing * (design.refractive_index + np.sin(phi)) / db.CONSTANTS.c
@@ -96,16 +97,12 @@ def _reference_operating_point(design, phi):
             _reference_golden_section_max(objective, lo, hi)
             for lo, hi in zip(bounds[:-1], bounds[1:])]
         values = [objective(p) for p in candidates]
-        p_star = float(candidates[int(np.argmax(values))])
-        gain = float((n + max(values)) ** 2 / 4.0)
+        best = max(values)
+        p_star = float(min(p for p, v in zip(candidates, values)
+                           if v >= best * (1 - 1e-12)))
+        gain = float((n + best) ** 2 / 4.0)
     f_t_star = min(max(p_star / slope, design.f_min), design.f_max)
     return float(f_t_star), p_star, gain, bool(first_int <= p_max)
-
-
-@pytest.fixture(scope="session")
-def reference_golden_section_max():
-    """The scalar golden-section search the broadcast one must match."""
-    return _reference_golden_section_max
 
 
 @pytest.fixture(scope="session")

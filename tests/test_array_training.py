@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import dmabeam as db
+from dmabeam.frequency_planner import GOLDEN_TOL
 
 F_C = 15e9
 PHI_MAX = np.radians(30.0)
@@ -65,13 +66,23 @@ def test_codebook_frequencies_come_from_the_planner(layout):
 def test_codebook_frequencies_equal_the_scalar_planner(
         layout, reference_operating_point, phi_max_deg, delta):
     """The codebook plans all its sectors in one call; each frequency is
-    bit for bit the one-angle planner's.  At +-35 deg the outer sectors
-    lie past the design sector, where no integer p is reachable."""
+    bit for bit the one-angle planner's, and the golden-section
+    reference's where an integer p is reachable.  At +-35 deg the outer
+    sectors lie past the design sector, where no integer p is reachable
+    and p* matches the reference to the bench's f_star tolerance."""
     phi_max = np.radians(phi_max_deg)
-    cb = db.build_codebook(layout.per_dma, -phi_max, phi_max, delta)
-    expected = [reference_operating_point(layout.per_dma, float(a))[0]
-                for a in cb.sector_angles]
-    assert np.array_equal(cb.sector_freqs, expected)
+    design = layout.per_dma
+    cb = db.build_codebook(design, -phi_max, phi_max, delta)
+    planned = [db.optimal_operating_freq(design, float(a)) for a in cb.sector_angles]
+    assert np.array_equal(cb.sector_freqs, [op.f_t_star for op in planned])
+    for a, op in zip(cb.sector_angles, planned):
+        f_ref, p_ref, _, integer_case = reference_operating_point(design, float(a))
+        assert op.integer_case == integer_case
+        if integer_case:
+            assert op.f_t_star == f_ref
+        else:
+            tol = GOLDEN_TOL + np.sqrt(np.finfo(float).eps) * abs(p_ref)
+            assert abs(op.p_star - p_ref) <= tol
 
 
 def allowed_sines(angle, n_g, width):

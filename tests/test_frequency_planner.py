@@ -6,52 +6,10 @@ import numpy as np
 import pytest
 
 import dmabeam as db
+import dmabeam.frequency_planner as fp
+from dmabeam.frequency_planner import GOLDEN_TOL
 
 C = 3.0e8
-
-
-def test_golden_section_finds_known_maximum():
-    top = db.golden_section_max(lambda x: -(x - 2.0) ** 2, 0.0, 5.0)
-    assert top == pytest.approx(2.0, abs=1e-8)
-
-
-def test_golden_section_handles_boundary_maximum():
-    top = db.golden_section_max(lambda x: x, 0.0, 1.0)
-    assert top == pytest.approx(1.0, abs=1e-8)
-
-
-@pytest.mark.parametrize("objective", [
-    lambda x: np.abs(db.dirichlet_of_p(x, 8)),
-    lambda x: np.sin(7.0 * x) + 0.1 * x,      # several maxima per interval
-    lambda x: 0.0 * x,                         # every comparison ties
-])
-def test_golden_section_arrays_match_the_scalar_loop(
-        objective, reference_golden_section_max):
-    """Each interval of an array search ends bit for bit where its own
-    scalar search ends, with one f point per scalar f call."""
-    rng = np.random.default_rng(7)
-    a = rng.uniform(-2.0, 2.0, 300)
-    b = a + np.concatenate([rng.uniform(0.0, 3.0, 290),
-                            rng.uniform(0.0, 2e-12, 10)])  # some already narrow
-    calls = []
-
-    def scalar(x):
-        calls.append(1)
-        return objective(x)
-
-    expected = [reference_golden_section_max(scalar, lo, hi)
-                for lo, hi in zip(a.tolist(), b.tolist())]
-    scalar_calls, calls[:] = len(calls), []
-
-    def counted(x):
-        calls.append(np.size(x))
-        return objective(x)
-
-    got = db.golden_section_max(counted, a, b)
-    assert np.array_equal(got, expected)
-    assert sum(calls) == scalar_calls
-    top = db.golden_section_max(objective, a[0], b[0])
-    assert type(top) is float and top == expected[0]
 
 
 def test_reference_operating_frequency(design):
@@ -111,33 +69,111 @@ def test_zero_slope_is_the_integer_case_at_f_min(design):
     assert np.all(ops.f_t_star[1:] > 0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 16])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 16])
 def test_planner_over_an_angle_array_matches_per_angle_calls(
         design, n, reference_operating_point):
-    """One array call over 2,001 angles, integer and lobe-search cases,
-    equals the scalar reference and the per-angle calls bit for bit on
-    every 20th angle, and rounds the gain like the scalar code on all."""
+    """One array call over 2,001 angles, integer and sidelobe cases,
+    equals the per-angle calls bit for bit on every 20th angle and agrees
+    with the golden-section reference: the integer case bit for bit, p*
+    to the bench's f_star tolerance, and a gain no lower."""
     d = dataclasses.replace(design, n_elements=n)
     phis = np.radians(np.linspace(-89.0, 89.0, 2001))
     ops = db.optimal_operating_freq(d, phis)
     fields = ("f_t_star", "p_star", "gain", "integer_case")
     assert 0 < np.count_nonzero(ops.integer_case) < phis.size
     sample = phis[::20]
-    expected = [reference_operating_point(d, float(phi)) for phi in sample]
     scalar = [db.optimal_operating_freq(d, float(phi)) for phi in sample]
-    for i, name in enumerate(fields):
+    for name in fields:
         got = getattr(ops, name)
         assert got.shape == phis.shape
-        assert np.array_equal(got[::20], [e[i] for e in expected]), name
         assert np.array_equal(got[::20], [getattr(op, name) for op in scalar]), name
-    # the gain is (N + |S(p*)|)^2 / 4 as Python floats round it, everywhere
-    for phi, p, gain in zip(phis[~ops.integer_case], ops.p_star[~ops.integer_case],
-                            ops.gain[~ops.integer_case]):
-        assert gain == (n + abs(db.dirichlet_of_p(float(p), n))) ** 2 / 4.0, phi
+    expected = np.array([reference_operating_point(d, float(phi)) for phi in sample])
+    f_ref, p_ref, gain_ref, exact = expected.T
+    exact = exact.astype(bool)
+    assert np.array_equal(ops.integer_case[::20], exact)
+    for got, ref in ((ops.f_t_star, f_ref), (ops.p_star, p_ref), (ops.gain, gain_ref)):
+        assert np.array_equal(got[::20][exact], ref[exact])
+    # the bench's f_star tolerance
+    tol = GOLDEN_TOL + np.sqrt(np.finfo(float).eps) * np.abs(p_ref)
+    assert np.all(np.abs(ops.p_star[::20] - p_ref) <= tol)
+    assert np.all(ops.gain[::20] >= gain_ref * (1 - 1e-13))
+    # the gain is (N + |S|)^2 / 4 as Python floats round it, everywhere:
+    # |S| at a band edge, or the height of the sidelobe top x_j = p* - m
+    tops, heights = fp._sidelobe_tops(n)
+    slope = d.spacing * (d.refractive_index + np.sin(phis)) / db.CONSTANTS.c
+    off = ~ops.integer_case
+    for phi, p, gain, lo, hi in zip(phis[off], ops.p_star[off], ops.gain[off],
+                                    d.f_min * slope[off], d.f_max * slope[off]):
+        if p in (lo, hi):
+            s = abs(db.dirichlet_of_p(float(p), n))
+        else:
+            [j] = np.flatnonzero(np.floor(lo) + tops == p)
+            x = min(tops[j], tops[tops.size - 1 - j])
+            s = abs(db.dirichlet_of_p(float(x), n))
+        assert gain == (n + s) ** 2 / 4.0, phi
     # an angle's result does not depend on which other angles share the call
     part = db.optimal_operating_freq(d, phis[7::13])
     for name in fields:
         assert np.array_equal(getattr(part, name), getattr(ops, name)[7::13]), name
+
+
+def test_mirrored_sidelobe_tops_tie_to_the_lower(design):
+    """At N = 5 the tops x_1 and 1 - x_1 of the two outer sidelobes have
+    one height.  Where both lie in the band and no band edge is higher,
+    the lower top wins.  Rounding used to pick the upper one at eight of
+    these angles."""
+    d = dataclasses.replace(design, n_elements=5)
+    deg = np.linspace(-90.0, 90.0, 3601)
+    ops = db.optimal_operating_freq(d, np.radians(deg))
+    slope = d.spacing * (d.refractive_index + np.sin(np.radians(deg))) / db.CONSTANTS.c
+    lo, hi = d.f_min * slope, d.f_max * slope
+    m = np.floor(lo)
+    (x, _, mirror), (height, *_) = fp._sidelobe_tops(5)
+    edges = np.maximum(np.abs(db.dirichlet_of_p(lo, 5)),
+                       np.abs(db.dirichlet_of_p(hi, 5)))
+    tied = ~ops.integer_case & (lo - m < x) & (mirror < hi - m) & (edges < height)
+    assert set(np.round([77.85, 78.05, 78.1, 78.7, 78.8, 79.15, 81.05, 82.4], 2)) \
+        <= set(np.round(deg[tied], 2))
+    assert np.all(ops.p_star[tied] - m[tied] < 0.5)
+    assert np.array_equal(ops.p_star[tied], m[tied] + x)
+    assert np.all(ops.gain[tied] == (5 + height) ** 2 / 4.0)
+
+
+def test_sidelobe_tops(monkeypatch):
+    """For N = 1 ... 512 and 1024: one top strictly inside each sidelobe,
+    converged to GOLDEN_TOL by the last Newton step, mirrored heights
+    equal bit for bit, and heights falling strictly toward 1/2."""
+    ns = list(range(1, 513)) + [1024]
+    tables = [fp._sidelobe_tops(n) for n in ns]
+    monkeypatch.setattr(fp, "NEWTON_STEPS", fp.NEWTON_STEPS - 1)
+    for n, (tops, heights) in zip(ns, tables):
+        j = np.arange(1, n - 1)
+        assert tops.shape == heights.shape == j.shape, n
+        assert np.all((j / n < tops) & (tops < (j + 1) / n)), n
+        assert np.array_equal(heights, heights[::-1]), n
+        assert np.all(np.diff(heights[:(n - 1) // 2]) < 0), n
+        assert np.array_equal(heights[:n // 2],
+                              np.abs(db.dirichlet_of_p(tops[:n // 2], n))), n
+        before_last, _ = fp._sidelobe_tops(n)
+        assert np.all(np.abs(tops - before_last) < GOLDEN_TOL), n
+
+
+@pytest.mark.parametrize("n", [8, 128])
+def test_planner_is_never_beaten_by_the_dense_scan(design, n):
+    """Over 60 angles with no integer p in band, the dense scan of |S|
+    never beats the planner's |S| and falls short by at most the slope
+    bound pi N^2 times one scan step, as in verify."""
+    d = dataclasses.replace(design, n_elements=n)
+    phis = np.radians(np.linspace(35.0, 89.0, 60))
+    ops = db.optimal_operating_freq(d, phis)
+    assert not np.any(ops.integer_case)
+    resolution = 10 ** 5
+    for phi, gain in zip(phis, ops.gain):
+        _, objective = db.dense_p_scan(d, phi, resolution)
+        step = d.spacing * (d.refractive_index + np.sin(phi)) \
+            * (d.f_max - d.f_min) / db.CONSTANTS.c / (resolution - 1)
+        s_closed = 2.0 * np.sqrt(gain) - n
+        assert s_closed - np.pi * n ** 2 * step <= objective <= s_closed + 1e-9
 
 
 @pytest.mark.parametrize("phi_deg", [-18.0, 45.0])

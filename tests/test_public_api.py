@@ -21,9 +21,8 @@ PUBLIC = [
     'compare_rates', 'crossover_angle', 'cutoff_frequencies',
     'dense_p_scan', 'design_sector', 'dirichlet_kernel', 'dirichlet_of_p',
     'effective_channel', 'element_gain', 'enumerate_binary', 'fingerprint',
-    'gain_at_estimate', 'golden_section_max',
-    'grid_max_gain', 'load_scenario', 'max_coverage_angle',
-    'normalized_product', 'optimal_operating_freq',
+    'gain_at_estimate', 'grid_max_gain', 'load_scenario',
+    'max_coverage_angle', 'normalized_product', 'optimal_operating_freq',
     'optimal_shifted_phases', 'parse_scenario', 'pilot_grid',
     'polarizability', 'probe', 'psi_delta', 'rate_ttd',
     'received_psd', 'resonance_grid', 'resonant_from_shifted',

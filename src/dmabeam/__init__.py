@@ -27,17 +27,16 @@ from .core_model import (CONSTANTS, DmaDesign, PhysicalConstants,
                          resonant_from_shifted)
 from .errors import (CoverageInfeasibleError, CutoffError, DmaError,
                      DomainError, EnumerationLimitError, InvalidEstimateError,
-                     NoCrossoverError, ScenarioError, SingularityError)
+                     ScenarioError, SingularityError)
 from .frequency_planner import (CoverageAngle, OperatingPoint, SectorDesign,
                                 crossover_angle, design_sector,
                                 max_coverage_angle, optimal_operating_freq)
 from .gain_optimizer import (BeamformingSolution, closed_form_gain,
                              optimal_shifted_phases, solve_p1a, wrap_shifted)
-from .link_rate import (LinkBudget, RateComparison, RateReport,
-                        TuningRangePoint, achievable_rate, angle_grid,
-                        average_rates, bandwidth_sweep, compare_rates,
-                        rate_ttd, received_psd, subcarrier_grid,
-                        tuning_range_sweep)
+from .link_rate import (LinkBudget, RateComparison, TuningRangePoint,
+                        achievable_rate, angle_grid, bandwidth_sweep,
+                        compare_rates, rate_ttd, received_psd,
+                        subcarrier_grid, tuning_range_sweep)
 from .oracle import (binary_mask_gain, dense_p_scan, enumerate_binary,
                      grid_max_gain, resonance_grid)
 from .scenario import (Scenario, fingerprint, load_scenario, parse_scenario,

@@ -25,7 +25,6 @@ from .errors import (CoverageInfeasibleError, DomainError,
                      InvalidEstimateError)
 from .frequency_planner import optimal_operating_freq
 
-DEFAULT_PILOT_COUNT = 256
 WIDTH_RESOLUTION = 1e-3    # quantization of the mainlobe half-width
 MAX_SECTORS = 256
 
@@ -133,7 +132,7 @@ def array_gain_dma(layout: ArrayLayout, resonances, phi, f):
     return float(out) if out.ndim == 0 else out
 
 
-def pilot_grid(design: DmaDesign, k_tr: int = DEFAULT_PILOT_COUNT,
+def pilot_grid(design: DmaDesign, k_tr: int,
                include: Optional[Sequence[float]] = None) -> np.ndarray:
     """Uniform pilot subcarriers over the tunable band, endpoints included.
 
@@ -205,7 +204,8 @@ def psi_delta(n_y: int, delta: float) -> float:
     """Half-width of the Dirichlet mainlobe above the fraction delta.
 
     Solves (sin(pi N x) / sin(pi x))^2 = delta N^2 on the monotone flank
-    x in (0, 1/N) by Brent's method.
+    x in (0, 1/N) by Brent's method; a delta below the fraction at the
+    bracket end 1/N - 1e-12 raises DomainError.
     """
     if not 0.0 < delta < 1.0:
         raise DomainError("delta must lie strictly between 0 and 1")
@@ -215,7 +215,14 @@ def psi_delta(n_y: int, delta: float) -> float:
     def excess(x):
         return dirichlet_of_p(x, n_y) ** 2 - delta * n_y ** 2
 
-    return float(brentq(excess, 1e-12, 1.0 / n_y - 1e-12, xtol=1e-15))
+    hi = 1.0 / n_y - 1e-12
+    if excess(hi) > 0:
+        floor = dirichlet_of_p(hi, n_y) ** 2 / n_y ** 2
+        raise DomainError(
+            f"training.delta = {delta:.3g} is below {floor:.3g}, the "
+            f"smallest gain fraction with a mainlobe half-width at "
+            f"design.n_y = {n_y}")
+    return float(brentq(excess, 1e-12, hi, xtol=1e-15))
 
 
 def build_codebook(design: DmaDesign, phi_lower: float, phi_upper: float,

@@ -29,7 +29,6 @@ class CutoffReport:
     f_lower: float
     f_upper: float
     bandwidth: float
-    nu: float
     approx_bandwidth: float
 
 
@@ -86,7 +85,6 @@ def cutoff_frequencies(design: DmaDesign, f_t_star: float, nu: float) -> CutoffR
         f_lower=float(f_lower),
         f_upper=float(f_upper),
         bandwidth=float(f_upper - f_lower),
-        nu=float(nu),
         approx_bandwidth=float(gam / (2.0 * np.pi * np.sqrt(rho))),
     )
 

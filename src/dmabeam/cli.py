@@ -34,8 +34,7 @@ from .bandwidth_analysis import (array_cutoff_frequencies, array_gain,
 from .binary_tuning import solve_p4
 from .core_model import CONSTANTS, DmaDesign
 from .errors import (CoverageInfeasibleError, CutoffError, DmaError,
-                     InvalidEstimateError, NoCrossoverError, ScenarioError,
-                     SingularityError)
+                     InvalidEstimateError, ScenarioError, SingularityError)
 from .frequency_planner import (crossover_angle, design_sector,
                                 max_coverage_angle, optimal_operating_freq)
 from .gain_optimizer import solve_p1a
@@ -57,8 +56,8 @@ EXIT_VERIFICATION = 4
 # 0.3 s at 16 and 4 s at the oracle's own cap of 20.
 VERIFY_BINARY_ELEMENTS = 12
 
-_INFEASIBLE = (NoCrossoverError, CoverageInfeasibleError, SingularityError,
-               CutoffError, InvalidEstimateError)
+_INFEASIBLE = (CoverageInfeasibleError, SingularityError, CutoffError,
+               InvalidEstimateError)
 
 
 # ----------------------------------------------------------------- plumbing
@@ -227,14 +226,6 @@ def _db(x: float) -> float:
     return 10.0 * np.log10(x) if x > 0 else float("-inf")
 
 
-def _crossover(design: DmaDesign, f_c: float) -> float:
-    """The crossover angle in radians, NaN when the design has none."""
-    try:
-        return crossover_angle(design, f_c)
-    except NoCrossoverError:
-        return float("nan")
-
-
 def _ordered(rates) -> bool:
     """Whether the rates that are not NaN are in non-decreasing order."""
     finite = [r for r in rates if not math.isnan(r)]
@@ -248,7 +239,7 @@ def cmd_design(design: DmaDesign, resolved: Scenario, args) -> CommandResult:
                            design.f_min, design.f_max)
     f_c = resolved.f_center_hz
     lam_c = CONSTANTS.c / f_c
-    phi_c = float(np.degrees(_crossover(design, f_c)))
+    phi_c = float(np.degrees(crossover_angle(design, f_c)))
     reach = max_coverage_angle(resolved.n_g_max, design.f_max - design.f_min, f_c)
     text = scenario_to_text(resolved)
     sys.stdout.write(text)
@@ -349,7 +340,7 @@ def cmd_gain_sweep(design: DmaDesign, resolved: Scenario,
     rows = list(zip(*cols))
     return CommandResult(
         tables=(("gain_sweep", columns, rows, "{:g} deg"),), summary={
-            "crossover_deg": float(np.degrees(_crossover(design, f_c))),
+            "crossover_deg": float(np.degrees(crossover_angle(design, f_c))),
             "max_gain": design.n_elements ** 2,
         })
 
@@ -500,7 +491,7 @@ def cmd_verify(design: DmaDesign, resolved: Scenario, args) -> CommandResult:
             design, n_elements=VERIFY_BINARY_ELEMENTS)
     bin_ok = True
     # A design with no crossover checks the random angles alone.
-    phi_c = _crossover(bin_design, f_c)
+    phi_c = crossover_angle(bin_design, f_c)
     angles = ([] if math.isnan(phi_c) else [phi_c]) + \
         list(rng.uniform(-np.pi / 3, np.pi / 3, 3))
     fast = solve_p4(bin_design, np.array(angles, dtype=float), f_c)

@@ -14,11 +14,6 @@ class SingularityError(DmaError, ValueError):
     resonance map, where no finite resonant frequency exists."""
 
 
-class NoCrossoverError(DmaError, ValueError):
-    """No angle exists where the optimal operating frequency equals the
-    requested fixed frequency."""
-
-
 class CutoffError(DmaError, ArithmeticError):
     """The cutoff frequencies of a gain response could not be resolved
     numerically for the requested operating frequency and threshold."""

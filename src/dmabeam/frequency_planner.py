@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import dirichlet_of_p
 from .core_model import CONSTANTS, DmaDesign
-from .errors import DomainError, NoCrossoverError
+from .errors import DomainError
 
 # Tolerance of a sidelobe top, in p units: the last Newton step stays
 # below it.  bench/checks.py imports it under this name for its f_star
@@ -54,11 +54,8 @@ class OperatingPoint:
 class SectorDesign:
     """Waveguide parameters covering an angular sector with full gain."""
 
-    phi_lower: float
-    phi_upper: float
     n_g_star: float
     d_y_star: float
-    p_star_choice: int
 
 
 def _sidelobe_tops(n: int):
@@ -148,39 +145,29 @@ def optimal_operating_freq(design: DmaDesign, phi) -> OperatingPoint:
 
 
 def crossover_angle(design: DmaDesign, f_c: float) -> float:
-    """The angle where the optimal operating frequency equals f_c (p = 1)."""
+    """The angle where the optimal operating frequency equals f_c (p = 1),
+    NaN when no visible angle steers p = 1 to f_c."""
     arg = CONSTANTS.c / (f_c * design.spacing) - design.refractive_index
-    if abs(arg) > 1.0:
-        raise NoCrossoverError(
-            f"no angle steers p=1 to {f_c:.4g} Hz with this design")
-    return float(np.arcsin(arg))
+    return float(np.arcsin(arg)) if abs(arg) <= 1.0 else float("nan")
 
 
 def design_sector(phi_lower: float, phi_upper: float, f_min: float,
-                  f_max: float, p_star: int = 1) -> SectorDesign:
+                  f_max: float) -> SectorDesign:
     """Refractive index and spacing covering [phi_lower, phi_upper].
 
-    The closed forms place p = p_star at f_max for the lower sector edge
-    and at f_min for the upper edge, so every angle between reaches an
+    The closed forms place p = 1 at f_max for the lower sector edge and
+    at f_min for the upper edge, so every angle between reaches an
     integer p inside the band.
     """
     if not (0 < f_min < f_max):
         raise DomainError("need 0 < f_min < f_max")
     if not phi_lower < phi_upper:
         raise DomainError("need phi_lower < phi_upper")
-    if p_star < 1:
-        raise DomainError("p_star must be a positive integer")
     s_up, s_lw = np.sin(phi_upper), np.sin(phi_lower)
     n_g = (s_up - s_lw) / 2.0 * (f_max + f_min) / (f_max - f_min) \
         - (s_up + s_lw) / 2.0
-    d_y = CONSTANTS.c * p_star * (f_max - f_min) / ((s_up - s_lw) * f_min * f_max)
-    return SectorDesign(
-        phi_lower=float(phi_lower),
-        phi_upper=float(phi_upper),
-        n_g_star=float(n_g),
-        d_y_star=float(d_y),
-        p_star_choice=int(p_star),
-    )
+    d_y = CONSTANTS.c * (f_max - f_min) / ((s_up - s_lw) * f_min * f_max)
+    return SectorDesign(n_g_star=float(n_g), d_y_star=float(d_y))
 
 
 def max_coverage_angle(n_g_max: float, tuning_range: float,

@@ -33,8 +33,6 @@ from .frequency_planner import (design_sector, max_coverage_angle,
                                 optimal_operating_freq)
 from .gain_optimizer import solve_p1a
 
-DEFAULT_ANGLE_SAMPLES = 181
-
 
 @dataclass(frozen=True)
 class LinkBudget:
@@ -54,14 +52,6 @@ class LinkBudget:
                 raise DomainError(f"{name} must be positive")
         if self.n_subcarriers < 1:
             raise DomainError("n_subcarriers must be >= 1")
-
-
-@dataclass(frozen=True)
-class RateReport:
-    """Achievable rate in bits/s with the per-subcarrier SNR breakdown."""
-
-    rate: float | np.ndarray
-    per_subcarrier_snr: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -114,16 +104,18 @@ def received_psd(budget: LinkBudget, gain, f):
     return float(out) if out.ndim == 0 else out
 
 
-def _report(budget: LinkBudget, snr: np.ndarray) -> RateReport:
+def _rate(budget: LinkBudget, gain, f):
+    """(B/K_d) sum_k log2(1 + SNR_k) over the subcarriers f, the last axis."""
+    snr = received_psd(budget, gain, f) / (CONSTANTS.k_B * budget.noise_temp)
     rate = budget.bandwidth / budget.n_subcarriers \
         * np.sum(np.log2(1.0 + snr), axis=-1)
-    return RateReport(rate=float(rate) if rate.ndim == 0 else rate,
-                      per_subcarrier_snr=snr)
+    return float(rate) if rate.ndim == 0 else rate
 
 
 def achievable_rate(budget: LinkBudget, layout: ArrayLayout, resonances,
-                    phi, center) -> RateReport:
-    """Sum rate (B/K_d) sum_k log2(1 + SNR_k) for a fixed DMA configuration.
+                    phi, center):
+    """Sum rate in bits/s for a fixed DMA configuration: a float, or an
+    array over the leading axes of the arguments.
 
     The band is centered on ``center``.  The configuration stays as given
     across the whole band, so the gain rolls off away from the frequency
@@ -133,22 +125,18 @@ def achievable_rate(budget: LinkBudget, layout: ArrayLayout, resonances,
     its last axis.
     """
     grid = subcarrier_grid(budget, center)
-    gains = array_gain_dma(layout, resonances, phi, grid)
-    snr = received_psd(budget, gains, grid) / (CONSTANTS.k_B * budget.noise_temp)
-    return _report(budget, snr)
+    return _rate(budget, array_gain_dma(layout, resonances, phi, grid), grid)
 
 
-def rate_ttd(budget: LinkBudget, layout: ArrayLayout, center) -> RateReport:
-    """Rate of a true-time-delay array with the same aperture.
+def rate_ttd(budget: LinkBudget, layout: ArrayLayout, center):
+    """Rate in bits/s of a true-time-delay array with the same aperture.
 
     Matched delays put the full gain (N_y N_z)^2 on every subcarrier for
     any angle, so the SNR is flat across the band (evaluated at the band
     center, or at each center of an array of them).
     """
     gain = np.full(budget.n_subcarriers, (layout.per_dma.n_elements * layout.n_dmas) ** 2)
-    snr = received_psd(budget, gain, _band_centers(budget, center)) \
-        / (CONSTANTS.k_B * budget.noise_temp)
-    return _report(budget, snr)
+    return _rate(budget, gain, _band_centers(budget, center))
 
 
 def _tunings(layout: ArrayLayout, codebook: Codebook, grid: np.ndarray):
@@ -176,12 +164,12 @@ def _rates(layout: ArrayLayout, budget: LinkBudget, grid: np.ndarray,
     def rate(solution):     # angles on axis 0, subcarriers on axis 1
         return achievable_rate(budget, layout,
                                solution.resonances[:, None, None, :],
-                               grid[:, None], solution.operating_freq).rate
+                               grid[:, None], solution.operating_freq)
 
     fixed, trained, perfect = tunings
     return RateComparison(
         fixed=rate(fixed), trained=rate(trained), perfect=rate(perfect),
-        ttd=rate_ttd(budget, layout, perfect.operating_freq).rate)
+        ttd=rate_ttd(budget, layout, perfect.operating_freq))
 
 
 def _angle_mean(rates: RateComparison) -> RateComparison:
@@ -206,31 +194,24 @@ def compare_rates(layout: ArrayLayout, codebook: Codebook, phi,
 
 
 def angle_grid(phi_lower: float, phi_upper: float,
-               n_samples: int = DEFAULT_ANGLE_SAMPLES) -> np.ndarray:
+               n_samples: int) -> np.ndarray:
     """Deterministic uniform angle samples, endpoints included."""
     if n_samples < 1:
         raise DomainError("n_samples must be >= 1")
     return np.linspace(phi_lower, phi_upper, n_samples)
 
 
-def average_rates(layout: ArrayLayout, codebook: Codebook, budget: LinkBudget,
-                  phi_lower: float, phi_upper: float,
-                  n_samples: int = DEFAULT_ANGLE_SAMPLES) -> RateComparison:
-    """Strategy rates averaged over a deterministic uniform angle grid;
-    a strategy infeasible at some angle of it averages to NaN."""
-    return _angle_mean(compare_rates(
-        layout, codebook, angle_grid(phi_lower, phi_upper, n_samples), budget))
-
-
 def bandwidth_sweep(layout: ArrayLayout, codebook: Codebook,
                     budget: LinkBudget, bandwidths: Sequence[float],
                     phi_lower: float, phi_upper: float,
-                    n_samples: int = DEFAULT_ANGLE_SAMPLES) -> List[RateComparison]:
+                    n_samples: int) -> List[RateComparison]:
     """Angle-averaged strategy rates for each bandwidth.
 
-    Row i is average_rates with the budget's bandwidth set to
-    bandwidths[i].  The strategies' tunings do not depend on the
-    bandwidth, so they are solved once for all rows.
+    Row i is the mean over angle_grid(phi_lower, phi_upper, n_samples)
+    of compare_rates with the budget's bandwidth set to bandwidths[i]; a
+    strategy infeasible at some angle averages to NaN.  The strategies'
+    tunings do not depend on the bandwidth, so they are solved once for
+    all rows.
     """
     grid = angle_grid(phi_lower, phi_upper, n_samples)
     tunings = _tunings(layout, codebook, grid)
@@ -242,7 +223,7 @@ def bandwidth_sweep(layout: ArrayLayout, codebook: Codebook,
 def tuning_range_sweep(template: DmaDesign, n_dmas: int, n_g_max: float,
                        delta: float, budget: LinkBudget,
                        tuning_ranges: Sequence[float],
-                       n_samples: int = DEFAULT_ANGLE_SAMPLES) -> List[TuningRangePoint]:
+                       n_samples: int) -> List[TuningRangePoint]:
     """Redesign the array for each tuning range and compare strategy rates.
 
     For each T_r the band is centered where the template's band is, the
@@ -270,8 +251,9 @@ def tuning_range_sweep(template: DmaDesign, n_dmas: int, n_g_max: float,
                          f_min=f_min, f_max=f_max)
         layout, codebook = training_layout(design, n_dmas, -phi_max, phi_max,
                                            delta)
-        rates = average_rates(layout, codebook, budget,
-                              -phi_max, phi_max, n_samples)
+        rates = _angle_mean(compare_rates(
+            layout, codebook, angle_grid(-phi_max, phi_max, n_samples),
+            budget))
         points.append(TuningRangePoint(tuning_range=t_r, phi_max=phi_max,
                                        n_sectors=len(codebook), rates=rates))
     return points

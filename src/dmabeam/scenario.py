@@ -10,6 +10,7 @@ unknown keys are rejected so typos fail loudly.  ``auto`` for spacing /
 refractive index / training groups defers to the sector design rule and
 codebook construction.  The gain threshold ``training.delta`` takes
 either a linear fraction ("0.5") or a dB value with suffix ("3 dB").
+Every number must be finite: ``inf`` and ``nan`` are rejected.
 """
 
 from __future__ import annotations
@@ -103,9 +104,12 @@ class Scenario:
 
 def _parse_float(text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise ScenarioError(f"not a number: {text!r}") from None
+    if not np.isfinite(value):
+        raise ScenarioError(f"not a finite number: {text!r}")
+    return value
 
 
 def _parse_int(text: str) -> int:

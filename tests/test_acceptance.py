@@ -55,7 +55,6 @@ def test_03_crossover_angle(design):
 
 def test_04_sector_design_round_trip(design):
     sector = db.design_sector(np.radians(-30.0), np.radians(30.0), 12e9, 18e9)
-    assert sector.p_star_choice == 1
     assert sector.n_g_star == pytest.approx(2.5, abs=1e-12)
     lam_c = db.CONSTANTS.c / F_C
     assert sector.d_y_star / lam_c == pytest.approx(0.42, abs=0.005)

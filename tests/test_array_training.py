@@ -42,6 +42,18 @@ def test_psi_delta_narrows_with_stricter_fraction():
         db.psi_delta(1, 0.5)
 
 
+@pytest.mark.parametrize("n_y", [8, 128])
+def test_psi_delta_rejects_a_delta_below_the_bracket(n_y):
+    """Below the fraction at the bracket end 1/N - 1e-12 no crossing is in
+    reach: DomainError naming the delta and that smallest fraction.  Just
+    above it the root exists."""
+    floor = db.dirichlet_of_p(1.0 / n_y - 1e-12, n_y) ** 2 / n_y ** 2
+    with pytest.raises(db.DomainError,
+                       match=f"training.delta = 1e-25 is below {floor:.3g}"):
+        db.psi_delta(n_y, 1e-25)
+    assert 0 < db.psi_delta(n_y, 2 * floor) < 1.0 / n_y
+
+
 def test_half_gain_codebook_reference(layout):
     cb = db.build_codebook(layout.per_dma, -PHI_MAX, PHI_MAX, 0.5)
     assert len(cb) == 4

@@ -11,7 +11,6 @@ F_STAR = 16.430980937585947e9
 def test_reference_half_gain_bandwidth(design):
     """The half-gain band at the reference point is 300 MHz wide."""
     rep = db.cutoff_frequencies(design, F_STAR, 0.5)
-    assert rep.nu == 0.5
     assert rep.bandwidth == pytest.approx(300e6, rel=0.02)
     assert rep.approx_bandwidth == pytest.approx(300e6, rel=1e-12)
     assert abs(rep.bandwidth - rep.approx_bandwidth) / rep.bandwidth < 1e-3

@@ -137,10 +137,8 @@ def _sweep_with_ties(design):
     """361 angles over the half plane plus the crossover angle: broadside
     and the crossover are where lossless masks tie."""
     phis = np.radians(np.linspace(-90.0, 90.0, 361))
-    try:
-        return np.append(phis, db.crossover_angle(design, F_C))
-    except db.NoCrossoverError:
-        return phis
+    phi_c = db.crossover_angle(design, F_C)
+    return phis if np.isnan(phi_c) else np.append(phis, phi_c)
 
 
 def _reference_half_plane(design, phi, f_c):

@@ -552,6 +552,21 @@ def test_a_failing_command_writes_nothing(tmp_path, capsys, command, text,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("delta", ["1e-25", "250 dB"])
+@pytest.mark.parametrize("command", ["train", "rate"])
+def test_a_delta_below_the_mainlobe_floor_is_invalid(tmp_path, capsys,
+                                                      command, delta):
+    """A gain fraction too small for the mainlobe width solve exits 2,
+    naming training.delta, and writes nothing."""
+    path = tmp_path / "tiny_delta.scn"
+    path.write_text(TINY + f"training.delta = {delta}\n")
+    out = tmp_path / "run"
+    assert run_cli(command, "--scenario", str(path), "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: training.delta = 1e-25 is below ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "rate"])
 def test_single_element_waveguide_cannot_train(tmp_path, capsys, command):
     """N_y = 1 has no mainlobe to place sectors by: exit 3, naming

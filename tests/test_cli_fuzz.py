@@ -30,6 +30,10 @@ SMALL = {
 }
 
 
+FLOAT_KEYS = ("design.f_max", "design.n_g", "design.alpha", "budget.power",
+              "sector.phi_upper", "sweep.bandwidths")
+
+
 @st.composite
 def scenarios(draw):
     # Sectors of 20 to 80 deg: the design rule realizes most of them with
@@ -46,6 +50,12 @@ def scenarios(draw):
         "sector.phi_upper": str(upper),
     }
     fields.update(SMALL)
+    fields["training.delta"] = draw(st.sampled_from(["0.5", "3 dB", "250 dB"]))
+    # At most one float key set to a value the parser rejects.
+    non_finite = draw(st.none() | st.tuples(
+        st.sampled_from(FLOAT_KEYS), st.sampled_from(["inf", "-inf", "nan"])))
+    if non_finite is not None:
+        fields[non_finite[0]] = non_finite[1]
     return "".join(f"{key} = {value}\n" for key, value in fields.items())
 
 

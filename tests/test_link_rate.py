@@ -76,14 +76,14 @@ def test_achievable_rate_matches_hand_computation(layout, reference_gain):
     budget = make_budget(n_subcarriers=2)
     cfg = db.solve_p1a(layout.per_dma, 0.0, 14.4e9).resonances
     configs = np.array([cfg] * 4)
-    rep = db.achievable_rate(budget, layout, configs, 0.0, 14.4e9)
+    rate = db.achievable_rate(budget, layout, configs, 0.0, 14.4e9)
     total = 0.0
     for f in db.subcarrier_grid(budget, 14.4e9):
         g = reference_gain(layout.per_dma, configs, 0.0, f)[0]
         snr = db.received_psd(budget, g, float(f)) / (K_B * 290.0)
         total += budget.bandwidth / 2 * np.log2(1 + snr)
-    assert rep.rate == pytest.approx(total, rel=1e-9)
-    assert rep.per_subcarrier_snr.shape == (2,)
+    assert type(rate) is float
+    assert rate == pytest.approx(total, rel=1e-9)
 
 
 @pytest.mark.parametrize("grouped", [False, True])
@@ -105,25 +105,25 @@ def test_achievable_rate_matches_per_subcarrier_array_gain(layout, grouped,
     else:
         configs = np.array(
             [db.solve_p1a(layout.per_dma, phi, 14.4e9).resonances] * 4)
-    rep = db.achievable_rate(budget, layout, configs, phi, 14.4e9)
+    rate = db.achievable_rate(budget, layout, configs, phi, 14.4e9)
     total = 0.0
     for f in db.subcarrier_grid(budget, 14.4e9):
         g = reference_gain(layout.per_dma, configs, phi, f)[0]
         snr = db.received_psd(budget, g, float(f)) / (K_B * 290.0)
         total += budget.bandwidth / 64 * np.log2(1 + snr)
-    assert rep.per_subcarrier_snr.shape == (64,)
-    assert rep.rate == pytest.approx(total, rel=1e-12)
+    assert rate == pytest.approx(total, rel=1e-12)
 
 
 def test_ttd_rate_is_frequency_flat(layout):
+    """The full aperture (N_y N_z)^2 on every subcarrier, at the SNR of the
+    band center: B log2(1 + SNR), one center or an array of them."""
     budget = make_budget()
-    rep = db.rate_ttd(budget, layout, F_C)
-    assert np.ptp(rep.per_subcarrier_snr) == 0.0
-    snr = rep.per_subcarrier_snr[0]
-    assert rep.rate == pytest.approx(budget.bandwidth * np.log2(1 + snr), rel=1e-12)
-    # flat gain is the full aperture (N_y N_z)^2 at the band center
-    expect = db.received_psd(budget, 1024.0, F_C) / (K_B * 290.0)
-    assert snr == pytest.approx(expect, rel=1e-12)
+    snr = db.received_psd(budget, 1024.0, F_C) / (K_B * 290.0)
+    rate = db.rate_ttd(budget, layout, F_C)
+    assert type(rate) is float
+    assert rate == pytest.approx(budget.bandwidth * np.log2(1 + snr), rel=1e-12)
+    rates = db.rate_ttd(budget, layout, np.array([F_C, 1.2 * F_C]))
+    assert rates.shape == (2,) and rates[0] == rate and rates[1] < rate
 
 
 def test_ttd_bounds_every_strategy_pointwise(layout):
@@ -144,15 +144,17 @@ def test_sector_average_ordering(layout):
     may average a better rate), so the ordering is a sector-level claim.
     """
     cb = db.build_codebook(layout.per_dma, -PHI_MAX, PHI_MAX, 0.5)
-    r = db.average_rates(layout, cb, make_budget(),
-                         np.radians(-30.0), np.radians(30.0), n_samples=21)
+    budget = make_budget()
+    [r] = db.bandwidth_sweep(layout, cb, budget, [budget.bandwidth],
+                             np.radians(-30.0), np.radians(30.0), n_samples=21)
     assert r.fixed <= r.trained <= r.perfect <= r.ttd
 
 
-def test_average_rates_is_the_grid_mean(layout):
+def test_bandwidth_sweep_row_is_the_grid_mean(layout):
     cb = db.build_codebook(layout.per_dma, -PHI_MAX, PHI_MAX, 0.5)
     budget = make_budget()
-    avg = db.average_rates(layout, cb, budget, -0.1, 0.1, n_samples=3)
+    [avg] = db.bandwidth_sweep(layout, cb, budget, [budget.bandwidth],
+                               -0.1, 0.1, n_samples=3)
     pts = [db.compare_rates(layout, cb, phi, budget)
            for phi in np.linspace(-0.1, 0.1, 3)]
     assert avg.perfect == pytest.approx(np.mean([p.perfect for p in pts]), rel=1e-12)
@@ -171,10 +173,10 @@ def reference_rates(layout, codebook, phi, budget):
     fixed = db.solve_p1a(design, phi, f_c)
     rates = {name: db.achievable_rate(
         budget, layout, np.array([sol.resonances] * layout.n_dmas), phi,
-        sol.operating_freq).rate
+        sol.operating_freq)
         for name, sol in (("perfect", perfect), ("trained", trained),
                           ("fixed", fixed))}
-    rates["ttd"] = db.rate_ttd(budget, layout, f_star).rate
+    rates["ttd"] = db.rate_ttd(budget, layout, f_star)
     return rates
 
 
@@ -188,8 +190,8 @@ def test_array_compare_rates_equals_the_per_angle_calls(layout):
     batch = db.compare_rates(layout, cb, phis, budget)
     singles = [db.compare_rates(layout, cb, phi, budget) for phi in phis]
     references = [reference_rates(layout, cb, phi, budget) for phi in phis]
-    avg = db.average_rates(layout, cb, budget, np.radians(-35.0),
-                           np.radians(35.0), 25)
+    [avg] = db.bandwidth_sweep(layout, cb, budget, [budget.bandwidth],
+                               np.radians(-35.0), np.radians(35.0), 25)
     for name in ("fixed", "trained", "perfect", "ttd"):
         column = [getattr(r, name) for r in singles]
         assert all(isinstance(v, float) for v in column)
@@ -220,7 +222,8 @@ def test_infeasible_angles_are_nan_rates(layout):
     fixed = db.solve_p1a(lowq, phis, F_C)
     assert np.array_equal(np.isnan(batch.fixed), ~fixed.feasible)
     assert 0 < np.count_nonzero(~fixed.feasible) < phis.size
-    avg = db.average_rates(lowq_layout, cb, budget, phis[0], phis[-1], 21)
+    [avg] = db.bandwidth_sweep(lowq_layout, cb, budget, [budget.bandwidth],
+                               phis[0], phis[-1], 21)
     assert np.isnan(avg.fixed) and np.isfinite(avg.ttd)
 
 
@@ -247,18 +250,23 @@ def test_bandwidth_sweep_shapes_and_ttd_growth(layout):
     assert ttd[0] < ttd[1] < ttd[2]  # wider band, more capacity
 
 
-def test_bandwidth_sweep_rows_equal_average_rates(layout):
+def test_bandwidth_sweep_rows_are_compare_rates_means(layout):
+    """Row i is the left-to-right mean of compare_rates over the angle
+    grid with the budget's bandwidth set to bandwidths[i], bit for bit."""
     cb = db.build_codebook(layout.per_dma, -PHI_MAX, PHI_MAX, 0.5)
     budget = make_budget(n_subcarriers=16)
     bandwidths = [0.1e9, 0.5e9]
     rows = db.bandwidth_sweep(layout, cb, budget, bandwidths,
                               -0.3, 0.3, n_samples=4)
+    grid = db.angle_grid(-0.3, 0.3, 4)
     for b, row in zip(bandwidths, rows):
-        ref = db.average_rates(layout, cb,
-                               dataclasses.replace(budget, bandwidth=b),
-                               -0.3, 0.3, n_samples=4)
+        ref = db.compare_rates(layout, cb, grid,
+                               dataclasses.replace(budget, bandwidth=b))
         for name in ("fixed", "trained", "perfect", "ttd"):
-            assert getattr(row, name) == getattr(ref, name)
+            total = 0.0
+            for v in getattr(ref, name):
+                total += v
+            assert getattr(row, name) == total / 4
 
 
 @pytest.mark.parametrize("bandwidths", [[0.3e9], [0.1e9, 0.3e9, 1.0e9]])
@@ -306,3 +314,22 @@ def test_tuning_range_sweep_redesigns_per_point(design):
         assert pt.n_sectors >= 1
         assert pt.rates.fixed <= pt.rates.trained <= pt.rates.perfect <= pt.rates.ttd
     assert pts[0].phi_max < pts[1].phi_max
+
+
+def test_tuning_range_point_is_a_one_bandwidth_sweep(design):
+    """A point's rates are the one-bandwidth sweep over the redesigned
+    array and its own sector -phi_max ... phi_max, bit for bit."""
+    budget = make_budget(n_subcarriers=8)
+    [pt] = db.tuning_range_sweep(design, 4, 2.5, 0.5, budget, [3e9],
+                                 n_samples=5)
+    f_min, f_max = F_C - 1.5e9, F_C + 1.5e9
+    sector = db.design_sector(-pt.phi_max, pt.phi_max, f_min, f_max)
+    redesigned = dataclasses.replace(
+        design, spacing=sector.d_y_star, refractive_index=sector.n_g_star,
+        f_min=f_min, f_max=f_max)
+    layout, cb = db.training_layout(redesigned, 4, -pt.phi_max, pt.phi_max,
+                                    0.5)
+    [row] = db.bandwidth_sweep(layout, cb, budget, [budget.bandwidth],
+                               -pt.phi_max, pt.phi_max, 5)
+    assert pt.n_sectors == len(cb)
+    assert dataclasses.astuple(pt.rates) == dataclasses.astuple(row)

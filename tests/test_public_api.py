@@ -10,12 +10,11 @@ PUBLIC = [
     'Codebook', 'CoverageAngle', 'CoverageInfeasibleError', 'CutoffError',
     'CutoffReport', 'DmaDesign', 'DmaError', 'DomainError',
     'EnumerationLimitError', 'InvalidEstimateError', 'LinkBudget',
-    'NoCrossoverError',
-    'OperatingPoint', 'PhysicalConstants', 'RateComparison', 'RateReport',
+    'OperatingPoint', 'PhysicalConstants', 'RateComparison',
     'Scenario', 'ScenarioError', 'SectorDesign', 'SingularityError',
     'TrainingResult', 'TuningRangePoint', 'achievable_rate',
     'angle_grid', 'array_cutoff_frequencies', 'array_gain',
-    'array_gain_dma', 'attenuation_vector', 'average_rates',
+    'array_gain_dma', 'attenuation_vector',
     'bandwidth_sweep', 'beamformer_weight', 'binary_mask_gain',
     'build_codebook', 'closed_form_gain', 'combined_phases',
     'compare_rates', 'crossover_angle', 'cutoff_frequencies',

@@ -65,6 +65,43 @@ def test_delta_validation():
             db.parse_scenario(f"training.delta = {bad}\n")
 
 
+# Every key whose value is one or more floats; the others take integers,
+# on/off or auto-or-integer.
+FLOAT_KEYS = (
+    "design.f_min", "design.f_max", "design.q_factor", "design.gamma",
+    "design.coupling", "design.d_y", "design.n_g", "design.n_g_max",
+    "design.alpha", "sector.phi_lower", "sector.phi_upper", "budget.power",
+    "budget.distance", "budget.noise_temp", "budget.bandwidth",
+    "training.delta", "sweep.bandwidths", "sweep.tuning_ranges",
+    "sweep.coverage_n_g", "sweep.coverage_ratio_max",
+)
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_numbers_are_rejected(key, value):
+    with pytest.raises(ScenarioError,
+                       match=f"line 1: {key}: not a finite number"):
+        db.parse_scenario(f"{key} = {value}\n")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("training.delta", "inf dB"), ("training.delta", "nan dB"),
+    ("sweep.bandwidths", "0.3, inf"), ("sweep.coverage_n_g", "2, nan")])
+def test_non_finite_numbers_are_rejected_inside_values(key, value):
+    with pytest.raises(ScenarioError, match="not a finite number"):
+        db.parse_scenario(f"{key} = {value}\n")
+
+
+def test_float_keys_are_all_the_keys_that_take_a_float():
+    text = db.scenario_to_text(db.Scenario()) + "design.gamma = 1\n"
+    keys = [line.partition(" = ")[0] for line in text.splitlines()]
+    assert set(FLOAT_KEYS) <= set(keys)
+    for key in set(keys) - set(FLOAT_KEYS):
+        with pytest.raises(ScenarioError):
+            db.parse_scenario(f"{key} = 1.5\n")
+
+
 def test_unknown_key_reports_line_number():
     with pytest.raises(ScenarioError, match="line 2"):
         db.parse_scenario("design.n_y = 8\nbogus.key = 1\n")

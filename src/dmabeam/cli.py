@@ -442,13 +442,15 @@ def cmd_verify(design: DmaDesign, resolved: Scenario, args) -> CommandResult:
             f"arrays\n")
     rng = np.random.default_rng(12345)
     gaps = []
-    # An infeasible draw is skipped, not redrawn: the rng stream, and with
-    # it the binary check's angles, stay fixed.
+    # The draws keep 1 GHz off the band edges, less on a band narrower
+    # than 6 GHz.  An infeasible draw is skipped, not redrawn: the rng
+    # stream, and with it the binary check's angles, stay fixed.
+    margin = min(1e9, (design.f_max - design.f_min) / 6.0)
     for _ in range(20):
         n = int(rng.integers(
             1, min(GRID_MAX_ELEMENTS, design.n_elements) + 1))
         phi = rng.uniform(-np.pi / 3, np.pi / 3)
-        f_t = rng.uniform(design.f_min + 1e9, design.f_max - 1e9)
+        f_t = rng.uniform(design.f_min + margin, design.f_max - margin)
         sub = dataclasses.replace(design, n_elements=n)
         closed = solve_p1a(sub, phi, f_t)
         if not closed.feasible:

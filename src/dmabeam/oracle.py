@@ -174,8 +174,15 @@ def dense_p_scan(design: DmaDesign, phi: float, resolution: int):
 
     Returns (p at the grid argmax, objective value there).  The grid is
     evaluated in blocks of _SCAN_BLOCK points, so the temporaries stay
-    small; a later block replaces the best only when strictly greater,
-    so ties keep the first index, as np.argmax does.
+    small, and only blocks that can hold the maximum are evaluated: as
+    |sin(pi N r)| <= 1, no point of a block exceeds 1 / sin(pi d), d the
+    distance of the block's p interval from the nearest integer (0 when
+    it holds one), inflated by 1e-9 for rounding; the bound is infinite
+    where the safe mask may set a point to N.  Blocks are visited by
+    descending bound, and the scan stops at the first one whose bound is
+    below the best value.  A block replaces the best when its maximum is
+    greater, or equal at a lower index, so ties keep the first index of
+    the whole grid, as np.argmax does.
     """
     if resolution < MIN_SCAN_RESOLUTION:
         raise DomainError(
@@ -183,8 +190,21 @@ def dense_p_scan(design: DmaDesign, phi: float, resolution: int):
     n = design.n_elements
     scale = design.spacing * (design.refractive_index + np.sin(phi)) / CONSTANTS.c
     p = np.linspace(design.f_min * scale, design.f_max * scale, resolution)
+    # n_g >= 1, so p rises along the grid and each block spans [lo, hi].
+    starts = np.arange(0, resolution, _SCAN_BLOCK)
+    lo = p[starts]
+    hi = p[np.minimum(starts + _SCAN_BLOCK, resolution) - 1]
+    below = np.floor(lo)
+    d = np.where(below + 1.0 <= hi, 0.0,
+                 np.minimum(lo - below, below + 1.0 - hi))
+    sin_d = np.sin(np.pi * d)
+    bound = np.full(starts.size, np.inf)
+    np.divide(1.0 + 1e-9, sin_d, out=bound, where=sin_d > 1e-12)
     best_k, best = 0, -np.inf
-    for start in range(0, resolution, _SCAN_BLOCK):
+    for b in np.argsort(-bound, kind="stable").tolist():
+        if bound[b] < best:
+            break
+        start = b * _SCAN_BLOCK
         block = p[start:start + _SCAN_BLOCK]
         # |S| has period 1 in p; reducing to r = p - round(p) (exact) keeps
         # the rounding of sin(pi N p) from being amplified by 1/sin(pi p)
@@ -200,7 +220,8 @@ def dense_p_scan(design: DmaDesign, phi: float, resolution: int):
         np.abs(objective, out=objective)
         objective[~safe] = float(n)
         k = int(np.argmax(objective))
-        if objective[k] > best:
+        if objective[k] > best or (objective[k] == best
+                                   and start + k < best_k):
             best_k, best = start + k, objective[k]
     return float(p[best_k]), float(best)
 

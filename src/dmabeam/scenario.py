@@ -10,7 +10,10 @@ unknown keys are rejected so typos fail loudly.  ``auto`` for spacing /
 refractive index / training groups defers to the sector design rule and
 codebook construction.  The gain threshold ``training.delta`` takes
 either a linear fraction ("0.5") or a dB value with suffix ("3 dB").
-Every number must be finite: ``inf`` and ``nan`` are rejected.
+Every number must be finite and at most MAX_MAGNITUDE in magnitude:
+``inf``, ``nan`` and ``1e308`` are rejected.  The cap lies far above any
+physical value of these quantities in these units, and low enough that
+scaling one to SI units or squaring it cannot overflow.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import numpy as np
 from .errors import ScenarioError
 
 AUTO = "auto"
+MAX_MAGNITUDE = 1e12
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,9 @@ def _parse_float(text: str) -> float:
         raise ScenarioError(f"not a number: {text!r}") from None
     if not np.isfinite(value):
         raise ScenarioError(f"not a finite number: {text!r}")
+    if abs(value) > MAX_MAGNITUDE:
+        raise ScenarioError(
+            f"magnitude above {MAX_MAGNITUDE:g}: {text!r}")
     return value
 
 

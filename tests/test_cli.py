@@ -438,6 +438,38 @@ def test_verify_reports_pass_lines(scn, tmp_path, capsys):
     assert all(entry["pass"] for entry in checks.values())
 
 
+# The dense scan's line as the full, unpruned scan printed it: the
+# default design holds an integer p in all three bands, and at
+# d_y = 0.006 none does, so only the sidelobe bounds prune there.
+@pytest.mark.parametrize("text, detail", [
+    ("", "-18 deg: |S| gap = 7.88e-13; -5 deg: |S| gap = 1.22e-11; "
+         "10 deg: |S| gap = 3.92e-11"),
+    ("design.d_y = 0.006\n", "-18 deg: |S| gap = -4.44e-16; -5 deg: "
+     "|S| gap = 9.03e-12; 10 deg: |S| gap = -8.88e-16"),
+])
+def test_verify_scan_line_is_pinned(tmp_path, capsys, text, detail):
+    path = tmp_path / "scan.scn"
+    path.write_text(text)
+    out = str(tmp_path / "run")
+    assert run_cli("verify", "--scenario", str(path), "--out", out) == 0
+    assert f"PASS  planner vs dense scan  ({detail})\n" \
+        in capsys.readouterr().out
+    assert read_summary(out)["verify"]["planner vs dense scan"] \
+        == {"pass": True, "detail": detail}
+
+
+def test_verify_runs_on_a_band_narrower_than_two_ghz(tmp_path, capsys):
+    """The closed-form draws keep a sixth of a 1 GHz band off each edge,
+    where a fixed 1 GHz margin left no room to draw from."""
+    path = tmp_path / "narrow.scn"
+    path.write_text("design.f_min = 14.5\ndesign.f_max = 15.5\n"
+                    "design.n_g_max = 20\n")
+    assert run_cli("verify", "--scenario", str(path),
+                   "--out", str(tmp_path / "run")) == 0
+    text = capsys.readouterr().out
+    assert text.count("PASS") == 3 and "FAIL" not in text
+
+
 @pytest.mark.parametrize("q", ["1", "5", "12"])
 def test_verify_passes_at_low_q(tmp_path, capsys, q):
     """A low-Q guide: the resonance grid spans the whole reachable arc,

@@ -10,6 +10,7 @@ import json
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -100,3 +101,23 @@ def check_commands(text):
 @settings(max_examples=8, deadline=None, derandomize=True, database=None)
 def test_every_command_ends_in_a_known_exit_code(text):
     check_commands(text)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("design.f_max", "1e308"), ("design.n_g", "1e300"),
+    ("budget.power", "1e308")])
+def test_huge_finite_numbers_are_invalid_in_every_command(key, value,
+                                                          tmp_path):
+    """Each once ended in a traceback, a RuntimeWarning or a misleading
+    message in some command; now every command exits 2 naming the key."""
+    path = tmp_path / "huge.scn"
+    path.write_text(f"{key} = {value}\n")
+    for command in cli._COMMANDS:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main([command, "--scenario", str(path),
+                             "--out", str(tmp_path / command)])
+        assert code == cli.EXIT_CONFIG, (command, err.getvalue())
+        assert f"{key}: magnitude above 1e+12" in err.getvalue(), command
+        assert not os.path.exists(tmp_path / command)

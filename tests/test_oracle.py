@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dmabeam as db
 from dmabeam import oracle
@@ -227,6 +229,51 @@ def test_blocked_scan_equals_the_unblocked_scan(design, phi_deg,
     for resolution in (10 ** 5 + 3, 10 ** 6):
         assert db.dense_p_scan(design, phi, resolution) \
             == reference_dense_p_scan(design, phi, resolution)
+
+
+def test_pruned_scan_keeps_the_first_of_equal_values_on_a_flat_objective(
+        reference_dense_p_scan):
+    """N = 1 on p in [0.25, 1]: every point scores 1, and the last block,
+    which holds p = 1, has the only infinite bound and is visited first.
+    The equal values of the earlier blocks must still take over, down to
+    index 0, as np.argmax's first index does."""
+    resolution = 100_001
+    design = _dyadic_design(1, 0.25, 1.0)
+    p, objective = db.dense_p_scan(design, 0.0, resolution)
+    assert (p, objective) == (0.25, 1.0)
+    assert (p, objective) == reference_dense_p_scan(design, 0.0, resolution)
+
+
+def test_pruned_scan_bounds_a_block_by_its_end_nearest_an_integer(
+        reference_dense_p_scan):
+    """p in [2^-11, 1 - 2^-12] on 10^5 points, N = 64: the maximum, 63.97,
+    sits at the top end, 2^-12 below p = 1, in a partial last block that
+    starts 0.017 below p = 1.  A bound from that start, about 18.5, would
+    prune the block behind the first block's 63.90 at p = 2^-11."""
+    resolution = 10 ** 5
+    design = _dyadic_design(64, 2.0 ** -11, 1.0 - 2.0 ** -12)
+    p, objective = db.dense_p_scan(design, 0.0, resolution)
+    assert p == 1.0 - 2.0 ** -12
+    assert (p, objective) == reference_dense_p_scan(design, 0.0, resolution)
+
+
+@given(n=st.integers(1, 64), n_g=st.floats(1.0, 4.0),
+       d_y=st.floats(0.002, 0.03), f_min=st.floats(1.0, 30.0),
+       span=st.floats(0.1, 20.0), phi_deg=st.floats(-90.0, 90.0),
+       extra=st.integers(0, 7))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_pruned_scan_equals_the_full_scan(n, n_g, d_y, f_min, span, phi_deg,
+                                          extra, reference_dense_p_scan):
+    """Bit for bit, on bands in p that hold no integer, one or several
+    (p reaches about 25 at the widest), at angles out to the +-90 deg
+    ends, where n_g = 1 shrinks the band towards p = 0."""
+    design = db.DmaDesign(n_elements=n, spacing=d_y, refractive_index=n_g,
+                          damping=1e9, coupling=1e-9, f_min=f_min * 1e9,
+                          f_max=(f_min + span) * 1e9)
+    phi = float(np.radians(phi_deg))
+    resolution = oracle.MIN_SCAN_RESOLUTION + extra
+    assert db.dense_p_scan(design, phi, resolution) \
+        == reference_dense_p_scan(design, phi, resolution)
 
 
 def test_dense_scan_resolution_floor(design):

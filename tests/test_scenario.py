@@ -5,6 +5,7 @@ import pytest
 
 import dmabeam as db
 from dmabeam import ScenarioError
+from dmabeam.scenario import MAX_MAGNITUDE
 
 
 def test_empty_text_gives_defaults():
@@ -83,6 +84,22 @@ def test_non_finite_numbers_are_rejected(key, value):
     with pytest.raises(ScenarioError,
                        match=f"line 1: {key}: not a finite number"):
         db.parse_scenario(f"{key} = {value}\n")
+
+
+@pytest.mark.parametrize("value", ["1e308", "-1e300", "1.000001e12"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_huge_numbers_are_rejected(key, value):
+    """A finite number above the cap, e.g. 1e308 GHz, overflows once
+    scaled to SI or squared: it is an invalid scenario, by name."""
+    with pytest.raises(ScenarioError,
+                       match=f"line 1: {key}: magnitude above 1e\\+12"):
+        db.parse_scenario(f"{key} = {value}\n")
+
+
+def test_numbers_at_the_magnitude_cap_are_accepted():
+    s = db.parse_scenario("budget.power = 1e12\nbudget.distance = 1e12\n"
+                          "sweep.bandwidths = 0.3, 1e12\n")
+    assert s.power == s.distance == s.bandwidths[1] == MAX_MAGNITUDE
 
 
 @pytest.mark.parametrize("key, value", [

@@ -14,6 +14,7 @@ inverted to estimate the angle of departure.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -27,6 +28,9 @@ from .frequency_planner import optimal_operating_freq
 
 WIDTH_RESOLUTION = 1e-3    # quantization of the mainlobe half-width
 MAX_SECTORS = 256
+# Most weights one beamformer_weight call of array_gain_dma forms: a
+# block of 2^14 complex weights (256 KB) stays in the cache.
+WEIGHT_BLOCK_ENTRIES = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -101,6 +105,13 @@ def array_gain_dma(layout: ArrayLayout, resonances, phi, f):
     instead of one per element.  Since |z| <= 1 no partial sum exceeds
     sum_n |W_n|, so the rounding error is of order N ulps of that sum,
     the bound of the direct element-by-element sum.
+
+    The weights are formed in blocks of consecutive elements, from the
+    last block down, each of at most WEIGHT_BLOCK_ENTRIES weights and at
+    least one element, and each block is folded into the sum at once: the
+    full (..., L, N) weight array of a rate sweep would not fit in the
+    cache.  The block size changes no arithmetic, only how many elements
+    one beamformer_weight call covers.
     """
     res = np.asarray(resonances, dtype=float)
     design = layout.per_dma
@@ -113,22 +124,34 @@ def array_gain_dma(layout: ArrayLayout, resonances, phi, f):
     copies = layout.n_dmas // res.shape[-2]
     phis = np.asarray(phi, dtype=float)
     freqs = np.asarray(f, dtype=float)[..., None]        # element axis last
-    weights = beamformer_weight(design, res, freqs[..., None])
-    w = weights[..., 0, :] if res.shape[-2] == 1 else weights.sum(axis=-2)
-    total = w[..., -1]
-    if design.n_elements > 1:
-        # A two-element guide's phases are the first two of any guide's:
-        # theta_1 without forming the other N - 2 columns.
-        pair = replace(design, n_elements=2)
-        z = np.exp(1j * combined_phases(pair, phis[..., None], freqs)[..., 1])
-        if design.attenuation is not None:
-            z *= attenuation_vector(design)[1]
-        for n in range(design.n_elements - 2, -1, -1):
-            total = total * z + w[..., n]
-    else:
-        total = np.broadcast_to(total, np.broadcast_shapes(total.shape,
-                                                           phis.shape))
-    out = copies ** 2 * np.abs(total) ** 2
+    # A two-element guide's phases are the first two of any guide's:
+    # theta_1 without forming the other N - 2 columns.
+    pair = replace(design, n_elements=2)
+    z = np.exp(1j * combined_phases(pair, phis[..., None], freqs)[..., 1])
+    if design.attenuation is not None:
+        z *= attenuation_vector(pair)[1]
+    column_shape = np.broadcast_shapes(res.shape[:-1], freqs.shape)
+    total = np.empty(np.broadcast_shapes(column_shape[:-1], z.shape),
+                     dtype=complex)
+    if total.size == 0:
+        return np.zeros(total.shape)
+    block = max(1, WEIGHT_BLOCK_ENTRIES // int(np.prod(column_shape)))
+    for stop in range(design.n_elements, 0, -block):
+        start = max(0, stop - block)
+        weights = beamformer_weight(design, res[..., start:stop],
+                                    freqs[..., None])
+        # Rows add in order: np.sum's pairing would follow the block shape.
+        w = reduce(np.add, np.moveaxis(weights, -2, 0))
+        columns = range(stop - start - 1, -1, -1)
+        if stop == design.n_elements:            # the last element starts
+            total[...] = w[..., -1]
+            columns = columns[1:]
+        for n in columns:
+            total *= z
+            total += w[..., n]
+    out = total.real * total.real
+    out += total.imag * total.imag
+    out *= copies ** 2
     return float(out) if out.ndim == 0 else out
 
 

@@ -9,8 +9,12 @@ normalized product p = f d_y (n_g + sin phi) / c.
 Linear phase and exponential decay make the channel of element n the
 n-th power of one step z = e^{-alpha d_y} e^{j theta_1}, theta_1 the
 phase of element 1.  array_training.array_gain_dma sums configured
-weights against it by Horner's rule in z; effective_channel builds the
-channel element by element for the binary solver and the tests.
+weights against it by Horner's rule in z, forming the weights a block
+of elements at a time, and never builds the channel itself;
+effective_channel builds it element by element for the binary solver
+and the tests.  The phases 2 pi p (n - 1) keep fewer fractional bits as
+p grows, so the CLI rejects a design whose p at f_max and phi = 90 deg
+exceeds cli.MAX_NORMALIZED_PRODUCT.
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from .array_training import (ArrayLayout, array_gain_dma, pilot_grid, probe,
 from .bandwidth_analysis import (array_cutoff_frequencies, array_gain,
                                  cutoff_frequencies, element_gain)
 from .binary_tuning import solve_p4
+from .channel import normalized_product
 from .core_model import CONSTANTS, DmaDesign
 from .errors import (CoverageInfeasibleError, CutoffError, DmaError,
                      InvalidEstimateError, ScenarioError, SingularityError)
@@ -55,6 +56,12 @@ EXIT_VERIFICATION = 4
 # array of this many elements: about 0.015 s an angle at 12 elements,
 # 0.3 s at 16 and 4 s at the oracle's own cap of 20.
 VERIFY_BINARY_ELEMENTS = 12
+
+# Largest normalized product p = f_max d_y (n_g + 1) / c of a resolved
+# design.  The channel phase 2 pi p (n - 1) keeps fewer fractional bits as
+# p grows: verify's binary solver and plain enumeration first disagree at
+# p = 2.6e5 on a 128-element guide (6e5 at 8 elements), 26 times the cap.
+MAX_NORMALIZED_PRODUCT = 1e4
 
 _INFEASIBLE = (CoverageInfeasibleError, SingularityError, CutoffError,
                InvalidEstimateError)
@@ -202,6 +209,13 @@ def _resolve(scenario: Scenario):
         f_min=s.f_min_hz,
         f_max=s.f_max_hz,
     )
+    p_max = float(normalized_product(design, np.pi / 2.0, design.f_max))
+    if p_max > MAX_NORMALIZED_PRODUCT:
+        raise ScenarioError(
+            f"design.n_g = {s.n_g:g} and design.d_y = {s.d_y:g} m put the "
+            f"normalized product f_max d_y (n_g + 1) / c at {p_max:.3g}, "
+            f"above {MAX_NORMALIZED_PRODUCT:g}: the channel phases keep too "
+            f"few fractional bits for the solvers")
     return design, s
 
 

@@ -110,28 +110,23 @@ def beamformer_weight(design: DmaDesign, f_r_n, f):
     that acts as the beamforming weight.  It always lies on the circle
     |w + j/2| = 1/2.
 
-    It is evaluated in rational form.  With x = 2 pi (f_r^2 - f^2),
-    y = -Gamma f and r = |x + j y|, psi is the argument of x + j y, so
-    e^{j psi} = (x + j y) / r and sin(psi) = y / r.  Hence
-    w = -y (x + j y) / r^2 = g (x - j g) / (x^2 + g^2) with g = Gamma f:
-    no arctan2, sine or complex exponential.  The real and imaginary
-    parts are formed separately: a complex division would warn on a NaN
+    It is evaluated in rational form.  With the normalized detuning
+    t = 2 pi (f_r^2 - f^2) / (Gamma f), psi is the argument of t - j, so
+    e^{j psi} = (t - j) / |t - j| and sin(psi) = -1 / |t - j|.  Hence
+    w = (t - j) / (t^2 + 1) = 1 / (t + j): no arctan2, sine or complex
+    exponential.  The real and imaginary parts t / (t^2 + 1) and
+    -1 / (t^2 + 1) are formed from contiguous real arrays and written
+    into the complex result once: a complex division would warn on a NaN
     resonance, which must give a quiet NaN weight.
     """
     f_r_n, f = _positive_frequencies(f_r_n, f)
-    g = design.damping * f
-    # The output's real and imaginary views hold the intermediates, so
-    # the weights, the largest arrays of a rate sweep, need no temporary.
-    out = np.empty(np.broadcast_shapes(f_r_n.shape, f.shape), dtype=complex)
-    x, scale = out.real, out.imag
-    np.subtract(f_r_n**2, f**2, out=x)
-    x *= 2.0 * np.pi
-    np.multiply(x, x, out=scale)
-    scale += g * g
-    np.divide(g, scale, out=scale)              # g / (x^2 + g^2)
-    x *= scale
-    scale *= g
-    np.negative(scale, out=scale)
+    t = np.subtract(f_r_n**2, f**2)
+    t *= 2.0 * np.pi / (design.damping * f)
+    den = t * t
+    den += 1.0
+    out = np.empty(np.shape(t), dtype=complex)
+    np.divide(t, den, out=out.real)
+    np.divide(-1.0, den, out=out.imag)
     return complex(out) if out.ndim == 0 else out
 
 

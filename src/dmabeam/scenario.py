@@ -13,7 +13,9 @@ either a linear fraction ("0.5") or a dB value with suffix ("3 dB").
 Every number must be finite and at most MAX_MAGNITUDE in magnitude:
 ``inf``, ``nan`` and ``1e308`` are rejected.  The cap lies far above any
 physical value of these quantities in these units, and low enough that
-scaling one to SI units or squaring it cannot overflow.
+scaling one to SI units or squaring it cannot overflow.  The receiver
+must be at least one wavelength at ``design.f_min`` away: the link model
+is far-field.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .core_model import CONSTANTS
 from .errors import ScenarioError
 
 AUTO = "auto"
@@ -250,6 +253,13 @@ def _validate(s: Scenario, saw_gamma: bool, saw_q: bool) -> Scenario:
     for ok, message in checks:
         if not ok:
             raise ScenarioError(message)
+    # The link model is far-field: a receiver closer than a wavelength is
+    # outside it, and the path loss (lambda / 4 pi d)^2 overflows as d -> 0.
+    if s.distance * s.f_min_hz < CONSTANTS.c:
+        raise ScenarioError(
+            f"budget.distance = {s.distance:g} m is below one wavelength at "
+            f"design.f_min ({CONSTANTS.c / s.f_min_hz:.4g} m): the link "
+            f"model is far-field")
     return s
 
 

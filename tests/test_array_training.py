@@ -1,6 +1,7 @@
 """Stacked-array training: codebooks, pilots, probing, coverage floors."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -451,3 +452,71 @@ def test_second_reference_codebook():
     np.testing.assert_allclose(
         np.degrees(cb.sector_angles),
         [-23.3283561, -9.50777453, 5.21877997, 22.03662678], atol=1e-6)
+
+
+def _kernel_shapes(design, lossy):
+    """(layout, resonances, phi, f) of the kernel's call shapes on a design:
+    the rate sweep's (A, 1, 1, N) rows against an (A, K) subcarrier grid,
+    the probe's (L, N) sector rows against a pilot grid, and one row at a
+    single frequency over many angles, one weight per element."""
+    dma = dataclasses.replace(design, attenuation=6.0 if lossy else None)
+    phis = np.radians(np.linspace(-30.0, 30.0, 13))
+    rows = db.solve_p1a(dma, phis, F_C).resonances
+    grid = F_C + np.linspace(-0.4e9, 0.4e9, 9) + 0.1e9 * phis[:, None]
+    training = np.repeat(np.linspace(13e9, 17e9, 4)[:, None],
+                         dma.n_elements, axis=1)
+    pilots = np.linspace(dma.f_min, dma.f_max, 33)
+    return {
+        "rate": (db.ArrayLayout(4, dma), rows[:, None, None, :],
+                 phis[:, None], grid),
+        "probe": (db.ArrayLayout(4, dma), training, phis[:, None], pilots),
+        "one frequency": (db.ArrayLayout(1, dma), rows[6:7], phis, 14.2e9),
+    }
+
+
+@pytest.mark.parametrize("entries", [1, 7, 2 ** 40])
+@pytest.mark.parametrize("lossy", [False, True])
+@pytest.mark.parametrize("shape", ["rate", "probe", "one frequency"])
+def test_weight_blocks_leave_the_gain_bit_for_bit(design, monkeypatch,
+                                                  shape, lossy, entries):
+    """A block of one element, of a few, or of all of them folds the same
+    weights into the same Horner steps: the gains are equal bit for bit."""
+    args = _kernel_shapes(design, lossy)[shape]
+    whole = db.array_gain_dma(*args)
+    monkeypatch.setattr(db.array_training, "WEIGHT_BLOCK_ENTRIES", entries)
+    got = db.array_gain_dma(*args)
+    assert got.shape == whole.shape
+    assert got.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("entries", [1, 7, 2 ** 40])
+@pytest.mark.parametrize("lossy", [False, True])
+def test_weight_blocks_keep_nan_rows_quiet_at_128_elements(
+        design, monkeypatch, lossy, entries):
+    """A 128-element guide is infeasible at many angles: their NaN rows give
+    NaN gains without a RuntimeWarning, in any block size, and the other
+    angles' gains do not depend on the block size."""
+    dma = dataclasses.replace(design, n_elements=128,
+                              attenuation=6.0 if lossy else None)
+    phis = np.radians(np.linspace(-30.0, 30.0, 17))
+    tunings = db.solve_p1a(dma, phis, np.linspace(13e9, 17e9, 17))
+    assert 0 < tunings.feasible.sum() < phis.size
+    args = (db.ArrayLayout(4, dma), tunings.resonances[:, None, None, :],
+            phis[:, None], np.linspace(14e9, 16e9, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        whole = db.array_gain_dma(*args)
+        monkeypatch.setattr(db.array_training, "WEIGHT_BLOCK_ENTRIES", entries)
+        got = db.array_gain_dma(*args)
+    assert np.isnan(got[~tunings.feasible]).all()
+    assert np.isfinite(got[tunings.feasible]).all()
+    assert got.tobytes() == whole.tobytes()
+
+
+def test_empty_angles_or_frequencies_give_an_empty_gain(design, layout):
+    rows = np.full((4, design.n_elements), 15e9)
+    assert db.array_gain_dma(layout, rows, np.empty(0), F_C).shape == (0,)
+    assert db.array_gain_dma(layout, rows, 0.1, np.empty(0)).shape == (0,)
+    got = db.array_gain_dma(layout, np.empty((0, 1, 1, design.n_elements)),
+                            np.empty((0, 1)), np.empty((0, 9)))
+    assert got.shape == (0, 9) and got.dtype == float

@@ -484,6 +484,25 @@ def test_verify_passes_at_low_q(tmp_path, capsys, q):
     assert ("5 of 20 draws infeasible, skipped" in detail) == (q == "1")
 
 
+@pytest.mark.parametrize("n_y", [8, 128])
+def test_verify_passes_just_below_the_normalized_product_cap(tmp_path, capsys,
+                                                             n_y):
+    """d_y = 1/120 m and f_max = 18 GHz give f_max d_y (n_g + 1) / c =
+    (n_g + 1) / 2: n_g = 19799 sits 1 % below cli.MAX_NORMALIZED_PRODUCT
+    and verify passes; n_g = 20199, 1 % above, is an invalid scenario."""
+    assert cli.MAX_NORMALIZED_PRODUCT == 1e4
+    for n_g, code in ((19799, cli.EXIT_OK), (20199, cli.EXIT_CONFIG)):
+        path = tmp_path / f"ng{n_g}.scn"
+        path.write_text(f"design.n_y = {n_y}\ndesign.n_g = {n_g}\n")
+        out = str(tmp_path / f"run{n_g}")
+        assert run_cli("verify", "--scenario", str(path), "--out", out) == code
+        captured = capsys.readouterr()
+        if code == cli.EXIT_OK:
+            assert captured.out.count("PASS") == 3
+        else:
+            assert "normalized product" in captured.err
+
+
 def test_verify_fails_when_no_draw_is_feasible(scn, tmp_path, capsys,
                                                monkeypatch):
     from dmabeam import BeamformingSolution

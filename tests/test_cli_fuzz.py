@@ -121,3 +121,27 @@ def test_huge_finite_numbers_are_invalid_in_every_command(key, value,
         assert code == cli.EXIT_CONFIG, (command, err.getvalue())
         assert f"{key}: magnitude above 1e+12" in err.getvalue(), command
         assert not os.path.exists(tmp_path / command)
+
+
+@pytest.mark.parametrize("text, keys", [
+    ("design.n_g = 1e7\n", ("design.n_g = 1e+07", "design.d_y = ")),
+    ("design.n_g = 1\ndesign.d_y = 2000\n",
+     ("design.n_g = 1 ", "design.d_y = 2000 m")),
+    ("budget.distance = 1e-300\n", ("budget.distance = 1e-300 m",))])
+def test_out_of_model_designs_are_invalid_in_every_command(text, keys,
+                                                           tmp_path):
+    """A normalized product above cli.MAX_NORMALIZED_PRODUCT once made
+    verify fail its binary check, and a distance of 1e-300 m overflowed
+    the path loss: every command now exits 2 naming the keys."""
+    path = tmp_path / "out_of_model.scn"
+    path.write_text(text)
+    for command in cli._COMMANDS:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = cli.main([command, "--scenario", str(path),
+                             "--out", str(tmp_path / command)])
+        assert code == cli.EXIT_CONFIG, (command, err.getvalue())
+        for key in keys:
+            assert key in err.getvalue(), (command, err.getvalue())
+        assert not os.path.exists(tmp_path / command)

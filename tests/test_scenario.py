@@ -96,6 +96,26 @@ def test_huge_numbers_are_rejected(key, value):
         db.parse_scenario(f"{key} = {value}\n")
 
 
+@pytest.mark.parametrize("text", [
+    "budget.distance = 1e-300\n", "budget.distance = 0.02\n",
+    "design.f_min = 1\ndesign.f_max = 2\nbudget.distance = 0.29\n"])
+def test_a_distance_below_one_wavelength_is_rejected(text):
+    """The link model is far-field: a receiver closer than one wavelength
+    at design.f_min (2.5 cm at 12 GHz, 30 cm at 1 GHz) is invalid, by
+    name, before 1e-300 m overflows the path loss."""
+    with pytest.raises(ScenarioError,
+                       match="budget.distance = .* is below one wavelength "
+                             "at design.f_min"):
+        db.parse_scenario(text)
+
+
+def test_a_distance_of_a_wavelength_or_more_is_accepted():
+    assert db.parse_scenario("budget.distance = 0.03\n").distance == 0.03
+    s = db.parse_scenario("design.f_min = 1\ndesign.f_max = 2\n"
+                          "budget.distance = 0.3\n")
+    assert s.distance == 0.3
+
+
 def test_numbers_at_the_magnitude_cap_are_accepted():
     s = db.parse_scenario("budget.power = 1e12\nbudget.distance = 1e12\n"
                           "sweep.bandwidths = 0.3, 1e12\n")

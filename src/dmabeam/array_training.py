@@ -14,7 +14,6 @@ inverted to estimate the angle of departure.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
@@ -89,39 +88,33 @@ def array_gain_dma(layout: ArrayLayout, resonances, phi, f):
     """Array gain |sum_m f_dma,m(f)^T h(phi, f)|^2 over all waveguides.
 
     ``phi`` and ``f`` broadcast to a shape S; scalars give a float.
-    ``resonances`` is an (..., L, N) array of sub-array rows, L dividing
-    n_dmas, its leading axes broadcasting against S: row l configures the
-    l-th run of n_dmas / L consecutive waveguides.  All waveguides see one
-    channel, so the gain is (n_dmas / L)^2 |sum_l w_l(f)^T h(phi, f)|^2.
-    One row configures every waveguide alike.
+    ``resonances`` is an (..., N) array, one configuration for every
+    waveguide, its leading axes broadcasting against S.  All waveguides
+    see one channel, so the gain is n_dmas^2 |w(f)^T h(phi, f)|^2.
 
     The channel of element n is z^n with the one step
     z = e^{-alpha d_y} e^{j theta_1(phi, f)}, theta_1 the phase of element
     1 (see combined_phases; the decay factor only on a lossy design).  The
     sum over elements is therefore a polynomial in z, evaluated by
     Horner's rule from the last element down,
-    total = (...(W_{N-1} z + W_{N-2}) z + ...) z + W_0, with W_n the
-    row-summed weights: one complex exponential per (angle, frequency)
-    instead of one per element.  Since |z| <= 1 no partial sum exceeds
-    sum_n |W_n|, so the rounding error is of order N ulps of that sum,
-    the bound of the direct element-by-element sum.
+    total = (...(w_{N-1} z + w_{N-2}) z + ...) z + w_0: one complex
+    exponential per (angle, frequency) instead of one per element.  Since
+    |z| <= 1 no partial sum exceeds sum_n |w_n|, so the rounding error is
+    of order N ulps of that sum, the bound of the direct
+    element-by-element sum.
 
     The weights are formed in blocks of consecutive elements, from the
     last block down, each of at most WEIGHT_BLOCK_ENTRIES weights and at
     least one element, and each block is folded into the sum at once: the
-    full (..., L, N) weight array of a rate sweep would not fit in the
+    full (..., N) weight array of a rate sweep would not fit in the
     cache.  The block size changes no arithmetic, only how many elements
     one beamformer_weight call covers.
     """
     res = np.asarray(resonances, dtype=float)
     design = layout.per_dma
-    if res.ndim < 2 or res.shape[-2] < 1 or layout.n_dmas % res.shape[-2]:
-        raise DomainError(f"need a number of resonance rows dividing the "
-                          f"{layout.n_dmas} waveguides, got shape {res.shape}")
-    if res.shape[-1] != design.n_elements:
+    if res.ndim < 1 or res.shape[-1] != design.n_elements:
         raise DomainError(f"need {design.n_elements} resonances per row "
                           f"(design.n_y), got shape {res.shape}")
-    copies = layout.n_dmas // res.shape[-2]
     phis = np.asarray(phi, dtype=float)
     freqs = np.asarray(f, dtype=float)[..., None]        # element axis last
     # A two-element guide's phases are the first two of any guide's:
@@ -130,18 +123,14 @@ def array_gain_dma(layout: ArrayLayout, resonances, phi, f):
     z = np.exp(1j * combined_phases(pair, phis[..., None], freqs)[..., 1])
     if design.attenuation is not None:
         z *= attenuation_vector(pair)[1]
-    column_shape = np.broadcast_shapes(res.shape[:-1], freqs.shape)
-    total = np.empty(np.broadcast_shapes(column_shape[:-1], z.shape),
-                     dtype=complex)
+    block_shape = np.broadcast_shapes(res.shape[:-1], freqs.shape[:-1])
+    total = np.empty(np.broadcast_shapes(block_shape, z.shape), dtype=complex)
     if total.size == 0:
         return np.zeros(total.shape)
-    block = max(1, WEIGHT_BLOCK_ENTRIES // int(np.prod(column_shape)))
+    block = max(1, WEIGHT_BLOCK_ENTRIES // int(np.prod(block_shape)))
     for stop in range(design.n_elements, 0, -block):
         start = max(0, stop - block)
-        weights = beamformer_weight(design, res[..., start:stop],
-                                    freqs[..., None])
-        # Rows add in order: np.sum's pairing would follow the block shape.
-        w = reduce(np.add, np.moveaxis(weights, -2, 0))
+        w = beamformer_weight(design, res[..., start:stop], freqs)
         columns = range(stop - start - 1, -1, -1)
         if stop == design.n_elements:            # the last element starts
             total[...] = w[..., -1]
@@ -151,7 +140,7 @@ def array_gain_dma(layout: ArrayLayout, resonances, phi, f):
             total += w[..., n]
     out = total.real * total.real
     out += total.imag * total.imag
-    out *= copies ** 2
+    out *= layout.n_dmas ** 2
     return float(out) if out.ndim == 0 else out
 
 
@@ -174,24 +163,32 @@ def probe(layout: ArrayLayout, codebook: Codebook, phi_true,
           pilot: np.ndarray) -> TrainingResult:
     """Single-shot training: strongest pilot subcarrier -> angle estimate.
 
-    Group l of n_dmas / len(codebook) consecutive waveguides resonates all
-    its elements at sector l's frequency: the codebook's L sector rows are
-    array_gain_dma's sub-array rows.  The measurement model is noise-free and
-    feedback is a single integer; ties resolve to the lowest subcarrier
-    index.  A 1-d ``phi_true`` is probed in one array gain evaluation,
-    each angle as by a scalar call.
+    Group l of n_dmas / L consecutive waveguides, L = len(codebook),
+    resonates all its elements at sector l's frequency f_l.  Each group's
+    weights are one number per pilot, so the pilot gain factors into
+    (n_dmas / L)^2 c_k AF_k(phi): the crosstalk c_k = |sum_l w(f_l, f_k)|^2
+    of the L groups at pilot f_k, times the array factor |sum_n z^n|^2 of
+    one waveguide, which is array_gain_dma of the configuration resonant
+    at every pilot (there each weight is exactly -j).  The measurement
+    model is noise-free and feedback is a single integer; ties resolve to
+    the lowest subcarrier index.  A 1-d ``phi_true`` is probed in one
+    array gain evaluation, each angle as by a scalar call.
     """
     pilot = np.asarray(pilot, dtype=float)
     if pilot.size == 0:
         raise DomainError("pilot grid is empty")
-    if layout.n_dmas % len(codebook):
-        raise DomainError(f"{len(codebook)} sectors do not split "
+    n_groups = len(codebook)
+    if layout.n_dmas % n_groups:
+        raise DomainError(f"{n_groups} sectors do not split "
                           f"{layout.n_dmas} waveguides into equal groups")
     design = layout.per_dma
     phis = np.asarray(phi_true, dtype=float)
-    training = np.broadcast_to(codebook.sector_freqs[:, None],
-                               (len(codebook), design.n_elements))
-    gains = array_gain_dma(layout, training, phis[..., None], pilot)
+    w = beamformer_weight(design, codebook.sector_freqs[:, None],
+                          pilot).sum(axis=0)
+    crosstalk = w.real * w.real + w.imag * w.imag
+    group = ArrayLayout(layout.n_dmas // n_groups, design)
+    resonant = np.broadcast_to(pilot[:, None], (pilot.size, design.n_elements))
+    gains = crosstalk * array_gain_dma(group, resonant, phis[..., None], pilot)
     k_star = np.argmax(gains, axis=-1)       # the first of tied maxima
     f_k = pilot[k_star]
     arg = CONSTANTS.c / (design.spacing * f_k) - design.refractive_index

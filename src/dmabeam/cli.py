@@ -299,15 +299,15 @@ def cmd_freq_response(design: DmaDesign, resolved: Scenario,
     columns = ["f(GHz)", "gain_dma(linear)", "gain_dma(dB)",
                "element_factor(linear)", "array_factor(linear)",
                "gain_ttd(linear)"]
-    row = solution.resonances[None, :]      # one row: the one waveguide
-    gains = array_gain_dma(ArrayLayout(1, design), row, phi, freqs)
+    res = solution.resonances
+    gains = array_gain_dma(ArrayLayout(1, design), res, phi, freqs)
     cols = [freqs / 1e9, gains, [_db(g) for g in gains],
             element_gain(design, op.f_t_star, freqs),
             array_gain(design, phi, freqs), np.full(freqs.size, float(n_sq))]
     if resolved.attenuation:
         lossy = dataclasses.replace(design, attenuation=resolved.alpha)
         columns.append("gain_dma_attenuated(linear)")
-        cols.append(array_gain_dma(ArrayLayout(1, lossy), row, phi, freqs))
+        cols.append(array_gain_dma(ArrayLayout(1, lossy), res, phi, freqs))
     rows = list(zip(*cols))
     cut = cutoff_frequencies(design, op.f_t_star, nu=0.5)
     arr_lo, arr_hi = array_cutoff_frequencies(design, phi, op.f_t_star, nu=0.5)
@@ -347,9 +347,8 @@ def cmd_gain_sweep(design: DmaDesign, resolved: Scenario,
                     "gain_fixed_attenuated(linear)",
                     "gain_binary_attenuated(linear)"]
         for sol in (opt, fix):      # NaN rows of infeasible angles stay NaN
-            cols.append(array_gain_dma(ArrayLayout(1, lossy),
-                                       sol.resonances[:, None, :], phis,
-                                       sol.operating_freq))
+            cols.append(array_gain_dma(ArrayLayout(1, lossy), sol.resonances,
+                                       phis, sol.operating_freq))
         cols.append(solve_p4(lossy, phis, f_c).gain)
     rows = list(zip(*cols))
     return CommandResult(

@@ -119,10 +119,9 @@ def achievable_rate(budget: LinkBudget, layout: ArrayLayout, resonances,
 
     The band is centered on ``center``.  The configuration stays as given
     across the whole band, so the gain rolls off away from the frequency
-    it was tuned for.  ``phi`` and the (..., L, N) sub-array rows of
-    resonances broadcast against the subcarrier grid as in array_gain_dma
-    (one row configures every waveguide alike), and the rate sums over
-    its last axis.
+    it was tuned for.  ``phi`` and the (..., N) resonances, one
+    configuration for every waveguide, broadcast against the subcarrier
+    grid as in array_gain_dma, and the rate sums over its last axis.
     """
     grid = subcarrier_grid(budget, center)
     return _rate(budget, array_gain_dma(layout, resonances, phi, grid), grid)
@@ -163,7 +162,7 @@ def _rates(layout: ArrayLayout, budget: LinkBudget, grid: np.ndarray,
 
     def rate(solution):     # angles on axis 0, subcarriers on axis 1
         return achievable_rate(budget, layout,
-                               solution.resonances[:, None, None, :],
+                               solution.resonances[:, None, :],
                                grid[:, None], solution.operating_freq)
 
     fixed, trained, perfect = tunings

@@ -67,7 +67,7 @@ def test_04_sector_design_round_trip(design):
         op = db.optimal_operating_freq(designed, float(phi))
         sol = db.solve_p1a(designed, float(phi), op.f_t_star)
         realized = db.array_gain_dma(db.ArrayLayout(1, designed),
-                                     sol.resonances[None, :], float(phi),
+                                     sol.resonances, float(phi),
                                      op.f_t_star)
         worst = max(worst, abs(realized - n_sq) / n_sq)
     assert worst <= 1e-6

@@ -172,6 +172,19 @@ def test_train_single_probe(scn, tmp_path):
     assert probe["gain"] > 0
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "at Q = 1 the strongest pilot follows the sector crosstalk c_k as well "
+    "as the array factor, and the staircase's worst angle falls below the "
+    "codebook floor (exit 4); crosstalk-equalized picks, ROADMAP item 2c, "
+    "are to hold it"))
+def test_train_keeps_the_floor_at_low_q(tmp_path):
+    path = tmp_path / "lowq.scn"
+    path.write_text("design.q_factor = 1\n")
+    out = str(tmp_path / "run")
+    assert run_cli("train", "--scenario", str(path), "--out", out) == 0
+    assert read_summary(out)["train"]["floor_respected"] is True
+
+
 def test_exit_code_for_bad_scenario(tmp_path):
     bad = tmp_path / "bad.scn"
     bad.write_text("design.n_y = -3\n")

@@ -108,6 +108,18 @@ def test_weight_of_a_nan_resonance_is_a_quiet_nan():
     assert np.isfinite(w[:, [0, 2]]).all()
 
 
+def test_weight_on_resonance_is_exactly_minus_j():
+    """At f_r = f the normalized detuning is exactly 0, so every weight is
+    0 - 1j bit for bit, whatever the frequency and the damping: the
+    probe's array factor rests on it."""
+    rng = np.random.default_rng(3)
+    f = np.concatenate([np.linspace(12e9, 18e9, 1001),
+                        10.0 ** rng.uniform(3.0, 12.0, 1000)])
+    for q in (1.0, 50.0, 1e6):
+        w = db.beamformer_weight(make_design(damping=2 * np.pi * F_C / q), f, f)
+        assert w.tobytes() == np.full(f.shape, complex(0.0, -1.0)).tobytes()
+
+
 @given(psi_tilde=st.floats(-1.4 * np.pi, 0.49 * np.pi))
 @settings(max_examples=100)
 def test_resonant_from_shifted_realizes_the_angle(psi_tilde):
@@ -180,4 +192,4 @@ def test_non_positive_resonances_are_rejected():
             db.beamformer_weight(design, f_r, 15e9)
         with pytest.raises(db.DomainError):
             db.array_gain_dma(db.ArrayLayout(1, make_design(n_elements=3)),
-                              f_r[None, :], 0.1, 15e9)
+                              f_r, 0.1, 15e9)

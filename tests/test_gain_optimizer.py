@@ -27,7 +27,7 @@ def test_solved_config_attains_closed_form(design):
         f_t = rng.uniform(12e9, 18e9)
         sol = db.solve_p1a(design, phi, f_t)
         realized = db.array_gain_dma(db.ArrayLayout(1, design),
-                                     sol.resonances[None, :], phi, f_t)
+                                     sol.resonances, phi, f_t)
         assert realized == pytest.approx(sol.gain, rel=1e-9)
 
 
@@ -35,7 +35,7 @@ def test_peak_gain_at_integer_product(design):
     op = db.optimal_operating_freq(design, np.radians(-18.0))
     sol = db.solve_p1a(design, np.radians(-18.0), op.f_t_star)
     assert sol.gain == pytest.approx(64.0, rel=1e-12)
-    assert db.array_gain_dma(db.ArrayLayout(1, design), sol.resonances[None, :],
+    assert db.array_gain_dma(db.ArrayLayout(1, design), sol.resonances,
                              np.radians(-18.0), op.f_t_star) \
         == pytest.approx(64.0, rel=1e-9)
 
@@ -68,7 +68,7 @@ def test_degenerate_middle_element_is_realized():
     w_mid = db.beamformer_weight(design, sol.resonances[1], f_t)
     assert abs(w_mid) < 1e-6
     realized = db.array_gain_dma(db.ArrayLayout(1, design),
-                                 sol.resonances[None, :], phi, f_t)
+                                 sol.resonances, phi, f_t)
     assert realized == pytest.approx(sol.gain, rel=1e-5)
     assert realized <= sol.gain * (1 + 1e-12)
 

@@ -75,11 +75,10 @@ def test_achievable_rate_matches_hand_computation(layout, reference_gain):
     """Two-subcarrier case recomputed from first principles."""
     budget = make_budget(n_subcarriers=2)
     cfg = db.solve_p1a(layout.per_dma, 0.0, 14.4e9).resonances
-    configs = np.array([cfg] * 4)
-    rate = db.achievable_rate(budget, layout, configs, 0.0, 14.4e9)
+    rate = db.achievable_rate(budget, layout, cfg, 0.0, 14.4e9)
     total = 0.0
     for f in db.subcarrier_grid(budget, 14.4e9):
-        g = reference_gain(layout.per_dma, configs, 0.0, f)[0]
+        g = reference_gain(layout.per_dma, np.array([cfg] * 4), 0.0, f)[0]
         snr = db.received_psd(budget, g, float(f)) / (K_B * 290.0)
         total += budget.bandwidth / 2 * np.log2(1 + snr)
     assert type(rate) is float
@@ -91,9 +90,9 @@ def test_achievable_rate_matches_per_subcarrier_array_gain(layout, grouped,
                                                            reference_gain):
     """The broadcast band gain equals the per-subcarrier array gain.
 
-    Replicated configurations take the single-waveguide N_z^2 shortcut;
-    the training configuration (one resonance per group) takes the full
-    per-waveguide sum.  The reference sums waveguide by waveguide, one
+    One configuration gives one rate; a stack of them (the codebook's
+    sector tones, one resonance per configuration) gives one rate per
+    configuration.  The reference sums waveguide by waveguide, one
     subcarrier at a time.
     """
     budget = make_budget()
@@ -102,16 +101,19 @@ def test_achievable_rate_matches_per_subcarrier_array_gain(layout, grouped,
         cb = db.build_codebook(layout.per_dma, -PHI_MAX, PHI_MAX, 0.5)
         configs = np.array([np.full(8, f) for f in cb.sector_freqs])
         assert len(set(configs[:, 0])) > 1
+        rates = db.achievable_rate(budget, layout, configs[:, None, :], phi,
+                                   14.4e9)
+        assert rates.shape == (len(configs),)
     else:
-        configs = np.array(
-            [db.solve_p1a(layout.per_dma, phi, 14.4e9).resonances] * 4)
-    rate = db.achievable_rate(budget, layout, configs, phi, 14.4e9)
-    total = 0.0
-    for f in db.subcarrier_grid(budget, 14.4e9):
-        g = reference_gain(layout.per_dma, configs, phi, f)[0]
-        snr = db.received_psd(budget, g, float(f)) / (K_B * 290.0)
-        total += budget.bandwidth / 64 * np.log2(1 + snr)
-    assert rate == pytest.approx(total, rel=1e-12)
+        configs = db.solve_p1a(layout.per_dma, phi, 14.4e9).resonances[None, :]
+        rates = [db.achievable_rate(budget, layout, configs[0], phi, 14.4e9)]
+    for cfg, rate in zip(configs, rates):
+        total = 0.0
+        for f in db.subcarrier_grid(budget, 14.4e9):
+            g = reference_gain(layout.per_dma, np.array([cfg] * 4), phi, f)[0]
+            snr = db.received_psd(budget, g, float(f)) / (K_B * 290.0)
+            total += budget.bandwidth / 64 * np.log2(1 + snr)
+        assert rate == pytest.approx(total, rel=1e-12)
 
 
 def test_ttd_rate_is_frequency_flat(layout):
@@ -172,7 +174,7 @@ def reference_rates(layout, codebook, phi, budget):
     f_c = 0.5 * (design.f_min + design.f_max)
     fixed = db.solve_p1a(design, phi, f_c)
     rates = {name: db.achievable_rate(
-        budget, layout, np.array([sol.resonances] * layout.n_dmas), phi,
+        budget, layout, sol.resonances, phi,
         sol.operating_freq)
         for name, sol in (("perfect", perfect), ("trained", trained),
                           ("fixed", fixed))}

@@ -20,15 +20,16 @@ import numpy as np
 
 from ._brent import brentq
 from .channel import attenuation_vector, combined_phases, dirichlet_of_p
-from .core_model import CONSTANTS, DmaDesign, beamformer_weight
+from .core_model import (CONSTANTS, DmaDesign, _frequency_factors,
+                         _positive_frequencies, _weight, beamformer_weight)
 from .errors import (CoverageInfeasibleError, DomainError,
                      InvalidEstimateError)
 from .frequency_planner import optimal_operating_freq
 
 WIDTH_RESOLUTION = 1e-3    # quantization of the mainlobe half-width
 MAX_SECTORS = 256
-# Most weights one beamformer_weight call of array_gain_dma forms: a
-# block of 2^14 complex weights (256 KB) stays in the cache.
+# Most weights array_gain_dma forms at once: a block of 2^14 complex
+# weights (256 KB) stays in the cache.
 WEIGHT_BLOCK_ENTRIES = 2 ** 14
 
 
@@ -108,7 +109,8 @@ def array_gain_dma(layout: ArrayLayout, resonances, phi, f):
     least one element, and each block is folded into the sum at once: the
     full (..., N) weight array of a rate sweep would not fit in the
     cache.  The block size changes no arithmetic, only how many elements
-    one beamformer_weight call covers.
+    one block covers.  The weights are beamformer_weight's, with its
+    frequency factors and the squared resonances formed once per call.
     """
     res = np.asarray(resonances, dtype=float)
     design = layout.per_dma
@@ -127,10 +129,13 @@ def array_gain_dma(layout: ArrayLayout, resonances, phi, f):
     total = np.empty(np.broadcast_shapes(block_shape, z.shape), dtype=complex)
     if total.size == 0:
         return np.zeros(total.shape)
+    res, freqs = _positive_frequencies(res, freqs)
+    res_sq = res ** 2
+    f_sq, scale = _frequency_factors(design, freqs)
     block = max(1, WEIGHT_BLOCK_ENTRIES // int(np.prod(block_shape)))
     for stop in range(design.n_elements, 0, -block):
         start = max(0, stop - block)
-        w = beamformer_weight(design, res[..., start:stop], freqs)
+        w = _weight(res_sq[..., start:stop], f_sq, scale)
         columns = range(stop - start - 1, -1, -1)
         if stop == design.n_elements:            # the last element starts
             total[...] = w[..., -1]

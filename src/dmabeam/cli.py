@@ -69,40 +69,47 @@ _INFEASIBLE = (CoverageInfeasibleError, SingularityError, CutoffError,
 
 # ----------------------------------------------------------------- plumbing
 
-def _fmt_value(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return f"{float(x):.11e}"
+def _cells(column) -> list:
+    """A table column's cells as text: an integer column as integers,
+    any other with 12 significant digits."""
+    if column.dtype.kind in "iu":
+        return [str(x) for x in column.tolist()]
+    return [f"{x:.11e}" for x in column.tolist()]
 
 
-def _write_table(path: str, fp: str, columns, rows, fmt: str) -> None:
+def _table_text(fp: str, columns, cells, fmt: str) -> str:
+    """The text of a table from its columns' cells, in ``fmt``."""
     if fmt == "json":
         payload = {
             "scenario": fp,
             "columns": list(columns),
-            "rows": [[_fmt_value(x) for x in row] for row in rows],
+            "rows": [list(row) for row in zip(*cells)],
         }
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = [f"# scenario = {fp}", ",".join(columns)]
-        lines += [",".join(_fmt_value(x) for x in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        return json.dumps(payload, indent=2) + "\n"
+    lines = [f"# scenario = {fp}", ",".join(columns)]
+    lines += map(",".join, zip(*cells))
+    return "\n".join(lines) + "\n"
+
+
+def _write_table(path: str, fp: str, columns, data, fmt: str) -> None:
+    """Write a table given as one 1-d array per column, formatting each
+    column at once; the cells are freed before the text is written."""
+    text = _table_text(fp, columns, [_cells(col) for col in data], fmt)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
 
-def _report_nan_cells(command: str, columns, rows, row_label: str) -> None:
+def _report_nan_cells(command: str, columns, data, row_label: str) -> None:
     """Name on stderr each column holding NaN cells, the cells of
     infeasible angles, with their count and the first such row:
     ``row_label`` formatted with that row's first cell."""
-    table = np.array(rows, dtype=float)
-    for name, col in zip(columns, table.T):
+    for name, col in zip(columns, data):
         nan = np.isnan(col)
         if nan.any():
             sys.stderr.write(
                 f"{command}: {name}: {int(nan.sum())} NaN cells at "
                 f"infeasible angles, the first at "
-                f"{row_label.format(table[nan.argmax(), 0])}\n")
+                f"{row_label.format(float(data[0][nan.argmax()]))}\n")
 
 
 def _finite_or_null(value):
@@ -154,11 +161,13 @@ def _update_summary(outdir: str, fp: str, section: str, payload: dict) -> None:
 class CommandResult:
     """All that one command computed; ``main`` writes it under --out.
 
-    ``tables`` holds (stem, columns, rows, nan_label) per table, written
-    to <stem>.<format>; a nan_label, formatted with a row's first cell,
-    names the first NaN row of each column on stderr, and None skips
-    that report.  ``files`` holds (name, text) pairs written verbatim.
-    ``summary`` is the command's section of summary.json.
+    ``tables`` holds (stem, columns, data, nan_label) per table, written
+    to <stem>.<format>.  ``data`` holds one 1-d array per column, of
+    floats, or of integers for a column of counts; a nan_label, formatted
+    with a row's first cell, names the first NaN row of each column on
+    stderr, and None skips that report.  ``files`` holds (name, text)
+    pairs written verbatim.  ``summary`` is the command's section of
+    summary.json.
     """
 
     summary: dict
@@ -173,11 +182,11 @@ def _write_result(args, fp: str, result: CommandResult) -> None:
     for name, text in result.files:
         with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
             fh.write(text)
-    for stem, columns, rows, nan_label in result.tables:
+    for stem, columns, data, nan_label in result.tables:
         _write_table(os.path.join(args.out, f"{stem}.{args.format}"), fp,
-                     columns, rows, args.format)
+                     columns, data, args.format)
         if nan_label is not None:
-            _report_nan_cells(args.command, columns, rows, nan_label)
+            _report_nan_cells(args.command, columns, data, nan_label)
     _update_summary(args.out, fp, args.command.replace("-", "_"),
                     result.summary)
 
@@ -236,8 +245,21 @@ def _budget(scenario: Scenario) -> LinkBudget:
     )
 
 
-def _db(x: float) -> float:
-    return 10.0 * np.log10(x) if x > 0 else float("-inf")
+def _db(x) -> np.ndarray:
+    """10 log10 of each cell of a column; -inf where a cell is not
+    positive, a NaN cell included."""
+    x = np.asarray(x, dtype=float)
+    positive = x > 0
+    out = np.full(x.shape, -np.inf)
+    out[positive] = 10.0 * np.log10(x[positive])
+    return out
+
+
+def _rate_columns(rates) -> list:
+    """The fixed, trained, perfect and TTD columns of a list of
+    RateComparison, one row per comparison."""
+    return list(np.array([(r.fixed, r.trained, r.perfect, r.ttd)
+                          for r in rates], dtype=float).T)
 
 
 def _ordered(rates) -> bool:
@@ -276,14 +298,12 @@ def cmd_coverage(design: DmaDesign, resolved: Scenario, args) -> CommandResult:
     columns = ["tuning_ratio(T_r/f_c)"] + [
         f"phi_max_ng_{g:g}(deg)" for g in resolved.coverage_n_g]
 
-    def row(ratio):
-        angles = [np.degrees(max_coverage_angle(g, ratio * f_c, f_c).angle)
-                  for g in resolved.coverage_n_g]
-        return [ratio] + angles
-
-    rows = [row(ratio) for ratio in ratios]
+    data = [ratios] + [
+        np.degrees([max_coverage_angle(g, ratio * f_c, f_c).angle
+                    for ratio in ratios.tolist()])
+        for g in resolved.coverage_n_g]
     anchor = max_coverage_angle(4.0, 0.25 * f_c, f_c)
-    return CommandResult(tables=(("coverage", columns, rows, None),), summary={
+    return CommandResult(tables=(("coverage", columns, data, None),), summary={
         "anchor_ng4_quarter_ratio_deg": float(np.degrees(anchor.angle)),
         "n_g_values": list(resolved.coverage_n_g),
     })
@@ -301,18 +321,17 @@ def cmd_freq_response(design: DmaDesign, resolved: Scenario,
                "gain_ttd(linear)"]
     res = solution.resonances
     gains = array_gain_dma(ArrayLayout(1, design), res, phi, freqs)
-    cols = [freqs / 1e9, gains, [_db(g) for g in gains],
+    cols = [freqs / 1e9, gains, _db(gains),
             element_gain(design, op.f_t_star, freqs),
             array_gain(design, phi, freqs), np.full(freqs.size, float(n_sq))]
     if resolved.attenuation:
         lossy = dataclasses.replace(design, attenuation=resolved.alpha)
         columns.append("gain_dma_attenuated(linear)")
         cols.append(array_gain_dma(ArrayLayout(1, lossy), res, phi, freqs))
-    rows = list(zip(*cols))
     cut = cutoff_frequencies(design, op.f_t_star, nu=0.5)
     arr_lo, arr_hi = array_cutoff_frequencies(design, phi, op.f_t_star, nu=0.5)
     return CommandResult(
-        tables=(("freq_response", columns, rows, "{:g} GHz"),), summary={
+        tables=(("freq_response", columns, cols, "{:g} GHz"),), summary={
             "phi_deg": args.phi,
             "f_star_ghz": op.f_t_star / 1e9,
             "gain_at_peak": solution.gain,
@@ -338,9 +357,8 @@ def cmd_gain_sweep(design: DmaDesign, resolved: Scenario,
     opt = solve_p1a(design, phis, f_stars)
     fix = solve_p1a(design, phis, f_c)
     binary = solve_p4(design, phis, f_c).gain
-    cols = [angles, f_stars / 1e9, opt.gain, [_db(g) for g in opt.gain],
-            fix.gain, [_db(g) for g in fix.gain],
-            binary, [_db(g) for g in binary]]
+    cols = [angles, f_stars / 1e9, opt.gain, _db(opt.gain),
+            fix.gain, _db(fix.gain), binary, _db(binary)]
     if resolved.attenuation:
         lossy = dataclasses.replace(design, attenuation=resolved.alpha)
         columns += ["gain_opt_attenuated(linear)",
@@ -350,9 +368,8 @@ def cmd_gain_sweep(design: DmaDesign, resolved: Scenario,
             cols.append(array_gain_dma(ArrayLayout(1, lossy), sol.resonances,
                                        phis, sol.operating_freq))
         cols.append(solve_p4(lossy, phis, f_c).gain)
-    rows = list(zip(*cols))
     return CommandResult(
-        tables=(("gain_sweep", columns, rows, "{:g} deg"),), summary={
+        tables=(("gain_sweep", columns, cols, "{:g} deg"),), summary={
             "crossover_deg": float(np.degrees(crossover_angle(design, f_c))),
             "max_gain": design.n_elements ** 2,
         })
@@ -361,9 +378,9 @@ def cmd_gain_sweep(design: DmaDesign, resolved: Scenario,
 def cmd_train(design: DmaDesign, resolved: Scenario, args) -> CommandResult:
     layout, codebook = _layout_and_codebook(resolved, design)
     n_max = (design.n_elements * layout.n_dmas) ** 2
-    codebook_rows = [[k + 1, np.degrees(a), f / 1e9]
-                     for k, (a, f) in enumerate(zip(codebook.sector_angles,
-                                                    codebook.sector_freqs))]
+    codebook_cols = [np.arange(1, len(codebook) + 1),
+                     np.degrees(codebook.sector_angles),
+                     codebook.sector_freqs / 1e9]
 
     # Sector frequencies alone as pilots: the staircase then shows one
     # plateau per sector instead of smearing across neighboring bins.
@@ -373,8 +390,8 @@ def cmd_train(design: DmaDesign, resolved: Scenario, args) -> CommandResult:
 
     result = probe(layout, codebook, sweep, pilots)
     gains = result.gain_at_estimate
-    rows = list(zip(np.degrees(sweep), result.f_k_star / 1e9,
-                    np.degrees(result.phi_hat), gains, gains / n_max))
+    cols = [np.degrees(sweep), result.f_k_star / 1e9,
+            np.degrees(result.phi_hat), gains, gains / n_max]
 
     floor = codebook.delta * n_max * (1.0 - 1e-6)
     worst = float(np.min(gains))
@@ -404,10 +421,10 @@ def cmd_train(design: DmaDesign, resolved: Scenario, args) -> CommandResult:
         sys.stderr.write(
             f"train: gain floor violated: {worst:.6g} < {floor:.6g}\n")
     tables = (
-        ("codebook", ["sector", "angle(deg)", "f_t(GHz)"], codebook_rows,
+        ("codebook", ["sector", "angle(deg)", "f_t(GHz)"], codebook_cols,
          None),
         ("train", ["phi(deg)", "f_k_star(GHz)", "phi_hat(deg)",
-                   "gain(linear)", "gain_normalized(linear)"], rows, None))
+                   "gain(linear)", "gain_normalized(linear)"], cols, None))
     return CommandResult(tables=tables, summary=payload,
                          code=EXIT_OK if worst >= floor else EXIT_VERIFICATION)
 
@@ -427,21 +444,23 @@ def cmd_rate(design: DmaDesign, resolved: Scenario, args) -> CommandResult:
     rates = bandwidth_sweep(layout, codebook, budget, resolved.bandwidths_hz,
                             resolved.phi_lower_rad, resolved.phi_upper_rad,
                             resolved.angle_samples)
-    b_rows = [[b / 1e9, r.fixed, r.trained, r.perfect, r.ttd]
-              for b, r in zip(resolved.bandwidths_hz, rates)]
+    b_rates = _rate_columns(rates)
+    t_rates = _rate_columns([p.rates for p in points])
+    bandwidths = np.array(resolved.bandwidths_hz) / 1e9
+    tuning_ranges = np.array([p.tuning_range for p in points]) / 1e9
+    b_data = [bandwidths] + b_rates
     b_columns = ["bandwidth(GHz)"] + columns
-    t_rows = [[p.tuning_range / 1e9, np.degrees(p.phi_max), p.n_sectors,
-               p.rates.fixed, p.rates.trained, p.rates.perfect, p.rates.ttd]
-              for p in points]
+    t_data = [tuning_ranges, np.degrees([p.phi_max for p in points]),
+              np.array([p.n_sectors for p in points])] + t_rates
     t_columns = ["tuning_range(GHz)", "phi_max(deg)", "n_sectors"] + columns
-    ordered = all(_ordered(r[1:]) for r in b_rows) \
-        and all(_ordered(r[3:]) for r in t_rows)
-    tables = (("rate_bandwidth", b_columns, b_rows, "bandwidth {:g} GHz"),
-              ("rate_tuning", t_columns, t_rows, "tuning range {:g} GHz"))
+    ordered = all(_ordered(row) for cols in (b_rates, t_rates)
+                  for row in zip(*cols))
+    tables = (("rate_bandwidth", b_columns, b_data, "bandwidth {:g} GHz"),
+              ("rate_tuning", t_columns, t_data, "tuning range {:g} GHz"))
     return CommandResult(tables=tables, summary={
         "ordering_fixed_trained_perfect_ttd": bool(ordered),
-        "bandwidths_ghz": [r[0] for r in b_rows],
-        "tuning_ranges_ghz": [r[0] for r in t_rows],
+        "bandwidths_ghz": bandwidths.tolist(),
+        "tuning_ranges_ghz": tuning_ranges.tolist(),
     })
 
 

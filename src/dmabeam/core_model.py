@@ -120,14 +120,27 @@ def beamformer_weight(design: DmaDesign, f_r_n, f):
     resonance, which must give a quiet NaN weight.
     """
     f_r_n, f = _positive_frequencies(f_r_n, f)
-    t = np.subtract(f_r_n**2, f**2)
-    t *= 2.0 * np.pi / (design.damping * f)
+    out = _weight(f_r_n**2, *_frequency_factors(design, f))
+    return complex(out) if out.ndim == 0 else out
+
+
+def _frequency_factors(design: DmaDesign, f):
+    """(f^2, 2 pi / (Gamma f)): the factors of the weight that depend on
+    the frequency alone, for a caller that forms many weights at one f."""
+    return f**2, 2.0 * np.pi / (design.damping * f)
+
+
+def _weight(f_r_sq, f_sq, scale):
+    """The weight array 1 / (t + j), t = (f_r^2 - f^2) scale; see
+    beamformer_weight, which checks the frequencies."""
+    t = np.subtract(f_r_sq, f_sq)
+    t *= scale
     den = t * t
     den += 1.0
     out = np.empty(np.shape(t), dtype=complex)
     np.divide(t, den, out=out.real)
     np.divide(-1.0, den, out=out.imag)
-    return complex(out) if out.ndim == 0 else out
+    return out
 
 
 def on_tangent_pole(psi_tilde):

@@ -1,6 +1,9 @@
 """Shared fixtures: the reference waveguide, its stacked array, and
 independent scalar references for configured gains, the closed-form
-solver and the planner."""
+solver and the planner, and the per-block weight loop of the array gain
+kernel."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -51,6 +54,47 @@ def _reference_gain(design, resonances, phi, freqs):
 def reference_gain():
     """The per-frequency, per-waveguide reference for configured gains."""
     return _reference_gain
+
+
+def _reference_array_gain_dma(layout, resonances, phi, f, block_entries):
+    """array_gain_dma with one beamformer_weight call per block of
+    elements, the block size set by ``block_entries``.
+
+    The blocked Horner sum as it was before the frequency factors and the
+    squared resonances were formed once per call: the kernel must match
+    it bit for bit.
+    """
+    res = np.asarray(resonances, dtype=float)
+    design = layout.per_dma
+    phis = np.asarray(phi, dtype=float)
+    freqs = np.asarray(f, dtype=float)[..., None]
+    pair = dataclasses.replace(design, n_elements=2)
+    z = np.exp(1j * db.combined_phases(pair, phis[..., None], freqs)[..., 1])
+    if design.attenuation is not None:
+        z *= db.attenuation_vector(pair)[1]
+    block_shape = np.broadcast_shapes(res.shape[:-1], freqs.shape[:-1])
+    total = np.empty(np.broadcast_shapes(block_shape, z.shape), dtype=complex)
+    block = max(1, block_entries // int(np.prod(block_shape)))
+    for stop in range(design.n_elements, 0, -block):
+        start = max(0, stop - block)
+        w = db.beamformer_weight(design, res[..., start:stop], freqs)
+        columns = range(stop - start - 1, -1, -1)
+        if stop == design.n_elements:
+            total[...] = w[..., -1]
+            columns = columns[1:]
+        for n in columns:
+            total *= z
+            total += w[..., n]
+    out = total.real * total.real
+    out += total.imag * total.imag
+    out *= layout.n_dmas ** 2
+    return out
+
+
+@pytest.fixture(scope="session")
+def reference_array_gain_dma():
+    """The per-block beamformer_weight loop the kernel must match."""
+    return _reference_array_gain_dma
 
 
 def _reference_golden_section_max(f, a, b, tol=1e-12):

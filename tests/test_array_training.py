@@ -543,6 +543,40 @@ def test_weight_blocks_keep_nan_rows_quiet_at_128_elements(
     assert got.tobytes() == whole.tobytes()
 
 
+@pytest.mark.parametrize("per_block", [1, 3, None])
+@pytest.mark.parametrize("lossy", [False, True])
+@pytest.mark.parametrize("n_y", [1, 8, 128])
+def test_kernel_matches_the_per_block_weight_loop(
+        design, monkeypatch, reference_array_gain_dma, n_y, lossy, per_block):
+    """Rate-shaped stacks, angles by subcarriers with NaN resonance rows:
+    the gains equal, bit for bit, those of one beamformer_weight call per
+    block, in blocks of 1 or 3 elements or of the default size.  Blocks
+    of 3 leave a partial last block of 8 or 128 elements, and the default
+    size (107 elements at this shape) one of 128."""
+    dma = dataclasses.replace(design, n_elements=n_y,
+                              attenuation=6.0 if lossy else None)
+    phis = np.radians(np.linspace(-30.0, 30.0, 17))
+    rows = db.solve_p1a(dma, phis, F_C).resonances.copy()
+    rows[::5] = np.nan
+    grid = F_C + np.linspace(-0.4e9, 0.4e9, 9) + 0.1e9 * phis[:, None]
+    args = (db.ArrayLayout(4, dma), rows[:, None, :], phis[:, None], grid)
+    entries = db.array_training.WEIGHT_BLOCK_ENTRIES
+    if per_block is not None:
+        entries = per_block * grid.size
+        monkeypatch.setattr(db.array_training, "WEIGHT_BLOCK_ENTRIES",
+                            entries)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = db.array_gain_dma(*args)
+    expect = reference_array_gain_dma(*args, entries)
+    nan_rows = np.isnan(rows).any(axis=1)
+    assert nan_rows[::5].all() and not nan_rows.all()
+    assert np.isnan(got[nan_rows]).all() and np.isfinite(got[~nan_rows]).all()
+    assert got.shape == expect.shape == grid.shape
+    assert np.array_equal(got, expect, equal_nan=True)
+    assert got.tobytes() == expect.tobytes()
+
+
 def test_empty_angles_or_frequencies_give_an_empty_gain(design, layout):
     cfg = np.full(design.n_elements, 15e9)
     assert db.array_gain_dma(layout, cfg, np.empty(0), F_C).shape == (0,)

@@ -92,14 +92,94 @@ def test_csv_carries_fingerprint_and_full_precision(scn, tmp_path):
             assert CELL.match(cell), cell
 
 
-def test_json_format_mirrors_csv(scn, tmp_path):
-    out = str(tmp_path / "run")
-    assert run_cli("coverage", "--scenario", scn, "--out", out,
-                   "--format", "json") == 0
-    doc = json.load(open(os.path.join(out, "coverage.json")))
-    assert set(doc) == {"scenario", "columns", "rows"}
-    assert re.match(r"^[0-9a-f]{12}$", doc["scenario"])
-    assert all(len(r) == len(doc["columns"]) for r in doc["rows"])
+# The tables each command writes; train and rate write two.
+TABLES = {"coverage": ["coverage"], "freq-response": ["freq_response"],
+          "gain-sweep": ["gain_sweep"], "train": ["codebook", "train"],
+          "rate": ["rate_bandwidth", "rate_tuning"]}
+
+
+def test_json_format_mirrors_csv(tmp_path):
+    """Every table-writing command: each JSON table holds the CSV file's
+    fingerprint, header and data lines, cell for cell.  At Q = 1 the
+    infeasible angles put NaN and -inf cells in both."""
+    for name, extra in (("tiny", ""), ("lowq", "design.q_factor = 1\n")):
+        path = tmp_path / f"{name}.scn"
+        path.write_text(TINY + extra)
+        special = set()
+        for command, stems in TABLES.items():
+            codes = [run_cli(command, "--scenario", str(path),
+                             "--out", str(tmp_path / name / fmt),
+                             "--format", fmt)
+                     for fmt in ("csv", "json")]
+            assert codes[0] == codes[1] and codes[0] in (0, 4), command
+            for stem in stems:
+                csv = tmp_path / name / "csv" / f"{stem}.csv"
+                lines = csv.read_text().splitlines()
+                with open(tmp_path / name / "json" / f"{stem}.json") as fh:
+                    doc = json.load(fh, parse_constant=reject_constant)
+                assert set(doc) == {"scenario", "columns", "rows"}
+                assert re.match(r"^[0-9a-f]{12}$", doc["scenario"])
+                assert lines[0] == f"# scenario = {doc['scenario']}"
+                assert lines[1].split(",") == doc["columns"]
+                assert doc["rows"] == [line.split(",") for line in lines[2:]]
+                special.update({"nan", "-inf"}.intersection(
+                    cell for row in doc["rows"] for cell in row))
+        if extra:
+            assert special == {"nan", "-inf"}
+
+
+def _reference_fmt_value(x) -> str:
+    """One cell as the per-cell writer formatted it: the reference for
+    the column writer."""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return f"{float(x):.11e}"
+
+
+def _reference_table_text(fp, columns, rows, fmt):
+    """A table formatted one cell at a time from its row tuples."""
+    if fmt == "json":
+        payload = {
+            "scenario": fp,
+            "columns": list(columns),
+            "rows": [[_reference_fmt_value(x) for x in row] for row in rows],
+        }
+        return json.dumps(payload, indent=2) + "\n"
+    lines = [f"# scenario = {fp}", ",".join(columns)]
+    lines += [",".join(_reference_fmt_value(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+SPECIAL_CELLS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
+                 5e-324, 1e12, -1e12, 0.1, 1.0 / 3.0, 123456.789]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, len(SPECIAL_CELLS) + 1])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_column_writer_matches_the_per_cell_reference(tmp_path, fmt, n_rows):
+    """Integer and float columns, special values and a last row of NaN
+    float cells: the column writer gives the per-cell writer's bytes."""
+    special = np.array(SPECIAL_CELLS + [float("nan")])
+    data = [np.arange(-3, len(special) - 3) * 10 ** 9,
+            special, special[::-1].copy(),
+            np.append(np.linspace(-90.0, 90.0, len(special) - 1), np.nan),
+            np.arange(len(special), dtype=np.int32)]
+    data = [col[len(col) - n_rows:] for col in data]
+    columns = ["count", "a(linear)", "b(dB)", "phi(deg)", "n"]
+    path = tmp_path / f"table.{fmt}"
+    cli._write_table(str(path), "0123456789ab", columns, data, fmt)
+    assert path.read_text() == _reference_table_text(
+        "0123456789ab", columns, list(zip(*data)), fmt)
+
+
+def test_db_column_matches_the_scalar_conversion():
+    """10 log10 cell by cell, -inf at 0, at negative and at NaN cells."""
+    x = np.array([0.0, -0.0, -1.0, -np.inf, np.nan, 5e-324, 2e-310, 1e-300,
+                  1e-3, 1.0, 64.0, 1e12, np.inf])
+    expect = np.array([10 * np.log10(v) if v > 0 else -np.inf for v in x])
+    got = cli._db(x)
+    assert got.dtype == float and got.tobytes() == expect.tobytes()
+    assert cli._db(np.empty(0)).shape == (0,)
 
 
 def test_runs_are_byte_identical(scn, tmp_path):

@@ -13,8 +13,8 @@ weights against it by Horner's rule in z, forming the weights a block
 of elements at a time, and never builds the channel itself;
 effective_channel builds it element by element for the binary solver
 and the tests.  The phases 2 pi p (n - 1) keep fewer fractional bits as
-p grows, so the CLI rejects a design whose p at f_max and phi = 90 deg
-exceeds cli.MAX_NORMALIZED_PRODUCT.
+p grows, so a scenario whose p at f_max and phi = 90 deg exceeds
+scenario.MAX_NORMALIZED_PRODUCT is rejected.
 """
 
 from __future__ import annotations

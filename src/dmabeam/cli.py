@@ -32,7 +32,6 @@ from .array_training import (ArrayLayout, array_gain_dma, pilot_grid, probe,
 from .bandwidth_analysis import (array_cutoff_frequencies, array_gain,
                                  cutoff_frequencies, element_gain)
 from .binary_tuning import solve_p4
-from .channel import normalized_product
 from .core_model import CONSTANTS, DmaDesign
 from .errors import (CoverageInfeasibleError, CutoffError, DmaError,
                      InvalidEstimateError, ScenarioError, SingularityError)
@@ -43,8 +42,8 @@ from .link_rate import (LinkBudget, angle_grid, bandwidth_sweep,
                         tuning_range_sweep)
 from .oracle import (GRID_MAX_ELEMENTS, binary_mask_gain, dense_p_scan,
                      enumerate_binary, grid_max_gain)
-from .scenario import (AUTO, Scenario, fingerprint, load_scenario,
-                       scenario_to_text)
+from .scenario import (AUTO, Scenario, check_domain, fingerprint,
+                       load_scenario, scenario_to_text)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -56,12 +55,6 @@ EXIT_VERIFICATION = 4
 # array of this many elements: about 0.015 s an angle at 12 elements,
 # 0.3 s at 16 and 4 s at the oracle's own cap of 20.
 VERIFY_BINARY_ELEMENTS = 12
-
-# Largest normalized product p = f_max d_y (n_g + 1) / c of a resolved
-# design.  The channel phase 2 pi p (n - 1) keeps fewer fractional bits as
-# p grows: verify's binary solver and plain enumeration first disagree at
-# p = 2.6e5 on a 128-element guide (6e5 at 8 elements), 26 times the cap.
-MAX_NORMALIZED_PRODUCT = 1e4
 
 _INFEASIBLE = (CoverageInfeasibleError, SingularityError, CutoffError,
                InvalidEstimateError)
@@ -209,6 +202,7 @@ def _resolve(scenario: Scenario):
         d_y = sector.d_y_star if s.d_y == AUTO else s.d_y
         n_g = sector.n_g_star if s.n_g == AUTO else s.n_g
         s = dataclasses.replace(s, d_y=d_y, n_g=n_g)
+    check_domain(s)
     design = DmaDesign(
         n_elements=s.n_y,
         spacing=s.d_y,
@@ -218,13 +212,6 @@ def _resolve(scenario: Scenario):
         f_min=s.f_min_hz,
         f_max=s.f_max_hz,
     )
-    p_max = float(normalized_product(design, np.pi / 2.0, design.f_max))
-    if p_max > MAX_NORMALIZED_PRODUCT:
-        raise ScenarioError(
-            f"design.n_g = {s.n_g:g} and design.d_y = {s.d_y:g} m put the "
-            f"normalized product f_max d_y (n_g + 1) / c at {p_max:.3g}, "
-            f"above {MAX_NORMALIZED_PRODUCT:g}: the channel phases keep too "
-            f"few fractional bits for the solvers")
     return design, s
 
 

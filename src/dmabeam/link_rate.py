@@ -79,7 +79,8 @@ def _band_centers(budget: LinkBudget, center) -> np.ndarray:
     zero frequency."""
     center = np.expand_dims(np.asarray(center, dtype=float), -1)
     if np.any(center - budget.bandwidth / 2.0 <= 0):
-        raise DomainError("band extends below zero frequency")
+        raise DomainError(f"a {budget.bandwidth:g} Hz band extends below zero "
+                          "frequency (budget.bandwidth, sweep.bandwidths)")
     return center
 
 

@@ -10,17 +10,14 @@ unknown keys are rejected so typos fail loudly.  ``auto`` for spacing /
 refractive index / training groups defers to the sector design rule and
 codebook construction.  The gain threshold ``training.delta`` takes
 either a linear fraction ("0.5") or a dB value with suffix ("3 dB").
-Every number must be finite and at most MAX_MAGNITUDE in magnitude:
-``inf``, ``nan`` and ``1e308`` are rejected.  The cap lies far above any
-physical value of these quantities in these units, and low enough that
-scaling one to SI units or squaring it cannot overflow.  The receiver
-must be at least one wavelength at ``design.f_min`` away: the link model
-is far-field.
+Every number must be finite and at most MAX_MAGNITUDE in magnitude, far
+above any physical value here and low enough that scaling one to SI or
+squaring it cannot overflow.  Each other bound is a key's own, in
+``_SCHEMA``, or spans keys, in ``_CROSS_BOUNDS``.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from dataclasses import dataclass
 from typing import Optional, Tuple
@@ -32,6 +29,8 @@ from .errors import ScenarioError
 
 AUTO = "auto"
 MAX_MAGNITUDE = 1e12
+MAX_NORMALIZED_PRODUCT = 1e4     # f_max d_y (n_g + 1) / c, see _CROSS_BOUNDS
+Q_MIN, Q_MAX = 0.1, 1e6          # 2 pi f_c / Gamma, see _CROSS_BOUNDS
 
 
 @dataclass(frozen=True)
@@ -117,8 +116,7 @@ def _parse_float(text: str) -> float:
     if not np.isfinite(value):
         raise ScenarioError(f"not a finite number: {text!r}")
     if abs(value) > MAX_MAGNITUDE:
-        raise ScenarioError(
-            f"magnitude above {MAX_MAGNITUDE:g}: {text!r}")
+        raise ScenarioError(f"magnitude above {MAX_MAGNITUDE:g}: {text!r}")
     return value
 
 
@@ -132,16 +130,12 @@ def _parse_int(text: str) -> int:
 def _parse_delta(text: str) -> float:
     """Linear fraction, or dB with explicit suffix ('3 dB' -> 10^-0.3)."""
     lowered = text.lower()
-    if lowered.endswith("db"):
-        db = _parse_float(lowered[:-2].strip())
-        if db <= 0:
-            raise ScenarioError("delta in dB must be a positive backoff")
-        value = 10.0 ** (-db / 10.0)
-    else:
-        value = _parse_float(text)
-    if not 0.0 < value < 1.0:
-        raise ScenarioError(f"delta must land strictly inside (0, 1): {text!r}")
-    return value
+    if not lowered.endswith("db"):
+        return _parse_float(text)
+    db = _parse_float(lowered[:-2].strip())
+    if db <= 0:
+        raise ScenarioError("delta in dB must be a positive backoff")
+    return 10.0 ** (-db / 10.0)
 
 
 def _parse_onoff(text: str) -> bool:
@@ -157,17 +151,8 @@ def _parse_list(text: str) -> Tuple[float, ...]:
     return tuple(_parse_float(p) for p in parts)
 
 
-def _parse_auto(text: str, kind) -> object:
-    return AUTO if text.lower() == AUTO else kind(text)
-
-
-# key -> (scenario field, parser, serializer)
-def _fmt_plain(v):
-    return repr(v) if isinstance(v, float) else str(v)
-
-
-def _fmt_onoff(v):
-    return "on" if v else "off"
+def _or_auto(parse):
+    return lambda text: AUTO if text.lower() == AUTO else parse(text)
 
 
 def _fmt_list(v):
@@ -178,95 +163,122 @@ def _fmt_auto(v):
     return v if v == AUTO else repr(float(v))
 
 
+# key -> (parser, serializer, bound), the field named by the key's last
+# part; the value, or each list element, must lie in the bound, if any.
 _SCHEMA = {
-    "design.n_y": ("n_y", _parse_int, _fmt_plain),
-    "design.n_z": ("n_z", _parse_int, _fmt_plain),
-    "design.f_min": ("f_min", _parse_float, _fmt_plain),
-    "design.f_max": ("f_max", _parse_float, _fmt_plain),
-    "design.q_factor": ("q_factor", _parse_float, _fmt_plain),
-    "design.gamma": ("gamma", _parse_float, _fmt_plain),
-    "design.coupling": ("coupling", _parse_float, _fmt_plain),
-    "design.d_y": ("d_y", lambda t: _parse_auto(t, _parse_float), _fmt_auto),
-    "design.n_g": ("n_g", lambda t: _parse_auto(t, _parse_float), _fmt_auto),
-    "design.n_g_max": ("n_g_max", _parse_float, _fmt_plain),
-    "design.alpha": ("alpha", _parse_float, _fmt_plain),
-    "design.attenuation": ("attenuation", _parse_onoff, _fmt_onoff),
-    "sector.phi_lower": ("phi_lower", _parse_float, _fmt_plain),
-    "sector.phi_upper": ("phi_upper", _parse_float, _fmt_plain),
-    "budget.power": ("power", _parse_float, _fmt_plain),
-    "budget.distance": ("distance", _parse_float, _fmt_plain),
-    "budget.noise_temp": ("noise_temp", _parse_float, _fmt_plain),
-    "budget.bandwidth": ("bandwidth", _parse_float, _fmt_plain),
-    "budget.subcarriers": ("subcarriers", _parse_int, _fmt_plain),
-    "training.groups": ("groups", lambda t: _parse_auto(t, _parse_int), _fmt_auto),
-    "training.delta": ("delta", _parse_delta, _fmt_plain),
-    "training.k_tr": ("k_tr", _parse_int, _fmt_plain),
-    "sweep.bandwidths": ("bandwidths", _parse_list, _fmt_list),
-    "sweep.tuning_ranges": ("tuning_ranges", _parse_list, _fmt_list),
-    "sweep.angle_samples": ("angle_samples", _parse_int, _fmt_plain),
-    "sweep.freq_points": ("freq_points", _parse_int, _fmt_plain),
-    "sweep.gain_angle_points": ("gain_angle_points", _parse_int, _fmt_plain),
-    "sweep.coverage_n_g": ("coverage_n_g", _parse_list, _fmt_list),
-    "sweep.coverage_ratio_max": ("coverage_ratio_max", _parse_float, _fmt_plain),
-    "sweep.coverage_points": ("coverage_points", _parse_int, _fmt_plain),
+    "design.n_y": (_parse_int, str, "[1, inf)"),
+    "design.n_z": (_parse_int, str, "[1, inf)"),
+    "design.f_min": (_parse_float, str, "(0, inf)"),
+    "design.f_max": (_parse_float, str, "(0, inf)"),
+    "design.q_factor": (_parse_float, str, "(0, inf)"),
+    "design.gamma": (_parse_float, str, "(0, inf)"),
+    "design.coupling": (_parse_float, str, "(0, inf)"),
+    "design.d_y": (_or_auto(_parse_float), _fmt_auto, "(0, inf)"),
+    "design.n_g": (_or_auto(_parse_float), _fmt_auto, "[1, inf)"),
+    "design.n_g_max": (_parse_float, str, "[1, inf)"),
+    "design.alpha": (_parse_float, str, "[0, inf)"),
+    "design.attenuation": (_parse_onoff, lambda v: "on" if v else "off", ""),
+    "sector.phi_lower": (_parse_float, str, "[-90, 90]"),
+    "sector.phi_upper": (_parse_float, str, "[-90, 90]"),
+    "budget.power": (_parse_float, str, "(0, inf)"),
+    "budget.distance": (_parse_float, str, "(0, inf)"),
+    "budget.noise_temp": (_parse_float, str, "(0, inf)"),
+    "budget.bandwidth": (_parse_float, str, "(0, inf)"),
+    "budget.subcarriers": (_parse_int, str, "[1, inf)"),
+    "training.groups": (_or_auto(_parse_int), _fmt_auto, "[1, inf)"),
+    "training.delta": (_parse_delta, str, "(0, 1)"),
+    "training.k_tr": (_parse_int, str, "[2, inf)"),
+    "sweep.bandwidths": (_parse_list, _fmt_list, "(0, inf)"),
+    "sweep.tuning_ranges": (_parse_list, _fmt_list, "(0, inf)"),
+    "sweep.angle_samples": (_parse_int, str, "[1, inf)"),
+    "sweep.freq_points": (_parse_int, str, "[2, inf)"),
+    "sweep.gain_angle_points": (_parse_int, str, "[2, inf)"),
+    "sweep.coverage_n_g": (_parse_list, _fmt_list, "[1, inf)"),
+    "sweep.coverage_ratio_max": (_parse_float, str, "(0, inf)"),
+    "sweep.coverage_points": (_parse_int, str, "[2, inf)"),
 }
 
-_FIELD_TO_KEY = {field: key for key, (field, _, _) in _SCHEMA.items()}
+
+def _value(s: Scenario, key: str):
+    return getattr(s, key.partition(".")[2])
 
 
-def _validate(s: Scenario, saw_gamma: bool, saw_q: bool) -> Scenario:
-    if saw_gamma and saw_q:
-        raise ScenarioError("give design.q_factor or design.gamma, not both")
-    if saw_gamma:
-        s = dataclasses.replace(s, q_factor=None)
-    checks = [
-        (s.n_y >= 1, "design.n_y must be >= 1"),
-        (s.n_z >= 1, "design.n_z must be >= 1"),
-        (0 < s.f_min < s.f_max, "need 0 < design.f_min < design.f_max"),
-        (s.gamma is None or s.gamma > 0, "design.gamma must be positive"),
-        (s.q_factor is None or s.q_factor > 0, "design.q_factor must be positive"),
-        (s.coupling > 0, "design.coupling must be positive"),
-        (s.d_y == AUTO or s.d_y > 0, "design.d_y must be positive or auto"),
-        (s.n_g == AUTO or s.n_g >= 1, "design.n_g must be >= 1 or auto"),
-        (s.n_g_max >= 1, "design.n_g_max must be >= 1"),
-        (s.alpha >= 0, "design.alpha must be non-negative"),
-        (-90.0 <= s.phi_lower < s.phi_upper <= 90.0,
-         "sector angles must satisfy -90 <= lower < upper <= 90"),
-        (s.power > 0, "budget.power must be positive"),
-        (s.distance > 0, "budget.distance must be positive"),
-        (s.noise_temp > 0, "budget.noise_temp must be positive"),
-        (s.bandwidth > 0, "budget.bandwidth must be positive"),
-        (s.subcarriers >= 1, "budget.subcarriers must be >= 1"),
-        (s.groups == AUTO or s.groups >= 1, "training.groups must be >= 1 or auto"),
-        (s.groups == AUTO or s.n_z % s.groups == 0,
-         "training.groups must divide design.n_z"),
-        (s.k_tr >= 2, "training.k_tr must be >= 2"),
-        (all(b > 0 for b in s.bandwidths), "sweep.bandwidths must be positive"),
-        (all(t > 0 for t in s.tuning_ranges), "sweep.tuning_ranges must be positive"),
-        (s.angle_samples >= 1, "sweep.angle_samples must be >= 1"),
-        (s.freq_points >= 2, "sweep.freq_points must be >= 2"),
-        (s.gain_angle_points >= 2, "sweep.gain_angle_points must be >= 2"),
-        (all(g >= 1 for g in s.coverage_n_g), "sweep.coverage_n_g must be >= 1"),
-        (s.coverage_ratio_max > 0, "sweep.coverage_ratio_max must be positive"),
-        (s.coverage_points >= 2, "sweep.coverage_points must be >= 2"),
-    ]
-    for ok, message in checks:
-        if not ok:
-            raise ScenarioError(message)
+def _q(s: Scenario) -> float:
+    """Q = 2 pi f_c / Gamma, from whichever of the two ``s`` sets."""
+    return s.q_factor or 2.0 * np.pi * s.f_center_hz / s.damping_hz
+
+
+def _p_max(s: Scenario) -> float:
+    """channel.normalized_product at f_max and phi = 90 deg."""
+    return s.f_max_hz * s.d_y * (s.n_g + 1.0) / CONSTANTS.c
+
+
+# The bounds that span keys: (keys, holds, message), each message naming
+# the keys.  An entry waits while one of its keys is still auto.
+_CROSS_BOUNDS = (
+    (("design.q_factor", "design.gamma"),
+     lambda s: (s.q_factor is None) != (s.gamma is None),
+     lambda s: "give design.q_factor or design.gamma, not both"),
+    (("design.f_min", "design.f_max"), lambda s: s.f_min < s.f_max,
+     lambda s: "need design.f_min < design.f_max"),
+    (("sector.phi_lower", "sector.phi_upper"),
+     lambda s: s.phi_lower < s.phi_upper,
+     lambda s: "need sector.phi_lower < sector.phi_upper"),
+    (("training.groups", "design.n_z"), lambda s: s.n_z % s.groups == 0,
+     lambda s: "training.groups must divide design.n_z"),
+    # freq-response's element cutoffs first miss their 1e-8 check at Q =
+    # 7e-3 and 7e7 (reference band, --phi every 0.1 deg); other commands
+    # run from Q = 1e-12 to 1e12, and Q or Gamma = 1e-300 overflows.
+    (("design.q_factor", "design.gamma", "design.f_min", "design.f_max"),
+     lambda s: Q_MIN <= _q(s) <= Q_MAX,
+     lambda s: f"design.q_factor or design.gamma puts Q = 2 pi f_c / gamma "
+               f"at {_q(s):.3g}, outside [{Q_MIN:g}, {Q_MAX:g}]"),
+    # rate's redesigned band f_c +- T / 2 is one float at T = 1e-15 GHz.
+    (("sweep.tuning_ranges", "design.f_max"),
+     lambda s: min(s.tuning_ranges) >= 1e-9 * s.f_max,
+     lambda s: "sweep.tuning_ranges must be at least 1e-9 design.f_max"),
     # The link model is far-field: a receiver closer than a wavelength is
     # outside it, and the path loss (lambda / 4 pi d)^2 overflows as d -> 0.
-    if s.distance * s.f_min_hz < CONSTANTS.c:
-        raise ScenarioError(
-            f"budget.distance = {s.distance:g} m is below one wavelength at "
-            f"design.f_min ({CONSTANTS.c / s.f_min_hz:.4g} m): the link "
-            f"model is far-field")
-    return s
+    (("budget.distance", "design.f_min"),
+     lambda s: s.distance * s.f_min_hz >= CONSTANTS.c,
+     lambda s: f"budget.distance = {s.distance:g} m is below one wavelength "
+               f"at design.f_min ({CONSTANTS.c / s.f_min_hz:.4g} m): the "
+               f"link model is far-field"),
+    # The channel phase 2 pi p (n - 1) keeps fewer fractional bits as p
+    # grows: verify's binary solver and plain enumeration first disagree
+    # at p = 2.6e5 on a 128-element guide (6e5 at 8 elements).
+    (("design.f_max", "design.d_y", "design.n_g"),
+     lambda s: _p_max(s) <= MAX_NORMALIZED_PRODUCT,
+     lambda s: f"design.n_g = {s.n_g:g} and design.d_y = {s.d_y:g} m put "
+               f"the normalized product at {_p_max(s):.3g}, above "
+               f"{MAX_NORMALIZED_PRODUCT:g}: the phases lose fractional bits"),
+)
+
+
+def _meets(value, bound: str) -> bool:
+    """Whether ``value``, or each element of a list, lies in ``bound``,
+    an interval such as "[1, inf)" or "(0, 1)"; auto and None do."""
+    if value is None or value == AUTO:
+        return True
+    lo, hi = map(float, bound[1:-1].split(","))
+    return all((lo < v if bound[0] == "(" else lo <= v) and
+               (v < hi if bound[-1] == ")" else v <= hi)
+               for v in (value if isinstance(value, tuple) else (value,)))
+
+
+def check_domain(s: Scenario) -> None:
+    """Raise ScenarioError, naming the keys, at the first bound s breaks."""
+    for key, (_, _, bound) in _SCHEMA.items():
+        if bound and not _meets(_value(s, key), bound):
+            raise ScenarioError(f"{key} must lie in {bound}")
+    for keys, holds, message in _CROSS_BOUNDS:
+        if AUTO not in [_value(s, k) for k in keys] and not holds(s):
+            raise ScenarioError(message(s))
 
 
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario file content; raises ScenarioError on any problem."""
     overrides = {}
-    seen = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -277,16 +289,18 @@ def parse_scenario(text: str) -> Scenario:
         key, value = key.strip(), value.strip()
         if key not in _SCHEMA:
             raise ScenarioError(f"line {lineno}: unknown key {key!r}")
-        if key in seen:
+        field = key.partition(".")[2]
+        if field in overrides:
             raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
-        seen.add(key)
-        field, parser, _ = _SCHEMA[key]
         try:
-            overrides[field] = parser(value)
+            overrides[field] = _SCHEMA[key][0](value)
         except ScenarioError as err:
             raise ScenarioError(f"line {lineno}: {key}: {err}") from None
+    if "gamma" in overrides:     # the damping itself replaces the default Q
+        overrides.setdefault("q_factor", None)
     scenario = Scenario(**overrides)
-    return _validate(scenario, "design.gamma" in seen, "design.q_factor" in seen)
+    check_domain(scenario)
+    return scenario
 
 
 def load_scenario(path: str) -> Scenario:
@@ -299,12 +313,9 @@ def load_scenario(path: str) -> Scenario:
 
 def scenario_to_text(s: Scenario) -> str:
     """Canonical serialization; load(scenario_to_text(s)) == s."""
-    lines = []
-    for key, (field, _, fmt) in _SCHEMA.items():
-        value = getattr(s, field)
-        if value is None:
-            continue
-        lines.append(f"{key} = {fmt(value)}")
+    lines = [f"{key} = {fmt(_value(s, key))}"
+             for key, (_, fmt, _) in _SCHEMA.items()
+             if _value(s, key) is not None]
     return "\n".join(lines) + "\n"
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import dmabeam.cli as cli
+import dmabeam.scenario as scenario
 
 TINY = """\
 design.n_y = 8
@@ -581,9 +582,10 @@ def test_verify_passes_at_low_q(tmp_path, capsys, q):
 def test_verify_passes_just_below_the_normalized_product_cap(tmp_path, capsys,
                                                              n_y):
     """d_y = 1/120 m and f_max = 18 GHz give f_max d_y (n_g + 1) / c =
-    (n_g + 1) / 2: n_g = 19799 sits 1 % below cli.MAX_NORMALIZED_PRODUCT
-    and verify passes; n_g = 20199, 1 % above, is an invalid scenario."""
-    assert cli.MAX_NORMALIZED_PRODUCT == 1e4
+    (n_g + 1) / 2: n_g = 19799 sits 1 % below
+    scenario.MAX_NORMALIZED_PRODUCT and verify passes; n_g = 20199, 1 %
+    above, is an invalid scenario."""
+    assert scenario.MAX_NORMALIZED_PRODUCT == 1e4
     for n_g, code in ((19799, cli.EXIT_OK), (20199, cli.EXIT_CONFIG)):
         path = tmp_path / f"ng{n_g}.scn"
         path.write_text(f"design.n_y = {n_y}\ndesign.n_g = {n_g}\n")
@@ -675,8 +677,9 @@ def test_missing_crossover_is_null_in_the_summary(tmp_path, command, section):
 
 
 @pytest.mark.parametrize("command,text,flags,code", [
-    # cutoff_frequencies fails after the gain table is computed
-    ("freq-response", "design.q_factor = 1e9\n", (), 3),
+    # the array cutoff search finds no bracket after the gain table is
+    # computed: Q = 0.12, inside the model's bounds, at -85 deg
+    ("freq-response", "design.q_factor = 0.12\n", ("--phi", "-85"), 3),
     # the staircase probe fails after the codebook is computed: a sector
     # pilot's estimate leaves the visible region, an infeasible design
     ("train", "design.n_g = 3\ndesign.d_y = 0.02\n", ("--phi", "10"), 3),

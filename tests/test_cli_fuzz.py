@@ -130,7 +130,7 @@ def test_huge_finite_numbers_are_invalid_in_every_command(key, value,
     ("budget.distance = 1e-300\n", ("budget.distance = 1e-300 m",))])
 def test_out_of_model_designs_are_invalid_in_every_command(text, keys,
                                                            tmp_path):
-    """A normalized product above cli.MAX_NORMALIZED_PRODUCT once made
+    """A normalized product above scenario.MAX_NORMALIZED_PRODUCT once made
     verify fail its binary check, and a distance of 1e-300 m overflowed
     the path loss: every command now exits 2 naming the keys."""
     path = tmp_path / "out_of_model.scn"

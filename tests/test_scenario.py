@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import dmabeam as db
+import dmabeam.cli as cli
 from dmabeam import ScenarioError
 from dmabeam.scenario import MAX_MAGNITUDE
 
@@ -94,6 +95,60 @@ def test_huge_numbers_are_rejected(key, value):
     with pytest.raises(ScenarioError,
                        match=f"line 1: {key}: magnitude above 1e\\+12"):
         db.parse_scenario(f"{key} = {value}\n")
+
+
+# Small sweeps keep the seven commands of one case near 0.1 s in all.
+SMALL = """\
+budget.subcarriers = 8
+training.k_tr = 32
+sweep.angle_samples = 9
+sweep.freq_points = 16
+sweep.gain_angle_points = 19
+sweep.coverage_points = 5
+sweep.bandwidths = 0.3
+sweep.tuning_ranges = 3.0
+"""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", ["1e-300", "1e12"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_extreme_numbers_end_in_a_known_exit_code(key, value, tmp_path,
+                                                  capsys):
+    """Each float key at 1e-300 and at the magnitude cap, through all
+    seven commands with attenuation on: no warning or exception escapes,
+    every run exits 0, 2, 3 or 4, and an invalid scenario names the key."""
+    lines = [line for line in SMALL.splitlines(True)
+             if not line.startswith(f"{key} =")]
+    path = tmp_path / "extreme.scn"
+    path.write_text("".join(lines) + f"{key} = {value}\n")
+    for command in cli._COMMANDS:
+        code = cli.main([command, "--scenario", str(path), "--attenuation",
+                         "on", "--out", str(tmp_path / command)])
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), (command, code, err)
+        if code == 2:
+            assert key in err, (command, err)
+
+
+@pytest.mark.parametrize("text", [
+    "design.q_factor = 0.099\n", "design.q_factor = 1.01e6\n",
+    "design.gamma = 1e-300\n", "design.gamma = 1e3\n"])
+def test_a_damping_outside_the_q_range_is_rejected(text):
+    """Q = 2 pi f_c / Gamma, from whichever of design.q_factor and
+    design.gamma is set, must lie in [0.1, 1e6]: freq-response's cutoffs
+    miss their threshold at 7e-3 and 7e7, and Gamma = 1e-300 GHz
+    overflows the weights."""
+    with pytest.raises(ScenarioError,
+                       match="design.q_factor or design.gamma puts Q"):
+        db.parse_scenario(text)
+
+
+def test_the_q_range_includes_its_ends():
+    for q in (0.1, 1e6):
+        assert db.parse_scenario(f"design.q_factor = {q}\n").q_factor == q
+    s = db.parse_scenario("design.gamma = 900\n")
+    assert s.gamma == 900.0 and s.q_factor is None
 
 
 @pytest.mark.parametrize("text", [

@@ -18,16 +18,15 @@ from .array_training import (ArrayLayout, Codebook, TrainingResult,
                              array_gain_dma, build_codebook, gain_at_estimate,
                              pilot_grid, probe, psi_delta, training_layout)
 from .bandwidth_analysis import (CutoffReport, array_cutoff_frequencies,
-                                 array_gain, cutoff_frequencies, element_gain)
+                                 cutoff_frequencies)
 from .binary_tuning import BinarySolution, solve_p4
 from .channel import (attenuation_vector, combined_phases, dirichlet_kernel,
                       dirichlet_of_p, effective_channel, normalized_product)
 from .core_model import (CONSTANTS, DmaDesign, PhysicalConstants,
-                         beamformer_weight, polarizability,
-                         resonant_from_shifted)
+                         beamformer_weight, resonant_from_shifted)
 from .errors import (CoverageInfeasibleError, CutoffError, DmaError,
                      DomainError, EnumerationLimitError, InvalidEstimateError,
-                     ScenarioError, SingularityError)
+                     ScenarioError)
 from .frequency_planner import (CoverageAngle, OperatingPoint, SectorDesign,
                                 crossover_angle, design_sector,
                                 max_coverage_angle, optimal_operating_freq)

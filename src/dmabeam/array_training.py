@@ -20,11 +20,11 @@ import numpy as np
 
 from ._brent import brentq
 from .channel import attenuation_vector, combined_phases, dirichlet_of_p
-from .core_model import (CONSTANTS, DmaDesign, _frequency_factors,
-                         _positive_frequencies, _weight, beamformer_weight)
+from .core_model import (DmaDesign, _frequency_factors, _positive_frequencies,
+                         _weight, beamformer_weight)
 from .errors import (CoverageInfeasibleError, DomainError,
                      InvalidEstimateError)
-from .frequency_planner import optimal_operating_freq
+from .frequency_planner import crossover_angle, optimal_operating_freq
 
 WIDTH_RESOLUTION = 1e-3    # quantization of the mainlobe half-width
 MAX_SECTORS = 256
@@ -196,15 +196,14 @@ def probe(layout: ArrayLayout, codebook: Codebook, phi_true,
     gains = crosstalk * array_gain_dma(group, resonant, phis[..., None], pilot)
     k_star = np.argmax(gains, axis=-1)       # the first of tied maxima
     f_k = pilot[k_star]
-    arg = CONSTANTS.c / (design.spacing * f_k) - design.refractive_index
-    visible = (-1.0 <= arg) & (arg <= 1.0)
-    if not np.all(visible):
+    phi_hat = crossover_angle(design, f_k)
+    invisible = np.isnan(phi_hat)
+    if np.any(invisible):
         raise InvalidEstimateError(
-            f"pilot {np.extract(~visible, f_k)[0]:.4g} Hz maps outside the "
+            f"pilot {np.extract(invisible, f_k)[0]:.4g} Hz maps outside the "
             f"visible region: the design's design.n_g = "
             f"{design.refractive_index:g} and design.d_y = "
             f"{design.spacing:g} m put its angle estimate beyond +-90 deg")
-    phi_hat = np.arcsin(arg)
     if phis.ndim == 0:
         k_star, f_k, phi_hat = int(k_star), float(f_k), float(phi_hat)
     return TrainingResult(k_star=k_star, f_k_star=f_k, phi_hat=phi_hat,

@@ -1,8 +1,8 @@
 """Frequency response of the optimally configured DMA.
 
 With every element resonant at the operating frequency the gain
-factorizes into an element term (a Lorentzian magnitude response shared
-by all slots) and an array term (the squared Dirichlet sum).  The
+factorizes into an element term |w(f*, f)|^2 (a Lorentzian magnitude
+response shared by all slots) and an array term S(phi, f)^2.  The
 element term dominates the frequency roll-off and admits closed-form
 cutoff frequencies for any relative threshold nu.
 """
@@ -16,7 +16,7 @@ import numpy as np
 
 from ._brent import brentq
 from .channel import dirichlet_kernel
-from .core_model import DmaDesign
+from .core_model import DmaDesign, beamformer_weight
 from .errors import CutoffError, DomainError
 
 ARRAY_CUTOFF_TOL = 1e3   # Hz, root-finder tolerance for full-array cutoffs
@@ -30,28 +30,6 @@ class CutoffReport:
     f_upper: float
     bandwidth: float
     approx_bandwidth: float
-
-
-def element_gain(design: DmaDesign, f_t_star: float, f):
-    """Per-element gain |Gamma f / (2 pi f*^2 - 2 pi f^2 + j Gamma f)|^2.
-
-    Equals 1 exactly on resonance (f = f_t_star) and falls off on both
-    sides.  Accepts scalar or array f.
-    """
-    f = np.asarray(f, dtype=float)
-    if np.any(f <= 0):
-        raise DomainError("frequency must be positive")
-    g = design.damping * f
-    det = 2.0 * np.pi * (f_t_star**2 - f**2)
-    out = g**2 / (det**2 + g**2)
-    return float(out) if out.ndim == 0 else out
-
-
-def array_gain(design: DmaDesign, phi: float, f):
-    """Array factor |1^T h(phi, f)|^2 = S(phi, f)^2."""
-    s = dirichlet_kernel(design, phi, f)
-    out = np.asarray(s) ** 2
-    return float(out) if out.ndim == 0 else out
 
 
 def cutoff_frequencies(design: DmaDesign, f_t_star: float, nu: float) -> CutoffReport:
@@ -77,7 +55,8 @@ def cutoff_frequencies(design: DmaDesign, f_t_star: float, nu: float) -> CutoffR
     f_lower = np.sqrt(f_t_star**2 + (gam**2 - root) / (8.0 * np.pi**2 * rho))
     f_upper = np.sqrt(f_t_star**2 + (gam**2 + root) / (8.0 * np.pi**2 * rho))
     for f_edge in (f_lower, f_upper):
-        if abs(element_gain(design, f_t_star, f_edge) - nu) > 1e-8:
+        gain = abs(beamformer_weight(design, f_t_star, f_edge)) ** 2
+        if abs(gain - nu) > 1e-8:
             raise CutoffError(
                 f"cutoff closed form failed its own threshold check at "
                 f"f_t_star = {f_t_star:.6g} Hz, nu = {nu:g}")
@@ -100,14 +79,14 @@ def array_cutoff_frequencies(design: DmaDesign, phi: float, f_t_star: float,
     """
     if not 0.0 < nu < 1.0:
         raise DomainError("nu must lie strictly between 0 and 1")
-    peak = element_gain(design, f_t_star, f_t_star) \
-        * array_gain(design, phi, f_t_star)
+    # A resonant weight is exactly -j, so the element factor peaks at 1.
+    peak = dirichlet_kernel(design, phi, f_t_star) ** 2
     if peak <= 0:
         raise DomainError("array response vanishes at f_t_star; nothing to cut off")
 
     def excess(f):
-        return element_gain(design, f_t_star, f) \
-            * array_gain(design, phi, f) / peak - nu
+        return abs(beamformer_weight(design, f_t_star, f)) ** 2 \
+            * dirichlet_kernel(design, phi, f) ** 2 / peak - nu
 
     elem = cutoff_frequencies(design, f_t_star, nu)
     lo_bracket = elem.f_lower

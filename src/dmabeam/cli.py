@@ -29,12 +29,12 @@ import numpy as np
 from . import __version__
 from .array_training import (ArrayLayout, array_gain_dma, pilot_grid, probe,
                              training_layout)
-from .bandwidth_analysis import (array_cutoff_frequencies, array_gain,
-                                 cutoff_frequencies, element_gain)
+from .bandwidth_analysis import array_cutoff_frequencies, cutoff_frequencies
 from .binary_tuning import solve_p4
-from .core_model import CONSTANTS, DmaDesign
+from .channel import dirichlet_kernel
+from .core_model import CONSTANTS, DmaDesign, beamformer_weight
 from .errors import (CoverageInfeasibleError, CutoffError, DmaError,
-                     InvalidEstimateError, ScenarioError, SingularityError)
+                     InvalidEstimateError, ScenarioError)
 from .frequency_planner import (crossover_angle, design_sector,
                                 max_coverage_angle, optimal_operating_freq)
 from .gain_optimizer import solve_p1a
@@ -56,8 +56,7 @@ EXIT_VERIFICATION = 4
 # 0.3 s at 16 and 4 s at the oracle's own cap of 20.
 VERIFY_BINARY_ELEMENTS = 12
 
-_INFEASIBLE = (CoverageInfeasibleError, SingularityError, CutoffError,
-               InvalidEstimateError)
+_INFEASIBLE = (CoverageInfeasibleError, CutoffError, InvalidEstimateError)
 
 
 # ----------------------------------------------------------------- plumbing
@@ -309,8 +308,9 @@ def cmd_freq_response(design: DmaDesign, resolved: Scenario,
     res = solution.resonances
     gains = array_gain_dma(ArrayLayout(1, design), res, phi, freqs)
     cols = [freqs / 1e9, gains, _db(gains),
-            element_gain(design, op.f_t_star, freqs),
-            array_gain(design, phi, freqs), np.full(freqs.size, float(n_sq))]
+            abs(beamformer_weight(design, op.f_t_star, freqs)) ** 2,
+            dirichlet_kernel(design, phi, freqs) ** 2,
+            np.full(freqs.size, float(n_sq))]
     if resolved.attenuation:
         lossy = dataclasses.replace(design, attenuation=resolved.alpha)
         columns.append("gain_dma_attenuated(linear)")

@@ -16,10 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, SingularityError
+from .errors import DomainError
 
 # Tolerance (rad) around the tangent pole of the resonance map.
 SINGULARITY_TOL = 1e-9
+DEGENERATE_CLAMP = 1e-6        # retreat (rad) from the zero-weight endpoint
 
 
 @dataclass(frozen=True)
@@ -87,27 +88,15 @@ def _positive_frequencies(f_r_n, f):
     return f_r_n, f
 
 
-def polarizability(design: DmaDesign, f_r_n, f):
-    """Magnetic polarizability of one slot, m^3.
-
-    alpha(f) = F * 2 pi f^2 / (2 pi f_r^2 - 2 pi f^2 + j Gamma f).
-    The imaginary damping term keeps the denominator away from zero for
-    every positive frequency.  Accepts scalars or arrays.
-    """
-    f_r_n, f = _positive_frequencies(f_r_n, f)
-    den = 2.0 * np.pi * f_r_n**2 - 2.0 * np.pi * f**2 + 1j * design.damping * f
-    out = design.coupling * 2.0 * np.pi * f**2 / den
-    return complex(out) if out.ndim == 0 else out
-
-
 def beamformer_weight(design: DmaDesign, f_r_n, f):
     """Dimensionless element weight w = -sin(psi) e^{j psi}.
 
     psi = atan2(-Gamma f, 2 pi (f_r^2 - f^2)) is the Lorentzian phase
     angle, in [-pi, 0]: 0- far below resonance, -pi/2 on resonance, -pi
-    far above.  The polarizability factors as
-    alpha = -F Q sin(psi) e^{j psi}; this is the frequency-normalized part
-    that acts as the beamforming weight.  It always lies on the circle
+    far above.  The slot's magnetic polarizability
+    alpha = F 2 pi f^2 / (2 pi f_r^2 - 2 pi f^2 + j Gamma f) is
+    w 2 pi f F / Gamma: w is its frequency-normalized part, which acts as
+    the beamforming weight.  It always lies on the circle
     |w + j/2| = 1/2.
 
     It is evaluated in rational form.  With the normalized detuning
@@ -157,20 +146,19 @@ def resonant_from_shifted(design: DmaDesign, psi_tilde, f_t):
     The shifted angle psi_tilde = 2 psi + pi/2 in [-3pi/2, pi/2] places
     the weight on its circle: w = -j/2 + e^{j psi_tilde} / 2.
 
-    ``psi_tilde`` and ``f_t`` broadcast.  Raises SingularityError on a
-    tangent pole.  Where the square-root argument is negative no real
-    resonance reaches the angle, and the result is NaN there, for a
-    scalar call as for an array call.
+    ``psi_tilde`` and ``f_t`` broadcast.  An angle on a tangent pole is
+    clamped: both interval endpoints map to weight zero, and only the
+    upper one is approachable with a real (large) resonance, so such an
+    angle is realized DEGENERATE_CLAMP below pi/2 instead.  Where the
+    square-root argument is negative no real resonance reaches the angle,
+    and the result is NaN there, for a scalar call as for an array call.
     """
     f_t = np.asarray(f_t, dtype=float)
     if np.any(f_t <= 0):
         raise DomainError("f_t must be positive")
     psi_tilde = np.asarray(psi_tilde, dtype=float)
-    pole = on_tangent_pole(psi_tilde)
-    if np.any(pole):
-        raise SingularityError(
-            f"psi_tilde={np.extract(pole, psi_tilde)[0]:.6f} sits on the "
-            f"tangent singularity")
+    psi_tilde = np.where(on_tangent_pole(psi_tilde),
+                         np.pi / 2.0 - DEGENERATE_CLAMP, psi_tilde)
     # float_power rounds like the scalar Python **; an array ** 2 squares.
     arg = np.float_power(f_t, 2) + design.damping * f_t / (2.0 * np.pi) \
         * np.tan(np.pi / 4.0 + psi_tilde / 2.0)

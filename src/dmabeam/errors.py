@@ -9,11 +9,6 @@ class DomainError(DmaError, ValueError):
     """An argument lies outside the physically meaningful domain."""
 
 
-class SingularityError(DmaError, ValueError):
-    """A requested weight angle sits on the tangent singularity of the
-    resonance map, where no finite resonant frequency exists."""
-
-
 class CutoffError(DmaError, ArithmeticError):
     """The cutoff frequencies of a gain response could not be resolved
     numerically for the requested operating frequency and threshold."""

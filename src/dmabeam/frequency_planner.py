@@ -144,11 +144,16 @@ def optimal_operating_freq(design: DmaDesign, phi) -> OperatingPoint:
                           integer_case=integer_case)
 
 
-def crossover_angle(design: DmaDesign, f_c: float) -> float:
+def crossover_angle(design: DmaDesign, f_c):
     """The angle where the optimal operating frequency equals f_c (p = 1),
-    NaN when no visible angle steers p = 1 to f_c."""
-    arg = CONSTANTS.c / (f_c * design.spacing) - design.refractive_index
-    return float(np.arcsin(arg)) if abs(arg) <= 1.0 else float("nan")
+    NaN when no visible angle steers p = 1 to f_c.
+
+    A scalar ``f_c`` gives a float, an array one angle per frequency.
+    """
+    arg = CONSTANTS.c / (np.asarray(f_c, dtype=float) * design.spacing) \
+        - design.refractive_index
+    out = np.arcsin(np.where(np.abs(arg) <= 1.0, arg, np.nan))
+    return float(out) if out.ndim == 0 else out
 
 
 def design_sector(phi_lower: float, phi_upper: float, f_min: float,

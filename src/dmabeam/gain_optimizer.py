@@ -15,12 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import dirichlet_kernel, normalized_product
-from .core_model import DmaDesign, on_tangent_pole, resonant_from_shifted
+from .core_model import DmaDesign, resonant_from_shifted
 from .errors import DomainError
 
-PSI_TILDE_LOW = -1.5 * np.pi   # principal interval for shifted angles,
-PSI_TILDE_HIGH = 0.5 * np.pi   # half open: [-3pi/2, pi/2)
-DEGENERATE_CLAMP = 1e-6        # retreat (rad) from the zero-weight endpoint
+# Lower end of the principal interval [-3pi/2, pi/2) of shifted angles.
+PSI_TILDE_LOW = -1.5 * np.pi
 
 
 @dataclass(frozen=True)
@@ -72,9 +71,10 @@ def solve_p1a(design: DmaDesign, phi, f_t):
 
     The reported gain is the closed-form optimum (N + |S|)^2 / 4.  An
     element whose optimal circle angle falls on the zero-weight endpoint
-    (reachable only as f_r -> infinity) is realized DEGENERATE_CLAMP inside
-    the interval instead; the configuration then attains the reported gain
-    up to a relative deficit of order DEGENERATE_CLAMP.
+    (reachable only as f_r -> infinity) is realized by
+    resonant_from_shifted DEGENERATE_CLAMP inside the interval instead;
+    the configuration then attains the reported gain up to a relative
+    deficit of order DEGENERATE_CLAMP.
 
     Where some element's required circle angle has no real resonance,
     which happens on a narrow angular sliver near the bottom of the
@@ -90,10 +90,6 @@ def solve_p1a(design: DmaDesign, phi, f_t):
             f"operating frequency {np.extract(~in_band, f_ts)[0]:.4g} outside "
             f"[{design.f_min:.4g}, {design.f_max:.4g}]")
     shifted = optimal_shifted_phases(design, phis, f_ts)
-    # Both interval endpoints map to weight zero; only the upper one is
-    # approachable with a real (large) resonance.
-    shifted = np.where(on_tangent_pole(shifted),
-                       PSI_TILDE_HIGH - DEGENERATE_CLAMP, shifted)
     f_r = resonant_from_shifted(design, shifted, f_ts[..., None])
     feasible = ~np.isnan(f_r).any(axis=-1)
     f_r[~feasible] = np.nan

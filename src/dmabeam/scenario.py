@@ -159,10 +159,6 @@ def _fmt_list(v):
     return ", ".join(repr(float(x)) for x in v)
 
 
-def _fmt_auto(v):
-    return v if v == AUTO else repr(float(v))
-
-
 # key -> (parser, serializer, bound), the field named by the key's last
 # part; the value, or each list element, must lie in the bound, if any.
 _SCHEMA = {
@@ -173,8 +169,8 @@ _SCHEMA = {
     "design.q_factor": (_parse_float, str, "(0, inf)"),
     "design.gamma": (_parse_float, str, "(0, inf)"),
     "design.coupling": (_parse_float, str, "(0, inf)"),
-    "design.d_y": (_or_auto(_parse_float), _fmt_auto, "(0, inf)"),
-    "design.n_g": (_or_auto(_parse_float), _fmt_auto, "[1, inf)"),
+    "design.d_y": (_or_auto(_parse_float), str, "(0, inf)"),
+    "design.n_g": (_or_auto(_parse_float), str, "[1, inf)"),
     "design.n_g_max": (_parse_float, str, "[1, inf)"),
     "design.alpha": (_parse_float, str, "[0, inf)"),
     "design.attenuation": (_parse_onoff, lambda v: "on" if v else "off", ""),
@@ -185,7 +181,7 @@ _SCHEMA = {
     "budget.noise_temp": (_parse_float, str, "(0, inf)"),
     "budget.bandwidth": (_parse_float, str, "(0, inf)"),
     "budget.subcarriers": (_parse_int, str, "[1, inf)"),
-    "training.groups": (_or_auto(_parse_int), _fmt_auto, "[1, inf)"),
+    "training.groups": (_or_auto(_parse_int), str, "[1, inf)"),
     "training.delta": (_parse_delta, str, "(0, 1)"),
     "training.k_tr": (_parse_int, str, "[2, inf)"),
     "sweep.bandwidths": (_parse_list, _fmt_list, "(0, inf)"),

@@ -32,7 +32,7 @@ def test_exact_cutoffs_satisfy_geometric_identity(design):
 def test_cutoff_threshold_failure_raises_cutoff_error(design, monkeypatch):
     import dmabeam.bandwidth_analysis as ba
 
-    monkeypatch.setattr(ba, "element_gain", lambda *args: 1.0)
+    monkeypatch.setattr(ba, "beamformer_weight", lambda *args: 1.0)
     with pytest.raises(db.CutoffError, match="f_t_star.*nu"):
         ba.cutoff_frequencies(design, F_STAR, 0.5)
 
@@ -42,18 +42,23 @@ def test_array_cutoff_without_crossing_raises_cutoff_error(design, monkeypatch):
     the bisection bracket without a sign change."""
     import dmabeam.bandwidth_analysis as ba
 
-    monkeypatch.setattr(ba, "array_gain",
-                        lambda d, phi, f: 1.0 if f == F_STAR else 1e6)
+    monkeypatch.setattr(ba, "dirichlet_kernel",
+                        lambda d, phi, f: 1.0 if f == F_STAR else 1e3)
     with pytest.raises(db.CutoffError, match="f_t_star.*nu"):
         ba.array_cutoff_frequencies(design, np.radians(-18.0), F_STAR, 0.5)
 
 
+def element_gain(design, f):
+    """|w(f*, f)|^2, the element factor of the response."""
+    return abs(db.beamformer_weight(design, F_STAR, f)) ** 2
+
+
 def test_gain_at_cutoffs_is_the_requested_fraction(design):
     rep = db.cutoff_frequencies(design, F_STAR, 0.5)
-    peak = db.element_gain(design, F_STAR, F_STAR)
-    assert db.element_gain(design, F_STAR, rep.f_lower) \
+    peak = element_gain(design, F_STAR)
+    assert element_gain(design, rep.f_lower) \
         == pytest.approx(0.5 * peak, rel=1e-9)
-    assert db.element_gain(design, F_STAR, rep.f_upper) \
+    assert element_gain(design, rep.f_upper) \
         == pytest.approx(0.5 * peak, rel=1e-9)
 
 
@@ -93,7 +98,7 @@ def test_combined_gain_at_array_cutoffs(design):
     ar_lo, ar_hi = db.array_cutoff_frequencies(design, phi, F_STAR, 0.5)
 
     def combined(f):
-        return db.element_gain(design, F_STAR, f) * db.array_gain(design, phi, f)
+        return element_gain(design, f) * db.dirichlet_kernel(design, phi, f) ** 2
 
     peak = combined(F_STAR)
     assert combined(ar_lo) == pytest.approx(0.5 * peak, rel=1e-4)
@@ -101,8 +106,8 @@ def test_combined_gain_at_array_cutoffs(design):
 
 
 def test_element_gain_peaks_at_operating_point(design):
-    assert db.element_gain(design, F_STAR, F_STAR) == 1.0
+    assert element_gain(design, F_STAR) == 1.0
     f = np.linspace(12e9, 18e9, 241)
-    g = db.element_gain(design, F_STAR, f)
+    g = element_gain(design, f)
     assert g.max() <= 1.0
     assert abs(float(f[np.argmax(g)]) - F_STAR) < 30e6

@@ -213,6 +213,26 @@ def test_crossover_missing_is_nan(design, f_c):
     assert np.isnan(db.crossover_angle(design, f_c))
 
 
+def test_crossover_angle_over_an_array_equals_the_scalar_calls(design):
+    """Over frequencies that run past both visible edges, the array form
+    equals the scalar calls bit for bit, NaN outside +-90 deg, and warns
+    of nothing."""
+    import warnings
+
+    f_c = np.linspace(5e9, 40e9, 3001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi = db.crossover_angle(design, f_c)
+    scalar = np.array([db.crossover_angle(design, f) for f in f_c.tolist()])
+    assert phi.tobytes() == scalar.tobytes()
+    arg = C / (f_c * design.spacing) - design.refractive_index
+    visible = np.abs(arg) <= 1.0
+    assert 0 < np.count_nonzero(visible) < f_c.size
+    assert (arg[~visible] > 1.0).any() and (arg[~visible] < -1.0).any()
+    assert np.isnan(phi[~visible]).all()
+    assert (np.abs(phi[visible]) <= np.pi / 2).all()
+
+
 def test_design_sector_reference_values():
     sec = db.design_sector(np.radians(-30.0), np.radians(30.0), 12e9, 18e9)
     assert sec.n_g_star == pytest.approx(2.5, abs=1e-12)

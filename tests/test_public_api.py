@@ -11,19 +11,19 @@ PUBLIC = [
     'CutoffReport', 'DmaDesign', 'DmaError', 'DomainError',
     'EnumerationLimitError', 'InvalidEstimateError', 'LinkBudget',
     'OperatingPoint', 'PhysicalConstants', 'RateComparison',
-    'Scenario', 'ScenarioError', 'SectorDesign', 'SingularityError',
+    'Scenario', 'ScenarioError', 'SectorDesign',
     'TrainingResult', 'TuningRangePoint', 'achievable_rate',
-    'angle_grid', 'array_cutoff_frequencies', 'array_gain',
+    'angle_grid', 'array_cutoff_frequencies',
     'array_gain_dma', 'attenuation_vector',
     'bandwidth_sweep', 'beamformer_weight', 'binary_mask_gain',
     'build_codebook', 'closed_form_gain', 'combined_phases',
     'compare_rates', 'crossover_angle', 'cutoff_frequencies',
     'dense_p_scan', 'design_sector', 'dirichlet_kernel', 'dirichlet_of_p',
-    'effective_channel', 'element_gain', 'enumerate_binary', 'fingerprint',
+    'effective_channel', 'enumerate_binary', 'fingerprint',
     'gain_at_estimate', 'grid_max_gain', 'load_scenario',
     'max_coverage_angle', 'normalized_product', 'optimal_operating_freq',
     'optimal_shifted_phases', 'parse_scenario', 'pilot_grid',
-    'polarizability', 'probe', 'psi_delta', 'rate_ttd',
+    'probe', 'psi_delta', 'rate_ttd',
     'received_psd', 'resonance_grid', 'resonant_from_shifted',
     'scenario_to_text', 'solve_p1a', 'solve_p4',
     'subcarrier_grid', 'training_layout', 'tuning_range_sweep',

@@ -33,6 +33,9 @@ budget.subcarriers = 32
 training.delta = 0.25
 sweep.bandwidths = 0.1, 0.2
 design.attenuation = on
+training.groups = 2
+design.d_y = 0.009
+design.n_g = 2.2
 """
     s = db.parse_scenario(text)
     assert db.parse_scenario(db.scenario_to_text(s)) == s

@@ -15,11 +15,13 @@ from .binary_tuning import BinarySolution
 from .core_model import CONSTANTS, DmaDesign
 from .errors import DomainError, EnumerationLimitError
 
+# The grid walk's cost is linear in N, but the cap stays: verify draws
+# the sizes of its reduced arrays up to it, so its output depends on it,
+# and the tests' plain enumeration of points^N sums reaches no further.
 GRID_MAX_ELEMENTS = 4
 GRID_MAX_POINTS = 400
 BINARY_MAX_ELEMENTS = 20
 MIN_SCAN_RESOLUTION = 10 ** 5
-_PAIR_BLOCK = 2 ** 16      # sums |a + b|^2 formed at once by grid_max_gain
 _SCAN_BLOCK = 2 ** 15      # points per block of dense_p_scan
 
 
@@ -104,36 +106,21 @@ def _edge_angles(polygon: np.ndarray) -> np.ndarray:
     return np.where(angles < 0.0, angles + 2.0 * np.pi, angles)
 
 
-def _minkowski_vertices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Candidates p_i + q_j that include every vertex of hull(A + B).
-
-    a and b are convex polygons, counter-clockwise from their lowest
-    vertices.  Walking both boundaries with their edges merged by polar
-    angle traces the boundary of the Minkowski sum (de Berg et al.,
-    Computational Geometry, ch. 13): at most |A| + |B| points, each one
-    sum of a vertex of A and a vertex of B.
-    """
-    order = np.argsort(np.concatenate([_edge_angles(a), _edge_angles(b)]),
-                       kind="stable")[:-1]
-    from_a = order < a.size
-    i = np.concatenate([[0], np.cumsum(from_a)]) % a.size
-    j = np.concatenate([[0], np.cumsum(~from_a)]) % b.size
-    return a[i] + b[j]
-
-
 def grid_max_gain(design: DmaDesign, phi: float, f_t: float,
                   grid_points_per_element: int) -> float:
     """Max gain over the full tensor grid of per-element resonances.
 
     Exact over all points^N combinations without enumerating them.  The
-    elements are split into two halves; the best combination pairs a
-    vertex of the hull of one half's partial-sum cloud with a vertex of
-    the other's (see _hull_prune).  Each element's cloud is the weight
-    cloud turned by its unit-modulus channel, so one weight hull serves
-    every element, and the hull of a two-element half comes from the
-    Minkowski sum of two convex polygons: at most 2 * points candidates
-    instead of points^2 partial sums.  The halves are then paired in
-    blocks of at most _PAIR_BLOCK sums.
+    best sum is a vertex of the hull of the sum of the N elements' clouds
+    (|z| is convex, so its maximum over a polygon sits at a vertex), and
+    that hull is the Minkowski sum of the clouds' hulls.  Each element's
+    cloud is the weight cloud turned by its unit-modulus channel, so one
+    weight hull serves every element.  Walking all N boundaries at once,
+    their edges merged by polar angle, traces the boundary of the
+    Minkowski sum (de Berg et al., Computational Geometry, ch. 13): at
+    most N * points candidates, each one sum of a vertex per element.  A
+    candidate is added up in two halves, (v_0 + v_1) + (v_2 + v_3) for
+    N = 4, so it is exactly one of the sums that plain enumeration forms.
     """
     n = design.n_elements
     if n > GRID_MAX_ELEMENTS:
@@ -148,37 +135,46 @@ def grid_max_gain(design: DmaDesign, phi: float, f_t: float,
     weights = _raw_weight(design, resonance_grid(design, f_t,
                                                  grid_points_per_element), f_t)
     hull = _hull_prune(weights)
-    h = _raw_channel(design, phi, f_t)
+    # Rotation keeps each polygon convex and counter-clockwise.
+    polygons = [_from_lowest(hull * h) for h in _raw_channel(design, phi, f_t)]
+    order = np.argsort(np.concatenate([_edge_angles(q) for q in polygons]),
+                       kind="stable")[:-1]
+    owner = np.repeat(np.arange(n), hull.size)[order]
+    # walk[i, k]: edges of polygon i taken in the first k steps.
+    walk = np.zeros((n, order.size + 1), dtype=np.intp)
+    np.cumsum(owner == np.arange(n)[:, None], axis=1, out=walk[:, 1:])
+    vertices = [q[k % q.size] for q, k in zip(polygons, walk)]
+    sums = sum(vertices[:n // 2], 0j) + sum(vertices[n // 2:], 0j)
+    return float(np.max(np.abs(sums) ** 2))
 
-    def half_hull(indices):
-        # Rotation keeps each polygon convex and counter-clockwise.
-        polygons = [_from_lowest(hull * h[i]) for i in indices]
-        if not polygons:
-            return np.zeros(1, dtype=complex)
-        if len(polygons) == 1:
-            return polygons[0]
-        return _minkowski_vertices(*polygons)
 
-    first = half_hull(range(n // 2))
-    second = half_hull(range(n // 2, n))
-    rows = max(1, _PAIR_BLOCK // second.size)
-    best = 0.0
-    for k in range(0, first.size, rows):
-        sums = first[k:k + rows, None] + second[None, :]
-        best = max(best, float(np.max(np.abs(sums) ** 2)))
-    return best
+def _scan_points(p_lo: float, p_hi: float, resolution: int,
+                 index: np.ndarray) -> np.ndarray:
+    """np.linspace(p_lo, p_hi, resolution)[index], formed by linspace's own
+    float operations (NumPy 2.x) without the rest of the grid."""
+    p = index.astype(float)
+    step = (p_hi - p_lo) / (resolution - 1)
+    if step == 0:           # linspace's branch for a step that underflows
+        p /= resolution - 1
+        p *= p_hi - p_lo
+    else:
+        p *= step
+    p += p_lo
+    p[index == resolution - 1] = p_hi
+    return p
 
 
 def dense_p_scan(design: DmaDesign, phi: float, resolution: int):
     """Uniform scan of |sin(pi N p) / sin(pi p)| over the reachable p range.
 
     Returns (p at the grid argmax, objective value there).  The grid is
-    evaluated in blocks of _SCAN_BLOCK points, so the temporaries stay
-    small, and only blocks that can hold the maximum are evaluated: as
-    |sin(pi N r)| <= 1, no point of a block exceeds 1 / sin(pi d), d the
-    distance of the block's p interval from the nearest integer (0 when
-    it holds one), inflated by 1e-9 for rounding; the bound is infinite
-    where the safe mask may set a point to N.  Blocks are visited by
+    np.linspace's, but its points are formed a block of _SCAN_BLOCK at a
+    time (see _scan_points), so no temporary holds more than one block,
+    and only blocks that can hold the maximum are formed: as |sin(pi N r)|
+    <= 1, no point of a block exceeds 1 / sin(pi d), d the distance of
+    the block's p interval from the nearest integer (0 when it holds
+    one), inflated by 1e-9 for rounding; the bound is infinite where the
+    safe mask may set a point to N.  Blocks are visited by
     descending bound, and the scan stops at the first one whose bound is
     below the best value.  A block replaces the best when its maximum is
     greater, or equal at a lower index, so ties keep the first index of
@@ -189,23 +185,25 @@ def dense_p_scan(design: DmaDesign, phi: float, resolution: int):
             f"resolution below {MIN_SCAN_RESOLUTION} defeats the purpose")
     n = design.n_elements
     scale = design.spacing * (design.refractive_index + np.sin(phi)) / CONSTANTS.c
-    p = np.linspace(design.f_min * scale, design.f_max * scale, resolution)
+    p_lo, p_hi = design.f_min * scale, design.f_max * scale
     # n_g >= 1, so p rises along the grid and each block spans [lo, hi].
     starts = np.arange(0, resolution, _SCAN_BLOCK)
-    lo = p[starts]
-    hi = p[np.minimum(starts + _SCAN_BLOCK, resolution) - 1]
+    lo = _scan_points(p_lo, p_hi, resolution, starts)
+    hi = _scan_points(p_lo, p_hi, resolution,
+                      np.minimum(starts + _SCAN_BLOCK, resolution) - 1)
     below = np.floor(lo)
     d = np.where(below + 1.0 <= hi, 0.0,
                  np.minimum(lo - below, below + 1.0 - hi))
     sin_d = np.sin(np.pi * d)
     bound = np.full(starts.size, np.inf)
     np.divide(1.0 + 1e-9, sin_d, out=bound, where=sin_d > 1e-12)
-    best_k, best = 0, -np.inf
+    best_k, best_p, best = 0, p_lo, -np.inf
     for b in np.argsort(-bound, kind="stable").tolist():
         if bound[b] < best:
             break
         start = b * _SCAN_BLOCK
-        block = p[start:start + _SCAN_BLOCK]
+        block = _scan_points(p_lo, p_hi, resolution, np.arange(
+            start, min(start + _SCAN_BLOCK, resolution)))
         # |S| has period 1 in p; reducing to r = p - round(p) (exact) keeps
         # the rounding of sin(pi N p) from being amplified by 1/sin(pi p)
         # near integer p, where it would push the objective above N.
@@ -222,8 +220,8 @@ def dense_p_scan(design: DmaDesign, phi: float, resolution: int):
         k = int(np.argmax(objective))
         if objective[k] > best or (objective[k] == best
                                    and start + k < best_k):
-            best_k, best = start + k, objective[k]
-    return float(p[best_k]), float(best)
+            best_k, best_p, best = start + k, block[k], objective[k]
+    return float(best_p), float(best)
 
 
 def enumerate_binary(design: DmaDesign, phi: float, f_c: float) -> BinarySolution:

@@ -1,7 +1,7 @@
 """Shared fixtures: the reference waveguide, its stacked array, and
 independent scalar references for configured gains, the closed-form
-solver and the planner, and the per-block weight loop of the array gain
-kernel."""
+solver and the planner, the per-block weight loop of the array gain
+kernel, the unblocked dense scan and the paired-halves grid search."""
 
 import dataclasses
 
@@ -211,3 +211,43 @@ def _reference_dense_p_scan(design, phi, resolution):
 def reference_dense_p_scan():
     """The unblocked dense scan the blocked one must match."""
     return _reference_dense_p_scan
+
+
+def _reference_grid_max_gain(design, phi, f_t, points):
+    """The grid oracle's maximum by pairing two half walks.
+
+    Each half's candidates come from the two-polygon Minkowski walk of
+    its elements' rotated weight hulls (the hull itself for one element,
+    the origin for none), and every candidate of one half is added to
+    every candidate of the other: up to 400^2 sums at P = 200.  Each sum
+    is (v_0 + v_1) + (v_2 + v_3) for N = 4, as the single walk adds it.
+    """
+    from dmabeam.oracle import (_edge_angles, _from_lowest, _hull_prune,
+                                _raw_channel, _raw_weight)
+    n = design.n_elements
+    hull = _hull_prune(_raw_weight(
+        design, db.resonance_grid(design, f_t, points), f_t))
+    h = _raw_channel(design, phi, f_t)
+
+    def half(indices):
+        polygons = [_from_lowest(hull * h[i]) for i in indices]
+        if not polygons:
+            return np.zeros(1, dtype=complex)
+        if len(polygons) == 1:
+            return polygons[0]
+        a, b = polygons
+        order = np.argsort(np.concatenate([_edge_angles(a), _edge_angles(b)]),
+                           kind="stable")[:-1]
+        from_a = order < a.size
+        i = np.concatenate([[0], np.cumsum(from_a)]) % a.size
+        j = np.concatenate([[0], np.cumsum(~from_a)]) % b.size
+        return a[i] + b[j]
+
+    sums = np.add.outer(half(range(n // 2)), half(range(n // 2, n)))
+    return float(np.max(np.abs(sums) ** 2))
+
+
+@pytest.fixture(scope="session")
+def reference_grid_max_gain():
+    """The all-pairs search of two half walks the single walk must match."""
+    return _reference_grid_max_gain

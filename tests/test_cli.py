@@ -563,6 +563,24 @@ def test_verify_scan_line_is_pinned(tmp_path, capsys, text, detail):
         == {"pass": True, "detail": detail}
 
 
+# The grid line as the paired-halves search printed it: the walk must
+# find the same maximum on every draw, infeasible draws skipped alike.
+@pytest.mark.parametrize("text, detail", [
+    ("", "worst relative gap 1.646e-04"),
+    ("design.q_factor = 1\n", "worst relative gap 8.060e-05; "
+     "5 of 20 draws infeasible, skipped"),
+])
+def test_verify_grid_line_is_pinned(tmp_path, capsys, text, detail):
+    path = tmp_path / "grid.scn"
+    path.write_text(text)
+    out = str(tmp_path / "run")
+    assert run_cli("verify", "--scenario", str(path), "--out", out) == 0
+    assert f"PASS  closed form vs resonance grid  ({detail})\n" \
+        in capsys.readouterr().out
+    assert read_summary(out)["verify"]["closed form vs resonance grid"] \
+        == {"pass": True, "detail": detail}
+
+
 def test_verify_runs_on_a_band_narrower_than_two_ghz(tmp_path, capsys):
     """The closed-form draws keep a sixth of a 1 GHz band off each edge,
     where a fixed 1 GHz margin left no room to draw from."""

@@ -76,9 +76,10 @@ def test_grid_oracle_enforces_its_caps():
 def _enumerated_max_gain(design, phi, f_t, points):
     """max |sum_n w_n h_n|^2 over all points^N resonance choices at once.
 
-    The elements are added in the oracle's two halves, (w_0 h_0 + w_1 h_1)
-    + (w_2 h_2 + w_3 h_3) for N = 4, so each combination's sum is the
-    same float as the oracle's and its maximum can never lie above this.
+    The elements are added in two halves, (w_0 h_0 + w_1 h_1) + (w_2 h_2
+    + w_3 h_3) for N = 4, as the oracle adds each candidate of its walk,
+    so every candidate is one of these floats and the oracle's maximum
+    can never lie above this one.
     """
     n = design.n_elements
     w = _raw_weight(design, db.resonance_grid(design, f_t, points), f_t)
@@ -94,16 +95,12 @@ def _enumerated_max_gain(design, phi, f_t, points):
     return float(np.max(np.abs(total) ** 2))
 
 
-@pytest.mark.parametrize("pair_block", [oracle._PAIR_BLOCK, 40])
 @pytest.mark.parametrize("attenuation", [None, 3.0])
 @pytest.mark.parametrize("q", [50.0, 1.0])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_grid_oracle_matches_plain_enumeration(n, q, attenuation, pair_block,
-                                               monkeypatch):
-    """The hull search returns the enumerated maximum over every grid,
-    down to P = 2, where each element's hull is a two-point segment.  A
-    block of 40 sums splits the pairing of the halves into many blocks."""
-    monkeypatch.setattr(oracle, "_PAIR_BLOCK", pair_block)
+def test_grid_oracle_matches_plain_enumeration(n, q, attenuation):
+    """The hull walk returns the enumerated maximum over every grid,
+    down to P = 2, where each element's hull is a two-point segment."""
     design = dataclasses.replace(small_design(n), attenuation=attenuation,
                                  damping=2 * np.pi * F_C / q)
     rng = np.random.default_rng(n * 100 + int(q))
@@ -114,6 +111,26 @@ def test_grid_oracle_matches_plain_enumeration(n, q, attenuation, pair_block,
         full = _enumerated_max_gain(design, phi, f_t, points)
         assert grid <= full
         assert (full - grid) / full <= 1e-12
+
+
+@pytest.mark.parametrize("attenuation", [None, 3.0])
+@pytest.mark.parametrize("q", [50.0, 1.0])
+@pytest.mark.parametrize("n", [3, 4])
+def test_grid_walk_matches_the_paired_halves_at_verify_size(
+        n, q, attenuation, reference_grid_max_gain):
+    """At verify's P = 200, past the reach of plain enumeration, the one
+    walk over all N polygons keeps the maximum of every pair of the two
+    half walks' candidates; its own candidates are among those pairs."""
+    design = dataclasses.replace(small_design(n), attenuation=attenuation,
+                                 damping=2 * np.pi * F_C / q)
+    rng = np.random.default_rng(n * 1000 + int(q))
+    for _ in range(20):
+        phi = rng.uniform(-np.pi / 3, np.pi / 3)
+        f_t = rng.uniform(12.5e9, 17.5e9)
+        grid = db.grid_max_gain(design, phi, f_t, 200)
+        paired = reference_grid_max_gain(design, phi, f_t, 200)
+        assert grid <= paired
+        assert (paired - grid) / paired <= 1e-12
 
 
 def test_hull_pruning_is_lossless():
@@ -274,6 +291,44 @@ def test_pruned_scan_equals_the_full_scan(n, n_g, d_y, f_min, span, phi_deg,
     resolution = oracle.MIN_SCAN_RESOLUTION + extra
     assert db.dense_p_scan(design, phi, resolution) \
         == reference_dense_p_scan(design, phi, resolution)
+
+
+@pytest.mark.parametrize("resolution", [10 ** 5, 10 ** 5 + 7, 10 ** 6])
+def test_scan_points_equal_linspace(design, resolution):
+    """The lazily formed points, block ends and the last point p_hi among
+    them, equal np.linspace bit for bit, and the scan returns one of
+    them.  On [0.2, 0.9] index * step + p_lo misses p_hi at the last
+    point, and a step that underflows to zero takes linspace's other
+    branch."""
+    from dmabeam.oracle import _scan_points
+    index = np.arange(resolution)
+    for phi_deg in (-18.0, -5.0, 10.0, 45.0):
+        phi = np.radians(phi_deg)
+        scale = design.spacing * (design.refractive_index + np.sin(phi)) \
+            / db.CONSTANTS.c
+        p_lo, p_hi = design.f_min * scale, design.f_max * scale
+        grid = np.linspace(p_lo, p_hi, resolution)
+        np.testing.assert_array_equal(
+            _scan_points(p_lo, p_hi, resolution, index), grid, strict=True)
+        p, _ = db.dense_p_scan(design, phi, resolution)
+        assert p == grid[np.searchsorted(grid, p)]
+    for p_lo, p_hi in ((0.2, 0.9), (0.0, 0.0), (0.0, 5e-324)):
+        np.testing.assert_array_equal(
+            _scan_points(p_lo, p_hi, resolution, index),
+            np.linspace(p_lo, p_hi, resolution), strict=True)
+
+
+def test_dense_scan_never_holds_the_whole_grid(design):
+    """One 10^6-point scan allocates a few blocks of 2^15 points at a
+    time, not the 8 MB grid."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        db.dense_p_scan(design, np.radians(-18.0), 10 ** 6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2 ** 20
 
 
 def test_dense_scan_resolution_floor(design):

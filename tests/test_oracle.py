@@ -95,15 +95,17 @@ def _enumerated_max_gain(design, phi, f_t, points):
     return float(np.max(np.abs(total) ** 2))
 
 
+@pytest.mark.parametrize("seed", [65536, 40])
 @pytest.mark.parametrize("attenuation", [None, 3.0])
 @pytest.mark.parametrize("q", [50.0, 1.0])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_grid_oracle_matches_plain_enumeration(n, q, attenuation):
+def test_grid_oracle_matches_plain_enumeration(n, q, attenuation, seed):
     """The hull walk returns the enumerated maximum over every grid,
-    down to P = 2, where each element's hull is a two-point segment."""
+    down to P = 2, where each element's hull is a two-point segment.
+    Each case runs on two independent draws of (phi, f_t)."""
     design = dataclasses.replace(small_design(n), attenuation=attenuation,
                                  damping=2 * np.pi * F_C / q)
-    rng = np.random.default_rng(n * 100 + int(q))
+    rng = np.random.default_rng((seed, n * 100 + int(q)))
     for points in (2, 3, 7, 12):
         phi = rng.uniform(-1.0, 1.0)
         f_t = rng.uniform(12.5e9, 17.5e9)

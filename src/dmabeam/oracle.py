@@ -15,9 +15,9 @@ from .binary_tuning import BinarySolution
 from .core_model import CONSTANTS, DmaDesign
 from .errors import DomainError, EnumerationLimitError
 
-# The grid walk's cost is linear in N, but the cap stays: verify draws
-# the sizes of its reduced arrays up to it, so its output depends on it,
-# and the tests' plain enumeration of points^N sums reaches no further.
+# The grid walk's cost grows as N^2 * points (N * points candidates of N
+# vertices each).  The cap stays for verify, which draws its reduced
+# arrays' sizes up to it, and the tests' plain enumeration of points^N.
 GRID_MAX_ELEMENTS = 4
 GRID_MAX_POINTS = 400
 BINARY_MAX_ELEMENTS = 20
@@ -53,6 +53,11 @@ def resonance_grid(design: DmaDesign, f_t: float, points: int) -> np.ndarray:
     practical size skips straight past the high-gain configurations.  It
     spans the arc (-pi + atan(Gamma / (2 pi f_t)), 0) that resonances in
     (0, inf) reach at f_t, endpoints excluded, as a low-Q guide needs.
+
+    Each weight lies on the circle |w + j/2| = 1/2 at the angle
+    2 psi + pi / 2 about its centre, so the grid's weights are uniform
+    in that angle over less than a turn, counter-clockwise in grid
+    order: every one is a vertex of the convex polygon they form.
     """
     lo = -np.pi + np.arctan(design.damping / (2.0 * np.pi * f_t))
     psi = np.linspace(lo, 0.0, points + 2)[1:-1]
@@ -71,34 +76,6 @@ def _from_lowest(polygon: np.ndarray) -> np.ndarray:
     return np.roll(polygon, -start)
 
 
-def _hull_prune(sums: np.ndarray) -> np.ndarray:
-    """Convex-hull vertices of a cloud of points, counter-clockwise from
-    the lowest one (Andrew's monotone chain; collinear points dropped).
-
-    The maximum of |a + b| over two finite clouds is always attained with
-    both a and b on their hulls (for fixed b, |a + b| is the distance of a
-    from -b, maximized at a hull vertex of the a-cloud, and vice versa),
-    so pruning loses nothing.
-    """
-    pts = np.unique(sums)           # sorted by real part, then imaginary
-    if pts.size < 3:
-        return _from_lowest(pts)
-    pts = pts.tolist()
-
-    def chain(points):
-        # Im(conj(u) v) > 0 when v turns left of u.
-        kept = []
-        for p in points:
-            while len(kept) >= 2 and ((kept[-1] - kept[-2]).conjugate()
-                                      * (p - kept[-2])).imag <= 0.0:
-                kept.pop()
-            kept.append(p)
-        return kept[:-1]
-
-    hull = np.array(chain(pts) + chain(pts[::-1]), dtype=complex)
-    return _from_lowest(hull)
-
-
 def _edge_angles(polygon: np.ndarray) -> np.ndarray:
     """Polar angles in [0, 2 pi) of a polygon's edges, the closing one last."""
     edges = np.roll(polygon, -1) - polygon
@@ -113,14 +90,16 @@ def grid_max_gain(design: DmaDesign, phi: float, f_t: float,
     Exact over all points^N combinations without enumerating them.  The
     best sum is a vertex of the hull of the sum of the N elements' clouds
     (|z| is convex, so its maximum over a polygon sits at a vertex), and
-    that hull is the Minkowski sum of the clouds' hulls.  Each element's
-    cloud is the weight cloud turned by its unit-modulus channel, so one
-    weight hull serves every element.  Walking all N boundaries at once,
-    their edges merged by polar angle, traces the boundary of the
-    Minkowski sum (de Berg et al., Computational Geometry, ch. 13): at
-    most N * points candidates, each one sum of a vertex per element.  A
-    candidate is added up in two halves, (v_0 + v_1) + (v_2 + v_3) for
-    N = 4, so it is exactly one of the sums that plain enumeration forms.
+    that hull is the Minkowski sum of the N polygons formed by the weight
+    grid turned by each element's unit-modulus channel.  Every grid point
+    is a vertex, in walk order: the points lie on one circle, uniform in
+    2 psi + pi / 2 and counter-clockwise in grid order (see
+    resonance_grid).  Walking all N boundaries at once, their edges
+    merged by polar angle, traces the boundary of the Minkowski sum
+    (de Berg et al., Computational Geometry, ch. 13): at most N * points
+    candidates, each one sum of a vertex per element.  A candidate is
+    added up in two halves, (v_0 + v_1) + (v_2 + v_3) for N = 4, so it
+    is exactly one of the sums that plain enumeration forms.
     """
     n = design.n_elements
     if n > GRID_MAX_ELEMENTS:
@@ -134,12 +113,12 @@ def grid_max_gain(design: DmaDesign, phi: float, f_t: float,
 
     weights = _raw_weight(design, resonance_grid(design, f_t,
                                                  grid_points_per_element), f_t)
-    hull = _hull_prune(weights)
     # Rotation keeps each polygon convex and counter-clockwise.
-    polygons = [_from_lowest(hull * h) for h in _raw_channel(design, phi, f_t)]
+    polygons = [_from_lowest(weights * h)
+                for h in _raw_channel(design, phi, f_t)]
     order = np.argsort(np.concatenate([_edge_angles(q) for q in polygons]),
                        kind="stable")[:-1]
-    owner = np.repeat(np.arange(n), hull.size)[order]
+    owner = np.repeat(np.arange(n), weights.size)[order]
     # walk[i, k]: edges of polygon i taken in the first k steps.
     walk = np.zeros((n, order.size + 1), dtype=np.intp)
     np.cumsum(owner == np.arange(n)[:, None], axis=1, out=walk[:, 1:])

@@ -217,20 +217,20 @@ def _reference_grid_max_gain(design, phi, f_t, points):
     """The grid oracle's maximum by pairing two half walks.
 
     Each half's candidates come from the two-polygon Minkowski walk of
-    its elements' rotated weight hulls (the hull itself for one element,
-    the origin for none), and every candidate of one half is added to
-    every candidate of the other: up to 400^2 sums at P = 200.  Each sum
-    is (v_0 + v_1) + (v_2 + v_3) for N = 4, as the single walk adds it.
+    its elements' rotated grid weights (the polygon itself for one
+    element, the origin for none), and every candidate of one half is
+    added to every candidate of the other: up to 400^2 sums at P = 200.
+    Each sum is (v_0 + v_1) + (v_2 + v_3) for N = 4, as the single walk
+    adds it.
     """
-    from dmabeam.oracle import (_edge_angles, _from_lowest, _hull_prune,
-                                _raw_channel, _raw_weight)
+    from dmabeam.oracle import (_edge_angles, _from_lowest, _raw_channel,
+                                _raw_weight)
     n = design.n_elements
-    hull = _hull_prune(_raw_weight(
-        design, db.resonance_grid(design, f_t, points), f_t))
+    weights = _raw_weight(design, db.resonance_grid(design, f_t, points), f_t)
     h = _raw_channel(design, phi, f_t)
 
     def half(indices):
-        polygons = [_from_lowest(hull * h[i]) for i in indices]
+        polygons = [_from_lowest(weights * h[i]) for i in indices]
         if not polygons:
             return np.zeros(1, dtype=complex)
         if len(polygons) == 1:

@@ -100,8 +100,8 @@ def _enumerated_max_gain(design, phi, f_t, points):
 @pytest.mark.parametrize("q", [50.0, 1.0])
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_grid_oracle_matches_plain_enumeration(n, q, attenuation, seed):
-    """The hull walk returns the enumerated maximum over every grid,
-    down to P = 2, where each element's hull is a two-point segment.
+    """The polygon walk returns the enumerated maximum over every grid,
+    down to P = 2, where each element's polygon is a two-point segment.
     Each case runs on two independent draws of (phi, f_t)."""
     design = dataclasses.replace(small_design(n), attenuation=attenuation,
                                  damping=2 * np.pi * F_C / q)
@@ -135,38 +135,29 @@ def test_grid_walk_matches_the_paired_halves_at_verify_size(
         assert (paired - grid) / paired <= 1e-12
 
 
-def test_hull_pruning_is_lossless():
-    """max |a + b| over two clouds survives pruning either cloud."""
-    from dmabeam.oracle import _hull_prune
-    rng = np.random.default_rng(17)
-    for _ in range(5):
-        cloud = rng.normal(size=4000) + 1j * rng.normal(size=4000)
-        pruned = _hull_prune(cloud)
-        assert pruned.size < cloud.size
-        probes = rng.normal(size=20) + 1j * rng.normal(size=20)
-        for z in probes:
-            full = np.abs(cloud + z).max()
-            kept = np.abs(pruned + z).max()
-            assert kept == pytest.approx(full, rel=1e-12)
-
-
-def test_hull_vertices_run_counter_clockwise_from_the_lowest():
-    from dmabeam.oracle import _hull_prune
-    rng = np.random.default_rng(5)
-    cloud = rng.normal(size=500) + 1j * rng.normal(size=500)
-    hull = _hull_prune(cloud)
-    assert hull[0] == cloud[np.argmin(cloud.imag)]
-    edges = np.roll(hull, -1) - hull
-    turns = (edges * np.conj(np.roll(edges, 1))).imag
-    assert np.all(turns > 0)
-    # Degenerate clouds: a segment, repeated points, a single point.
-    np.testing.assert_array_equal(_hull_prune(np.array([2 + 1j, 0j, 1 + 0.5j])),
-                                  [0j, 2 + 1j])
-    np.testing.assert_array_equal(_hull_prune(np.array([1j, 1j])), [1j])
+@pytest.mark.parametrize("q", [0.1, 1.0, 50.0, 1e6])
+@pytest.mark.parametrize("points", [2, 3, 50, 200, 400])
+def test_grid_weights_run_counter_clockwise_from_the_lowest(points, q):
+    """What the grid walk takes on trust: in grid order the weights turn
+    strictly left at every vertex, and _from_lowest starts them at the
+    least-imaginary one, from where the edge angles rise.  At P = 2 the
+    polygon is a two-point segment, which turns back on itself."""
+    from dmabeam.oracle import _edge_angles, _from_lowest, _raw_weight
+    design = dataclasses.replace(small_design(4), damping=2 * np.pi * F_C / q)
+    rng = np.random.default_rng((points, int(10 * q)))
+    for f_t in rng.uniform(12.5e9, 17.5e9, size=10):
+        w = _raw_weight(design, db.resonance_grid(design, f_t, points), f_t)
+        if points > 2:
+            edges = np.roll(w, -1) - w
+            assert np.all((edges * np.conj(np.roll(edges, 1))).imag > 0)
+        polygon = _from_lowest(w)
+        np.testing.assert_array_equal(
+            polygon, np.roll(w, -int(np.argmin(w.imag))))
+        assert np.all(np.diff(_edge_angles(polygon)) > 0)
 
 
 def test_grid_oracle_leaves_scipy_spatial_unloaded():
-    """The hull is NumPy and Python: a four-element grid loads no Qhull."""
+    """The walk is NumPy and Python: a four-element grid loads no Qhull."""
     code = ("import sys, numpy as np, dmabeam as db; "
             "d = db.DmaDesign(n_elements=4, spacing=1 / 120, "
             "refractive_index=2.5, damping=2 * np.pi * 15e9 / 50, "

@@ -30,10 +30,14 @@ NEWTON_STEPS = 6     # Newton steps per sidelobe top, from the lobe middle
 
 
 class CoverageAngle(NamedTuple):
-    """Maximum steerable angle and whether the arcsin argument saturated."""
+    """Maximum steerable angle and whether the arcsin argument saturated.
 
-    angle: float
-    saturated: bool
+    For an array of tuning ranges each field is an array with one entry
+    per range.
+    """
+
+    angle: float | np.ndarray
+    saturated: bool | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -175,17 +179,22 @@ def design_sector(phi_lower: float, phi_upper: float, f_min: float,
     return SectorDesign(n_g_star=float(n_g), d_y_star=float(d_y))
 
 
-def max_coverage_angle(n_g_max: float, tuning_range: float,
+def max_coverage_angle(n_g_max: float, tuning_range,
                        f_c: float) -> CoverageAngle:
     """Largest steerable angle from broadside for a given tuning range.
 
     phi_max = arcsin(n_g_max T_r / (2 f_c)); when the argument exceeds 1
     the whole front half-space is reachable and the result saturates at
-    pi/2.
+    pi/2.  A scalar ``tuning_range`` gives a float and a bool, an array
+    one angle and one flag per range.
     """
-    if n_g_max <= 0 or tuning_range < 0 or f_c <= 0:
+    tuning_range = np.asarray(tuning_range, dtype=float)
+    if n_g_max <= 0 or np.any(tuning_range < 0) or f_c <= 0:
         raise DomainError("arguments must be positive (tuning_range >= 0)")
     arg = n_g_max * tuning_range / (2.0 * f_c)
-    if arg > 1.0:
-        return CoverageAngle(angle=float(np.pi / 2.0), saturated=True)
-    return CoverageAngle(angle=float(np.arcsin(arg)), saturated=False)
+    saturated = arg > 1.0
+    angle = np.where(saturated, np.pi / 2.0,
+                     np.arcsin(np.minimum(arg, 1.0)))
+    if angle.ndim == 0:
+        return CoverageAngle(angle=float(angle), saturated=bool(saturated))
+    return CoverageAngle(angle=angle, saturated=saturated)

@@ -234,8 +234,7 @@ def tuning_range_sweep(template: DmaDesign, n_dmas: int, n_g_max: float,
     90 deg, which no codebook can cover, before any range is computed.
     """
     f_c = 0.5 * (template.f_min + template.f_max)
-    reach = [max_coverage_angle(n_g_max, t_r, f_c).angle
-             for t_r in tuning_ranges]
+    reach = max_coverage_angle(n_g_max, tuning_ranges, f_c).angle.tolist()
     for t_r, phi_max in zip(tuning_ranges, reach):
         if phi_max >= np.pi / 2.0:   # saturated, or exactly on the boundary
             raise CoverageInfeasibleError(

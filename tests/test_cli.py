@@ -890,3 +890,19 @@ def test_threads_flag_is_rejected(scn, tmp_path):
         run_cli("design", "--scenario", scn,
                 "--out", str(tmp_path / "x"), "--threads", "1")
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], [], ["bogus"], ["rate", "--bogus"], ["rate", "--help"],
+    ["train", "--phi", "x"], ["verify", "extra"]],
+    ids=lambda argv: "-".join(argv).strip("-") or "none")
+def test_one_command_parser_reads_as_the_full_parser(argv, capsys):
+    """main builds only the named command's parser; its help, errors and
+    exit codes are those of the parser holding all seven commands."""
+    outcomes = []
+    for parse in (cli.main, lambda a: cli.build_parser().parse_args(a)):
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        outcomes.append((capsys.readouterr(), exc.value.code))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] == (0 if "--help" in argv else 2)

@@ -263,6 +263,24 @@ def test_max_coverage_angle_saturates():
     assert cov.angle == pytest.approx(np.pi / 2, abs=1e-12)
 
 
+def test_max_coverage_angle_takes_an_array_of_tuning_ranges():
+    """One call per array gives each range's scalar result bit for bit,
+    saturated ranges and a zero range included."""
+    ranges = np.linspace(0.0, 1.2, 101) * 15e9
+    cov = db.max_coverage_angle(2.5, ranges, 15e9)
+    scalar = [db.max_coverage_angle(2.5, t, 15e9) for t in ranges.tolist()]
+    assert isinstance(scalar[0].angle, float)
+    assert isinstance(scalar[0].saturated, bool)
+    np.testing.assert_array_equal(cov.angle, [c.angle for c in scalar],
+                                  strict=True)
+    np.testing.assert_array_equal(cov.saturated,
+                                  [c.saturated for c in scalar])
+    assert cov.saturated.any() and not cov.saturated.all()
+    assert np.all(cov.angle[cov.saturated] == np.pi / 2)
+    with pytest.raises(db.DomainError):
+        db.max_coverage_angle(2.5, np.array([1e9, -1.0]), 15e9)
+
+
 def test_max_coverage_angle_grows_with_tuning_range():
     angles = [db.max_coverage_angle(2.5, t, 15e9).angle
               for t in (1e9, 2e9, 4e9, 6e9)]

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dmabeam as db
@@ -207,7 +207,7 @@ def _dyadic_design(n, p_min, p_max):
 
 def test_dense_scan_finds_a_maximum_in_the_last_partial_block(
         reference_dense_p_scan):
-    """p = 1 is the last of 100,001 points: block 4 holds only 1,697."""
+    """p = 1 is the last of 100,001 points: block 24 holds only 1,697."""
     resolution = 100_001
     assert resolution % oracle._SCAN_BLOCK != 0
     design = _dyadic_design(5, 0.25, 1.0)
@@ -271,6 +271,18 @@ def test_pruned_scan_bounds_a_block_by_its_end_nearest_an_integer(
        d_y=st.floats(0.002, 0.03), f_min=st.floats(1.0, 30.0),
        span=st.floats(0.1, 20.0), phi_deg=st.floats(-90.0, 90.0),
        extra=st.integers(0, 7))
+# The bound's own branches: N = 1 keeps 1 / sin(pi d), N = 2 has no
+# sidelobe past 1/N, N = 3 the first floor 1 / sin(pi / N).
+@example(n=1, n_g=2.5, d_y=1 / 120, f_min=12.0, span=6.0, phi_deg=-18.0,
+         extra=0)
+@example(n=2, n_g=2.5, d_y=1 / 120, f_min=12.0, span=6.0, phi_deg=-5.0,
+         extra=1)
+@example(n=3, n_g=2.5, d_y=1 / 120, f_min=12.0, span=6.0, phi_deg=10.0,
+         extra=2)
+# p in [0.64, 0.96]: the band holds no integer; the blocks within 1/8 of
+# p = 1 take the mainlobe bound, the others 1 / sin(pi d).
+@example(n=8, n_g=2.5, d_y=0.0073, f_min=12.0, span=6.0, phi_deg=-18.0,
+         extra=3)
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 def test_pruned_scan_equals_the_full_scan(n, n_g, d_y, f_min, span, phi_deg,
                                           extra, reference_dense_p_scan):
@@ -284,6 +296,54 @@ def test_pruned_scan_equals_the_full_scan(n, n_g, d_y, f_min, span, phi_deg,
     resolution = oracle.MIN_SCAN_RESOLUTION + extra
     assert db.dense_p_scan(design, phi, resolution) \
         == reference_dense_p_scan(design, phi, resolution)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 64, 128])
+def test_block_bound_holds_over_the_rest_of_the_period(n):
+    """The bound at d is at least |D_N(r)| for every d <= |r| <= 1/2, D_N
+    summed as its cosines, on a dense grid of r.  It is never above
+    1 / sin(pi d), and for N >= 3 below it within 1/N, bar d = 1 / 2N,
+    where |sin(pi N d)| = 1."""
+    dists = np.array([0.0, 1e-13, 1e-6, 0.25 / n, 0.5 / n, 0.9 / n,
+                      0.99 / n, 1.0 / n, 1.01 / n, 1.5 / n, 2.5 / n, 0.3,
+                      0.49, 0.5])
+    dists = np.unique(dists[dists <= 0.5])
+    bound = oracle._block_bound(n, dists)
+    assert bound.shape == dists.shape
+    m = n - 1 - 2 * np.arange(n)
+    for d, b in zip(dists.tolist(), bound.tolist()):
+        r = np.linspace(d, 0.5, 20001)
+        kernel = np.abs(np.cos(np.pi * np.outer(r, m)).sum(axis=1))
+        assert kernel.max() <= b, (d, kernel.max(), b)
+        if d > 1e-12:
+            old = (1.0 + 1e-9) / np.sin(np.pi * d)
+            assert b <= old * (1.0 + 1e-15)
+            if n >= 3 and d < 1.0 / n and d != 0.5 / n:
+                assert b < old * (1.0 - 1e-6)
+    assert np.isinf(bound[dists < 1e-12]).all()
+
+
+def test_dense_scan_forms_one_block_at_verify_angles(monkeypatch):
+    """On the reference design the planner check's three bands each hold
+    p = 1: the block holding it bounds out every other one."""
+    from dmabeam import cli
+    design, _ = cli._resolve(db.Scenario())
+    formed = []
+    scan_points = oracle._scan_points
+
+    def counting(p_lo, p_hi, resolution, index):
+        # A formed block is a run of consecutive indices; the block ends
+        # step by _SCAN_BLOCK.
+        if index.size > 1 and np.all(np.diff(index) == 1):
+            formed.append(index.size)
+        return scan_points(p_lo, p_hi, resolution, index)
+
+    monkeypatch.setattr(oracle, "_scan_points", counting)
+    for phi_deg in (-18.0, -5.0, 10.0):
+        formed.clear()
+        _, objective = db.dense_p_scan(design, np.radians(phi_deg), 10 ** 6)
+        assert objective == pytest.approx(design.n_elements, rel=1e-9)
+        assert formed == [oracle._SCAN_BLOCK], phi_deg
 
 
 @pytest.mark.parametrize("resolution", [10 ** 5, 10 ** 5 + 7, 10 ** 6])
@@ -312,8 +372,8 @@ def test_scan_points_equal_linspace(design, resolution):
 
 
 def test_dense_scan_never_holds_the_whole_grid(design):
-    """One 10^6-point scan allocates a few blocks of 2^15 points at a
-    time, not the 8 MB grid."""
+    """One 10^6-point scan allocates a few blocks of _SCAN_BLOCK points at
+    a time, not the 8 MB grid."""
     import tracemalloc
     tracemalloc.start()
     try:

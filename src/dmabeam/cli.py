@@ -61,32 +61,23 @@ _INFEASIBLE = (CoverageInfeasibleError, CutoffError, InvalidEstimateError)
 
 # ----------------------------------------------------------------- plumbing
 
-def _cells(column) -> list:
-    """A table column's cells as text: an integer column as integers,
-    any other with 12 significant digits."""
-    if column.dtype.kind in "iu":
-        return [str(x) for x in column.tolist()]
-    return [f"{x:.11e}" for x in column.tolist()]
-
-
-def _table_text(fp: str, columns, cells, fmt: str) -> str:
-    """The text of a table from its columns' cells, in ``fmt``."""
+def _write_table(path: str, fp: str, columns, data, fmt: str) -> None:
+    """Write a table given as one 1-d array per column.  Its data lines
+    come from one % operation: %d per integer column, %.11e (12
+    significant digits) per other."""
+    spec = ",".join("%d" if col.dtype.kind in "iu" else "%.11e"
+                    for col in data)
+    lines = (spec + "\n") * len(data[0]) % tuple(
+        [cell for row in zip(*[col.tolist() for col in data]) for cell in row])
     if fmt == "json":
         payload = {
             "scenario": fp,
             "columns": list(columns),
-            "rows": [list(row) for row in zip(*cells)],
+            "rows": [line.split(",") for line in lines.splitlines()],
         }
-        return json.dumps(payload, indent=2) + "\n"
-    lines = [f"# scenario = {fp}", ",".join(columns)]
-    lines += map(",".join, zip(*cells))
-    return "\n".join(lines) + "\n"
-
-
-def _write_table(path: str, fp: str, columns, data, fmt: str) -> None:
-    """Write a table given as one 1-d array per column, formatting each
-    column at once; the cells are freed before the text is written."""
-    text = _table_text(fp, columns, [_cells(col) for col in data], fmt)
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        text = f"# scenario = {fp}\n{','.join(columns)}\n{lines}"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 
@@ -459,22 +450,26 @@ def cmd_verify(design: DmaDesign, resolved: Scenario, args) -> CommandResult:
             f"configured N_y = {design.n_elements} checked via reduced "
             f"arrays\n")
     rng = np.random.default_rng(12345)
-    gaps = []
     # The draws keep 1 GHz off the band edges, less on a band narrower
     # than 6 GHz.  An infeasible draw is skipped, not redrawn: the rng
     # stream, and with it the binary check's angles, stay fixed.
     margin = min(1e9, (design.f_max - design.f_min) / 6.0)
-    for _ in range(20):
-        n = int(rng.integers(
-            1, min(GRID_MAX_ELEMENTS, design.n_elements) + 1))
-        phi = rng.uniform(-np.pi / 3, np.pi / 3)
-        f_t = rng.uniform(design.f_min + margin, design.f_max - margin)
+    top = min(GRID_MAX_ELEMENTS, design.n_elements)
+    draws = [(int(rng.integers(1, top + 1)),
+              rng.uniform(-np.pi / 3, np.pi / 3),
+              rng.uniform(design.f_min + margin, design.f_max - margin))
+             for _ in range(20)]
+    sizes, phis, f_ts = (np.array(column) for column in zip(*draws))
+    gaps = []
+    # One solve and one grid walk per reduced-array size.
+    for n in sorted(set(sizes.tolist())):
+        pick = sizes == n
         sub = dataclasses.replace(design, n_elements=n)
-        closed = solve_p1a(sub, phi, f_t)
-        if not closed.feasible:
-            continue
-        grid = grid_max_gain(sub, phi, f_t, 200)
-        gaps.append((closed.gain - grid) / closed.gain)
+        closed = solve_p1a(sub, phis[pick], f_ts[pick])
+        ok = closed.feasible
+        grid = grid_max_gain(sub, phis[pick][ok], f_ts[pick][ok], 200)
+        gain = closed.gain[ok]
+        gaps += ((gain - grid) / gain).tolist()
     detail = f"worst relative gap {max(gaps):.3e}" if gaps else "no draw compared"
     if len(gaps) < 20:
         detail += f"; {20 - len(gaps)} of 20 draws infeasible, skipped"
@@ -486,13 +481,14 @@ def cmd_verify(design: DmaDesign, resolved: Scenario, args) -> CommandResult:
     # ties every p.  The scan may not beat the planner's |S|, and falls
     # short by at most the slope bound pi N^2 times one scan step.
     scan_ok, scan_detail = True, []
-    for phi_deg in (-18.0, -5.0, 10.0):
-        phi = float(np.radians(phi_deg))
-        op = optimal_operating_freq(design, phi)
+    scan_degs = (-18.0, -5.0, 10.0)
+    scan_phis = np.radians(scan_degs)
+    planned = optimal_operating_freq(design, scan_phis).gain.tolist()
+    for phi_deg, phi, gain in zip(scan_degs, scan_phis.tolist(), planned):
         _, objective = dense_p_scan(design, phi, 10 ** 6)
         step = design.spacing * (design.refractive_index + np.sin(phi)) \
             * (design.f_max - design.f_min) / CONSTANTS.c / (10 ** 6 - 1)
-        s_closed = 2.0 * np.sqrt(op.gain) - design.n_elements
+        s_closed = 2.0 * np.sqrt(gain) - design.n_elements
         slack = np.pi * design.n_elements ** 2 * step
         scan_ok &= s_closed - slack <= objective <= s_closed + 1e-9
         scan_detail.append(

@@ -28,29 +28,41 @@ MIN_SCAN_RESOLUTION = 10 ** 5
 # about 0.2 ms from 2^10 to 2^12 points a block, 0.35 ms at 2^13 and
 # 1.5 ms at 2^15; below 2^10 the per-block bounds start to cost more.
 _SCAN_BLOCK = 2 ** 12
+# Walk candidates (draws x N x points) per block of grid_max_gain's
+# draws.  The walk holds about 100 bytes a candidate (the polygons, two
+# index arrays, two half sums and a gathered vertex): verify's 6 draws at
+# N = 4 in one block peaked at 0.44 MB, in blocks of 2^11 at 0.18 MB, the
+# level of its other checks, for about 0.1 ms a block more.
+_WALK_BLOCK = 2 ** 11
 
 
 def _raw_weight(design: DmaDesign, f_r, f):
     """Normalized Lorentzian weight straight from the polarizability."""
-    alpha = design.coupling * 2.0 * np.pi * f ** 2 / (
-        2.0 * np.pi * f_r ** 2 - 2.0 * np.pi * f ** 2 + 1j * design.damping * f)
+    # float_power rounds f^2 as a Python float's ** does for any shape of
+    # f; an array ** 2 squares, which can differ in the last bit.
+    f_sq = np.float_power(f, 2)
+    alpha = design.coupling * 2.0 * np.pi * f_sq / (
+        2.0 * np.pi * f_r ** 2 - 2.0 * np.pi * f_sq + 1j * design.damping * f)
     return alpha * design.damping / (2.0 * np.pi * f * design.coupling)
 
 
 def _raw_channel(design: DmaDesign, phi, f):
-    """Unit-modulus channel phases accumulated element by element."""
-    h = np.empty(design.n_elements, dtype=complex)
+    """Unit-modulus channel phases accumulated element by element, along
+    the last axis; arrays of phi and f add a leading draw axis."""
+    h = np.empty(np.broadcast_shapes(np.shape(phi), np.shape(f))
+                 + (design.n_elements,), dtype=complex)
     for n in range(1, design.n_elements + 1):
         inside = 2.0 * np.pi * (f / CONSTANTS.c) * (n - 1) \
             * design.spacing * design.refractive_index
         outside = 2.0 * np.pi * (f / CONSTANTS.c) * (n - 1) \
             * design.spacing * np.sin(phi)
-        h[n - 1] = np.exp(-1j * (inside + outside))
+        h[..., n - 1] = np.exp(-1j * (inside + outside))
     return h
 
 
-def resonance_grid(design: DmaDesign, f_t: float, points: int) -> np.ndarray:
-    """Candidate per-element resonant frequencies, increasing.
+def resonance_grid(design: DmaDesign, f_t, points: int) -> np.ndarray:
+    """Candidate per-element resonant frequencies, increasing along the
+    last axis; a 1-d ``f_t`` gives one grid per row.
 
     The grid is uniform in the Lorentzian phase angle rather than in
     frequency: near resonance the phase turns through most of its range
@@ -64,32 +76,41 @@ def resonance_grid(design: DmaDesign, f_t: float, points: int) -> np.ndarray:
     in that angle over less than a turn, counter-clockwise in grid
     order: every one is a vertex of the convex polygon they form.
     """
+    f_t = np.asarray(f_t, dtype=float)
     lo = -np.pi + np.arctan(design.damping / (2.0 * np.pi * f_t))
-    psi = np.linspace(lo, 0.0, points + 2)[1:-1]
+    psi = np.linspace(lo, 0.0, points + 2, axis=-1)[..., 1:-1]
     # invert psi = atan2(-Gamma f, 2 pi (f_r^2 - f^2)) for f_r
-    f_r_sq = f_t ** 2 - design.damping * f_t / (2.0 * np.pi * np.tan(psi))
+    f_t = f_t[..., None]
+    f_r_sq = np.float_power(f_t, 2) \
+        - design.damping * f_t / (2.0 * np.pi * np.tan(psi))
     return np.sqrt(f_r_sq)
 
 
 def _from_lowest(polygon: np.ndarray) -> np.ndarray:
-    """A counter-clockwise polygon re-started at its lowest vertex.
+    """Counter-clockwise polygons (last axis) re-started at their lowest
+    vertex.
 
     Lowest means least imaginary part, ties to the least real part, so
     the edge angles then rise through [0, 2 pi) around the polygon.
     """
-    start = int(np.lexsort((polygon.real, polygon.imag))[0])
-    return np.roll(polygon, -start)
+    imag = polygon.imag
+    lowest = imag == imag.min(axis=-1, keepdims=True)
+    start = np.where(lowest, polygon.real, np.inf).argmin(axis=-1)
+    size = polygon.shape[-1]
+    index = np.arange(size) + start[..., None]
+    index %= size
+    return np.take_along_axis(polygon, index, axis=-1)
 
 
 def _edge_angles(polygon: np.ndarray) -> np.ndarray:
-    """Polar angles in [0, 2 pi) of a polygon's edges, the closing one last."""
-    edges = np.roll(polygon, -1) - polygon
+    """Polar angles in [0, 2 pi) of polygons' edges (last axis), the
+    closing one last."""
+    edges = np.roll(polygon, -1, axis=-1) - polygon
     angles = np.arctan2(edges.imag, edges.real)
     return np.where(angles < 0.0, angles + 2.0 * np.pi, angles)
 
 
-def grid_max_gain(design: DmaDesign, phi: float, f_t: float,
-                  grid_points_per_element: int) -> float:
+def grid_max_gain(design: DmaDesign, phi, f_t, grid_points_per_element: int):
     """Max gain over the full tensor grid of per-element resonances.
 
     Exact over all points^N combinations without enumerating them.  The
@@ -105,6 +126,11 @@ def grid_max_gain(design: DmaDesign, phi: float, f_t: float,
     candidates, each one sum of a vertex per element.  A candidate is
     added up in two halves, (v_0 + v_1) + (v_2 + v_3) for N = 4, so it
     is exactly one of the sums that plain enumeration forms.
+
+    A scalar ``phi`` and ``f_t`` give a float.  1-d arrays of draws give
+    an array with one maximum per draw, each equal bit for bit to the
+    scalar call's; the draws are walked together, a block of at most
+    _WALK_BLOCK candidates at a time.
     """
     n = design.n_elements
     if n > GRID_MAX_ELEMENTS:
@@ -116,20 +142,43 @@ def grid_max_gain(design: DmaDesign, phi: float, f_t: float,
     if grid_points_per_element < 2:
         raise DomainError("need at least 2 grid points per element")
 
-    weights = _raw_weight(design, resonance_grid(design, f_t,
-                                                 grid_points_per_element), f_t)
-    # Rotation keeps each polygon convex and counter-clockwise.
-    polygons = [_from_lowest(weights * h)
-                for h in _raw_channel(design, phi, f_t)]
-    order = np.argsort(np.concatenate([_edge_angles(q) for q in polygons]),
-                       kind="stable")[:-1]
-    owner = np.repeat(np.arange(n), weights.size)[order]
-    # walk[i, k]: edges of polygon i taken in the first k steps.
-    walk = np.zeros((n, order.size + 1), dtype=np.intp)
-    np.cumsum(owner == np.arange(n)[:, None], axis=1, out=walk[:, 1:])
-    vertices = [q[k % q.size] for q, k in zip(polygons, walk)]
-    sums = sum(vertices[:n // 2], 0j) + sum(vertices[n // 2:], 0j)
-    return float(np.max(np.abs(sums) ** 2))
+    phis, f_ts = np.broadcast_arrays(np.asarray(phi, dtype=float),
+                                     np.asarray(f_t, dtype=float))
+    phis, f_ts = phis.reshape(-1), f_ts.reshape(-1)
+    size = grid_points_per_element
+    weights = _raw_weight(design, resonance_grid(design, f_ts, size),
+                          f_ts[:, None])
+    channel = _raw_channel(design, phis, f_ts)
+    rows = max(1, _WALK_BLOCK // (n * size))
+    best = np.empty(phis.size)
+    for k in range(0, phis.size, rows):
+        # Element i's grid weights turned by its channel, per draw.
+        # Rotation keeps each polygon convex and counter-clockwise.
+        best[k:k + rows] = _walk_max(_from_lowest(
+            weights[k:k + rows, None, :] * channel[k:k + rows, :, None]))
+    return float(best[0]) if np.ndim(phi) == np.ndim(f_t) == 0 else best
+
+
+def _walk_max(polygons: np.ndarray) -> np.ndarray:
+    """Per draw d, the max |z|^2 over the vertices of the Minkowski sum of
+    the N counter-clockwise polygons polygons[d, i], each started at its
+    lowest vertex, found by one walk around all of them."""
+    draws, n, size = polygons.shape
+    owner = np.argsort(_edge_angles(polygons).reshape(draws, n * size),
+                       axis=-1, kind="stable")[:, :-1]
+    owner //= size
+    # Each element's vertices along the walk, gathered and added to its
+    # half one element at a time: its edges taken in the first k steps.
+    halves = np.zeros((2, draws, n * size), dtype=complex)
+    walk = np.zeros((draws, n * size), dtype=np.intp)
+    draw = np.arange(draws)[:, None]
+    for i in range(n):
+        np.cumsum(owner == i, axis=-1, out=walk[:, 1:])
+        walk %= size
+        halves[int(i >= n // 2)] += polygons[draw, i, walk]
+    np.add(halves[0], halves[1], out=halves[0])
+    # Rounding is monotone, so the largest |z| gives the largest |z|^2.
+    return np.max(np.abs(halves[0]), axis=-1) ** 2
 
 
 def _scan_points(p_lo: float, p_hi: float, resolution: int,

@@ -1,7 +1,8 @@
 """Shared fixtures: the reference waveguide, its stacked array, and
 independent scalar references for configured gains, the closed-form
 solver and the planner, the per-block weight loop of the array gain
-kernel, the unblocked dense scan and the paired-halves grid search."""
+kernel, the unblocked dense scan, the paired-halves grid search and the
+one-draw grid walk."""
 
 import dataclasses
 
@@ -251,3 +252,39 @@ def _reference_grid_max_gain(design, phi, f_t, points):
 def reference_grid_max_gain():
     """The all-pairs search of two half walks the single walk must match."""
     return _reference_grid_max_gain
+
+
+def _reference_grid_walk(design, phi, f_t, points):
+    """The grid oracle's walk for one draw, one 1-d polygon per element.
+
+    Each polygon starts at its lexsort-lowest vertex; the N polygons'
+    edge angles are merged by one stable argsort, and each candidate is
+    added up as sum(first half, 0j) + sum(second half, 0j).  The batched
+    walk must give this float bit for bit, row by row.
+    """
+    from dmabeam.oracle import _raw_channel, _raw_weight
+    n = design.n_elements
+    weights = _raw_weight(design, db.resonance_grid(design, f_t, points), f_t)
+    polygons = []
+    for h in _raw_channel(design, phi, f_t):
+        turned = weights * h
+        start = int(np.lexsort((turned.real, turned.imag))[0])
+        polygons.append(np.roll(turned, -start))
+    angles = []
+    for q in polygons:
+        edges = np.roll(q, -1) - q
+        a = np.arctan2(edges.imag, edges.real)
+        angles.append(np.where(a < 0.0, a + 2.0 * np.pi, a))
+    order = np.argsort(np.concatenate(angles), kind="stable")[:-1]
+    owner = np.repeat(np.arange(n), points)[order]
+    walk = np.zeros((n, order.size + 1), dtype=np.intp)
+    np.cumsum(owner == np.arange(n)[:, None], axis=1, out=walk[:, 1:])
+    vertices = [q[k % q.size] for q, k in zip(polygons, walk)]
+    sums = sum(vertices[:n // 2], 0j) + sum(vertices[n // 2:], 0j)
+    return float(np.max(np.abs(sums) ** 2))
+
+
+@pytest.fixture(scope="session")
+def reference_grid_walk():
+    """The one-draw walk each row of the batched grid oracle must equal."""
+    return _reference_grid_walk

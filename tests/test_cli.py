@@ -629,6 +629,43 @@ def test_verify_grid_line_is_pinned(tmp_path, capsys, text, detail):
         == {"pass": True, "detail": detail}
 
 
+@pytest.mark.parametrize("n_y, detail", [
+    (8, "worst relative gap 1.646e-04"),
+    (2, "worst relative gap 5.271e-05"),
+])
+def test_verify_solves_and_walks_once_per_reduced_size(tmp_path, capsys,
+                                                       monkeypatch, n_y,
+                                                       detail):
+    """The 20 closed-form draws take one solve_p1a and one grid_max_gain
+    call per reduced-array size, and the planner check one planner call
+    for its three angles; the grid line reads as the per-draw loop
+    printed it."""
+    calls = {"solve_p1a": [], "grid_max_gain": [],
+             "optimal_operating_freq": []}
+
+    def counted(name, function):
+        def wrapper(design, phi, *args):
+            calls[name].append((design.n_elements, np.size(phi)))
+            return function(design, phi, *args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    path = tmp_path / "batch.scn"
+    path.write_text(f"design.n_y = {n_y}\n")
+    assert run_cli("verify", "--scenario", str(path),
+                   "--out", str(tmp_path / "run")) == 0
+    assert f"PASS  closed form vs resonance grid  ({detail})\n" \
+        in capsys.readouterr().out
+    for name in ("solve_p1a", "grid_max_gain"):
+        sizes = [size for size, _ in calls[name]]
+        assert len(sizes) == len(set(sizes)), name
+        assert set(sizes) <= set(
+            range(1, min(cli.GRID_MAX_ELEMENTS, n_y) + 1)), name
+        assert sum(rows for _, rows in calls[name]) == 20, name
+    assert calls["optimal_operating_freq"] == [(n_y, 3)]
+
+
 def test_verify_runs_on_a_band_narrower_than_two_ghz(tmp_path, capsys):
     """The closed-form draws keep a sixth of a 1 GHz band off each edge,
     where a fixed 1 GHz margin left no room to draw from."""
@@ -680,9 +717,11 @@ def test_verify_fails_when_no_draw_is_feasible(scn, tmp_path, capsys,
     from dmabeam import BeamformingSolution
 
     def infeasible(design, phi, f_t):
+        rows = np.shape(phi)
         return BeamformingSolution(
-            resonances=np.full(design.n_elements, np.nan), feasible=False,
-            gain=float("nan"), operating_freq=f_t)
+            resonances=np.full(rows + (design.n_elements,), np.nan),
+            feasible=np.zeros(rows, dtype=bool), gain=np.full(rows, np.nan),
+            operating_freq=np.asarray(f_t, dtype=float))
 
     monkeypatch.setattr(cli, "solve_p1a", infeasible)
     out = str(tmp_path / "run")

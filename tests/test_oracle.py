@@ -156,6 +156,67 @@ def test_grid_weights_run_counter_clockwise_from_the_lowest(points, q):
         assert np.all(np.diff(_edge_angles(polygon)) > 0)
 
 
+@pytest.mark.parametrize("attenuation", [None, 3.0])
+@pytest.mark.parametrize("points", [2, 3, 200, 400])
+@pytest.mark.parametrize("q", [0.1, 1.0, 50.0, 1e6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_grid_oracle_rows_equal_the_one_draw_walk(n, q, points, attenuation,
+                                                  reference_grid_walk):
+    """A batch of draws walked at once: each row of the grids and of the
+    maxima is the scalar call's, and that call returns the one-draw
+    walk's float, bit for bit (==, not approx)."""
+    design = dataclasses.replace(small_design(n), attenuation=attenuation,
+                                 damping=2 * np.pi * F_C / q)
+    rng = np.random.default_rng((n, int(10 * q), points))
+    phis = rng.uniform(-np.pi / 3, np.pi / 3, 5)
+    f_ts = rng.uniform(12.5e9, 17.5e9, 5)
+    grids = db.resonance_grid(design, f_ts, points)
+    rows = db.grid_max_gain(design, phis, f_ts, points)
+    assert grids.shape == (5, points) and rows.shape == (5,)
+    for k, (phi, f_t) in enumerate(zip(phis.tolist(), f_ts.tolist())):
+        assert grids[k].tobytes() \
+            == db.resonance_grid(design, f_t, points).tobytes()
+        scalar = db.grid_max_gain(design, phi, f_t, points)
+        assert type(scalar) is float
+        assert rows[k] == scalar == reference_grid_walk(design, phi, f_t,
+                                                        points)
+
+
+def test_grid_oracle_takes_an_empty_batch():
+    design = small_design(3)
+    empty = np.empty(0)
+    assert db.grid_max_gain(design, empty, empty, 200).shape == (0,)
+    assert db.resonance_grid(design, empty, 200).shape == (0, 200)
+
+
+def test_polygon_helpers_work_row_by_row_on_a_stack():
+    """_from_lowest and _edge_angles on a (draws, elements, points) stack
+    of turned grid weights, and on rows whose least imaginary part is
+    tied, equal their 1-d results row by row; the lowest vertex is
+    lexsort's."""
+    from dmabeam.oracle import _edge_angles, _from_lowest
+    design = small_design(4)
+    rng = np.random.default_rng(7)
+    f_ts = rng.uniform(12.5e9, 17.5e9, 6)
+    w = _raw_weight(design, db.resonance_grid(design, f_ts, 50), f_ts[:, None])
+    h = _raw_channel(design, rng.uniform(-1.0, 1.0, 6), f_ts)
+    tied = np.array([[1 + 0j, 0j, 0.5 + 1j], [2 + 1j, 3 + 0j, 2 + 0j]])
+    for stack in (w[:, None, :] * h[:, :, None], tied):
+        lowest = _from_lowest(stack)
+        angles = _edge_angles(lowest)
+        assert lowest.shape == angles.shape == stack.shape
+        for index in np.ndindex(stack.shape[:-1]):
+            row = stack[index]
+            start = int(np.lexsort((row.real, row.imag))[0])
+            assert lowest[index].tobytes() == np.roll(row, -start).tobytes()
+            assert lowest[index].tobytes() == _from_lowest(row).tobytes()
+            assert angles[index].tobytes() \
+                == _edge_angles(lowest[index]).tobytes()
+    np.testing.assert_array_equal(_from_lowest(tied),
+                                  [[0j, 0.5 + 1j, 1 + 0j],
+                                   [2 + 0j, 2 + 1j, 3 + 0j]])
+
+
 def test_grid_oracle_leaves_scipy_spatial_unloaded():
     """The walk is NumPy and Python: a four-element grid loads no Qhull."""
     code = ("import sys, numpy as np, dmabeam as db; "

@@ -30,8 +30,7 @@ from .errors import (CoverageInfeasibleError, CutoffError, DmaError,
 from .frequency_planner import (CoverageAngle, OperatingPoint, SectorDesign,
                                 crossover_angle, design_sector,
                                 max_coverage_angle, optimal_operating_freq)
-from .gain_optimizer import (BeamformingSolution, closed_form_gain,
-                             optimal_shifted_phases, solve_p1a, wrap_shifted)
+from .gain_optimizer import BeamformingSolution, solve_p1a
 from .link_rate import (LinkBudget, RateComparison, TuningRangePoint,
                         achievable_rate, angle_grid, bandwidth_sweep,
                         compare_rates, rate_ttd, received_psd,

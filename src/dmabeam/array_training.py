@@ -160,7 +160,10 @@ def pilot_grid(design: DmaDesign, k_tr: int,
         raise DomainError("k_tr must be >= 2")
     grid = np.linspace(design.f_min, design.f_max, k_tr)
     if include is not None:
-        grid = np.unique(np.concatenate([grid, np.asarray(include, dtype=float)]))
+        # Sorted, then each run of equal tones kept once: np.unique's
+        # result without its first-call import of numpy.ma.
+        grid = np.sort(np.concatenate([grid, np.asarray(include, dtype=float)]))
+        grid = grid[np.append(True, grid[1:] != grid[:-1])]
     return grid
 
 

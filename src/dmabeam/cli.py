@@ -11,8 +11,8 @@ force.
 Outputs are deterministic: identical scenario plus flags produce
 byte-identical files.  CSV columns carry units in the header and every
 file starts with the scenario fingerprint.  A command only computes: it
-returns a ``CommandResult`` and ``main`` writes it, so a run that fails
-writes nothing.
+returns a ``CommandResult`` and ``main`` writes it, files first and then
+stdout, so a run that fails writes and prints nothing.
 """
 
 from __future__ import annotations
@@ -150,13 +150,14 @@ class CommandResult:
     with a row's first cell, names the first NaN row of each column on
     stderr, and None skips that report.  ``files`` holds (name, text)
     pairs written verbatim.  ``summary`` is the command's section of
-    summary.json.
+    summary.json.  ``stdout`` is printed once all files are written.
     """
 
     summary: dict
     tables: tuple = ()
     files: tuple = ()
     code: int = EXIT_OK
+    stdout: str = ""
 
 
 def _write_result(args, fp: str, result: CommandResult) -> None:
@@ -255,7 +256,6 @@ def cmd_design(design: DmaDesign, resolved: Scenario, args) -> CommandResult:
     phi_c = float(np.degrees(crossover_angle(design, f_c)))
     reach = max_coverage_angle(resolved.n_g_max, design.f_max - design.f_min, f_c)
     text = scenario_to_text(resolved)
-    sys.stdout.write(text)
     return CommandResult(files=(("scenario_resolved.txt", text),), summary={
         "n_g_star": sector.n_g_star,
         "d_y_star_m": sector.d_y_star,
@@ -265,7 +265,7 @@ def cmd_design(design: DmaDesign, resolved: Scenario, args) -> CommandResult:
         "crossover_deg": phi_c,
         "phi_max_deg": float(np.degrees(reach.angle)),
         "phi_max_saturated": reach.saturated,
-    })
+    }, stdout=text)
 
 
 def cmd_coverage(design: DmaDesign, resolved: Scenario, args) -> CommandResult:
@@ -443,9 +443,10 @@ def cmd_rate(design: DmaDesign, resolved: Scenario, args) -> CommandResult:
 
 def cmd_verify(design: DmaDesign, resolved: Scenario, args) -> CommandResult:
     checks = []
+    notes = []
 
     if design.n_elements > GRID_MAX_ELEMENTS:
-        sys.stdout.write(
+        notes.append(
             f"note: grid oracle capped at {GRID_MAX_ELEMENTS} elements; "
             f"configured N_y = {design.n_elements} checked via reduced "
             f"arrays\n")
@@ -499,7 +500,7 @@ def cmd_verify(design: DmaDesign, resolved: Scenario, args) -> CommandResult:
     f_c = resolved.f_center_hz
     bin_design = design
     if design.n_elements > VERIFY_BINARY_ELEMENTS:
-        sys.stdout.write(
+        notes.append(
             f"note: binary oracle capped at {VERIFY_BINARY_ELEMENTS} "
             f"elements; configured N_y = {design.n_elements} checked via a "
             f"reduced array\n")
@@ -522,12 +523,12 @@ def cmd_verify(design: DmaDesign, resolved: Scenario, args) -> CommandResult:
                    f"{len(angles)} instances"))
 
     all_ok = all(ok for _, ok, _ in checks)
-    for name, ok, detail in checks:
-        sys.stdout.write(f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})\n")
+    lines = notes + [f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})\n"
+                     for name, ok, detail in checks]
     return CommandResult(
         summary={name: {"pass": bool(ok), "detail": detail}
                  for name, ok, detail in checks},
-        code=EXIT_OK if all_ok else EXIT_VERIFICATION)
+        code=EXIT_OK if all_ok else EXIT_VERIFICATION, stdout="".join(lines))
 
 
 # --------------------------------------------------------------- entry point
@@ -595,7 +596,13 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     # Nothing is written before the command has computed all of it: a
     # run that raises leaves --out as it found it.
-    _write_result(args, fingerprint(resolved), result)
+    try:
+        _write_result(args, fingerprint(resolved), result)
+    except OSError as err:
+        sys.stderr.write(
+            f"error: cannot write --out {args.out}: {err.strerror or err}\n")
+        return EXIT_CONFIG
+    sys.stdout.write(result.stdout)
     return result.code
 
 

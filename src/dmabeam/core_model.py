@@ -132,13 +132,6 @@ def _weight(f_r_sq, f_sq, scale):
     return out
 
 
-def on_tangent_pole(psi_tilde):
-    """Whether psi_tilde is within SINGULARITY_TOL of -3pi/2 or pi/2, the
-    tangent poles where f_r would need to be 0 or infinite."""
-    return np.abs(np.pi / 4.0 + np.asarray(psi_tilde) / 2.0) \
-        >= np.pi / 2.0 - SINGULARITY_TOL
-
-
 def resonant_from_shifted(design: DmaDesign, psi_tilde, f_t):
     """Resonant frequency realizing a requested shifted angle at f_t.
 
@@ -157,8 +150,10 @@ def resonant_from_shifted(design: DmaDesign, psi_tilde, f_t):
     if np.any(f_t <= 0):
         raise DomainError("f_t must be positive")
     psi_tilde = np.asarray(psi_tilde, dtype=float)
-    psi_tilde = np.where(on_tangent_pole(psi_tilde),
-                         np.pi / 2.0 - DEGENERATE_CLAMP, psi_tilde)
+    # Within SINGULARITY_TOL of -3pi/2 or pi/2, f_r would be 0 or infinite.
+    on_pole = np.abs(np.pi / 4.0 + psi_tilde / 2.0) \
+        >= np.pi / 2.0 - SINGULARITY_TOL
+    psi_tilde = np.where(on_pole, np.pi / 2.0 - DEGENERATE_CLAMP, psi_tilde)
     # float_power rounds like the scalar Python **; an array ** 2 squares.
     arg = np.float_power(f_t, 2) + design.damping * f_t / (2.0 * np.pi) \
         * np.tan(np.pi / 4.0 + psi_tilde / 2.0)

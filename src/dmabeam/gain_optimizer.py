@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import dirichlet_kernel, normalized_product
+from .channel import dirichlet_of_p, normalized_product
 from .core_model import DmaDesign, resonant_from_shifted
 from .errors import DomainError
 
@@ -37,44 +37,19 @@ class BeamformingSolution:
     operating_freq: float | np.ndarray   # Hz
 
 
-def wrap_shifted(psi_tilde):
-    """Wrap angles into the principal interval [-3pi/2, pi/2)."""
-    return np.mod(np.asarray(psi_tilde) - PSI_TILDE_LOW, 2.0 * np.pi) + PSI_TILDE_LOW
-
-
-def optimal_shifted_phases(design: DmaDesign, phi, f_t) -> np.ndarray:
-    """Closed-form optimal shifted angles for each element (last axis).
-
-    psi_tilde*_n = -(pi/2) sgn(S) + 2 pi p (n - 1 - (N-1)/2), wrapped into
-    the principal interval.  The convention sgn(0) = +1 keeps the output
-    deterministic when the array sum vanishes.
-    """
-    n = design.n_elements
-    sign = np.where(dirichlet_kernel(design, phi, f_t) >= 0, 1.0, -1.0)
-    p = normalized_product(design, phi, f_t)
-    idx = np.arange(1, n + 1)
-    raw = -0.5 * np.pi * sign[..., None] \
-        + 2.0 * np.pi * p[..., None] * (idx - 1 - (n - 1) / 2.0)
-    return wrap_shifted(raw)
-
-
-def closed_form_gain(design: DmaDesign, phi, f_t):
-    """Maximum reachable DMA gain (N + |S(phi, f_t)|)^2 / 4."""
-    s = dirichlet_kernel(design, phi, f_t)
-    # float_power rounds like the scalar Python **; an array ** 2 squares.
-    out = np.float_power(design.n_elements + np.abs(s), 2) / 4.0
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def solve_p1a(design: DmaDesign, phi, f_t):
     """Gain-optimal resonant configuration at a fixed operating frequency.
 
-    The reported gain is the closed-form optimum (N + |S|)^2 / 4.  An
-    element whose optimal circle angle falls on the zero-weight endpoint
-    (reachable only as f_r -> infinity) is realized by
-    resonant_from_shifted DEGENERATE_CLAMP inside the interval instead;
-    the configuration then attains the reported gain up to a relative
-    deficit of order DEGENERATE_CLAMP.
+    With p the normalized product and S the array sum, element n's
+    optimal shifted angle is -(pi/2) sgn(S) + 2 pi p (n - 1 - (N-1)/2),
+    wrapped into the principal interval; sgn(0) = +1 keeps it
+    deterministic where the array sum vanishes.  The reported gain is the
+    closed-form optimum (N + |S|)^2 / 4.  An element whose optimal circle
+    angle falls on the zero-weight endpoint (reachable only as
+    f_r -> infinity) is realized by resonant_from_shifted
+    DEGENERATE_CLAMP inside the interval instead; the configuration then
+    attains the reported gain up to a relative deficit of order
+    DEGENERATE_CLAMP.
 
     Where some element's required circle angle has no real resonance,
     which happens on a narrow angular sliver near the bottom of the
@@ -89,14 +64,20 @@ def solve_p1a(design: DmaDesign, phi, f_t):
         raise DomainError(
             f"operating frequency {np.extract(~in_band, f_ts)[0]:.4g} outside "
             f"[{design.f_min:.4g}, {design.f_max:.4g}]")
-    shifted = optimal_shifted_phases(design, phis, f_ts)
+    n = design.n_elements
+    p = normalized_product(design, phis, f_ts)
+    s = dirichlet_of_p(p, n)
+    sign = np.where(s >= 0, 1.0, -1.0)
+    raw = -0.5 * np.pi * sign[..., None] \
+        + 2.0 * np.pi * p[..., None] * (np.arange(n) - (n - 1) / 2.0)
+    shifted = np.mod(raw - PSI_TILDE_LOW, 2.0 * np.pi) + PSI_TILDE_LOW
     f_r = resonant_from_shifted(design, shifted, f_ts[..., None])
     feasible = ~np.isnan(f_r).any(axis=-1)
     f_r[~feasible] = np.nan
-    gain = np.where(feasible, closed_form_gain(design, phis, f_ts), np.nan)
+    # float_power rounds like the scalar Python **; an array ** 2 squares.
+    gain = np.where(feasible, np.float_power(n + np.abs(s), 2) / 4.0, np.nan)
     if phis.ndim == 0:
         return BeamformingSolution(resonances=f_r, feasible=bool(feasible),
                                    gain=float(gain), operating_freq=float(f_ts))
     return BeamformingSolution(resonances=f_r, feasible=feasible, gain=gain,
                                operating_freq=np.array(f_ts))
-

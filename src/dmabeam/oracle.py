@@ -9,9 +9,10 @@ the closed forms; the library itself never calls them in a hot path.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from .binary_tuning import BinarySolution
 from .core_model import CONSTANTS, DmaDesign
 from .errors import DomainError, EnumerationLimitError
 
@@ -34,6 +35,13 @@ _SCAN_BLOCK = 2 ** 12
 # N = 4 in one block peaked at 0.44 MB, in blocks of 2^11 at 0.18 MB, the
 # level of its other checks, for about 0.1 ms a block more.
 _WALK_BLOCK = 2 ** 11
+
+
+class EnumeratedMask(NamedTuple):
+    """The best on/off pattern of the plain enumeration and its gain."""
+
+    mask: np.ndarray     # (N,) int8
+    gain: float
 
 
 def _raw_weight(design: DmaDesign, f_r, f):
@@ -285,7 +293,8 @@ def dense_p_scan(design: DmaDesign, phi: float, resolution: int):
     return float(best_p), float(best)
 
 
-def enumerate_binary(design: DmaDesign, phi: float, f_c: float) -> BinarySolution:
+def enumerate_binary(design: DmaDesign, phi: float,
+                     f_c: float) -> EnumeratedMask:
     """Plain double-loop enumeration of all on/off element patterns.
 
     Independent of the vectorized solver: python-level loops, explicit
@@ -310,7 +319,7 @@ def enumerate_binary(design: DmaDesign, phi: float, f_c: float) -> BinarySolutio
             best_mask = mask
     bits = np.array([(best_mask >> (n - 1 - e)) & 1 for e in range(n)],
                     dtype=np.int8)
-    return BinarySolution(mask=bits, gain=float(best_gain))
+    return EnumeratedMask(mask=bits, gain=float(best_gain))
 
 
 def binary_mask_gain(design: DmaDesign, phi: float, f_c: float, mask) -> float:

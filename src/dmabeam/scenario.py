@@ -18,7 +18,6 @@ squaring it cannot overflow.  Each other bound is a key's own, in
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -26,6 +25,13 @@ import numpy as np
 
 from .core_model import CONSTANTS
 from .errors import ScenarioError
+
+# hashlib loads OpenSSL's libcrypto, about 3.6 MB resident, for a digest
+# that the interpreter's own SHA-256 module gives as well.
+try:
+    from _sha256 import sha256          # CPython up to 3.11
+except ImportError:
+    from hashlib import sha256
 
 AUTO = "auto"
 MAX_MAGNITUDE = 1e12
@@ -317,4 +323,4 @@ def scenario_to_text(s: Scenario) -> str:
 
 def fingerprint(s: Scenario) -> str:
     """Short stable hash of the canonical serialization."""
-    return hashlib.sha256(scenario_to_text(s).encode()).hexdigest()[:12]
+    return sha256(scenario_to_text(s).encode()).hexdigest()[:12]

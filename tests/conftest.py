@@ -168,10 +168,11 @@ def _reference_solve_p1a(design, phi, f_t):
     s = float(db.dirichlet_kernel(design, phi, f_t))
     sign = 1.0 if s >= 0 else -1.0
     p = float(db.normalized_product(design, phi, f_t))
+    low = -1.5 * np.pi              # the interval is [-3pi/2, pi/2)
     f_r = []
     for k in range(n):
-        pt = float(db.wrap_shifted(-0.5 * np.pi * sign
-                                   + 2.0 * np.pi * p * (k - (n - 1) / 2.0)))
+        raw = -0.5 * np.pi * sign + 2.0 * np.pi * p * (k - (n - 1) / 2.0)
+        pt = float(np.mod(raw - low, 2.0 * np.pi) + low)
         if abs(np.pi / 4.0 + pt / 2.0) >= np.pi / 2.0 - 1e-9:
             pt = 0.5 * np.pi - 1e-6
         arg = f_t ** 2 + design.damping * f_t / (2.0 * np.pi) \

@@ -149,7 +149,8 @@ def test_08_binary_weight_trends(design):
         if -14.0 <= phi_deg <= 2.0:
             continue
         phi = float(np.radians(phi_deg))
-        cont = db.closed_form_gain(design, phi, F_C)
+        cont = (design.n_elements
+                + abs(db.dirichlet_kernel(design, phi, F_C))) ** 2 / 4
         binary = db.solve_p4(design, phi, F_C).gain
         gap_db = 10.0 * np.log10(cont / binary)
         worst_gap = min(worst_gap, gap_db)

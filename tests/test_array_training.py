@@ -195,6 +195,20 @@ def test_pilot_grid_merges_required_tones(design):
         assert np.min(np.abs(pilots - f)) < 1.0
 
 
+@pytest.mark.parametrize("k_tr", [2, 3, 256, 1000])
+def test_pilot_grid_equals_the_unique_merge(design, k_tr):
+    """The merged grid is np.unique of the grid and the tones, bit for bit:
+    with the sector tones, with each tone twice, and with tones already on
+    the grid."""
+    cb = db.build_codebook(design, -PHI_MAX, PHI_MAX, 0.5)
+    grid = np.linspace(design.f_min, design.f_max, k_tr)
+    for tones in (cb.sector_freqs, np.repeat(cb.sector_freqs, 2),
+                  np.concatenate([grid[::2], cb.sector_freqs])):
+        np.testing.assert_array_equal(
+            db.pilot_grid(design, k_tr, include=tones),
+            np.unique(np.concatenate([grid, tones])), strict=True)
+
+
 def test_probe_recovers_each_sector_center(layout):
     cb = db.build_codebook(layout.per_dma, -PHI_MAX, PHI_MAX, 0.5)
     pilots = np.sort(cb.sector_freqs)  # ascending; sector order is descending

@@ -28,11 +28,12 @@ def test_gain_matches_mask_reevaluation(design):
 
 
 def test_binary_never_beats_continuous(design):
-    # closed_form_gain stays defined on the sliver where realizing the
-    # continuous optimum is infeasible; it still upper-bounds every mask.
+    # The closed-form optimum (N + |S|)^2 / 4 stays defined on the sliver
+    # where realizing it is infeasible; it still upper-bounds every mask.
     for phi_deg in np.linspace(-60.0, 60.0, 25):
         b = db.solve_p4(design, np.radians(phi_deg), F_C).gain
-        c = db.closed_form_gain(design, np.radians(phi_deg), F_C)
+        s = db.dirichlet_kernel(design, np.radians(phi_deg), F_C)
+        c = (design.n_elements + abs(s)) ** 2 / 4
         assert b <= c * (1 + 1e-12)
 
 

@@ -923,6 +923,48 @@ def test_cli_import_leaves_scipy_solvers_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_openssl_unloaded():
+    """The fingerprint's SHA-256 comes from the interpreter's own module:
+    importing the CLI does not load hashlib's OpenSSL binding."""
+    pytest.importorskip("_sha256")
+    code = "import dmabeam.cli, sys; print('_hashlib' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_train_probe_leaves_numpy_ma_unloaded(tmp_path):
+    """pilot_grid merges the sector tones without np.unique, whose first
+    call imports numpy.ma: a train --phi run in a fresh interpreter never
+    loads it."""
+    code = ("import sys, dmabeam.cli; "
+            "code = dmabeam.cli.main(['train', '--phi', '10', '--out', "
+            "sys.argv[1]]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 False"
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_an_unwritable_out_exits_2_and_prints_nothing(scn, tmp_path, capsys,
+                                                      command):
+    """--out naming an existing regular file cannot be made a directory:
+    the run exits 2 with one error line naming it, prints nothing on
+    stdout, raises no traceback and leaves the file as it was."""
+    out = tmp_path / "taken.txt"
+    out.write_text("keep\n")
+    assert run_cli(command, "--scenario", scn, "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == \
+        f"error: cannot write --out {out}: File exists"
+    assert "Traceback" not in captured.err
+    assert out.read_text() == "keep\n"
+
+
 def test_threads_flag_is_rejected(scn, tmp_path):
     """--threads is gone; argparse rejects it like any unknown flag."""
     with pytest.raises(SystemExit) as exc:

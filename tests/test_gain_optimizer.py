@@ -4,18 +4,30 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import dmabeam as db
+import dmabeam.channel as channel
+import dmabeam.gain_optimizer as gain_optimizer
 
 F_C = 15e9
+
+
+def _optimal_shifted(design, phi, f_t):
+    """The closed-form shifted angles -(pi/2) sgn(S) + 2 pi p (n - (N-1)/2),
+    n = 0 .. N-1, wrapped into [-3pi/2, pi/2), with sgn(0) = +1."""
+    n = design.n_elements
+    sign = 1.0 if db.dirichlet_kernel(design, phi, f_t) >= 0 else -1.0
+    p = db.normalized_product(design, phi, f_t)
+    raw = -0.5 * np.pi * sign + 2.0 * np.pi * p * (np.arange(n) - (n - 1) / 2.0)
+    return np.mod(raw + 1.5 * np.pi, 2.0 * np.pi) - 1.5 * np.pi
 
 
 def test_closed_form_gain_formula(design):
     phi, f = 0.21, 14.2e9
     s = db.dirichlet_kernel(design, phi, f)
-    assert db.closed_form_gain(design, phi, f) == pytest.approx(
+    sol = db.solve_p1a(design, phi, f)
+    assert sol.feasible is True
+    assert sol.gain == pytest.approx(
         (design.n_elements + abs(s)) ** 2 / 4.0, rel=1e-14)
 
 
@@ -41,12 +53,19 @@ def test_peak_gain_at_integer_product(design):
 
 
 def test_optimal_shifted_phases_wrap_and_progression(design):
+    """The solved weights w sit on their circle at the closed-form shifted
+    angles, read back as the angle of 2 w + j, and consecutive angles
+    advance by the phase slope 2 pi p, modulo 2 pi."""
     phi, f_t = 0.17, 14.7e9
-    shifted = db.optimal_shifted_phases(design, phi, f_t)
+    shifted = _optimal_shifted(design, phi, f_t)
     assert np.all(shifted >= -1.5 * np.pi) and np.all(shifted < 0.5 * np.pi)
-    # consecutive angles advance by the phase slope 2 pi p, modulo 2 pi
+    sol = db.solve_p1a(design, phi, f_t)
+    w = db.beamformer_weight(design, sol.resonances, f_t)
+    realized = np.angle(2 * w + 1j)
+    np.testing.assert_allclose(np.angle(np.exp(1j * (realized - shifted))),
+                               0.0, atol=1e-9)
     p = db.normalized_product(design, phi, f_t)
-    steps = np.diff(shifted)
+    steps = np.diff(realized)
     wrapped = np.angle(np.exp(1j * (steps - 2 * np.pi * p)))
     np.testing.assert_allclose(wrapped, 0.0, atol=1e-9)
 
@@ -105,7 +124,7 @@ def test_infeasible_sliver_is_a_nan_solution():
     assert isinstance(sol.gain, float) and np.isnan(sol.gain)
     assert sol.operating_freq == 14e9
     # element 2's circle angle is the one with no real resonance
-    shifted = db.optimal_shifted_phases(lowq, np.radians(-60.0), 14e9)
+    shifted = _optimal_shifted(lowq, np.radians(-60.0), 14e9)
     f_r = db.resonant_from_shifted(lowq, shifted, 14e9)
     assert np.flatnonzero(np.isnan(f_r))[0] == 2
 
@@ -174,15 +193,21 @@ def test_scalar_solution_is_a_row_of_the_batch_solution(design):
         assert one.operating_freq == batch.operating_freq[i]
 
 
-@given(x=st.floats(-30.0, 30.0))
-@settings(max_examples=100)
-def test_wrap_shifted_is_2pi_periodic(x):
-    lo, hi = -1.5 * np.pi, 0.5 * np.pi
-    w = float(db.wrap_shifted(x))
-    assert lo <= w < hi
-    assert float(db.wrap_shifted(x + 2 * np.pi)) == pytest.approx(w, abs=1e-9)
-    d = float(np.remainder(x - w, 2 * np.pi))
-    assert min(d, 2 * np.pi - d) < 1e-9
+@pytest.mark.parametrize("phi", [0.3, np.radians(np.linspace(-90.0, 90.0, 361))],
+                         ids=["scalar", "361-angles"])
+def test_solve_p1a_forms_p_and_s_once(design, monkeypatch, phi):
+    """One call evaluates the normalized product p once and the array sum
+    S of p once, counted at the channel module and at the solver's own
+    bindings."""
+    calls = {"normalized_product": 0, "dirichlet_of_p": 0}
+    for name in calls:
+        def counted(*args, _name=name, _kernel=getattr(channel, name)):
+            calls[_name] += 1
+            return _kernel(*args)
+        for module in (channel, gain_optimizer):
+            monkeypatch.setattr(module, name, counted, raising=False)
+    db.solve_p1a(design, phi, F_C)
+    assert calls == {"normalized_product": 1, "dirichlet_of_p": 1}
 
 
 def test_solution_is_immutable(design):

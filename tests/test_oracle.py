@@ -472,6 +472,19 @@ def test_enumerate_binary_cap():
         db.enumerate_binary(small_design(21), 0.0, 15e9)
 
 
+def test_oracle_imports_no_solver_module():
+    """From its own package the oracle imports the model's constants and
+    design, and the errors: no solver, and none of the solvers' types."""
+    import ast
+    tree = ast.parse(open(oracle.__file__, encoding="utf-8").read())
+    local = {node.module for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.level > 0}
+    assert local == {"core_model", "errors"}
+    assert not any(isinstance(node, ast.Import)
+                   and any(a.name.startswith("dmabeam") for a in node.names)
+                   for node in ast.walk(tree))
+
+
 def test_oracle_shares_no_solver_code(design):
     """The raw reimplementation reproduces the channel to float precision."""
     from dmabeam.oracle import _raw_channel, _raw_weight

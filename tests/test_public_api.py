@@ -16,18 +16,17 @@ PUBLIC = [
     'angle_grid', 'array_cutoff_frequencies',
     'array_gain_dma', 'attenuation_vector',
     'bandwidth_sweep', 'beamformer_weight', 'binary_mask_gain',
-    'build_codebook', 'closed_form_gain', 'combined_phases',
+    'build_codebook', 'combined_phases',
     'compare_rates', 'crossover_angle', 'cutoff_frequencies',
     'dense_p_scan', 'design_sector', 'dirichlet_kernel', 'dirichlet_of_p',
     'effective_channel', 'enumerate_binary', 'fingerprint',
     'gain_at_estimate', 'grid_max_gain', 'load_scenario',
     'max_coverage_angle', 'normalized_product', 'optimal_operating_freq',
-    'optimal_shifted_phases', 'parse_scenario', 'pilot_grid',
+    'parse_scenario', 'pilot_grid',
     'probe', 'psi_delta', 'rate_ttd',
     'received_psd', 'resonance_grid', 'resonant_from_shifted',
     'scenario_to_text', 'solve_p1a', 'solve_p4',
     'subcarrier_grid', 'training_layout', 'tuning_range_sweep',
-    'wrap_shifted',
 ]
 
 

@@ -1,5 +1,7 @@
 """Scenario file parsing, validation, canonical serialization."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -231,6 +233,13 @@ def test_onoff_values():
     assert db.parse_scenario("design.attenuation = off\n").attenuation is False
     with pytest.raises(ScenarioError):
         db.parse_scenario("design.attenuation = maybe\n")
+
+
+def test_fingerprint_is_the_sha256_prefix_of_the_text():
+    for text in ("", "design.n_y = 9\n", "design.q_factor = 1\n"):
+        s = db.parse_scenario(text)
+        assert db.fingerprint(s) == hashlib.sha256(
+            db.scenario_to_text(s).encode()).hexdigest()[:12]
 
 
 def test_fingerprint_tracks_content():

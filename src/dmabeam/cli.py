@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -40,8 +41,8 @@ from .frequency_planner import (crossover_angle, design_sector,
 from .gain_optimizer import solve_p1a
 from .link_rate import (LinkBudget, angle_grid, bandwidth_sweep,
                         tuning_range_sweep)
-from .oracle import (GRID_MAX_ELEMENTS, binary_mask_gain, dense_p_scan,
-                     enumerate_binary, grid_max_gain)
+from .oracle import (binary_mask_gain, dense_p_scan, enumerate_binary,
+                     grid_max_gain)
 from .scenario import (AUTO, Scenario, check_domain, fingerprint,
                        load_scenario, scenario_to_text)
 
@@ -55,6 +56,9 @@ EXIT_VERIFICATION = 4
 # array of this many elements: about 0.015 s an angle at 12 elements,
 # 0.3 s at 16 and 4 s at the oracle's own cap of 20.
 VERIFY_BINARY_ELEMENTS = 12
+# verify's grid check walks reduced arrays of 1 to this many elements,
+# drawn at random.  The walk is exact at any size; its cost grows as N^2.
+VERIFY_GRID_ELEMENTS = 4
 
 _INFEASIBLE = (CoverageInfeasibleError, CutoffError, InvalidEstimateError)
 
@@ -161,8 +165,16 @@ class CommandResult:
 
 
 def _write_result(args, fp: str, result: CommandResult) -> None:
-    """Write a command's result under --out, each table headed by ``fp``."""
+    """Write a command's result under --out, each table headed by ``fp``.
+    A target that is a directory fails the run before any file is written."""
     os.makedirs(args.out, exist_ok=True)
+    names = [name for name, _ in result.files] + \
+        [f"{stem}.{args.format}" for stem, *_ in result.tables]
+    for name in names + ["summary.json"]:
+        path = os.path.join(args.out, name)
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                    path)
     for name, text in result.files:
         with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -445,9 +457,9 @@ def cmd_verify(design: DmaDesign, resolved: Scenario, args) -> CommandResult:
     checks = []
     notes = []
 
-    if design.n_elements > GRID_MAX_ELEMENTS:
+    if design.n_elements > VERIFY_GRID_ELEMENTS:
         notes.append(
-            f"note: grid oracle capped at {GRID_MAX_ELEMENTS} elements; "
+            f"note: grid oracle capped at {VERIFY_GRID_ELEMENTS} elements; "
             f"configured N_y = {design.n_elements} checked via reduced "
             f"arrays\n")
     rng = np.random.default_rng(12345)
@@ -455,7 +467,7 @@ def cmd_verify(design: DmaDesign, resolved: Scenario, args) -> CommandResult:
     # than 6 GHz.  An infeasible draw is skipped, not redrawn: the rng
     # stream, and with it the binary check's angles, stay fixed.
     margin = min(1e9, (design.f_max - design.f_min) / 6.0)
-    top = min(GRID_MAX_ELEMENTS, design.n_elements)
+    top = min(VERIFY_GRID_ELEMENTS, design.n_elements)
     draws = [(int(rng.integers(1, top + 1)),
               rng.uniform(-np.pi / 3, np.pi / 3),
               rng.uniform(design.f_min + margin, design.f_max - margin))
@@ -599,8 +611,10 @@ def main(argv=None) -> int:
     try:
         _write_result(args, fingerprint(resolved), result)
     except OSError as err:
-        sys.stderr.write(
-            f"error: cannot write --out {args.out}: {err.strerror or err}\n")
+        # Name the file that failed, where it is not --out itself.
+        where = "" if err.filename in (None, args.out) else f"{err.filename}: "
+        sys.stderr.write(f"error: cannot write --out {args.out}: {where}"
+                         f"{err.strerror or err}\n")
         return EXIT_CONFIG
     sys.stdout.write(result.stdout)
     return result.code

@@ -92,10 +92,9 @@ def optimal_operating_freq(design: DmaDesign, phi) -> OperatingPoint:
     p = 0 at every frequency, an integer, and f_min is chosen.  Otherwise
     the band lies inside one period (m, m + 1), m = floor(p_min), and
     |D_N| peaks at a band edge or at one of that period's sidelobe tops
-    m + x_j.  The tops fall toward m + 1/2, so only the first and last
-    top inside the band can win.  The candidates are the lower edge,
-    those two tops and the upper edge, in increasing p, and the first
-    largest wins: of two mirrored tops of equal height, the lower.
+    m + x_j.  The candidates are the lower edge, every top inside the
+    band and the upper edge, in increasing p, and the first largest wins:
+    of two mirrored tops of equal height, the lower.
 
     A scalar ``phi`` gives float fields and a bool ``integer_case``.  A
     1-d array gives arrays with one entry per angle, each equal to the
@@ -120,22 +119,18 @@ def optimal_operating_freq(design: DmaDesign, phi) -> OperatingPoint:
         m = np.floor(lo)
         r_lo, r_hi = lo - m, hi - m
         tops, heights = _sidelobe_tops(n)
-        first = np.searchsorted(tops, r_lo, side="right")
-        last = np.searchsorted(tops, r_hi, side="left") - 1
-        # Index tops.size stands for "no top in the band" and never wins.
-        none = first > last
-        first[none] = last[none] = tops.size
-        tops, heights = np.append(tops, np.nan), np.append(heights, -np.inf)
+        inside = (r_lo[:, None] < tops) & (tops < r_hi[:, None])
         edges = np.abs(dirichlet_of_p(np.concatenate([lo, hi]), n)).reshape(2, -1)
         # Candidates in increasing p; argmax keeps the first largest.
-        r = np.stack([r_lo, tops[first], tops[last], r_hi])
-        values = np.stack([edges[0], heights[first], heights[last], edges[1]])
-        best = np.argmax(values, axis=0)
-        cols = np.arange(lo.size)
-        p_star[off] = m + r[best, cols]
+        r = np.column_stack([r_lo, np.where(inside, tops, np.nan), r_hi])
+        values = np.column_stack(
+            [edges[0], np.where(inside, heights, -np.inf), edges[1]])
+        best = np.argmax(values, axis=1)
+        rows = np.arange(lo.size)
+        p_star[off] = m + r[rows, best]
         # float_power rounds like the scalar float ** of a Python float;
         # an array ** 2 squares, which can differ in the last bit.
-        gain[off] = np.float_power(n + values[best, cols], 2) / 4.0
+        gain[off] = np.float_power(n + values[rows, best], 2) / 4.0
     # p/slope can land an ulp outside the band when p sits on a band edge,
     # in either case.  A zero slope (p = 0 throughout) divides to 0, f_min.
     f_t = p_star / np.where(slope > 0, slope, np.inf)

@@ -17,9 +17,7 @@ from .core_model import CONSTANTS, DmaDesign
 from .errors import DomainError, EnumerationLimitError
 
 # The grid walk's cost grows as N^2 * points (N * points candidates of N
-# vertices each).  The cap stays for verify, which draws its reduced
-# arrays' sizes up to it, and the tests' plain enumeration of points^N.
-GRID_MAX_ELEMENTS = 4
+# vertices each).
 GRID_MAX_POINTS = 400
 BINARY_MAX_ELEMENTS = 20
 MIN_SCAN_RESOLUTION = 10 ** 5
@@ -141,9 +139,6 @@ def grid_max_gain(design: DmaDesign, phi, f_t, grid_points_per_element: int):
     _WALK_BLOCK candidates at a time.
     """
     n = design.n_elements
-    if n > GRID_MAX_ELEMENTS:
-        raise EnumerationLimitError(
-            f"grid oracle caps at {GRID_MAX_ELEMENTS} elements, got {n}")
     if grid_points_per_element > GRID_MAX_POINTS:
         raise EnumerationLimitError(
             f"grid oracle caps at {GRID_MAX_POINTS} points per element")

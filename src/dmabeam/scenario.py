@@ -12,13 +12,13 @@ codebook construction.  The gain threshold ``training.delta`` takes
 either a linear fraction ("0.5") or a dB value with suffix ("3 dB").
 Every number must be finite and at most MAX_MAGNITUDE in magnitude, far
 above any physical value here and low enough that scaling one to SI or
-squaring it cannot overflow.  Each other bound is a key's own, in
-``_SCHEMA``, or spans keys, in ``_CROSS_BOUNDS``.
+squaring it cannot overflow.  Each other bound is a key's own, in its
+``Scenario`` field, or spans keys, in ``_CROSS_BOUNDS``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple
 
 import numpy as np
@@ -37,81 +37,6 @@ AUTO = "auto"
 MAX_MAGNITUDE = 1e12
 MAX_NORMALIZED_PRODUCT = 1e4     # f_max d_y (n_g + 1) / c, see _CROSS_BOUNDS
 Q_MIN, Q_MAX = 0.1, 1e6          # 2 pi f_c / Gamma, see _CROSS_BOUNDS
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Parsed scenario in boundary units (degrees / GHz), see module doc."""
-
-    n_y: int = 8
-    n_z: int = 4
-    f_min: float = 12.0                  # GHz
-    f_max: float = 18.0                  # GHz
-    q_factor: Optional[float] = 50.0     # quality factor at band center...
-    gamma: Optional[float] = None        # ...or the damping itself, GHz
-    coupling: float = 1e-9               # m^3
-    d_y: object = AUTO                   # meters, or "auto"
-    n_g: object = AUTO                   # dimensionless, or "auto"
-    n_g_max: float = 2.5
-    alpha: float = 6.0                   # waveguide attenuation, 1/m
-    attenuation: bool = False
-    phi_lower: float = -30.0             # degrees
-    phi_upper: float = 30.0              # degrees
-    power: float = 0.25                  # watts
-    distance: float = 500.0              # meters
-    noise_temp: float = 290.0            # kelvin
-    bandwidth: float = 0.3               # GHz
-    subcarriers: int = 64
-    groups: object = AUTO                # sector count, or "auto"
-    delta: float = 0.5                   # linear gain fraction
-    k_tr: int = 256
-    bandwidths: Tuple[float, ...] = (0.01, 0.05, 0.1, 0.3, 0.5, 1.0)   # GHz
-    tuning_ranges: Tuple[float, ...] = (2.0, 3.0, 5.0, 6.0)            # GHz
-    angle_samples: int = 181
-    freq_points: int = 601
-    gain_angle_points: int = 361
-    coverage_n_g: Tuple[float, ...] = (2.0, 2.5, 3.0, 4.0)
-    coverage_ratio_max: float = 0.8
-    coverage_points: int = 101
-
-    # -- SI accessors -------------------------------------------------
-    @property
-    def f_min_hz(self) -> float:
-        return self.f_min * 1e9
-
-    @property
-    def f_max_hz(self) -> float:
-        return self.f_max * 1e9
-
-    @property
-    def f_center_hz(self) -> float:
-        return 0.5 * (self.f_min + self.f_max) * 1e9
-
-    @property
-    def damping_hz(self) -> float:
-        if self.gamma is not None:
-            return self.gamma * 1e9
-        return 2.0 * np.pi * self.f_center_hz / self.q_factor
-
-    @property
-    def phi_lower_rad(self) -> float:
-        return float(np.radians(self.phi_lower))
-
-    @property
-    def phi_upper_rad(self) -> float:
-        return float(np.radians(self.phi_upper))
-
-    @property
-    def bandwidth_hz(self) -> float:
-        return self.bandwidth * 1e9
-
-    @property
-    def bandwidths_hz(self) -> Tuple[float, ...]:
-        return tuple(b * 1e9 for b in self.bandwidths)
-
-    @property
-    def tuning_ranges_hz(self) -> Tuple[float, ...]:
-        return tuple(t * 1e9 for t in self.tuning_ranges)
 
 
 def _parse_float(text: str) -> float:
@@ -161,48 +86,97 @@ def _or_auto(parse):
     return lambda text: AUTO if text.lower() == AUTO else parse(text)
 
 
-def _fmt_list(v):
-    return ", ".join(repr(float(x)) for x in v)
+def _key(section: str, default, parse, bound: str = ""):
+    """The field of key ``section.<field name>``, read by ``parse``; the
+    value, or each list element, must lie in ``bound``, if any."""
+    return field(default=default, metadata={
+        "section": section, "parse": parse, "bound": bound})
 
 
-# key -> (parser, serializer, bound), the field named by the key's last
-# part; the value, or each list element, must lie in the bound, if any.
-_SCHEMA = {
-    "design.n_y": (_parse_int, str, "[1, inf)"),
-    "design.n_z": (_parse_int, str, "[1, inf)"),
-    "design.f_min": (_parse_float, str, "(0, inf)"),
-    "design.f_max": (_parse_float, str, "(0, inf)"),
-    "design.q_factor": (_parse_float, str, "(0, inf)"),
-    "design.gamma": (_parse_float, str, "(0, inf)"),
-    "design.coupling": (_parse_float, str, "(0, inf)"),
-    "design.d_y": (_or_auto(_parse_float), str, "(0, inf)"),
-    "design.n_g": (_or_auto(_parse_float), str, "[1, inf)"),
-    "design.n_g_max": (_parse_float, str, "[1, inf)"),
-    "design.alpha": (_parse_float, str, "[0, inf)"),
-    "design.attenuation": (_parse_onoff, lambda v: "on" if v else "off", ""),
-    "sector.phi_lower": (_parse_float, str, "[-90, 90]"),
-    "sector.phi_upper": (_parse_float, str, "[-90, 90]"),
-    "budget.power": (_parse_float, str, "(0, inf)"),
-    "budget.distance": (_parse_float, str, "(0, inf)"),
-    "budget.noise_temp": (_parse_float, str, "(0, inf)"),
-    "budget.bandwidth": (_parse_float, str, "(0, inf)"),
-    "budget.subcarriers": (_parse_int, str, "[1, inf)"),
-    "training.groups": (_or_auto(_parse_int), str, "[1, inf)"),
-    "training.delta": (_parse_delta, str, "(0, 1)"),
-    "training.k_tr": (_parse_int, str, "[2, inf)"),
-    "sweep.bandwidths": (_parse_list, _fmt_list, "(0, inf)"),
-    "sweep.tuning_ranges": (_parse_list, _fmt_list, "(0, inf)"),
-    "sweep.angle_samples": (_parse_int, str, "[1, inf)"),
-    "sweep.freq_points": (_parse_int, str, "[2, inf)"),
-    "sweep.gain_angle_points": (_parse_int, str, "[2, inf)"),
-    "sweep.coverage_n_g": (_parse_list, _fmt_list, "[1, inf)"),
-    "sweep.coverage_ratio_max": (_parse_float, str, "(0, inf)"),
-    "sweep.coverage_points": (_parse_int, str, "[2, inf)"),
-}
+@dataclass(frozen=True)
+class Scenario:
+    """Parsed scenario in boundary units (degrees / GHz), see module doc;
+    the canonical text lists the keys in field order."""
+
+    n_y: int = _key("design", 8, _parse_int, "[1, inf)")
+    n_z: int = _key("design", 4, _parse_int, "[1, inf)")
+    f_min: float = _key("design", 12.0, _parse_float, "(0, inf)")       # GHz
+    f_max: float = _key("design", 18.0, _parse_float, "(0, inf)")       # GHz
+    # quality factor at band center, or the damping itself, GHz
+    q_factor: Optional[float] = _key("design", 50.0, _parse_float, "(0, inf)")
+    gamma: Optional[float] = _key("design", None, _parse_float, "(0, inf)")
+    coupling: float = _key("design", 1e-9, _parse_float, "(0, inf)")    # m^3
+    # meters, dimensionless, or "auto"
+    d_y: object = _key("design", AUTO, _or_auto(_parse_float), "(0, inf)")
+    n_g: object = _key("design", AUTO, _or_auto(_parse_float), "[1, inf)")
+    n_g_max: float = _key("design", 2.5, _parse_float, "[1, inf)")
+    alpha: float = _key("design", 6.0, _parse_float, "[0, inf)")  # loss, 1/m
+    attenuation: bool = _key("design", False, _parse_onoff)
+    phi_lower: float = _key("sector", -30.0, _parse_float, "[-90, 90]")  # deg
+    phi_upper: float = _key("sector", 30.0, _parse_float, "[-90, 90]")   # deg
+    power: float = _key("budget", 0.25, _parse_float, "(0, inf)")       # W
+    distance: float = _key("budget", 500.0, _parse_float, "(0, inf)")   # m
+    noise_temp: float = _key("budget", 290.0, _parse_float, "(0, inf)")  # K
+    bandwidth: float = _key("budget", 0.3, _parse_float, "(0, inf)")    # GHz
+    subcarriers: int = _key("budget", 64, _parse_int, "[1, inf)")
+    # sector count, or "auto"
+    groups: object = _key("training", AUTO, _or_auto(_parse_int), "[1, inf)")
+    delta: float = _key("training", 0.5, _parse_delta, "(0, 1)")  # gain fraction
+    k_tr: int = _key("training", 256, _parse_int, "[2, inf)")
+    bandwidths: Tuple[float, ...] = _key(                               # GHz
+        "sweep", (0.01, 0.05, 0.1, 0.3, 0.5, 1.0), _parse_list, "(0, inf)")
+    tuning_ranges: Tuple[float, ...] = _key(                            # GHz
+        "sweep", (2.0, 3.0, 5.0, 6.0), _parse_list, "(0, inf)")
+    angle_samples: int = _key("sweep", 181, _parse_int, "[1, inf)")
+    freq_points: int = _key("sweep", 601, _parse_int, "[2, inf)")
+    gain_angle_points: int = _key("sweep", 361, _parse_int, "[2, inf)")
+    coverage_n_g: Tuple[float, ...] = _key(
+        "sweep", (2.0, 2.5, 3.0, 4.0), _parse_list, "[1, inf)")
+    coverage_ratio_max: float = _key("sweep", 0.8, _parse_float, "(0, inf)")
+    coverage_points: int = _key("sweep", 101, _parse_int, "[2, inf)")
+
+    # -- SI accessors -------------------------------------------------
+    @property
+    def f_min_hz(self) -> float:
+        return self.f_min * 1e9
+
+    @property
+    def f_max_hz(self) -> float:
+        return self.f_max * 1e9
+
+    @property
+    def f_center_hz(self) -> float:
+        return 0.5 * (self.f_min + self.f_max) * 1e9
+
+    @property
+    def damping_hz(self) -> float:
+        if self.gamma is not None:
+            return self.gamma * 1e9
+        return 2.0 * np.pi * self.f_center_hz / self.q_factor
+
+    @property
+    def phi_lower_rad(self) -> float:
+        return float(np.radians(self.phi_lower))
+
+    @property
+    def phi_upper_rad(self) -> float:
+        return float(np.radians(self.phi_upper))
+
+    @property
+    def bandwidth_hz(self) -> float:
+        return self.bandwidth * 1e9
+
+    @property
+    def bandwidths_hz(self) -> Tuple[float, ...]:
+        return tuple(b * 1e9 for b in self.bandwidths)
+
+    @property
+    def tuning_ranges_hz(self) -> Tuple[float, ...]:
+        return tuple(t * 1e9 for t in self.tuning_ranges)
 
 
-def _value(s: Scenario, key: str):
-    return getattr(s, key.partition(".")[2])
+# key -> its Scenario field, in field order.
+_SCHEMA = {f"{f.metadata['section']}.{f.name}": f for f in fields(Scenario)}
 
 
 def _q(s: Scenario) -> float:
@@ -270,11 +244,13 @@ def _meets(value, bound: str) -> bool:
 
 def check_domain(s: Scenario) -> None:
     """Raise ScenarioError, naming the keys, at the first bound s breaks."""
-    for key, (_, _, bound) in _SCHEMA.items():
-        if bound and not _meets(_value(s, key), bound):
+    for key, f in _SCHEMA.items():
+        bound = f.metadata["bound"]
+        if bound and not _meets(getattr(s, f.name), bound):
             raise ScenarioError(f"{key} must lie in {bound}")
     for keys, holds, message in _CROSS_BOUNDS:
-        if AUTO not in [_value(s, k) for k in keys] and not holds(s):
+        if AUTO not in [getattr(s, _SCHEMA[k].name) for k in keys] \
+                and not holds(s):
             raise ScenarioError(message(s))
 
 
@@ -291,11 +267,11 @@ def parse_scenario(text: str) -> Scenario:
         key, value = key.strip(), value.strip()
         if key not in _SCHEMA:
             raise ScenarioError(f"line {lineno}: unknown key {key!r}")
-        field = key.partition(".")[2]
-        if field in overrides:
+        f = _SCHEMA[key]
+        if f.name in overrides:
             raise ScenarioError(f"line {lineno}: duplicate key {key!r}")
         try:
-            overrides[field] = _SCHEMA[key][0](value)
+            overrides[f.name] = f.metadata["parse"](value)
         except ScenarioError as err:
             raise ScenarioError(f"line {lineno}: {key}: {err}") from None
     if "gamma" in overrides:     # the damping itself replaces the default Q
@@ -314,10 +290,17 @@ def load_scenario(path: str) -> Scenario:
 
 
 def scenario_to_text(s: Scenario) -> str:
-    """Canonical serialization; load(scenario_to_text(s)) == s."""
-    lines = [f"{key} = {fmt(_value(s, key))}"
-             for key, (_, fmt, _) in _SCHEMA.items()
-             if _value(s, key) is not None]
+    """Canonical serialization; load(scenario_to_text(s)) == s.  A list
+    is written as floats, a flag as on/off, None not at all."""
+    lines = []
+    for key, f in _SCHEMA.items():
+        value = getattr(s, f.name)
+        if isinstance(value, tuple):
+            value = ", ".join(repr(float(x)) for x in value)
+        elif isinstance(value, bool):
+            value = "on" if value else "off"
+        if value is not None:
+            lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 

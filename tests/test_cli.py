@@ -661,7 +661,7 @@ def test_verify_solves_and_walks_once_per_reduced_size(tmp_path, capsys,
         sizes = [size for size, _ in calls[name]]
         assert len(sizes) == len(set(sizes)), name
         assert set(sizes) <= set(
-            range(1, min(cli.GRID_MAX_ELEMENTS, n_y) + 1)), name
+            range(1, min(cli.VERIFY_GRID_ELEMENTS, n_y) + 1)), name
         assert sum(rows for _, rows in calls[name]) == 20, name
     assert calls["optimal_operating_freq"] == [(n_y, 3)]
 
@@ -963,6 +963,22 @@ def test_an_unwritable_out_exits_2_and_prints_nothing(scn, tmp_path, capsys,
         f"error: cannot write --out {out}: File exists"
     assert "Traceback" not in captured.err
     assert out.read_text() == "keep\n"
+
+
+def test_a_directory_target_fails_before_any_file_is_written(scn, tmp_path,
+                                                             capsys):
+    """A target under --out that is a directory stops the run before the
+    first write: train writes neither its codebook nor summary.json, and
+    its one error line names the target."""
+    out = tmp_path / "out"
+    (out / "train.csv").mkdir(parents=True)
+    assert run_cli("train", "--phi", "10", "--scenario", scn,
+                   "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == \
+        f"error: cannot write --out {out}: {out / 'train.csv'}: Is a directory"
+    assert sorted(p.name for p in out.iterdir()) == ["train.csv"]
 
 
 def test_threads_flag_is_rejected(scn, tmp_path):

@@ -66,11 +66,23 @@ def test_four_element_grid_approaches_the_peak(design):
 
 def test_grid_oracle_enforces_its_caps():
     with pytest.raises(db.EnumerationLimitError):
-        db.grid_max_gain(small_design(5), 0.0, 15e9, 50)
-    with pytest.raises(db.EnumerationLimitError):
         db.grid_max_gain(small_design(2), 0.0, 15e9, 500)
     with pytest.raises(db.DomainError):
         db.grid_max_gain(small_design(2), 0.0, 15e9, 1)
+
+
+def test_grid_walk_stays_below_the_closed_form_at_eight_elements(design):
+    """The walk is exact at any size: on the 8-element reference design,
+    over 20 draws of (phi, planner f*) across +-30 deg, it stays at or
+    below solve_p1a's gain and within 1e-3 of it."""
+    rng = np.random.default_rng(8)
+    phis = rng.uniform(-np.pi / 6, np.pi / 6, 20)
+    f_ts = db.optimal_operating_freq(design, phis).f_t_star
+    closed = db.solve_p1a(design, phis, f_ts)
+    assert closed.feasible.all()
+    grid = db.grid_max_gain(design, phis, f_ts, 200)
+    assert np.all(grid <= closed.gain * (1 + 1e-9))
+    assert np.all((closed.gain - grid) / closed.gain < 1e-3)
 
 
 def _enumerated_max_gain(design, phi, f_t, points):

@@ -8,7 +8,7 @@ import pytest
 import dmabeam as db
 import dmabeam.cli as cli
 from dmabeam import ScenarioError
-from dmabeam.scenario import MAX_MAGNITUDE
+from dmabeam.scenario import _SCHEMA, MAX_MAGNITUDE
 
 
 def test_empty_text_gives_defaults():
@@ -240,6 +240,60 @@ def test_fingerprint_is_the_sha256_prefix_of_the_text():
         s = db.parse_scenario(text)
         assert db.fingerprint(s) == hashlib.sha256(
             db.scenario_to_text(s).encode()).hexdigest()[:12]
+
+
+DEFAULT_TEXT = """\
+design.n_y = 8
+design.n_z = 4
+design.f_min = 12.0
+design.f_max = 18.0
+design.q_factor = 50.0
+design.coupling = 1e-09
+design.d_y = auto
+design.n_g = auto
+design.n_g_max = 2.5
+design.alpha = 6.0
+design.attenuation = off
+sector.phi_lower = -30.0
+sector.phi_upper = 30.0
+budget.power = 0.25
+budget.distance = 500.0
+budget.noise_temp = 290.0
+budget.bandwidth = 0.3
+budget.subcarriers = 64
+training.groups = auto
+training.delta = 0.5
+training.k_tr = 256
+sweep.bandwidths = 0.01, 0.05, 0.1, 0.3, 0.5, 1.0
+sweep.tuning_ranges = 2.0, 3.0, 5.0, 6.0
+sweep.angle_samples = 181
+sweep.freq_points = 601
+sweep.gain_angle_points = 361
+sweep.coverage_n_g = 2.0, 2.5, 3.0, 4.0
+sweep.coverage_ratio_max = 0.8
+sweep.coverage_points = 101
+"""
+
+
+def test_default_text_and_fingerprint_are_pinned():
+    """The default scenario's canonical text, line for line, and its
+    fingerprint; every output file carries the resolved scenario's."""
+    s = db.Scenario()
+    assert db.scenario_to_text(s) == DEFAULT_TEXT
+    assert db.fingerprint(s) == "13083db48eda"
+    _, resolved = cli._resolve(s)
+    assert db.fingerprint(resolved) == "38fdc37832c7"
+
+
+def test_every_key_parses_its_own_default_back():
+    """Each line of the default text is a key that parses to the default;
+    design.gamma, whose default None is not written, is the one key
+    missing from it."""
+    lines = DEFAULT_TEXT.splitlines()
+    keys = [line.partition(" = ")[0] for line in lines]
+    assert keys == [key for key in _SCHEMA if key != "design.gamma"]
+    for line in lines:
+        assert db.parse_scenario(line + "\n") == db.Scenario(), line
 
 
 def test_fingerprint_tracks_content():

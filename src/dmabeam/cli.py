@@ -459,9 +459,9 @@ def cmd_verify(design: DmaDesign, resolved: Scenario, args) -> CommandResult:
 
     if design.n_elements > VERIFY_GRID_ELEMENTS:
         notes.append(
-            f"note: grid oracle capped at {VERIFY_GRID_ELEMENTS} elements; "
-            f"configured N_y = {design.n_elements} checked via reduced "
-            f"arrays\n")
+            f"note: grid check walks reduced arrays of 1 to "
+            f"{VERIFY_GRID_ELEMENTS} elements (cli.VERIFY_GRID_ELEMENTS); "
+            f"configured N_y = {design.n_elements}\n")
     rng = np.random.default_rng(12345)
     # The draws keep 1 GHz off the band edges, less on a band narrower
     # than 6 GHz.  An infeasible draw is skipped, not redrawn: the rng

@@ -143,15 +143,28 @@ def _sweep_with_ties(design):
 
 
 def _reference_half_plane(design, phi, f_c):
-    """The half-plane search for one angle: 2N arc midpoints, integer
+    """The half-plane search for one angle, on the design's channel."""
+    return _reference_for_channel(db.effective_channel(design, phi, f_c))
+
+
+def _reference_for_channel(h):
+    """The half-plane search for one channel: 2N arc midpoints, integer
     candidate masks summed by matmul, the smallest of the tied masks."""
-    h = db.effective_channel(design, phi, f_c)
     edges = np.sort(np.mod(np.angle(h)[:, None] + [np.pi / 2, -np.pi / 2],
                            2.0 * np.pi).ravel())
     mids = 0.5 * (edges + np.append(edges[1:], edges[0] + 2.0 * np.pi))
     masks = (np.real(h * np.exp(-1j * mids[:, None])) > 0).astype(np.int64)
     gains = np.abs(masks @ h) ** 2
     return min(masks[gains == gains.max()].tolist()), float(gains.max())
+
+
+def _assert_channels_match_the_reference(channels):
+    """Every row's mask and gain equal the one-channel search, bit for bit."""
+    masks, gains = db.binary_tuning._sweep(channels)
+    for row, h in enumerate(channels):
+        mask, gain = _reference_for_channel(h)
+        np.testing.assert_array_equal(masks[row], mask)
+        assert gains[row] == gain
 
 
 def _assert_rows_are_scalar_calls(design, phis):
@@ -167,7 +180,7 @@ def _assert_rows_are_scalar_calls(design, phis):
 
 
 @pytest.mark.parametrize("lossy", [False, True])
-@pytest.mark.parametrize("n", [1, 2, 8, 16])
+@pytest.mark.parametrize("n", [1, 2, 8, 16, 128])
 def test_batch_rows_equal_the_scalar_calls(design, n, lossy):
     """Every row of a 1-d call is its scalar call bit for bit."""
     sized = dataclasses.replace(design, n_elements=n,
@@ -175,14 +188,37 @@ def test_batch_rows_equal_the_scalar_calls(design, n, lossy):
     _assert_rows_are_scalar_calls(sized, _sweep_with_ties(sized))
 
 
-@pytest.mark.parametrize("lossy", [False, True])
-def test_batch_spanning_several_blocks_equals_the_scalar_calls(design, lossy):
-    """At N_y = 128 a block holds two angles, so 41 angles take 21 blocks,
-    the last one partial."""
-    big = dataclasses.replace(design, n_elements=128,
-                              attenuation=6.0 if lossy else None)
-    assert db.binary_tuning.MASK_BLOCK_ENTRIES // (2 * 128 ** 2) == 2
-    _assert_rows_are_scalar_calls(big, np.radians(np.linspace(-60, 60, 41)))
+@pytest.mark.parametrize("n", list(range(1, 49)) + [200])
+def test_random_channels_match_the_reference(n):
+    """Mixed magnitudes, some rows spanning many decades, against the
+    search over all 2N arc midpoints, bit for bit."""
+    rng = np.random.default_rng(n)
+    rows = 4 if n == 200 else 24
+    spread = rng.uniform(0.2, 12.0, (rows, 1))
+    _assert_channels_match_the_reference(
+        10.0 ** (-spread * rng.uniform(0.0, 1.0, (rows, n)))
+        * np.exp(1j * rng.uniform(-np.pi, np.pi, (rows, n))))
+
+
+def test_coinciding_boundaries_match_the_reference(design):
+    """Lossless channels whose 2N boundaries fall in two clusters, so most
+    arcs have zero width: equal elements, the all-on mask wins; the
+    alternating p = 1/2 channel, the odd slots tie the even ones and
+    win."""
+    flat = dataclasses.replace(design, n_elements=16, refractive_index=1.0)
+    h = db.effective_channel(flat, -np.pi / 2, F_C)
+    np.testing.assert_array_equal(h, np.ones(16))
+    sol = db.solve_p4(flat, -np.pi / 2, F_C)
+    np.testing.assert_array_equal(sol.mask, np.ones(16, dtype=np.int8))
+    assert sol.gain == 256.0
+    assert (sol.mask.tolist(), sol.gain) == _reference_for_channel(h)
+
+    alternating = (-1.0) ** np.arange(16) + 0j
+    masks, gains = db.binary_tuning._sweep(alternating[None])
+    np.testing.assert_array_equal(masks[0], [0, 1] * 8)
+    assert gains[0] == 64.0
+    _assert_channels_match_the_reference(
+        np.stack([alternating, -alternating, 1j * alternating]))
 
 
 def test_return_shapes_and_dtypes(design):

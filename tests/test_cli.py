@@ -258,7 +258,7 @@ def test_train_single_probe(scn, tmp_path):
 @pytest.mark.xfail(strict=True, reason=(
     "at Q = 1 the strongest pilot follows the sector crosstalk c_k as well "
     "as the array factor, and the staircase's worst angle falls below the "
-    "codebook floor (exit 4); crosstalk-equalized picks, ROADMAP item 2c, "
+    "codebook floor (exit 4); crosstalk-equalized picks, ROADMAP item 4c, "
     "are to hold it"))
 def test_train_keeps_the_floor_at_low_q(tmp_path):
     path = tmp_path / "lowq.scn"
@@ -417,6 +417,28 @@ def test_gain_sweep_names_its_nan_cells_on_stderr(tmp_path, capsys):
     assert "nan" not in open(os.path.join(tmp_path, "clean",
                                           "gain_sweep.csv")).read()
     assert capsys.readouterr().err == ""
+
+
+def test_gain_sweep_solves_binary_masks_at_65536_elements(tmp_path):
+    """The binary column at N_y = 65536 needs no N x N candidate stack: the
+    run exits 0 and every binary gain stays below the continuous optimum
+    (N + |S|)^2 / 4 at the band center."""
+    from dmabeam.scenario import parse_scenario
+
+    text = "design.n_y = 65536\nsweep.gain_angle_points = 3\n"
+    path = tmp_path / "huge.scn"
+    path.write_text(text)
+    out = str(tmp_path / "run")
+    assert run_cli("gain-sweep", "--scenario", str(path), "--out", out) == 0
+    lines = open(os.path.join(out, "gain_sweep.csv")).read().splitlines()
+    binary = lines[1].split(",").index("gain_binary(linear)")
+    rows = [[float(c) for c in line.split(",")] for line in lines[2:]]
+    design, resolved = cli._resolve(parse_scenario(text))
+    s = np.abs(db.dirichlet_kernel(design, np.radians([r[0] for r in rows]),
+                                   resolved.f_center_hz))
+    gains = np.array([r[binary] for r in rows])
+    assert len(rows) == 3 and np.all(gains > 0)
+    assert np.all(gains <= (65536 + s) ** 2 / 4)
 
 
 @pytest.mark.parametrize("command", ["train", "rate"])
@@ -627,6 +649,23 @@ def test_verify_grid_line_is_pinned(tmp_path, capsys, text, detail):
         in capsys.readouterr().out
     assert read_summary(out)["verify"]["closed form vs resonance grid"] \
         == {"pass": True, "detail": detail}
+
+
+def test_verify_grid_note_names_its_own_limit(tmp_path, capsys):
+    """Above cli.VERIFY_GRID_ELEMENTS the note names the reduced sizes the
+    grid check walks; at or below it there is no note."""
+    path = tmp_path / "note.scn"
+    path.write_text("")
+    assert run_cli("verify", "--scenario", str(path),
+                   "--out", str(tmp_path / "run")) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(
+        "note: grid check walks reduced arrays of 1 to 4 elements "
+        "(cli.VERIFY_GRID_ELEMENTS); configured N_y = 8\n")
+    path.write_text("design.n_y = 4\n")
+    assert run_cli("verify", "--scenario", str(path),
+                   "--out", str(tmp_path / "four")) == 0
+    assert "grid check" not in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("n_y, detail", [

@@ -67,12 +67,17 @@ _INFEASIBLE = (CoverageInfeasibleError, CutoffError, InvalidEstimateError)
 
 def _write_table(path: str, fp: str, columns, data, fmt: str) -> None:
     """Write a table given as one 1-d array per column.  Its data lines
-    come from one % operation: %d per integer column, %.11e (12
-    significant digits) per other."""
-    spec = ",".join("%d" if col.dtype.kind in "iu" else "%.11e"
-                    for col in data)
-    lines = (spec + "\n") * len(data[0]) % tuple(
-        [cell for row in zip(*[col.tolist() for col in data]) for cell in row])
+    read as %d of each integer cell and %.11e (12 significant digits) of
+    each other cell.  ``_table_text.data_lines`` converts the float cells
+    with NumPy, all columns at once: its 12-digit mantissas are within
+    2.3e-4 of exact, so a cell whose mantissa lies at least 1e-3 from a
+    rounding tie rounds as % does.  The cells within 1e-3 of a tie, next
+    to a decade edge or outside [1e-280, 1e280] in magnitude, and every
+    integer cell, go through % one at a time.  The module is imported
+    with the first table, so a command that writes none, and a process
+    that only imports this one, never compiles it or builds its tables."""
+    from ._table_text import data_lines
+    lines = data_lines(data)
     if fmt == "json":
         payload = {
             "scenario": fp,
@@ -132,16 +137,17 @@ def _update_summary(outdir: str, fp: str, section: str, payload: dict) -> None:
             summary = {}
     summary["scenario"] = fp
     summary[section] = payload
+    text = json.dumps(_finite_or_null(summary), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(_finite_or_null(summary), fh, indent=2, sort_keys=True,
-                      allow_nan=False)
-            fh.write("\n")
+            fh.write(text)
         os.replace(tmp, path)
-    finally:
+    except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)
+        raise
 
 
 @dataclasses.dataclass(frozen=True)
@@ -556,6 +562,20 @@ _COMMANDS = {
 }
 
 
+def _angle_deg(text: str) -> float:
+    """--phi's type: an angle of departure in [-90, 90] degrees.  NaN and
+    the infinities fall outside it."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid float value: {text!r}") from None
+    if not -90.0 <= value <= 90.0:
+        raise argparse.ArgumentTypeError(
+            f"{text} is not an angle in [-90, 90] degrees")
+    return value
+
+
 def build_parser(command=None) -> argparse.ArgumentParser:
     """The CLI parser: all subcommands, or only ``command``'s when it names
     one, with the same top-level usage text either way."""
@@ -580,7 +600,7 @@ def build_parser(command=None) -> argparse.ArgumentParser:
                        help="override the scenario's waveguide attenuation")
         if name in ("freq-response", "train"):
             default = -18.0 if name == "freq-response" else None
-            p.add_argument("--phi", type=float, default=default,
+            p.add_argument("--phi", type=_angle_deg, default=default,
                            help="angle of departure in degrees")
     return parser
 

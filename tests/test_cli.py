@@ -1,6 +1,7 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -8,6 +9,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dmabeam as db
 import dmabeam.cli as cli
@@ -153,17 +156,31 @@ def _reference_table_text(fp, columns, rows, fmt):
     return "\n".join(lines) + "\n"
 
 
+# NaN of both signs, the infinities, both zeros, the smallest subnormal,
+# the edges of the vectorized range 1e+-280 and cells just past them, the
+# largest double, and cells at or near a tie of the 12-digit rounding:
+# the last two lie so near one that, scaled by NumPy, they round the
+# other way, and are right only when left to %.
 SPECIAL_CELLS = [float("nan"), float("inf"), -float("inf"), -0.0, 0.0,
-                 5e-324, 1e12, -1e12, 0.1, 1.0 / 3.0, 123456.789]
+                 5e-324, 1e12, -1e12, 0.1, 1.0 / 3.0, 123456.789,
+                 math.copysign(float("nan"), -1.0), 1e280, 1e-280, 1e281,
+                 1e-281, sys.float_info.max, 999999999999.5,
+                 1000000000000.5, 2.5e-5, 9.999999999995e-5,
+                 1.000000000005e16, 2.500000000005e-13]
+INT64 = np.iinfo(np.int64)
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, len(SPECIAL_CELLS) + 1])
+@pytest.mark.parametrize("n_rows", [0, 1, 12])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_column_writer_matches_the_per_cell_reference(tmp_path, fmt, n_rows):
-    """Integer and float columns, special values and a last row of NaN
-    float cells: the column writer gives the per-cell writer's bytes."""
+    """Integer and float columns, special values, int64's extremes and a
+    last row of NaN float cells: the column writer gives the per-cell
+    writer's bytes.  Twelve rows hold every special cell: the last twelve
+    of the first float column and the first twelve of the second."""
     special = np.array(SPECIAL_CELLS + [float("nan")])
-    data = [np.arange(-3, len(special) - 3) * 10 ** 9,
+    assert len(special) <= 2 * 12
+    data = [np.append(np.arange(-3, len(special) - 5) * 10 ** 9,
+                      [INT64.min, INT64.max]),
             special, special[::-1].copy(),
             np.append(np.linspace(-90.0, 90.0, len(special) - 1), np.nan),
             np.arange(len(special), dtype=np.int32)]
@@ -173,6 +190,32 @@ def test_column_writer_matches_the_per_cell_reference(tmp_path, fmt, n_rows):
     cli._write_table(str(path), "0123456789ab", columns, data, fmt)
     assert path.read_text() == _reference_table_text(
         "0123456789ab", columns, list(zip(*data)), fmt)
+
+
+def _near_tie(mantissa, decade, offset):
+    """The double nearest (mantissa + 1/2 + offset) 10^(decade - 11): a
+    cell at or near a tie of the 12-digit rounding."""
+    return float((mantissa + 0.5 + offset) * 10.0 ** (decade - 11))
+
+
+ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.integers(0, 2 ** 64 - 1).map(
+        lambda bits: float(np.uint64(bits).view(np.float64))),
+    st.builds(_near_tie, st.integers(10 ** 11, 10 ** 12 - 1),
+              st.integers(-290, 290), st.floats(-2e-3, 2e-3)))
+
+
+@given(cells=st.lists(ANY_FLOAT, min_size=1, max_size=40))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+def test_table_writer_matches_percent_formatting(tmp_path_factory, cells):
+    """For any float64, NaN of either sign, the infinities and the
+    subnormals included, the table writer's cell is '%.11e' % v."""
+    path = tmp_path_factory.getbasetemp() / "cells.csv"
+    column = np.array(cells, dtype=float)
+    cli._write_table(str(path), "0123456789ab", ["v"], [column], "csv")
+    lines = path.read_text().splitlines()
+    assert lines[2:] == ["%.11e" % v for v in cells]
 
 
 def test_db_column_matches_the_scalar_conversion():
@@ -246,6 +289,25 @@ def test_failed_summary_write_keeps_the_old_file(tmp_path):
     assert os.listdir(out) == ["summary.json"]
 
 
+def test_summary_whose_replacement_fails_leaves_no_temporary_file(
+        tmp_path, monkeypatch):
+    """The summary is written to a temporary file; when that cannot
+    replace the old one, the temporary file is removed."""
+    out = tmp_path / "run"
+    out.mkdir()
+    cli._update_summary(str(out), "fp", "design", {"n_g": 2.5})
+    before = (out / "summary.json").read_bytes()
+
+    def fail(src, dst):
+        raise OSError(28, "No space left on device", dst)
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    with pytest.raises(OSError):
+        cli._update_summary(str(out), "fp", "coverage", {"n": 1})
+    assert (out / "summary.json").read_bytes() == before
+    assert os.listdir(out) == ["summary.json"]
+
+
 def test_train_single_probe(scn, tmp_path):
     out = str(tmp_path / "run")
     assert run_cli("train", "--scenario", scn, "--out", out,
@@ -253,6 +315,33 @@ def test_train_single_probe(scn, tmp_path):
     probe = read_summary(out)["train"]["probe"]
     assert probe["phi_deg"] == -12.5
     assert probe["gain"] > 0
+
+
+@pytest.mark.parametrize("phi", ["nan", "inf", "91", "-95", "1e308"])
+@pytest.mark.parametrize("command", ["train", "freq-response"])
+def test_phi_outside_the_visible_region_is_rejected(tmp_path, capsys,
+                                                    command, phi):
+    """--phi takes a finite angle in [-90, 90] deg: any other exits 2 with
+    a line naming --phi, before anything is computed or written."""
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(command, "--phi", phi, "--out", str(out))
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert (f"dmabeam {command}: error: argument --phi: {phi} is not an "
+            f"angle in [-90, 90] degrees\n") in captured.err
+    assert "Warning" not in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("phi", ["-90", "90"])
+def test_phi_at_the_edges_of_the_visible_region_is_accepted(scn, tmp_path,
+                                                            phi):
+    out = str(tmp_path / "run")
+    assert run_cli("train", "--scenario", scn, "--out", out,
+                   "--phi", phi) == 0
+    assert read_summary(out)["train"]["probe"]["phi_deg"] == float(phi)
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -1030,7 +1119,7 @@ def test_threads_flag_is_rejected(scn, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["--help"], [], ["bogus"], ["rate", "--bogus"], ["rate", "--help"],
-    ["train", "--phi", "x"], ["verify", "extra"]],
+    ["train", "--phi", "x"], ["train", "--phi", "nan"], ["verify", "extra"]],
     ids=lambda argv: "-".join(argv).strip("-") or "none")
 def test_one_command_parser_reads_as_the_full_parser(argv, capsys):
     """main builds only the named command's parser; its help, errors and

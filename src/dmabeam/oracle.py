@@ -38,8 +38,8 @@ _WALK_BLOCK = 2 ** 11
 class EnumeratedMask(NamedTuple):
     """The best on/off pattern of the plain enumeration and its gain."""
 
-    mask: np.ndarray     # (N,) int8
-    gain: float
+    mask: np.ndarray     # (N,) int8, or (A, N) for A angles
+    gain: float          # or an (A,) array
 
 
 def _raw_weight(design: DmaDesign, f_r, f):
@@ -288,33 +288,38 @@ def dense_p_scan(design: DmaDesign, phi: float, resolution: int):
     return float(best_p), float(best)
 
 
-def enumerate_binary(design: DmaDesign, phi: float,
-                     f_c: float) -> EnumeratedMask:
-    """Plain double-loop enumeration of all on/off element patterns.
+def enumerate_binary(design: DmaDesign, phi, f_c: float) -> EnumeratedMask:
+    """Plain enumeration of all on/off element patterns, as arrays.
 
-    Independent of the vectorized solver: python-level loops, explicit
-    bit tests, element 1 as the most significant bit, strict improvement
-    so the lexicographically smallest maximizer wins.
+    Explicit bit tests, element 1 as the most significant bit; each sum
+    adds its elements in order, and hypot and float_power round the gain
+    as Python's abs(complex) ** 2 (np.abs and x * x can differ in the
+    last bit).  The first maximum wins, the lexicographically smallest
+    maximizer, an earlier block of 2^16 masks keeping a tie.  A 1-d
+    ``phi`` gives (A, N) masks and (A,) gains.
     """
     n = design.n_elements
     if n > BINARY_MAX_ELEMENTS:
         raise EnumerationLimitError(
             f"binary oracle caps at {BINARY_MAX_ELEMENTS} elements, got {n}")
     h = _raw_channel(design, phi, f_c)
-    best_gain = -1.0
-    best_mask = 0
-    for mask in range(1 << n):
-        total = 0j
+    best_gain = np.full(h.shape[:-1], -1.0)
+    best_mask = np.zeros(h.shape[:-1], dtype=np.int64)
+    for start in range(0, 1 << n, 1 << 16):
+        masks = np.arange(start, min(start + (1 << 16), 1 << n))
+        total = np.zeros(h.shape[:-1] + masks.shape, dtype=complex)
         for element in range(n):
-            if (mask >> (n - 1 - element)) & 1:
-                total += h[element]
-        gain = abs(total) ** 2
-        if gain > best_gain:
-            best_gain = gain
-            best_mask = mask
-    bits = np.array([(best_mask >> (n - 1 - e)) & 1 for e in range(n)],
-                    dtype=np.int8)
-    return EnumeratedMask(mask=bits, gain=float(best_gain))
+            on = (masks >> (n - 1 - element)) & 1 == 1
+            np.add(total, h[..., element, None], out=total, where=on)
+        gain = np.hypot(total.real, total.imag)
+        np.float_power(gain, 2, out=gain)
+        top = gain.max(axis=-1)
+        best_mask = np.where(top > best_gain, masks[gain.argmax(axis=-1)],
+                             best_mask)
+        best_gain = np.maximum(best_gain, top)
+    bits = (best_mask[..., None] >> np.arange(n - 1, -1, -1)) & 1
+    gain = float(best_gain) if best_gain.ndim == 0 else best_gain
+    return EnumeratedMask(mask=bits.astype(np.int8), gain=gain)
 
 
 def binary_mask_gain(design: DmaDesign, phi: float, f_c: float, mask) -> float:

@@ -1,8 +1,8 @@
 """Shared fixtures: the reference waveguide, its stacked array, and
 independent scalar references for configured gains, the closed-form
 solver and the planner, the per-block weight loop of the array gain
-kernel, the unblocked dense scan, the paired-halves grid search and the
-one-draw grid walk."""
+kernel, the unblocked dense scan, the paired-halves grid search, the
+one-draw grid walk and the double-loop binary enumeration."""
 
 import dataclasses
 
@@ -289,3 +289,37 @@ def _reference_grid_walk(design, phi, f_t, points):
 def reference_grid_walk():
     """The one-draw walk each row of the batched grid oracle must equal."""
     return _reference_grid_walk
+
+
+def _reference_enumerate_binary(design, phi, f_c):
+    """The binary oracle as a plain double loop over masks and elements.
+
+    Python complex sums with explicit bit tests, element 1 as the most
+    significant bit, abs(total) ** 2 as the gain and strict improvement,
+    so the lexicographically smallest maximizer wins.  Returns the (N,)
+    int8 mask and the float gain the array enumeration must give bit for
+    bit.
+    """
+    from dmabeam.oracle import _raw_channel
+    n = design.n_elements
+    h = _raw_channel(design, phi, f_c)
+    best_gain = -1.0
+    best_mask = 0
+    for mask in range(1 << n):
+        total = 0j
+        for element in range(n):
+            if (mask >> (n - 1 - element)) & 1:
+                total += h[element]
+        gain = abs(total) ** 2
+        if gain > best_gain:
+            best_gain = gain
+            best_mask = mask
+    bits = np.array([(best_mask >> (n - 1 - e)) & 1 for e in range(n)],
+                    dtype=np.int8)
+    return bits, float(best_gain)
+
+
+@pytest.fixture(scope="session")
+def reference_enumerate_binary():
+    """The double loop each row of the binary oracle must equal."""
+    return _reference_enumerate_binary

@@ -317,12 +317,14 @@ def test_train_single_probe(scn, tmp_path):
     assert probe["gain"] > 0
 
 
-@pytest.mark.parametrize("phi", ["nan", "inf", "91", "-95", "1e308"])
+@pytest.mark.parametrize("phi", ["nan", "inf", "91", "-95", "1e308",
+                                 "-inf", "-nan"])
 @pytest.mark.parametrize("command", ["train", "freq-response"])
 def test_phi_outside_the_visible_region_is_rejected(tmp_path, capsys,
                                                     command, phi):
     """--phi takes a finite angle in [-90, 90] deg: any other exits 2 with
-    a line naming --phi, before anything is computed or written."""
+    a line naming --phi, before anything is computed or written.  -inf
+    and -nan are values of --phi, not options, as --phi=-inf is."""
     out = tmp_path / "run"
     with pytest.raises(SystemExit) as exc:
         run_cli(command, "--phi", phi, "--out", str(out))
@@ -333,6 +335,45 @@ def test_phi_outside_the_visible_region_is_rejected(tmp_path, capsys,
             f"angle in [-90, 90] degrees\n") in captured.err
     assert "Warning" not in captured.err
     assert not out.exists()
+
+
+def test_phi_in_exponent_form_reads_as_the_plain_number(scn, tmp_path):
+    """--phi -1e1 is -10 deg: train writes the same bytes as --phi -10."""
+    runs = [tmp_path / "exponent", tmp_path / "plain"]
+    for phi, out in zip(["-1e1", "-10"], runs):
+        assert run_cli("train", "--scenario", scn, "--out", str(out),
+                       "--phi", phi) == 0
+    for name in ("codebook.csv", "train.csv", "summary.json"):
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
+
+
+@pytest.mark.parametrize("phi", ["x", "-x"])
+def test_phi_that_is_no_number_is_named(tmp_path, capsys, phi):
+    """A word after --phi that is not a long option is its value, so -x
+    is named as an invalid number, as x is."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli("train", "--phi", phi, "--out", str(tmp_path / "run"))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        f"argument --phi: invalid float value: '{phi}'\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("trailing", [True, False],
+                         ids=["trailing", "before-an-option"])
+def test_phi_without_a_value_still_expects_one(tmp_path, capsys, trailing):
+    """A --phi followed by nothing, or by another option, keeps argparse's
+    own message and writes nothing."""
+    out = ["--out", str(tmp_path / "run")]
+    argv = out + ["--phi"] if trailing else ["--phi"] + out
+    with pytest.raises(SystemExit) as exc:
+        run_cli("train", *argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        "dmabeam train: error: argument --phi: expected one argument\n")
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("phi", ["-90", "90"])
@@ -765,11 +806,11 @@ def test_verify_solves_and_walks_once_per_reduced_size(tmp_path, capsys,
                                                        monkeypatch, n_y,
                                                        detail):
     """The 20 closed-form draws take one solve_p1a and one grid_max_gain
-    call per reduced-array size, and the planner check one planner call
-    for its three angles; the grid line reads as the per-draw loop
-    printed it."""
+    call per reduced-array size, the planner check one planner call for
+    its three angles and the binary check one enumerate_binary call for
+    its four; the grid line reads as the per-draw loop printed it."""
     calls = {"solve_p1a": [], "grid_max_gain": [],
-             "optimal_operating_freq": []}
+             "optimal_operating_freq": [], "enumerate_binary": []}
 
     def counted(name, function):
         def wrapper(design, phi, *args):
@@ -792,6 +833,7 @@ def test_verify_solves_and_walks_once_per_reduced_size(tmp_path, capsys,
             range(1, min(cli.VERIFY_GRID_ELEMENTS, n_y) + 1)), name
         assert sum(rows for _, rows in calls[name]) == 20, name
     assert calls["optimal_operating_freq"] == [(n_y, 3)]
+    assert calls["enumerate_binary"] == [(n_y, 4)]
 
 
 def test_verify_runs_on_a_band_narrower_than_two_ghz(tmp_path, capsys):
@@ -1119,7 +1161,8 @@ def test_threads_flag_is_rejected(scn, tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["--help"], [], ["bogus"], ["rate", "--bogus"], ["rate", "--help"],
-    ["train", "--phi", "x"], ["train", "--phi", "nan"], ["verify", "extra"]],
+    ["train", "--phi", "x"], ["train", "--phi", "nan"],
+    ["train", "--phi", "-inf"], ["verify", "extra"]],
     ids=lambda argv: "-".join(argv).strip("-") or "none")
 def test_one_command_parser_reads_as_the_full_parser(argv, capsys):
     """main builds only the named command's parser; its help, errors and

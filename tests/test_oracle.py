@@ -479,6 +479,47 @@ def test_binary_mask_gain_reproduces_the_enumerated_optimum(design):
         db.binary_mask_gain(design, 0.2, 15e9, [1, 0])
 
 
+@pytest.mark.parametrize("lossy", [False, True], ids=["lossless", "lossy"])
+@pytest.mark.parametrize("n", range(1, 15))
+def test_enumerate_binary_matches_the_double_loop_bit_for_bit(
+        reference_enumerate_binary, n, lossy):
+    """Mask and gain equal the double loop's at random angles and
+    frequencies, from one batched call and from scalar calls alike.  Small
+    arrays take thousands of angles, so that a gain rounded by np.abs or
+    x * x in place of hypot and float_power shows.  The raw channel has
+    no decay, so a lossy design enumerates the lossless channel."""
+    rng = np.random.default_rng(100 * n + lossy)
+    design = dataclasses.replace(small_design(n),
+                                 attenuation=6.0 if lossy else None)
+    f_c = float(rng.uniform(12e9, 18e9))
+    phis = rng.uniform(-1.5, 1.5, max(3, 4096 >> n))
+    batch = db.enumerate_binary(design, phis, f_c)
+    assert batch.mask.shape == (phis.size, n) and batch.mask.dtype == np.int8
+    assert batch.gain.shape == (phis.size,)
+    for k, phi in enumerate(phis.tolist()):
+        mask, gain = reference_enumerate_binary(design, phi, f_c)
+        np.testing.assert_array_equal(batch.mask[k], mask, strict=True)
+        assert batch.gain[k] == gain
+        if k < 3:
+            sol = db.enumerate_binary(design, phi, f_c)
+            np.testing.assert_array_equal(sol.mask, mask, strict=True)
+            assert type(sol.gain) is float and sol.gain == gain
+
+
+def test_enumerate_binary_at_its_cap_is_no_worse_than_the_solver(design):
+    """At 20 elements, 16 blocks of masks: each angle's gain is its own
+    mask's, and the solver finds no better one."""
+    big = dataclasses.replace(design, n_elements=oracle.BINARY_MAX_ELEMENTS)
+    phis = np.array([-0.4, 0.7])
+    sol = db.enumerate_binary(big, phis, F_C)
+    fast = db.solve_p4(big, phis, F_C)
+    for phi, mask, gain, solver in zip(phis.tolist(), sol.mask, sol.gain,
+                                       fast.gain):
+        assert db.binary_mask_gain(big, phi, F_C, mask) \
+            == pytest.approx(gain, rel=1e-12)
+        assert gain >= solver * (1.0 - 1e-9)
+
+
 def test_enumerate_binary_cap():
     with pytest.raises(db.EnumerationLimitError):
         db.enumerate_binary(small_design(21), 0.0, 15e9)

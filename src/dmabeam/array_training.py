@@ -98,19 +98,23 @@ def array_gain_dma(layout: ArrayLayout, resonances, phi, f):
     1 (see combined_phases; the decay factor only on a lossy design).  The
     sum over elements is therefore a polynomial in z, evaluated by
     Horner's rule from the last element down,
-    total = (...(w_{N-1} z + w_{N-2}) z + ...) z + w_0: one complex
-    exponential per (angle, frequency) instead of one per element.  Since
-    |z| <= 1 no partial sum exceeds sum_n |w_n|, so the rounding error is
-    of order N ulps of that sum, the bound of the direct
-    element-by-element sum.
+    total = (...(w_{N-1} z + w_{N-2}) z + ...) z + w_0: one cosine and
+    one sine per (angle, frequency), written into the parts of z, instead
+    of a complex exponential per element.  They give e^{j theta_1}'s bits
+    but for the sign of a zero imaginary part, which the squared modulus
+    drops.  Since |z| <= 1 no partial sum exceeds sum_n |w_n|, so the
+    rounding error is of order N ulps of that sum, the bound of the
+    direct element-by-element sum.
 
-    The weights are formed in blocks of consecutive elements, from the
-    last block down, each of at most WEIGHT_BLOCK_ENTRIES weights and at
-    least one element, and each block is folded into the sum at once: the
-    full (..., N) weight array of a rate sweep would not fit in the
-    cache.  The block size changes no arithmetic, only how many elements
-    one block covers.  The weights are beamformer_weight's, with its
-    frequency factors and the squared resonances formed once per call.
+    The last element's weights are written straight into the sum; the
+    others are formed in blocks of consecutive elements, from the last
+    block down, each of at most WEIGHT_BLOCK_ENTRIES weights and at least
+    one element, and each block is folded into the sum at once: the full
+    (..., N) weight array of a rate sweep would not fit in the cache.  The
+    block size changes no arithmetic, only how many elements one block
+    covers.  The weights are beamformer_weight's, with its frequency
+    factors and the squared resonances formed once per call, and every
+    block is written into the same work arrays, made once per call.
     """
     res = np.asarray(resonances, dtype=float)
     design = layout.per_dma
@@ -122,7 +126,11 @@ def array_gain_dma(layout: ArrayLayout, resonances, phi, f):
     # A two-element guide's phases are the first two of any guide's:
     # theta_1 without forming the other N - 2 columns.
     pair = replace(design, n_elements=2)
-    z = np.exp(1j * combined_phases(pair, phis[..., None], freqs)[..., 1])
+    theta = combined_phases(pair, phis[..., None], freqs)[..., 1]
+    z = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=z.real)
+    np.sin(theta, out=z.imag)
+    del theta                    # a view: frees the two-column phases
     if design.attenuation is not None:
         z *= attenuation_vector(pair)[1]
     block_shape = np.broadcast_shapes(res.shape[:-1], freqs.shape[:-1])
@@ -132,19 +140,24 @@ def array_gain_dma(layout: ArrayLayout, resonances, phi, f):
     res, freqs = _positive_frequencies(res, freqs)
     res_sq = res ** 2
     f_sq, scale = _frequency_factors(design, freqs)
-    block = max(1, WEIGHT_BLOCK_ENTRIES // int(np.prod(block_shape)))
-    for stop in range(design.n_elements, 0, -block):
+    block = max(1, min(design.n_elements - 1,
+                       WEIGHT_BLOCK_ENTRIES // int(np.prod(block_shape))))
+    t = np.empty(block_shape + (block,))
+    den = np.empty_like(t)
+    w = np.empty(t.shape, dtype=complex)
+    top = design.n_elements - 1              # the last element starts
+    _weight(res_sq[..., top:], f_sq, scale, t[..., :1], den[..., :1],
+            total[..., None])
+    for stop in range(top, 0, -block):
         start = max(0, stop - block)
-        w = _weight(res_sq[..., start:stop], f_sq, scale)
-        columns = range(stop - start - 1, -1, -1)
-        if stop == design.n_elements:            # the last element starts
-            total[...] = w[..., -1]
-            columns = columns[1:]
-        for n in columns:
+        n = stop - start
+        _weight(res_sq[..., start:stop], f_sq, scale, t[..., :n], den[..., :n],
+                w[..., :n])
+        for k in range(n - 1, -1, -1):
             total *= z
-            total += w[..., n]
+            total += w[..., k]
     out = total.real * total.real
-    out += total.imag * total.imag
+    out += np.square(total.imag, out=total.imag)
     out *= layout.n_dmas ** 2
     return float(out) if out.ndim == 0 else out
 

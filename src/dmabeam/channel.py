@@ -8,9 +8,10 @@ normalized product p = f d_y (n_g + sin phi) / c.
 
 Linear phase and exponential decay make the channel of element n the
 n-th power of one step z = e^{-alpha d_y} e^{j theta_1}, theta_1 the
-phase of element 1.  array_training.array_gain_dma sums configured
-weights against it by Horner's rule in z, forming the weights a block
-of elements at a time, and never builds the channel itself;
+phase of element 1.  array_training.array_gain_dma forms z from the
+cosine and sine of theta_1 and sums configured weights against it by
+Horner's rule, forming the weights a block of elements at a time into
+work arrays made once per call, and never builds the channel itself;
 effective_channel builds it element by element for the binary solver
 and the tests.  The phases 2 pi p (n - 1) keep fewer fractional bits as
 p grows, so a scenario whose p at f_max and phi = 90 deg exceeds
@@ -32,11 +33,24 @@ def combined_phases(design: DmaDesign, phi, f) -> np.ndarray:
     """Total per-element phase, -2 pi (f/c) (n-1) d_y (n_g + sin phi).
 
     The element index broadcasts on the last axis, so array arguments
-    carry a trailing unit axis for it.
+    carry a trailing unit axis for it.  The factors are applied left to
+    right, in place, to one array of the broadcast shape.  Its element
+    axis is outermost in memory: every pass then runs over the angle and
+    frequency axes at once, not over a few elements at a time, and one
+    element's phases are a contiguous block.
     """
     idx = np.arange(design.n_elements)
-    return -2.0 * np.pi * (f / CONSTANTS.c) * idx * design.spacing \
-        * (design.refractive_index + np.sin(phi))
+    x = f / CONSTANTS.c
+    x *= -2.0 * np.pi
+    s = design.refractive_index + np.sin(phi)
+    shape = np.broadcast(x, idx, s).shape
+    # (N, ...) in memory, viewed as (..., N)
+    out = np.empty(shape[-1:] + shape[:-1]).transpose(
+        tuple(range(1, len(shape))) + (0,))
+    np.multiply(x, idx, out=out)
+    out *= design.spacing
+    out *= s
+    return out
 
 
 def attenuation_vector(design: DmaDesign) -> np.ndarray:
@@ -55,8 +69,11 @@ def effective_channel(design: DmaDesign, phi, f) -> np.ndarray:
     """Effective channel h(phi, f), decayed by the design's attenuation.
 
     Broadcasts as combined_phases: the element index is the last axis.
+    The channel is laid out in C order, elements contiguous, whatever
+    the phases' layout: sums over the elements round the same way.
     """
-    h = 1j * combined_phases(design, phi, f)
+    phases = combined_phases(design, phi, f)
+    h = np.multiply(1j, phases, out=np.empty(phases.shape, dtype=complex))
     np.exp(h, out=h)
     if design.attenuation is not None:
         h *= attenuation_vector(design)

@@ -119,14 +119,20 @@ def _frequency_factors(design: DmaDesign, f):
     return f**2, 2.0 * np.pi / (design.damping * f)
 
 
-def _weight(f_r_sq, f_sq, scale):
+def _weight(f_r_sq, f_sq, scale, t=None, den=None, out=None):
     """The weight array 1 / (t + j), t = (f_r^2 - f^2) scale; see
-    beamformer_weight, which checks the frequencies."""
-    t = np.subtract(f_r_sq, f_sq)
+    beamformer_weight, which checks the frequencies.
+
+    ``t`` and ``den`` (float) and ``out`` (complex), when given, are
+    arrays of the broadcast shape that the passes are written into; the
+    arithmetic is the same either way.
+    """
+    t = np.subtract(f_r_sq, f_sq, out=t)
     t *= scale
-    den = t * t
+    den = np.multiply(t, t, out=den)
     den += 1.0
-    out = np.empty(np.shape(t), dtype=complex)
+    if out is None:
+        out = np.empty(np.shape(t), dtype=complex)
     np.divide(t, den, out=out.real)
     np.divide(-1.0, den, out=out.imag)
     return out

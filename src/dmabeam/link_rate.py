@@ -94,22 +94,30 @@ def subcarrier_grid(budget: LinkBudget, center) -> np.ndarray:
 def received_psd(budget: LinkBudget, gain, f):
     """Received power spectral density (lambda/4 pi r)^2 (P/B) G in W/Hz.
 
-    Accepts scalars or matching arrays of gain and frequency.
+    Accepts scalars or matching arrays of gain and frequency.  The
+    factors are applied in place, in that order, to one array of the
+    broadcast shape.
     """
     gain = np.asarray(gain, dtype=float)
     if np.any(gain < 0):
         raise DomainError("gain must be non-negative")
-    lam = CONSTANTS.c / np.asarray(f, dtype=float)
-    out = (lam / (4.0 * np.pi * budget.distance)) ** 2 \
-        * (budget.tx_power / budget.bandwidth) * gain
+    f = np.asarray(f, dtype=float)
+    out = np.divide(CONSTANTS.c, f,
+                    out=np.empty(np.broadcast_shapes(f.shape, gain.shape)))
+    out /= 4.0 * np.pi * budget.distance
+    out *= out
+    out *= budget.tx_power / budget.bandwidth
+    out *= gain
     return float(out) if out.ndim == 0 else out
 
 
 def _rate(budget: LinkBudget, gain, f):
     """(B/K_d) sum_k log2(1 + SNR_k) over the subcarriers f, the last axis."""
-    snr = received_psd(budget, gain, f) / (CONSTANTS.k_B * budget.noise_temp)
+    snr = received_psd(budget, gain, f)
+    snr /= CONSTANTS.k_B * budget.noise_temp
+    snr += 1.0
     rate = budget.bandwidth / budget.n_subcarriers \
-        * np.sum(np.log2(1.0 + snr), axis=-1)
+        * np.sum(np.log2(snr, out=snr), axis=-1)
     return float(rate) if rate.ndim == 0 else rate
 
 

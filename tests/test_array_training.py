@@ -591,6 +591,49 @@ def test_kernel_matches_the_per_block_weight_loop(
     assert got.tobytes() == expect.tobytes()
 
 
+@pytest.mark.parametrize("lossy", [False, True])
+def test_step_at_a_negative_zero_phase_keeps_the_gain_bits(
+        design, reference_array_gain_dma, lossy):
+    """At n_g = 1 and phi = -90 deg theta_1 is -0.0: sin gives the step
+    z a negative imaginary zero where the complex exponential gives a
+    positive one, and the squared modulus drops that sign.  The gains
+    equal those of the exponential step bit for bit."""
+    dma = dataclasses.replace(design, refractive_index=1.0,
+                              attenuation=6.0 if lossy else None)
+    phis = np.radians([-90.0, -60.0, 0.0, 45.0])
+    pair = dataclasses.replace(dma, n_elements=2)
+    theta = db.combined_phases(pair, -np.pi / 2, 15e9)[1]
+    assert theta == 0.0 and np.signbit(theta)
+    rows = np.linspace(13e9, 17e9, dma.n_elements) \
+        + 0.2e9 * np.arange(phis.size)[:, None]
+    grid = np.linspace(14e9, 16e9, 9)
+    args = (db.ArrayLayout(4, dma), rows[:, None, :], phis[:, None], grid)
+    got = db.array_gain_dma(*args)
+    expect = reference_array_gain_dma(
+        *args, db.array_training.WEIGHT_BLOCK_ENTRIES)
+    assert got.tobytes() == expect.tobytes()
+
+
+def test_rate_shaped_call_peak_memory(design):
+    """One rate-sweep call, 181 angles x 64 subcarriers at N = 8, peaks
+    below 1,100 KB of traced memory (12.2 float grids of that shape):
+    the weights are written into work arrays made once per call, and the
+    two-column phase array is freed once the step is formed."""
+    import tracemalloc
+    phis = np.radians(np.linspace(-30.0, 30.0, 181))
+    rows = db.solve_p1a(design, phis, F_C).resonances
+    grid = F_C + np.linspace(-0.15e9, 0.15e9, 64) + 0.1e9 * phis[:, None]
+    args = (db.ArrayLayout(4, design), rows[:, None, :], phis[:, None], grid)
+    db.array_gain_dma(*args)
+    tracemalloc.start()
+    try:
+        db.array_gain_dma(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1100 * 1024
+
+
 def test_empty_angles_or_frequencies_give_an_empty_gain(design, layout):
     cfg = np.full(design.n_elements, 15e9)
     assert db.array_gain_dma(layout, cfg, np.empty(0), F_C).shape == (0,)

@@ -32,7 +32,8 @@ def test_combined_phases_match_the_oracle_channel(design):
 @pytest.mark.parametrize("lossy", [False, True])
 def test_effective_channel_over_a_grid_equals_the_oracle_pairs(design, lossy):
     """Angle x frequency arrays, the element axis last, give pair by pair
-    the oracle's element-by-element channel, decayed on a lossy design."""
+    the oracle's element-by-element channel, decayed on a lossy design,
+    laid out in C order whatever the layout of the phases."""
     import dataclasses
     from dmabeam.oracle import _raw_channel
 
@@ -40,7 +41,7 @@ def test_effective_channel_over_a_grid_equals_the_oracle_pairs(design, lossy):
     phis = np.radians(np.linspace(-60.0, 60.0, 7))
     freqs = np.linspace(12e9, 18e9, 5)
     h = db.effective_channel(dma, phis[:, None, None], freqs[:, None])
-    assert h.shape == (7, 5, dma.n_elements)
+    assert h.shape == (7, 5, dma.n_elements) and h.flags.c_contiguous
     decay = np.exp(-6.0 * dma.spacing * np.arange(dma.n_elements)) \
         if lossy else 1.0
     for i, phi in enumerate(phis):
@@ -58,6 +59,27 @@ def test_phase_slope_follows_spacing_and_index(design):
         * (design.refractive_index + np.sin(phi))
     expect = slope * np.arange(design.n_elements)
     np.testing.assert_allclose(total, expect, atol=1e-9)
+
+
+@pytest.mark.parametrize("shapes", [
+    ((), ()),                     # one angle and frequency: (N,)
+    ((7, 1), ()),                 # angles against the element axis: (A, N)
+    ((7, 1, 1), (7, 5, 1)),       # the rate sweep's angles x subcarriers
+    ((7, 1, 1), (5, 1)),          # angles widen the shape: the probe's
+])
+def test_combined_phases_keep_the_bits_of_the_one_expression_form(
+        design, shapes):
+    """The in-place passes round as the left-to-right product did, also
+    where the angles widen the frequencies' shape."""
+    phi_shape, f_shape = shapes
+    rng = np.random.default_rng(7)
+    phi = rng.uniform(-np.pi / 2, np.pi / 2, phi_shape)
+    f = rng.uniform(12e9, 18e9, f_shape)
+    expect = -2.0 * np.pi * (f / C) * np.arange(design.n_elements) \
+        * design.spacing * (design.refractive_index + np.sin(phi))
+    got = db.combined_phases(design, phi, f)
+    assert got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
 
 
 def test_normalized_product_formula(design):

@@ -71,6 +71,28 @@ def test_received_psd_broadcasts():
             db.received_psd(budget, gains[i], freqs[i]), rel=1e-12)
 
 
+@pytest.mark.parametrize("shapes", [((64,), (64,)), ((64,), (9, 1)),
+                                    ((9, 64), (9, 64))])
+def test_received_psd_and_rate_keep_the_bits_of_the_expressions(shapes):
+    """The in-place passes round as the one-expression forms did: PSD and
+    rate for subcarrier rows, a TTD-shaped gain row against band centers,
+    and angle x subcarrier grids; a scalar call gives the bits of the same
+    point in an array call."""
+    gain_shape, f_shape = shapes
+    budget = make_budget()
+    rng = np.random.default_rng(3)
+    gain = rng.uniform(0.0, 1024.0, gain_shape)
+    f = rng.uniform(14.8e9, 15.2e9, f_shape)
+    psd = (3.0e8 / f / (4.0 * np.pi * 500.0)) ** 2 * (0.25 / 0.3e9) * gain
+    rate = 0.3e9 / 64 * np.sum(np.log2(1.0 + psd / (K_B * 290.0)), axis=-1)
+    got = db.received_psd(budget, gain, f)
+    assert got.tobytes() == psd.tobytes()
+    got_rate = db.link_rate._rate(budget, gain, f)
+    assert np.array(got_rate).tobytes() == rate.tobytes()
+    one = db.received_psd(budget, float(gain.flat[0]), float(f.flat[0]))
+    assert type(one) is float and one == got.flat[0]
+
+
 def test_achievable_rate_matches_hand_computation(layout, reference_gain):
     """Two-subcarrier case recomputed from first principles."""
     budget = make_budget(n_subcarriers=2)

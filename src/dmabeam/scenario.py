@@ -128,12 +128,12 @@ class Scenario:
     tuning_ranges: Tuple[float, ...] = _key(                            # GHz
         "sweep", (2.0, 3.0, 5.0, 6.0), _parse_list, "(0, inf)")
     angle_samples: int = _key("sweep", 181, _parse_int, "[1, inf)")
-    freq_points: int = _key("sweep", 601, _parse_int, "[2, inf)")
-    gain_angle_points: int = _key("sweep", 361, _parse_int, "[2, inf)")
+    freq_points: int = _key("sweep", 601, _parse_int, "[2, 1e6]")
+    gain_angle_points: int = _key("sweep", 361, _parse_int, "[2, 1e5]")
     coverage_n_g: Tuple[float, ...] = _key(
         "sweep", (2.0, 2.5, 3.0, 4.0), _parse_list, "[1, inf)")
     coverage_ratio_max: float = _key("sweep", 0.8, _parse_float, "(0, inf)")
-    coverage_points: int = _key("sweep", 101, _parse_int, "[2, inf)")
+    coverage_points: int = _key("sweep", 101, _parse_int, "[2, 1e6]")
 
     # -- SI accessors -------------------------------------------------
     @property

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, formats, exit codes, determinism."""
 
+import collections
 import json
 import math
 import os
@@ -54,13 +55,131 @@ def read_summary(out):
         return json.load(fh, parse_constant=reject_constant)
 
 
-def test_design_writes_summary_and_resolved_scenario(scn, tmp_path, capsys):
-    from dmabeam.scenario import parse_scenario
+# The tables each command writes; train and rate write two.
+TABLES = {"coverage": ["coverage"], "freq-response": ["freq_response"],
+          "gain-sweep": ["gain_sweep"], "train": ["codebook", "train"],
+          "rate": ["rate_bandwidth", "rate_tuning"]}
 
+
+Run = collections.namedtuple("Run", "id scenario argv code out err",
+                             defaults=(0, (), ()))
+LOWQ = "design.q_factor = 1\n"
+WIDE = "design.n_y = 128\ndesign.attenuation = on\n"
+PROBE_FAILS = "design.n_g = 3\ndesign.d_y = 0.02\n"
+WIDE_SECTOR = "sector.phi_lower = -80\nsector.phi_upper = 80\n"
+
+# The CLI scenario runs: id, scenario text (None: the defaults), command
+# line, exit code, and substrings that stdout and stderr must hold.
+RUNS = [
+    # The default JSON tables and their CSV; gain-sweep's hold NaN, -inf.
+    Run("gain-sweep-json", None, "gain-sweep --format json"),
+    Run("train-json", None, "train --phi 10 --format json"),
+    Run("rate-json", None, "rate --format json"),
+    # Q = 1: weights far from resonance; 60 deg is infeasible (NaN gains).
+    Run("freq-response-q1", LOWQ, "freq-response --phi -18"),
+    Run("freq-response-q1-60deg", LOWQ, "freq-response --phi 60"),
+    # The Q domain's edges: the grid oracle walks the longest weight arc.
+    Run("verify-q0.1", "design.q_factor = 0.1\n", "verify"),
+    Run("verify-q1e6", "design.q_factor = 1e6\n", "verify"),
+    # Up to 38 tied binary arcs per angle; a lossy step of modulus below 1;
+    # verify's binary check on 12 elements, not the oracle's cap of 20.
+    Run("gain-sweep-ny128-lossy", WIDE, "gain-sweep"),
+    Run("freq-response-ny128-lossy", WIDE, "freq-response --phi -18"),
+    Run("verify-ny128-lossy", WIDE, "verify",
+        out=("binary oracle capped at 12 elements",)),
+    # Two waveguides per training sector: the probe's group factor 4.
+    Run("train-nz8", "design.n_z = 8\n", "train --phi 10"),
+    Run("rate-nz8", "design.n_z = 8\n", "rate"),
+    # n_g = 1: element 1's phase is -0.0 at -90 deg; with no crossover the
+    # binary check runs on its three random angles alone.
+    Run("gain-sweep-ng1", "design.n_g = 1\n", "gain-sweep --attenuation on"),
+    Run("verify-ng1", "design.n_g = 1\n", "verify",
+        out=("binary solver vs plain enumeration  (3 instances)",)),
+    # Two mirrored sidelobe tops tie past about 78 deg.
+    Run("gain-sweep-ny5", "design.n_y = 5\n", "gain-sweep"),
+    Run("verify-ny5", "design.n_y = 5\n", "verify"),
+    # The dense scan's block bounds: 1 / sin(pi d) at N_y = 1, where every
+    # p ties; the mainlobe floor, 1 at N_y = 2 and the sidelobe bound at 3;
+    # p near 1 at 9; the whole p range below 2e-298 at d_y = 1e-300.
+    Run("verify-ny1", "design.n_y = 1\n", "verify"),
+    Run("verify-ny2", "design.n_y = 2\n", "verify"),
+    Run("verify-ny3", "design.n_y = 3\n", "verify"),
+    Run("verify-ny9", "design.n_y = 9\n", "verify"),
+    Run("verify-dy1e-300", "design.d_y = 1e-300\n", "verify"),
+    # Draws a sixth of a 1 GHz band off each edge; masks tied within an ulp.
+    Run("verify-narrow-band", "design.f_min = 14.5\ndesign.f_max = 15.5\n"
+        "design.n_g_max = 20\n", "verify"),
+    Run("verify-binary-tie", WIDE_SECTOR + "design.n_g_max = 50\n", "verify"),
+    # Invalid scenarios, each sweep size's ceiling + 1 included.
+    Run("design-n_y-negative", "design.n_y = -3\n", "design", 2),
+    Run("verify-f_max-inf", "design.f_max = inf\n", "verify", 2,
+        err=("design.f_max: not a finite number",)),
+    Run("rate-distance-1e-300", "budget.distance = 1e-300\n", "rate", 2,
+        err=("below one wavelength",)),
+    Run("rate-gamma-1e-300", "design.gamma = 1e-300\n", "rate", 2,
+        err=("Q = 2 pi f_c / gamma at 9.42e+301",)),
+    Run("rate-q-1e-300", "design.q_factor = 1e-300\n", "rate", 2,
+        err=("Q = 2 pi f_c / gamma at 1e-300",)),
+    Run("freq_points-ceiling", "sweep.freq_points = 1000001\n",
+        "freq-response", 2, err=("sweep.freq_points must lie in [2, 1e6]",)),
+    Run("coverage_points-ceiling", "sweep.coverage_points = 1000001\n",
+        "coverage", 2, err=("sweep.coverage_points must lie in [2, 1e6]",)),
+    Run("gain_angle_points-ceiling", "sweep.gain_angle_points = 100001\n",
+        "gain-sweep", 2,
+        err=("sweep.gain_angle_points must lie in [2, 1e5]",)),
+    # Infeasible: a sector too wide or narrow; no array cutoff bracket
+    # after the gain table; a pilot's estimate outside the visible region.
+    Run("design-sector-80deg", WIDE_SECTOR, "design", 3),
+    Run("design-sector-5deg", "sector.phi_lower = -5\nsector.phi_upper = 5\n",
+        "design", 3, err=("sector is too narrow for the band",)),
+    Run("freq-response-no-cutoff-bracket", "design.q_factor = 0.12\n",
+        "freq-response --phi -85", 3),
+    Run("train-probe-fails", PROBE_FAILS, "train --phi 10", 3),
+    Run("rate-probe-fails", PROBE_FAILS, "rate", 3),
+]
+
+
+@pytest.mark.parametrize("run", RUNS, ids=[run.id for run in RUNS])
+def test_scenario_run(tmp_path, capsys, run):
+    """The run's exit code and output substrings, with no RuntimeWarning
+    and no FAIL unless expected.  Exit 2 or 3 prints one error and nothing
+    on stdout, and creates no --out.  Otherwise summary.json and any JSON
+    table are strict JSON, a table's rows as long as its columns and its
+    CSV the same lines, and a passing verify prints three PASS lines."""
+    out = tmp_path / "run"
+    argv = run.argv.split() + ["--out", str(out)]
+    if run.scenario is not None:
+        (tmp_path / "run.scn").write_text(run.scenario)
+        argv += ["--scenario", str(tmp_path / "run.scn")]
+    assert run_cli(*argv) == run.code
+    captured = capsys.readouterr()
+    assert all(part in captured.out for part in run.out)
+    assert all(part in captured.err for part in run.err)
+    assert "FAIL" not in captured.out or any("FAIL" in p for p in run.out)
+    if run.code in (cli.EXIT_CONFIG, cli.EXIT_INFEASIBLE):
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and not out.exists()
+        return
+    read_summary(str(out))
+    if argv[0] == "verify":
+        assert captured.out.count("PASS") == 3 == len(
+            re.findall("^PASS ", captured.out, re.MULTILINE))
+    if "json" in argv:
+        assert run_cli(*argv, "--format", "csv") == run.code
+        for stem in TABLES[argv[0]]:
+            table = out / f"{stem}.json"
+            doc = json.loads(table.read_text(), parse_constant=reject_constant)
+            assert all(len(row) == len(doc["columns"]) for row in doc["rows"])
+            assert table.with_suffix(".csv").read_text().splitlines() == [
+                f"# scenario = {doc['scenario']}", ",".join(doc["columns"])
+            ] + [",".join(row) for row in doc["rows"]]
+
+
+def test_design_writes_summary_and_resolved_scenario(scn, tmp_path, capsys):
     out = str(tmp_path / "run")
     assert run_cli("design", "--scenario", scn, "--out", out) == 0
     assert "design.n_g = " in capsys.readouterr().out
-    resolved = parse_scenario(
+    resolved = scenario.parse_scenario(
         open(os.path.join(out, "scenario_resolved.txt")).read())
     assert resolved.d_y == pytest.approx(1.0 / 120.0, rel=1e-12)
     assert resolved.n_g == pytest.approx(2.5, abs=1e-12)
@@ -96,12 +215,6 @@ def test_csv_carries_fingerprint_and_full_precision(scn, tmp_path):
     for row in lines[2:]:
         for cell in row.split(","):
             assert CELL.match(cell), cell
-
-
-# The tables each command writes; train and rate write two.
-TABLES = {"coverage": ["coverage"], "freq-response": ["freq_response"],
-          "gain-sweep": ["gain_sweep"], "train": ["codebook", "train"],
-          "rate": ["rate_bandwidth", "rate_tuning"]}
 
 
 def test_json_format_mirrors_csv(tmp_path):
@@ -244,6 +357,7 @@ def test_runs_are_byte_identical(scn, tmp_path):
 def test_defaults_used_without_scenario_file(tmp_path):
     out = str(tmp_path / "run")
     assert run_cli("design", "--out", out) == 0
+    assert read_summary(out)["scenario"] == "38fdc37832c7"
     assert read_summary(out)["design"]["n_g"] == pytest.approx(2.5, abs=1e-12)
 
 
@@ -455,23 +569,9 @@ def test_freq_response_array_cutoffs_are_the_first_crossings_at_q_one(
     assert misses == []
 
 
-def test_exit_code_for_bad_scenario(tmp_path):
-    bad = tmp_path / "bad.scn"
-    bad.write_text("design.n_y = -3\n")
-    assert run_cli("design", "--scenario", str(bad),
-                   "--out", str(tmp_path / "x")) == 2
-
-
 def test_exit_code_for_missing_scenario(tmp_path):
     assert run_cli("design", "--scenario", str(tmp_path / "nope.scn"),
                    "--out", str(tmp_path / "x")) == 2
-
-
-def test_exit_code_for_infeasible_sector(tmp_path):
-    wide = tmp_path / "wide.scn"
-    wide.write_text("sector.phi_lower = -80\nsector.phi_upper = 80\n")
-    assert run_cli("design", "--scenario", str(wide),
-                   "--out", str(tmp_path / "x")) == 3
 
 
 def test_exit_code_for_floor_violation(scn, tmp_path, monkeypatch):
@@ -553,17 +653,16 @@ def test_gain_sweep_solves_binary_masks_at_65536_elements(tmp_path):
     """The binary column at N_y = 65536 needs no N x N candidate stack: the
     run exits 0 and every binary gain stays below the continuous optimum
     (N + |S|)^2 / 4 at the band center."""
-    from dmabeam.scenario import parse_scenario
-
     text = "design.n_y = 65536\nsweep.gain_angle_points = 3\n"
     path = tmp_path / "huge.scn"
     path.write_text(text)
     out = str(tmp_path / "run")
     assert run_cli("gain-sweep", "--scenario", str(path), "--out", out) == 0
+    read_summary(out)
     lines = open(os.path.join(out, "gain_sweep.csv")).read().splitlines()
     binary = lines[1].split(",").index("gain_binary(linear)")
     rows = [[float(c) for c in line.split(",")] for line in lines[2:]]
-    design, resolved = cli._resolve(parse_scenario(text))
+    design, resolved = cli._resolve(scenario.parse_scenario(text))
     s = np.abs(db.dirichlet_kernel(design, np.radians([r[0] for r in rows]),
                                    resolved.f_center_hz))
     gains = np.array([r[binary] for r in rows])
@@ -632,28 +731,6 @@ def test_rate_runs_are_byte_identical(tmp_path):
         assert a == b, name
 
 
-def test_verify_passes_when_binary_masks_tie(tmp_path, capsys):
-    """Wide sector: at one angle two shifted masks tie to within an ulp,
-    so the fast solver and the oracle may return different optimal masks."""
-    wide = tmp_path / "wide.scn"
-    wide.write_text("sector.phi_lower = -80\nsector.phi_upper = 80\n"
-                    "design.n_g_max = 50\n")
-    assert run_cli("verify", "--scenario", str(wide),
-                   "--out", str(tmp_path / "run")) == 0
-    assert "FAIL" not in capsys.readouterr().out
-
-
-def test_verify_passes_on_a_flat_planner_objective(tmp_path, capsys):
-    """With one element per waveguide every p ties; only values count."""
-    single = tmp_path / "single.scn"
-    single.write_text("design.n_y = 1\n")
-    assert run_cli("verify", "--scenario", str(single),
-                   "--out", str(tmp_path / "run")) == 0
-    text = capsys.readouterr().out
-    assert text.count("PASS") == 3
-    assert "FAIL" not in text
-
-
 @pytest.mark.parametrize("extra, t_r", [
     ("sector.phi_lower = -80\nsector.phi_upper = 80\n"
      "design.n_g_max = 50\nsweep.tuning_ranges = 2.0\n", "2"),
@@ -688,25 +765,6 @@ def test_rate_runs_where_p_equals_one_sits_on_the_band_edge(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "rate_tuning.csv"))
 
 
-def test_too_narrow_sector_is_infeasible_not_invalid(tmp_path, capsys):
-    """A +-5 deg sector asks the design rule for n_g < 1: exit 3, by name."""
-    narrow = tmp_path / "narrow.scn"
-    narrow.write_text("sector.phi_lower = -5\nsector.phi_upper = 5\n")
-    assert run_cli("design", "--scenario", str(narrow),
-                   "--out", str(tmp_path / "x")) == 3
-    assert "sector is too narrow for the band" in capsys.readouterr().err
-
-
-def test_verify_passes_where_the_scan_nears_integer_p(tmp_path, capsys):
-    """N_y = 9 puts the dense scan next to p = 1, where rounding in
-    sin(pi N p) / sin(pi p) once overshot N and failed the check."""
-    nine = tmp_path / "nine.scn"
-    nine.write_text("design.n_y = 9\n")
-    assert run_cli("verify", "--scenario", str(nine),
-                   "--out", str(tmp_path / "run")) == 0
-    assert "FAIL" not in capsys.readouterr().out
-
-
 def test_verify_reduces_the_binary_check_above_the_oracle_cap(
         scn, tmp_path, capsys, monkeypatch):
     """N_y above verify's binary-check cap is checked on a reduced array,
@@ -719,18 +777,6 @@ def test_verify_reduces_the_binary_check_above_the_oracle_cap(
     assert "binary oracle capped at 6 elements" in text
     assert "PASS  binary solver vs plain enumeration" in text
     assert "FAIL" not in text
-
-
-def test_verify_checks_a_long_lossy_guide_on_twelve_elements(tmp_path, capsys):
-    """At N_y = 128 the binary check runs on 12 elements, not on the
-    oracle's own cap of 20, whose 2^20 masks per angle took seconds."""
-    wide = tmp_path / "wide.scn"
-    wide.write_text("design.n_y = 128\ndesign.attenuation = on\n")
-    assert run_cli("verify", "--scenario", str(wide),
-                   "--out", str(tmp_path / "run")) == 0
-    text = capsys.readouterr().out
-    assert "binary oracle capped at 12 elements" in text
-    assert text.count("PASS") == 3 and "FAIL" not in text
 
 
 def test_verify_reports_pass_lines(scn, tmp_path, capsys):
@@ -834,18 +880,6 @@ def test_verify_solves_and_walks_once_per_reduced_size(tmp_path, capsys,
         assert sum(rows for _, rows in calls[name]) == 20, name
     assert calls["optimal_operating_freq"] == [(n_y, 3)]
     assert calls["enumerate_binary"] == [(n_y, 4)]
-
-
-def test_verify_runs_on_a_band_narrower_than_two_ghz(tmp_path, capsys):
-    """The closed-form draws keep a sixth of a 1 GHz band off each edge,
-    where a fixed 1 GHz margin left no room to draw from."""
-    path = tmp_path / "narrow.scn"
-    path.write_text("design.f_min = 14.5\ndesign.f_max = 15.5\n"
-                    "design.n_g_max = 20\n")
-    assert run_cli("verify", "--scenario", str(path),
-                   "--out", str(tmp_path / "run")) == 0
-    text = capsys.readouterr().out
-    assert text.count("PASS") == 3 and "FAIL" not in text
 
 
 @pytest.mark.parametrize("q", ["1", "5", "12"])
@@ -962,29 +996,6 @@ def test_missing_crossover_is_null_in_the_summary(tmp_path, command, section):
     assert read_summary(out)[section]["crossover_deg"] is None
 
 
-@pytest.mark.parametrize("command,text,flags,code", [
-    # the array cutoff search finds no bracket after the gain table is
-    # computed: Q = 0.12, inside the model's bounds, at -85 deg
-    ("freq-response", "design.q_factor = 0.12\n", ("--phi", "-85"), 3),
-    # the staircase probe fails after the codebook is computed: a sector
-    # pilot's estimate leaves the visible region, an infeasible design
-    ("train", "design.n_g = 3\ndesign.d_y = 0.02\n", ("--phi", "10"), 3),
-    # the rate sweep's probe fails the same way
-    ("rate", "design.n_g = 3\ndesign.d_y = 0.02\n", (), 3),
-], ids=["freq-response", "train", "rate"])
-def test_a_failing_command_writes_nothing(tmp_path, capsys, command, text,
-                                          flags, code):
-    """A command computes all its outputs before writing any: a run that
-    fails part-way creates no file and no --out directory."""
-    path = tmp_path / "fail.scn"
-    path.write_text(text)
-    out = tmp_path / "run"
-    assert run_cli(command, "--scenario", str(path), "--out", str(out),
-                   *flags) == code
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not out.exists()
-
-
 @pytest.mark.parametrize("delta", ["1e-25", "250 dB"])
 @pytest.mark.parametrize("command", ["train", "rate"])
 def test_a_delta_below_the_mainlobe_floor_is_invalid(tmp_path, capsys,
@@ -1040,19 +1051,6 @@ def test_unit_refractive_index_codebook_names_the_sectors(tmp_path, capsys,
                      r"12 and 16\.84 GHz, which do not decrease", err)
 
 
-def test_verify_without_a_crossover_checks_the_random_angles(tmp_path,
-                                                             capsys):
-    """n_g = 1 has no angle with p = 1 at f_c: the binary check runs on
-    its three random angles alone."""
-    path = tmp_path / "ng1.scn"
-    path.write_text("design.n_g = 1\n")
-    assert run_cli("verify", "--scenario", str(path),
-                   "--out", str(tmp_path / "run")) == 0
-    text = capsys.readouterr().out
-    assert text.count("PASS") == 3 and "FAIL" not in text
-    assert "binary solver vs plain enumeration  (3 instances)" in text
-
-
 def test_attenuation_changes_no_lossless_command(scn, tmp_path):
     """--attenuation on adds columns to gain-sweep and freq-response only:
     every other command writes the same files as with it off, apart from
@@ -1073,7 +1071,7 @@ def test_attenuation_changes_no_lossless_command(scn, tmp_path):
 
 
 def test_console_entry_point(scn, tmp_path):
-    """The installed script behaves like the in-process main."""
+    """`python -m dmabeam.cli` behaves like the in-process main."""
     out = str(tmp_path / "run")
     proc = subprocess.run([sys.executable, "-m", "dmabeam.cli", "design",
                            "--scenario", scn, "--out", out],

@@ -24,9 +24,7 @@ from .channel import (attenuation_vector, combined_phases, dirichlet_kernel,
                       dirichlet_of_p, effective_channel, normalized_product)
 from .core_model import (CONSTANTS, DmaDesign, PhysicalConstants,
                          beamformer_weight, resonant_from_shifted)
-from .errors import (CoverageInfeasibleError, CutoffError, DmaError,
-                     DomainError, EnumerationLimitError, InvalidEstimateError,
-                     ScenarioError)
+from .errors import DmaError, DomainError, InfeasibleError, ScenarioError
 from .frequency_planner import (CoverageAngle, OperatingPoint, SectorDesign,
                                 crossover_angle, design_sector,
                                 max_coverage_angle, optimal_operating_freq)

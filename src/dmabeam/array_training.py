@@ -22,8 +22,7 @@ from ._brent import brentq
 from .channel import attenuation_vector, combined_phases, dirichlet_of_p
 from .core_model import (DmaDesign, _frequency_factors, _positive_frequencies,
                          _weight, beamformer_weight)
-from .errors import (CoverageInfeasibleError, DomainError,
-                     InvalidEstimateError)
+from .errors import DomainError, InfeasibleError
 from .frequency_planner import crossover_angle, optimal_operating_freq
 
 WIDTH_RESOLUTION = 1e-3    # quantization of the mainlobe half-width
@@ -215,7 +214,7 @@ def probe(layout: ArrayLayout, codebook: Codebook, phi_true,
     phi_hat = crossover_angle(design, f_k)
     invisible = np.isnan(phi_hat)
     if np.any(invisible):
-        raise InvalidEstimateError(
+        raise InfeasibleError(
             f"pilot {np.extract(invisible, f_k)[0]:.4g} Hz maps outside the "
             f"visible region: the design's design.n_g = "
             f"{design.refractive_index:g} and design.d_y = "
@@ -281,7 +280,7 @@ def build_codebook(design: DmaDesign, phi_lower: float, phi_upper: float,
     The mainlobe half-width Psi_d is quantized to WIDTH_RESOLUTION before
     use.  The stored ``delta`` is recomputed from the quantized width so
     the codebook's guarantee is self-consistent.  Raises
-    CoverageInfeasibleError when the sector frequencies do not decrease
+    InfeasibleError when the sector frequencies do not decrease
     with the angle, so that no probe can tell two sectors apart, and
     for a waveguide of fewer than 2 elements, whose gain has no mainlobe
     to place sectors by.
@@ -289,14 +288,14 @@ def build_codebook(design: DmaDesign, phi_lower: float, phi_upper: float,
     if not -np.pi / 2.0 < phi_lower < phi_upper < np.pi / 2.0:
         raise DomainError("need -pi/2 < phi_lower < phi_upper < pi/2")
     if design.n_elements < 2:
-        raise CoverageInfeasibleError(
+        raise InfeasibleError(
             f"a waveguide of design.n_y = {design.n_elements} element has "
             f"no mainlobe to place codebook sectors by: training needs at "
             f"least 2")
     width = psi_delta(design.n_elements, delta)
     width = round(width / WIDTH_RESOLUTION) * WIDTH_RESOLUTION
     if width <= 0:
-        raise CoverageInfeasibleError("delta is too strict: zero sector width")
+        raise InfeasibleError("delta is too strict: zero sector width")
     n_g = design.refractive_index
     s_max = np.sin(phi_upper)
 
@@ -305,7 +304,7 @@ def build_codebook(design: DmaDesign, phi_lower: float, phi_upper: float,
     while (np.sin(angles[-1]) + n_g) / (1.0 - width) - n_g < s_max:
         s_next = (np.sin(angles[-1]) + n_g) * (1.0 + width) / (1.0 - width) - n_g
         if s_next > 1.0 or len(angles) >= MAX_SECTORS:
-            raise CoverageInfeasibleError(
+            raise InfeasibleError(
                 f"cannot cover {np.degrees(phi_lower):.2f} to "
                 f"{np.degrees(phi_upper):.2f} deg at delta={delta:g}")
         angles.append(float(np.arcsin(min(s_next, s_max))))
@@ -314,7 +313,7 @@ def build_codebook(design: DmaDesign, phi_lower: float, phi_upper: float,
     rising = np.flatnonzero(np.diff(freqs) >= 0)
     if rising.size:
         k = int(rising[0])
-        raise CoverageInfeasibleError(
+        raise InfeasibleError(
             f"sectors {k + 1} and {k + 2} ({np.degrees(angles[k]):.2f} and "
             f"{np.degrees(angles[k + 1]):.2f} deg) get operating frequencies "
             f"{freqs[k] / 1e9:.4g} and {freqs[k + 1] / 1e9:.4g} GHz, which "
@@ -336,10 +335,10 @@ def training_layout(design: DmaDesign, n_dmas: int, phi_lower: float,
     its sectors must divide n_dmas and number ``n_sectors`` if given."""
     codebook = build_codebook(design, phi_lower, phi_upper, delta)
     if n_sectors is not None and len(codebook) != n_sectors:
-        raise CoverageInfeasibleError(
+        raise InfeasibleError(
             f"construction needs {len(codebook)} sectors, caller pinned {n_sectors}")
     if n_dmas % len(codebook):
-        raise CoverageInfeasibleError(
+        raise InfeasibleError(
             f"the codebook needs {len(codebook)} sectors, one training group "
             f"each, and they do not divide design.n_z = {n_dmas}")
     return ArrayLayout(n_dmas=n_dmas, per_dma=design), codebook

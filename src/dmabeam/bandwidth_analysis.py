@@ -17,7 +17,7 @@ import numpy as np
 from ._brent import brentq
 from .channel import dirichlet_kernel
 from .core_model import DmaDesign, beamformer_weight
-from .errors import CutoffError, DomainError
+from .errors import DomainError, InfeasibleError
 
 ARRAY_CUTOFF_TOL = 1e3   # Hz, root-finder tolerance for full-array cutoffs
 
@@ -42,7 +42,7 @@ def cutoff_frequencies(design: DmaDesign, f_t_star: float, nu: float) -> CutoffR
 
     The first-order width Gamma / (2 pi sqrt(rho)) is reported alongside;
     for this response shape it coincides with f_upper - f_lower because
-    f_upper * f_lower = f*^2 holds identically.  Raises CutoffError when
+    f_upper * f_lower = f*^2 holds identically.  Raises InfeasibleError when
     the closed form misses the threshold (floating-point breakdown).
     """
     if not 0.0 < nu < 1.0:
@@ -57,7 +57,7 @@ def cutoff_frequencies(design: DmaDesign, f_t_star: float, nu: float) -> CutoffR
     for f_edge in (f_lower, f_upper):
         gain = abs(beamformer_weight(design, f_t_star, f_edge)) ** 2
         if abs(gain - nu) > 1e-8:
-            raise CutoffError(
+            raise InfeasibleError(
                 f"cutoff closed form failed its own threshold check at "
                 f"f_t_star = {f_t_star:.6g} Hz, nu = {nu:g}")
     return CutoffReport(
@@ -74,7 +74,7 @@ def array_cutoff_frequencies(design: DmaDesign, phi: float, f_t_star: float,
 
     The array factor only narrows the response around the configured peak,
     so the element-only cutoffs bracket the search on each side.  Solved
-    by Brent's method to ARRAY_CUTOFF_TOL; raises CutoffError when a
+    by Brent's method to ARRAY_CUTOFF_TOL; raises InfeasibleError when a
     bracket holds no crossing or the search meets a NaN response.
     """
     if not 0.0 < nu < 1.0:
@@ -99,7 +99,7 @@ def array_cutoff_frequencies(design: DmaDesign, phi: float, f_t_star: float,
         f_lower = brentq(excess, lo_bracket, f_t_star, xtol=ARRAY_CUTOFF_TOL)
         f_upper = brentq(excess, f_t_star, hi_bracket, xtol=ARRAY_CUTOFF_TOL)
     except ValueError as err:
-        raise CutoffError(
+        raise InfeasibleError(
             f"no array cutoff inside the search bracket at "
             f"f_t_star = {f_t_star:.6g} Hz, nu = {nu:g}: {err}") from err
     return float(f_lower), float(f_upper)

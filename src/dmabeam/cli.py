@@ -34,8 +34,7 @@ from .bandwidth_analysis import array_cutoff_frequencies, cutoff_frequencies
 from .binary_tuning import solve_p4
 from .channel import dirichlet_kernel
 from .core_model import CONSTANTS, DmaDesign, beamformer_weight
-from .errors import (CoverageInfeasibleError, CutoffError, DmaError,
-                     InvalidEstimateError, ScenarioError)
+from .errors import DmaError, InfeasibleError, ScenarioError
 from .frequency_planner import (crossover_angle, design_sector,
                                 max_coverage_angle, optimal_operating_freq)
 from .gain_optimizer import solve_p1a
@@ -59,8 +58,6 @@ VERIFY_BINARY_ELEMENTS = 12
 # verify's grid check walks reduced arrays of 1 to this many elements,
 # drawn at random.  The walk is exact at any size; its cost grows as N^2.
 VERIFY_GRID_ELEMENTS = 4
-
-_INFEASIBLE = (CoverageInfeasibleError, CutoffError, InvalidEstimateError)
 
 
 # ----------------------------------------------------------------- plumbing
@@ -201,11 +198,11 @@ def _resolve(scenario: Scenario):
         sector = design_sector(s.phi_lower_rad, s.phi_upper_rad,
                                s.f_min_hz, s.f_max_hz)
         if s.n_g == AUTO and sector.n_g_star < 1.0:
-            raise CoverageInfeasibleError(
+            raise InfeasibleError(
                 f"sector is too narrow for the band: the design rule gives "
                 f"n_g = {sector.n_g_star:.4g}, below 1")
         if sector.n_g_star > s.n_g_max * (1.0 + 1e-12):
-            raise CoverageInfeasibleError(
+            raise InfeasibleError(
                 f"sector needs n_g = {sector.n_g_star:.4g}, "
                 f"cap is {s.n_g_max:.4g}")
         d_y = sector.d_y_star if s.d_y == AUTO else s.d_y
@@ -608,8 +605,6 @@ def build_parser(command=None) -> argparse.ArgumentParser:
                        "(defaults reproduce the reference setup)")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--attenuation", choices=("on", "off"),
-                       help="override the scenario's waveguide attenuation")
         if name in ("freq-response", "train"):
             default = -18.0 if name == "freq-response" else None
             p.add_argument("--phi", type=_angle_deg, default=default,
@@ -624,15 +619,12 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         scenario = load_scenario(args.scenario) if args.scenario else Scenario()
-        if args.attenuation is not None:
-            scenario = dataclasses.replace(scenario,
-                                           attenuation=args.attenuation == "on")
         design, resolved = _resolve(scenario)
         result = _COMMANDS[args.command](design, resolved, args)
     except ScenarioError as err:
         sys.stderr.write(f"error: invalid scenario: {err}\n")
         return EXIT_CONFIG
-    except _INFEASIBLE as err:
+    except InfeasibleError as err:
         sys.stderr.write(f"error: infeasible design: {err}\n")
         return EXIT_INFEASIBLE
     except DmaError as err:

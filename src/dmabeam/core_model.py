@@ -63,19 +63,19 @@ class DmaDesign:
     attenuation: Optional[float] = None
 
     def __post_init__(self):
-        if self.n_elements < 1:
+        if not self.n_elements >= 1:
             raise DomainError("n_elements must be >= 1")
-        if self.spacing <= 0:
+        if not self.spacing > 0:
             raise DomainError("spacing must be positive")
-        if self.refractive_index < 1:
+        if not self.refractive_index >= 1:
             raise DomainError("refractive_index must be >= 1")
-        if self.damping <= 0:
+        if not self.damping > 0:
             raise DomainError("damping must be positive")
-        if self.coupling <= 0:
+        if not self.coupling > 0:
             raise DomainError("coupling must be positive")
         if not (0 < self.f_min < self.f_max):
             raise DomainError("need 0 < f_min < f_max")
-        if self.attenuation is not None and self.attenuation < 0:
+        if self.attenuation is not None and not self.attenuation >= 0:
             raise DomainError("attenuation must be >= 0")
 
 

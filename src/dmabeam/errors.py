@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  The CLI's exit code follows
+the type alone: InfeasibleError exits 3, every other DmaError 2."""
 
 
 class DmaError(Exception):
@@ -6,25 +7,14 @@ class DmaError(Exception):
 
 
 class DomainError(DmaError, ValueError):
-    """An argument lies outside the physically meaningful domain."""
+    """An argument lies outside the physically meaningful domain, or
+    exhaustive enumeration was asked of an array too large to search."""
 
 
-class CutoffError(DmaError, ArithmeticError):
-    """The cutoff frequencies of a gain response could not be resolved
-    numerically for the requested operating frequency and threshold."""
-
-
-class EnumerationLimitError(DmaError, ValueError):
-    """Exhaustive enumeration was requested for an array too large to search."""
-
-
-class CoverageInfeasibleError(DmaError, ValueError):
-    """The codebook recursion cannot cover the requested angular range."""
-
-
-class InvalidEstimateError(DmaError, ValueError):
-    """A training measurement produced an angle estimate outside [-90, 90] deg
-    (the pilot grid is misconfigured for the design)."""
+class InfeasibleError(DmaError, ValueError):
+    """The design cannot do what was asked of it: the sector or codebook
+    cannot cover the angular range, a cutoff frequency cannot be resolved,
+    or a training estimate leaves the visible region."""
 
 
 class ScenarioError(DmaError, ValueError):

@@ -28,7 +28,7 @@ from .array_training import (ArrayLayout, Codebook, array_gain_dma, probe,
 # Kept as a module binding: the benchmark's tracer tests use it as a fixture.
 from .channel import combined_phases  # noqa: F401
 from .core_model import CONSTANTS, DmaDesign
-from .errors import CoverageInfeasibleError, DomainError
+from .errors import DomainError, InfeasibleError
 from .frequency_planner import (design_sector, max_coverage_angle,
                                 optimal_operating_freq)
 from .gain_optimizer import solve_p1a
@@ -48,9 +48,9 @@ class LinkBudget:
 
     def __post_init__(self):
         for name in ("tx_power", "distance", "noise_temp", "bandwidth"):
-            if np.any(np.asarray(getattr(self, name)) <= 0):
+            if not np.all(np.asarray(getattr(self, name)) > 0):
                 raise DomainError(f"{name} must be positive")
-        if self.n_subcarriers < 1:
+        if not self.n_subcarriers >= 1:
             raise DomainError("n_subcarriers must be >= 1")
 
 
@@ -238,14 +238,14 @@ def tuning_range_sweep(template: DmaDesign, n_dmas: int, n_g_max: float,
     coverage sector is the widest the refractive-index budget allows, the
     spacing comes from the sector design rule, and the codebook is rebuilt.
     Averaging spans the redesigned sector itself.  Raises
-    CoverageInfeasibleError when a tuning range saturates the coverage at
+    InfeasibleError when a tuning range saturates the coverage at
     90 deg, which no codebook can cover, before any range is computed.
     """
     f_c = 0.5 * (template.f_min + template.f_max)
     reach = max_coverage_angle(n_g_max, tuning_ranges, f_c).angle.tolist()
     for t_r, phi_max in zip(tuning_ranges, reach):
         if phi_max >= np.pi / 2.0:   # saturated, or exactly on the boundary
-            raise CoverageInfeasibleError(
+            raise InfeasibleError(
                 f"tuning range {t_r / 1e9:g} GHz with n_g_max = {n_g_max:g}: "
                 f"coverage saturates at 90 deg, and no codebook covers "
                 f"±90 deg")

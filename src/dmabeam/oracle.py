@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core_model import CONSTANTS, DmaDesign
-from .errors import DomainError, EnumerationLimitError
+from .errors import DomainError
 
 # The grid walk's cost grows as N^2 * points (N * points candidates of N
 # vertices each).
@@ -140,7 +140,7 @@ def grid_max_gain(design: DmaDesign, phi, f_t, grid_points_per_element: int):
     """
     n = design.n_elements
     if grid_points_per_element > GRID_MAX_POINTS:
-        raise EnumerationLimitError(
+        raise DomainError(
             f"grid oracle caps at {GRID_MAX_POINTS} points per element")
     if grid_points_per_element < 2:
         raise DomainError("need at least 2 grid points per element")
@@ -300,7 +300,7 @@ def enumerate_binary(design: DmaDesign, phi, f_c: float) -> EnumeratedMask:
     """
     n = design.n_elements
     if n > BINARY_MAX_ELEMENTS:
-        raise EnumerationLimitError(
+        raise DomainError(
             f"binary oracle caps at {BINARY_MAX_ELEMENTS} elements, got {n}")
     h = _raw_channel(design, phi, f_c)
     best_gain = np.full(h.shape[:-1], -1.0)

@@ -122,12 +122,12 @@ class Scenario:
     # sector count, or "auto"
     groups: object = _key("training", AUTO, _or_auto(_parse_int), "[1, inf)")
     delta: float = _key("training", 0.5, _parse_delta, "(0, 1)")  # gain fraction
-    k_tr: int = _key("training", 256, _parse_int, "[2, inf)")
+    k_tr: int = _key("training", 256, _parse_int, "[2, 1e6]")
     bandwidths: Tuple[float, ...] = _key(                               # GHz
         "sweep", (0.01, 0.05, 0.1, 0.3, 0.5, 1.0), _parse_list, "(0, inf)")
     tuning_ranges: Tuple[float, ...] = _key(                            # GHz
         "sweep", (2.0, 3.0, 5.0, 6.0), _parse_list, "(0, inf)")
-    angle_samples: int = _key("sweep", 181, _parse_int, "[1, inf)")
+    angle_samples: int = _key("sweep", 181, _parse_int, "[1, 1e5]")
     freq_points: int = _key("sweep", 601, _parse_int, "[2, 1e6]")
     gain_angle_points: int = _key("sweep", 361, _parse_int, "[2, 1e5]")
     coverage_n_g: Tuple[float, ...] = _key(
@@ -202,6 +202,12 @@ _CROSS_BOUNDS = (
      lambda s: "need sector.phi_lower < sector.phi_upper"),
     (("training.groups", "design.n_z"), lambda s: s.n_z % s.groups == 0,
      lambda s: "training.groups must divide design.n_z"),
+    # rate's gain arrays hold a cell per angle and subcarrier: at 1e6
+    # cells it runs 6 to 9 s, at up to 170 MB peak RSS (2-core Xeon VM).
+    (("sweep.angle_samples", "budget.subcarriers"),
+     lambda s: s.angle_samples * s.subcarriers <= 1e6,
+     lambda s: f"sweep.angle_samples * budget.subcarriers = "
+               f"{s.angle_samples * s.subcarriers} is above 1e6"),
     # freq-response's element cutoffs first miss their 1e-8 check at Q =
     # 7e-3 and 7e7 (reference band, --phi every 0.1 deg); other commands
     # run from Q = 1e-12 to 1e12, and Q or Gamma = 1e-300 overflows.

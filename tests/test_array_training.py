@@ -137,7 +137,7 @@ def test_codebook_pinned_sector_count(design):
                                     n_sectors=4)
     assert len(cb) == 4 and layout.n_dmas == 4
     for pinned in (2, 5):
-        with pytest.raises(db.CoverageInfeasibleError,
+        with pytest.raises(db.InfeasibleError,
                            match=f"needs 4 sectors, caller pinned {pinned}"):
             db.training_layout(design, 4, -PHI_MAX, PHI_MAX, 0.5,
                                n_sectors=pinned)
@@ -161,7 +161,7 @@ def test_codebook_needs_two_elements_per_waveguide(design):
     """One slot has no mainlobe to place sectors by: the codebook is
     infeasible and names design.n_y (psi_delta itself raises DomainError)."""
     one = dataclasses.replace(design, n_elements=1)
-    with pytest.raises(db.CoverageInfeasibleError, match="design.n_y = 1"):
+    with pytest.raises(db.InfeasibleError, match="design.n_y = 1"):
         db.build_codebook(one, -PHI_MAX, PHI_MAX, 0.5)
 
 
@@ -229,7 +229,7 @@ def test_probe_estimate_feeds_the_gain_model(layout):
 
 def test_probe_rejects_unmappable_pilot(layout):
     cb = db.build_codebook(layout.per_dma, -PHI_MAX, PHI_MAX, 0.5)
-    with pytest.raises(db.InvalidEstimateError,
+    with pytest.raises(db.InfeasibleError,
                        match=r"pilot 5e\+09 Hz .* design\.n_g = 2\.5"):
         db.probe(layout, cb, 0.0, np.array([5e9]))
 
@@ -482,7 +482,7 @@ def test_array_probe_equals_the_per_angle_probes(design, reference_gain,
 def test_training_layout_groups_one_sector_per_waveguide_share(design):
     layout, cb = db.training_layout(design, 4, -PHI_MAX, PHI_MAX, 0.5)
     assert len(cb) == 4 and layout == db.ArrayLayout(n_dmas=4, per_dma=design)
-    with pytest.raises(db.CoverageInfeasibleError,
+    with pytest.raises(db.InfeasibleError,
                        match="needs 4 sectors.*design.n_z = 6"):
         db.training_layout(design, 6, -PHI_MAX, PHI_MAX, 0.5)
 

@@ -33,7 +33,7 @@ def test_cutoff_threshold_failure_raises_cutoff_error(design, monkeypatch):
     import dmabeam.bandwidth_analysis as ba
 
     monkeypatch.setattr(ba, "beamformer_weight", lambda *args: 1.0)
-    with pytest.raises(db.CutoffError, match="f_t_star.*nu"):
+    with pytest.raises(db.InfeasibleError, match="f_t_star.*nu"):
         ba.cutoff_frequencies(design, F_STAR, 0.5)
 
 
@@ -44,7 +44,7 @@ def test_array_cutoff_without_crossing_raises_cutoff_error(design, monkeypatch):
 
     monkeypatch.setattr(ba, "dirichlet_kernel",
                         lambda d, phi, f: 1.0 if f == F_STAR else 1e3)
-    with pytest.raises(db.CutoffError, match="f_t_star.*nu"):
+    with pytest.raises(db.InfeasibleError, match="f_t_star.*nu"):
         ba.array_cutoff_frequencies(design, np.radians(-18.0), F_STAR, 0.5)
 
 

@@ -134,10 +134,10 @@ def test_running_out_of_iterations_raises(monkeypatch):
 
 def test_array_cutoff_with_a_nan_response_raises_cutoff_error(design,
                                                               monkeypatch):
-    """A NaN array factor ends the search in CutoffError, not a root."""
+    """A NaN array factor ends the search in InfeasibleError, not a root."""
     monkeypatch.setattr(ba, "dirichlet_kernel",
                         lambda d, phi, f: 1.0 if f == F_STAR else math.nan)
-    with pytest.raises(db.CutoffError, match="is NaN"):
+    with pytest.raises(db.InfeasibleError, match="is NaN"):
         ba.array_cutoff_frequencies(design, np.radians(-18.0), F_STAR, 0.5)
 
 

@@ -92,7 +92,8 @@ RUNS = [
     Run("rate-nz8", "design.n_z = 8\n", "rate"),
     # n_g = 1: element 1's phase is -0.0 at -90 deg; with no crossover the
     # binary check runs on its three random angles alone.
-    Run("gain-sweep-ng1", "design.n_g = 1\n", "gain-sweep --attenuation on"),
+    Run("gain-sweep-ng1", "design.n_g = 1\ndesign.attenuation = on\n",
+        "gain-sweep"),
     Run("verify-ng1", "design.n_g = 1\n", "verify",
         out=("binary solver vs plain enumeration  (3 instances)",)),
     # Two mirrored sidelobe tops tie past about 78 deg.
@@ -110,7 +111,7 @@ RUNS = [
     Run("verify-narrow-band", "design.f_min = 14.5\ndesign.f_max = 15.5\n"
         "design.n_g_max = 20\n", "verify"),
     Run("verify-binary-tie", WIDE_SECTOR + "design.n_g_max = 50\n", "verify"),
-    # Invalid scenarios, each sweep size's ceiling + 1 included.
+    # Invalid scenarios, each count's ceiling + 1 included.
     Run("design-n_y-negative", "design.n_y = -3\n", "design", 2),
     Run("verify-f_max-inf", "design.f_max = inf\n", "verify", 2,
         err=("design.f_max: not a finite number",)),
@@ -127,6 +128,15 @@ RUNS = [
     Run("gain_angle_points-ceiling", "sweep.gain_angle_points = 100001\n",
         "gain-sweep", 2,
         err=("sweep.gain_angle_points must lie in [2, 1e5]",)),
+    Run("angle_samples-ceiling", "sweep.angle_samples = 100001\n", "train",
+        2, err=("sweep.angle_samples must lie in [1, 1e5]",)),
+    Run("k_tr-ceiling", "training.k_tr = 1000001\n", "train --phi 10", 2,
+        err=("training.k_tr must lie in [2, 1e6]",)),
+    Run("subcarriers-ceiling", "budget.subcarriers = 5525\n", "rate", 2,
+        err=("sweep.angle_samples * budget.subcarriers = 1000025 is above",)),
+    # The scenario alone sets the attenuation: argparse rejects the option.
+    Run("gain-sweep-attenuation-option", None, "gain-sweep --attenuation on",
+        2, err=("unrecognized arguments: --attenuation on",)),
     # Infeasible: a sector too wide or narrow; no array cutoff bracket
     # after the gain table; a pilot's estimate outside the visible region.
     Run("design-sector-80deg", WIDE_SECTOR, "design", 3),
@@ -145,20 +155,27 @@ def test_scenario_run(tmp_path, capsys, run):
     and no FAIL unless expected.  Exit 2 or 3 prints one error and nothing
     on stdout, and creates no --out.  Otherwise summary.json and any JSON
     table are strict JSON, a table's rows as long as its columns and its
-    CSV the same lines, and a passing verify prints three PASS lines."""
+    CSV the same lines, and a passing verify prints three PASS lines.
+    An argparse error prints its usage text before its one error line."""
     out = tmp_path / "run"
     argv = run.argv.split() + ["--out", str(out)]
     if run.scenario is not None:
         (tmp_path / "run.scn").write_text(run.scenario)
         argv += ["--scenario", str(tmp_path / "run.scn")]
-    assert run_cli(*argv) == run.code
+    try:
+        code, usage = run_cli(*argv), ""
+    except SystemExit as exc:
+        code, usage = exc.code, cli.build_parser(argv[0]).format_usage()
+    assert code == run.code
     captured = capsys.readouterr()
     assert all(part in captured.out for part in run.out)
     assert all(part in captured.err for part in run.err)
     assert "FAIL" not in captured.out or any("FAIL" in p for p in run.out)
     if run.code in (cli.EXIT_CONFIG, cli.EXIT_INFEASIBLE):
-        assert captured.out == "" and captured.err.startswith("error: ")
-        assert captured.err.count("\n") == 1 and not out.exists()
+        assert captured.out == "" and captured.err.startswith(usage)
+        error = captured.err[len(usage):]
+        assert error.startswith("dmabeam: error: " if usage else "error: ")
+        assert error.count("\n") == 1 and not out.exists()
         return
     read_summary(str(out))
     if argv[0] == "verify":
@@ -364,9 +381,11 @@ def test_defaults_used_without_scenario_file(tmp_path):
 def test_attenuation_override_changes_fingerprint_and_columns(scn, tmp_path):
     plain = str(tmp_path / "plain")
     lossy = str(tmp_path / "lossy")
+    lossy_scn = tmp_path / "lossy.scn"
+    lossy_scn.write_text(TINY + "design.attenuation = on\n")
     assert run_cli("freq-response", "--scenario", scn, "--out", plain) == 0
-    assert run_cli("freq-response", "--scenario", scn, "--out", lossy,
-                   "--attenuation", "on") == 0
+    assert run_cli("freq-response", "--scenario", str(lossy_scn),
+                   "--out", lossy) == 0
     head_plain = open(os.path.join(plain, "freq_response.csv")).readline()
     head_lossy = open(os.path.join(lossy, "freq_response.csv")).readline()
     assert head_plain != head_lossy
@@ -574,6 +593,29 @@ def test_exit_code_for_missing_scenario(tmp_path):
                    "--out", str(tmp_path / "x")) == 2
 
 
+DMA_ERRORS = [name for name in db.__all__
+              if isinstance(getattr(db, name), type)
+              and issubclass(getattr(db, name), db.DmaError)]
+
+
+@pytest.mark.parametrize("name", DMA_ERRORS)
+def test_exit_code_follows_the_error_type(tmp_path, capsys, monkeypatch,
+                                          name):
+    """Each package error that a command raises ends main with the exit
+    code and the stderr prefix of its type, in one line, with no --out."""
+    def fail(design, resolved, args):
+        raise getattr(db, name)("cause")
+
+    monkeypatch.setitem(cli._COMMANDS, "design", fail)
+    code, prefix = {"ScenarioError": (2, "error: invalid scenario: "),
+                    "InfeasibleError": (3, "error: infeasible design: ")
+                    }.get(name, (2, "error: "))
+    out = tmp_path / "run"
+    assert run_cli("design", "--out", str(out)) == code
+    assert capsys.readouterr() == ("", f"{prefix}cause\n")
+    assert not out.exists()
+
+
 def test_exit_code_for_floor_violation(scn, tmp_path, monkeypatch):
     """A probe that reports a collapsed gain must fail verification."""
     from dmabeam.array_training import TrainingResult
@@ -595,16 +637,16 @@ def test_gain_sweep_nan_cells_are_the_infeasible_angles(tmp_path):
     from dmabeam import optimal_operating_freq, solve_p1a
     from dmabeam.scenario import parse_scenario
 
-    text = "design.q_factor = 1\nsweep.gain_angle_points = 61\n"
+    text = ("design.q_factor = 1\nsweep.gain_angle_points = 61\n"
+            "design.attenuation = on\n")
     path = tmp_path / "lowq.scn"
     path.write_text(text)
     out = str(tmp_path / "run")
-    assert run_cli("gain-sweep", "--scenario", str(path), "--out", out,
-                   "--attenuation", "on") == 0
+    assert run_cli("gain-sweep", "--scenario", str(path), "--out", out) == 0
     lines = open(os.path.join(out, "gain_sweep.csv")).read().splitlines()
     columns = lines[1].split(",")
     rows = [[float(c) for c in line.split(",")] for line in lines[2:]]
-    design = cli._resolve(parse_scenario(text + "design.attenuation = on\n"))[0]
+    design = cli._resolve(parse_scenario(text))[0]
 
     phis = np.radians(np.linspace(-90.0, 90.0, 61)).tolist()
     for label, f_ts in (
@@ -973,10 +1015,11 @@ def test_freq_response_at_an_infeasible_angle_writes_nan_cells(tmp_path,
     """Q = 1 at -50 deg: no real resonance realizes the optimum, so the
     configured-gain columns are NaN and named on stderr; exit stays 0."""
     path = tmp_path / "lowq.scn"
-    path.write_text("design.q_factor = 1\nsweep.freq_points = 11\n")
+    path.write_text("design.q_factor = 1\nsweep.freq_points = 11\n"
+                    "design.attenuation = on\n")
     out = tmp_path / "run"
     assert run_cli("freq-response", "--scenario", str(path), "--phi", "-50",
-                   "--out", str(out), "--attenuation", "on") == 0
+                   "--out", str(out)) == 0
     assert capsys.readouterr().err.splitlines() == [
         f"freq-response: {name}: 11 NaN cells at infeasible angles, the "
         f"first at 12 GHz"
@@ -1051,16 +1094,17 @@ def test_unit_refractive_index_codebook_names_the_sectors(tmp_path, capsys,
                      r"12 and 16\.84 GHz, which do not decrease", err)
 
 
-def test_attenuation_changes_no_lossless_command(scn, tmp_path):
-    """--attenuation on adds columns to gain-sweep and freq-response only:
-    every other command writes the same files as with it off, apart from
-    the scenario fingerprint and the attenuation line itself."""
+def test_attenuation_changes_no_lossless_command(tmp_path):
+    """design.attenuation = on adds columns to gain-sweep and freq-response
+    only: every other command writes the same files as with it off, apart
+    from the scenario fingerprint and the attenuation line itself."""
     texts = {}
     for flag in ("off", "on"):
         out = str(tmp_path / flag)
+        scn = tmp_path / f"{flag}.scn"
+        scn.write_text(TINY + f"design.attenuation = {flag}\n")
         for cmd in ("rate", "train", "design", "coverage", "verify"):
-            assert run_cli(cmd, "--scenario", scn, "--out", out,
-                           "--attenuation", flag) == 0
+            assert run_cli(cmd, "--scenario", str(scn), "--out", out) == 0
         fp = read_summary(out)["scenario"]
         texts[flag] = {
             name: open(os.path.join(out, name)).read().replace(fp, "<fp>")

@@ -38,6 +38,15 @@ def test_design_validation():
         make_design(attenuation=-2.0)
 
 
+@pytest.mark.parametrize("field", ["n_elements", "spacing",
+                                   "refractive_index", "damping", "coupling",
+                                   "attenuation"])
+def test_design_rejects_a_nan_field(field):
+    """NaN fails every bound, so a design holding one never constructs."""
+    with pytest.raises(db.DomainError, match=f"^{field} must be"):
+        make_design(**{field: float("nan")})
+
+
 @given(f_r=st.floats(1e9, 1e12), f=st.floats(1e9, 1e11))
 @settings(max_examples=200)
 def test_weights_live_on_the_half_circle(f_r, f):

@@ -28,6 +28,14 @@ def test_budget_validation():
         make_budget(bandwidth=-0.3e9)
 
 
+@pytest.mark.parametrize("field", ["tx_power", "distance", "noise_temp",
+                                   "bandwidth", "n_subcarriers"])
+def test_budget_rejects_a_nan_field(field):
+    """NaN fails every bound, so a budget holding one never constructs."""
+    with pytest.raises(db.DomainError, match=f"^{field} must be"):
+        make_budget(**{field: float("nan")})
+
+
 def test_subcarrier_grid_geometry():
     budget = make_budget(n_subcarriers=8)
     f = db.subcarrier_grid(budget, F_C)

@@ -65,7 +65,7 @@ def test_four_element_grid_approaches_the_peak(design):
 
 
 def test_grid_oracle_enforces_its_caps():
-    with pytest.raises(db.EnumerationLimitError):
+    with pytest.raises(db.DomainError, match="caps at 400 points"):
         db.grid_max_gain(small_design(2), 0.0, 15e9, 500)
     with pytest.raises(db.DomainError):
         db.grid_max_gain(small_design(2), 0.0, 15e9, 1)
@@ -521,7 +521,7 @@ def test_enumerate_binary_at_its_cap_is_no_worse_than_the_solver(design):
 
 
 def test_enumerate_binary_cap():
-    with pytest.raises(db.EnumerationLimitError):
+    with pytest.raises(db.DomainError, match="caps at 20 elements, got 21"):
         db.enumerate_binary(small_design(21), 0.0, 15e9)
 
 

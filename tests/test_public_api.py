@@ -7,9 +7,8 @@ import dmabeam as db
 
 PUBLIC = [
     'ArrayLayout', 'BeamformingSolution', 'BinarySolution', 'CONSTANTS',
-    'Codebook', 'CoverageAngle', 'CoverageInfeasibleError', 'CutoffError',
-    'CutoffReport', 'DmaDesign', 'DmaError', 'DomainError',
-    'EnumerationLimitError', 'InvalidEstimateError', 'LinkBudget',
+    'Codebook', 'CoverageAngle', 'CutoffReport', 'DmaDesign', 'DmaError',
+    'DomainError', 'InfeasibleError', 'LinkBudget',
     'OperatingPoint', 'PhysicalConstants', 'RateComparison',
     'Scenario', 'ScenarioError', 'SectorDesign',
     'TrainingResult', 'TuningRangePoint', 'achievable_rate',

@@ -126,10 +126,11 @@ def test_extreme_numbers_end_in_a_known_exit_code(key, value, tmp_path,
     lines = [line for line in SMALL.splitlines(True)
              if not line.startswith(f"{key} =")]
     path = tmp_path / "extreme.scn"
-    path.write_text("".join(lines) + f"{key} = {value}\n")
+    path.write_text("".join(lines) + "design.attenuation = on\n"
+                    f"{key} = {value}\n")
     for command in cli._COMMANDS:
-        code = cli.main([command, "--scenario", str(path), "--attenuation",
-                         "on", "--out", str(tmp_path / command)])
+        code = cli.main([command, "--scenario", str(path),
+                         "--out", str(tmp_path / command)])
         err = capsys.readouterr().err
         assert code in (0, 2, 3, 4), (command, code, err)
         if code == 2:

@@ -9,13 +9,14 @@ cutoff frequencies for any relative threshold nu.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
 from ._brent import brentq
-from .channel import dirichlet_kernel
+from .channel import dirichlet_kernel, normalized_product
 from .core_model import DmaDesign, beamformer_weight
 from .errors import DomainError, InfeasibleError
 
@@ -70,12 +71,13 @@ def cutoff_frequencies(design: DmaDesign, f_t_star: float, nu: float) -> CutoffR
 
 def array_cutoff_frequencies(design: DmaDesign, phi: float, f_t_star: float,
                              nu: float) -> Tuple[float, float]:
-    """Numerical nu-cutoffs of the whole-DMA response (element x array).
+    """First crossing of nu by the whole-DMA response on each side of f*.
 
-    The array factor only narrows the response around the configured peak,
-    so the element-only cutoffs bracket the search on each side.  Solved
-    by Brent's method to ARRAY_CUTOFF_TOL; raises InfeasibleError when a
-    bracket holds no crossing or the search meets a NaN response.
+    Brent's method, to ARRAY_CUTOFF_TOL, between f* and the nearer of the
+    nearest null of D_N (p = k/N, N not dividing k) and the element cutoff
+    for nu peak / N^2, past which D^2 <= N^2 keeps the response below nu.
+    Where D_N is flat, an end whose response is not below nu is the cutoff.
+    Raises InfeasibleError when the search meets a NaN response.
     """
     if not 0.0 < nu < 1.0:
         raise DomainError("nu must lie strictly between 0 and 1")
@@ -88,16 +90,22 @@ def array_cutoff_frequencies(design: DmaDesign, phi: float, f_t_star: float,
         return abs(beamformer_weight(design, f_t_star, f)) ** 2 \
             * dirichlet_kernel(design, phi, f) ** 2 / peak - nu
 
-    elem = cutoff_frequencies(design, f_t_star, nu)
-    lo_bracket = elem.f_lower
-    while excess(lo_bracket) > 0 and lo_bracket > 0.5 * elem.f_lower:
-        lo_bracket *= 0.99
-    hi_bracket = elem.f_upper
-    while excess(hi_bracket) > 0 and hi_bracket < 2.0 * elem.f_upper:
-        hi_bracket *= 1.01
+    n = design.n_elements
+    n_p = n * normalized_product(design, phi, f_t_star)  # p is linear in f
+    k_lo, k_hi = math.ceil(n_p) - 1, math.floor(n_p) + 1
+    k_lo -= k_lo % n == 0
+    k_hi += k_hi % n == 0
+    elem = cutoff_frequencies(design, f_t_star, nu * (peak / n ** 2))
+    lo, hi = elem.f_lower, elem.f_upper
+    if n > 1 and k_lo * f_t_star > n_p * lo:
+        lo = f_t_star * k_lo / n_p
+    if n > 1 and k_hi * f_t_star < n_p * hi:
+        hi = f_t_star * k_hi / n_p
     try:
-        f_lower = brentq(excess, lo_bracket, f_t_star, xtol=ARRAY_CUTOFF_TOL)
-        f_upper = brentq(excess, f_t_star, hi_bracket, xtol=ARRAY_CUTOFF_TOL)
+        f_lower = lo if excess(lo) >= 0 else brentq(
+            excess, lo, f_t_star, xtol=ARRAY_CUTOFF_TOL)
+        f_upper = hi if excess(hi) >= 0 else brentq(
+            excess, f_t_star, hi, xtol=ARRAY_CUTOFF_TOL)
     except ValueError as err:
         raise InfeasibleError(
             f"no array cutoff inside the search bracket at "

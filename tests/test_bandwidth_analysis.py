@@ -1,9 +1,14 @@
 """Gain-vs-frequency cutoffs for single elements and the full array."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import dmabeam as db
+from dmabeam.bandwidth_analysis import ARRAY_CUTOFF_TOL
+
+F_C = 15e9
 
 F_STAR = 16.430980937585947e9
 
@@ -37,15 +42,46 @@ def test_cutoff_threshold_failure_raises_cutoff_error(design, monkeypatch):
         ba.cutoff_frequencies(design, F_STAR, 0.5)
 
 
-def test_array_cutoff_without_crossing_raises_cutoff_error(design, monkeypatch):
-    """An array factor that never lets the response drop below nu leaves
-    the bisection bracket without a sign change."""
-    import dmabeam.bandwidth_analysis as ba
+@pytest.mark.parametrize("flat, phi_deg", [
+    ({"n_elements": 1}, -18.0), ({"spacing": 1e-300}, -18.0),
+    ({"refractive_index": 1.0}, -90.0)], ids=["n1", "dy1e-300", "ng1-90deg"])
+def test_array_cutoffs_where_the_kernel_is_flat_are_the_element_cutoffs(
+        design, flat, phi_deg):
+    """Where D_N stays at N the response is the element factor, which is
+    at nu at the element cutoffs: a bracket end whose response is not
+    below nu is the cutoff itself."""
+    flat_design = dataclasses.replace(design, **flat)
+    el = db.cutoff_frequencies(flat_design, F_STAR, 0.5)
+    got = db.array_cutoff_frequencies(flat_design, np.radians(phi_deg),
+                                      F_STAR, 0.5)
+    assert got == pytest.approx((el.f_lower, el.f_upper), abs=ARRAY_CUTOFF_TOL)
 
-    monkeypatch.setattr(ba, "dirichlet_kernel",
-                        lambda d, phi, f: 1.0 if f == F_STAR else 1e3)
-    with pytest.raises(db.InfeasibleError, match="f_t_star.*nu"):
-        ba.array_cutoff_frequencies(design, np.radians(-18.0), F_STAR, 0.5)
+
+@pytest.mark.parametrize("q", [0.1, 1.0, 50.0])
+def test_array_cutoffs_are_the_first_crossings(design, q):
+    """At every whole degree over +-89 deg, with f* from the planner, the
+    response |w(f*, f)|^2 D(f)^2 / peak stays at or above nu from f* to
+    each cutoff on a 1,001-point grid (points within ARRAY_CUTOFF_TOL of
+    the cutoff excepted), and is below nu 2 ARRAY_CUTOFF_TOL past it."""
+    q_design = dataclasses.replace(design, damping=2 * np.pi * F_C / q)
+    phis = np.radians(np.arange(-89.0, 90.0))
+    misses = []
+    for phi, f_star in zip(phis, db.optimal_operating_freq(
+            q_design, phis).f_t_star):
+        peak = db.dirichlet_kernel(q_design, phi, f_star) ** 2
+
+        def response(f):
+            return abs(db.beamformer_weight(q_design, f_star, f)) ** 2 \
+                * db.dirichlet_kernel(q_design, phi, f) ** 2 / peak
+
+        cuts = db.array_cutoff_frequencies(q_design, phi, f_star, 0.5)
+        for cut, outward in zip(cuts, (-1.0, 1.0)):
+            f = np.linspace(f_star, cut, 1001)
+            f = f[abs(f - cut) > ARRAY_CUTOFF_TOL]
+            if not (np.all(response(f) >= 0.5) and response(
+                    cut + outward * 2 * ARRAY_CUTOFF_TOL) < 0.5):
+                misses.append((round(np.degrees(phi)), outward))
+    assert misses == []
 
 
 def element_gain(design, f):

@@ -111,6 +111,16 @@ RUNS = [
     Run("verify-narrow-band", "design.f_min = 14.5\ndesign.f_max = 15.5\n"
         "design.n_g_max = 20\n", "verify"),
     Run("verify-binary-tie", WIDE_SECTOR + "design.n_g_max = 50\n", "verify"),
+    # Array cutoffs: at Q = 0.12 and -85 deg the first crossings lie past
+    # the element cutoffs; where D_N is flat (one slot, p near 0, n_g = 1 at
+    # -90 deg) the response at a bracket end need not fall below half.
+    Run("freq-response-q0.12-85deg", "design.q_factor = 0.12\n",
+        "freq-response --phi -85"),
+    Run("freq-response-ny1", "design.n_y = 1\n", "freq-response --phi -18"),
+    Run("freq-response-dy1e-300", "design.d_y = 1e-300\n",
+        "freq-response --phi -18"),
+    Run("freq-response-ng1-90deg", "design.n_g = 1\n",
+        "freq-response --phi -90"),
     # Invalid scenarios, each count's ceiling + 1 included.
     Run("design-n_y-negative", "design.n_y = -3\n", "design", 2),
     Run("verify-f_max-inf", "design.f_max = inf\n", "verify", 2,
@@ -137,13 +147,11 @@ RUNS = [
     # The scenario alone sets the attenuation: argparse rejects the option.
     Run("gain-sweep-attenuation-option", None, "gain-sweep --attenuation on",
         2, err=("unrecognized arguments: --attenuation on",)),
-    # Infeasible: a sector too wide or narrow; no array cutoff bracket
-    # after the gain table; a pilot's estimate outside the visible region.
+    # Infeasible: a sector too wide or narrow; a pilot's estimate outside
+    # the visible region.
     Run("design-sector-80deg", WIDE_SECTOR, "design", 3),
     Run("design-sector-5deg", "sector.phi_lower = -5\nsector.phi_upper = 5\n",
         "design", 3, err=("sector is too narrow for the band",)),
-    Run("freq-response-no-cutoff-bracket", "design.q_factor = 0.12\n",
-        "freq-response --phi -85", 3),
     Run("train-probe-fails", PROBE_FAILS, "train --phi 10", 3),
     Run("rate-probe-fails", PROBE_FAILS, "rate", 3),
 ]
@@ -532,9 +540,18 @@ def test_train_keeps_the_floor_at_low_q(tmp_path):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "at Q = 0.1 and -85 deg the whole-array response stays above half its "
-    "peak across the element cutoffs' search bracket, so Brent's method "
-    "finds no sign change and freq-response exits 3"))
+    "the codebook's floor is checked only at the sweep's grid angles, and "
+    "between the default 181 it fails: 2001 angles exit 4 with 506.516 < "
+    "508.495; a floor check over all angles is ROADMAP item 4b, and "
+    "crosstalk-equalized picks to hold the floor are item 4c"))
+def test_train_keeps_the_floor_between_grid_angles(tmp_path):
+    path = tmp_path / "fine.scn"
+    path.write_text("sweep.angle_samples = 2001\n")
+    out = str(tmp_path / "run")
+    assert run_cli("train", "--scenario", str(path), "--out", out) == 0
+    assert read_summary(out)["train"]["floor_respected"] is True
+
+
 def test_freq_response_finds_the_array_cutoffs_at_q_one_tenth(tmp_path):
     path = tmp_path / "q01.scn"
     path.write_text("design.q_factor = 0.1\n")
@@ -557,15 +574,6 @@ def _first_half_power_crossing(design, phi, f_star, edge):
     return f[np.argmax(response < 0.5 * response[0])], abs(f[1] - f[0])
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "at Q = 1 the element cutoffs do not bracket the first half-power "
-    "crossing of the whole-array response, and Brent's method returns a "
-    "later one while freq-response exits 0: at -89 deg an upper cutoff of "
-    "26.585 GHz for 17.312 GHz, at 85 deg a lower one of 9.208 GHz for "
-    "11.842 GHz.  Bracketing at the nearest Dirichlet zero finds both, "
-    "but moves array_f_lower_ghz and array_f_upper_ghz by up to 426 Hz at "
-    "Q = 50, past the rtol 1e-9 of the benchmark's output check against "
-    "its reference, so the fix waits for a change to the benchmark"))
 def test_freq_response_array_cutoffs_are_the_first_crossings_at_q_one(
         tmp_path):
     path = tmp_path / "q1.scn"
